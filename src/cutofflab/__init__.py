@@ -32,7 +32,7 @@ from .hitting import (
     GoodSet,
     HitResult,
     KacQuantities,
-    QSDecomposition,
+    KilledSystem,
     TargetSet,
     WorstTailProfile,
     blow_up_set,
@@ -89,7 +89,7 @@ __all__ = [
     "transition_power", "write_json_atomic",
     "FAMILIES", "biased_path", "birth_death", "plateau_chain",
     "random_corpus", "random_reversible", "random_tree", "two_cliques",
-    "BlowUpSet", "GoodSet", "HitResult", "KacQuantities", "QSDecomposition",
+    "BlowUpSet", "GoodSet", "HitResult", "KacQuantities", "KilledSystem",
     "TargetSet", "WorstTailProfile", "blow_up_set", "good_set", "hit_time",
     "hitting_tail", "kac_quantities", "mgf", "qs_decomposition",
     "worst_tail_profile",

@@ -9,9 +9,11 @@ routines assume reversibility and work in the symmetrized coordinates
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -38,6 +40,7 @@ __all__ = [
     "chain_from_json",
     "chain_to_json",
     "write_json_atomic",
+    "write_csv_atomic",
 ]
 
 
@@ -329,19 +332,36 @@ def heat_matrix(chain: Chain, t: float) -> np.ndarray:
 # Format: {"n": int, "P": [[...], ...], "labels": [...]?, "pi": [...]?}
 
 
-def write_json_atomic(path: str, payload: dict) -> None:
-    """Serialize to a temp file in the target directory, then rename."""
+@contextmanager
+def _atomic_file(path: str):
+    """Text handle on a temp file in the target directory, renamed onto
+    ``path`` when the block ends; on any error the temp file is removed and
+    ``path`` keeps its old contents."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
-            json.dump(payload, fh, indent=1)
-            fh.write("\n")
+        with os.fdopen(fd, "w", newline="") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_json_atomic(path: str, payload) -> None:
+    """Write ``payload`` as indented JSON, atomically."""
+    with _atomic_file(path) as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+
+
+def write_csv_atomic(path: str, header: list[str], rows) -> None:
+    """Write a header line and ``rows`` as CSV, atomically."""
+    with _atomic_file(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def chain_to_json(chain: Chain | ChainSpec, path: str) -> None:

@@ -21,7 +21,6 @@ import csv
 import json
 import os
 import sys
-import tempfile
 
 import click
 
@@ -62,21 +61,6 @@ def _load_tree(path: str):
         return build_tree_chain(tree_from_json(path))
     except (OSError, KeyError, ValueError) as exc:
         raise click.ClickException(f"{path}: malformed tree file ({exc})") from exc
-
-
-def _write_csv_atomic(path: str, header: list[str], rows) -> None:
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
 
 
 def _emit_records(records, label: str) -> int:
@@ -236,52 +220,42 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
     """Hitting values of large sets: worst-case over sets, or one set."""
     import numpy as np
 
-    from .hitting import hit_time, worst_tail_profile
-    from .verify import _build_killed
+    from .chain import write_csv_atomic
+    from .hitting import KilledSystem, hit_time, worst_tail_profile
 
     chain = _load_chain(chain_file)
+    if start is not None and not 0 <= start < chain.n:
+        raise click.ClickException(
+            f"--start {start} is not a state (states are 0..{chain.n - 1})")
     if set_states is not None:
         states = _parse_states(set_states)
-        mask = np.zeros(chain.n, dtype=bool)
         try:
-            mask[states] = True
-        except IndexError as exc:
-            raise click.ClickException(f"state out of range: {exc}") from exc
-        if mask.all():
+            ks = KilledSystem(chain, states)
+        except ValueError as exc:
+            raise click.ClickException(f"--set {set_states}: {exc}") from exc
+        if ks.B.size == 0:
             raise click.ClickException("target set covers every state")
-        ks = _build_killed(chain, mask)
-        pos = None
-        if start is not None:
-            where = np.nonzero(ks.B == start)[0]
-            if where.size == 0:
-                click.echo("start lies inside the target; hit time is 0")
-                return
-            pos = int(where[0])
+        if start is not None and start in ks.target.members:
+            click.echo("start lies inside the target; hit time is 0")
+            return
         horizon = 4 * max(int(np.ceil(chain.spectrum.t_rel)), 1)
         grid: list[float] = list(range(0, horizon + 1))
-        if continuous:
-            rates = 1.0 - ks.gammas
-            def tail_at(ts):
-                decay = np.exp(-np.outer(np.asarray(ts, float), rates))
-                if pos is None:
-                    return decay @ ks.weights
-                lead = ks.U[pos] / ks.sqrt_d[pos] * ks.right
-                return np.clip(decay @ lead, 0.0, 1.0)
-        else:
-            def tail_at(ts):
-                if pos is None:
-                    return ks.tail_stationary(ts)
-                return ks.tail_state(pos, ts)
-        tails = tail_at(grid)
+        try:
+            if start is None:
+                tails = ks.tail_stationary(grid, continuous)
+            else:
+                tails = ks.tail_state(ks.position(start), grid, continuous)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
         for e in eps_values:
             below = np.nonzero(tails <= e + 1e-12)[0]
             when = f"t = {grid[int(below[0])]}" if below.size else \
                 f"beyond t = {horizon}"
             click.echo(f"tail <= {e:g} first at {when} "
-                       f"(set={states}, start={'stationary' if pos is None else start})")
+                       f"(set={states}, start={'stationary' if start is None else start})")
         if output:
-            _write_csv_atomic(output, ["t", "tail"],
-                              [(t, float(v)) for t, v in zip(grid, tails)])
+            write_csv_atomic(output, ["t", "tail"],
+                             [(t, float(v)) for t, v in zip(grid, tails)])
             click.echo(f"wrote tail profile -> {output}")
         return
     for e in eps_values:
@@ -299,8 +273,8 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
         prof = worst_tail_profile(chain, alpha, stop_level=min(eps_values),
                                   exact_threshold=exact_threshold)
         seq = prof.global_sequence()
-        _write_csv_atomic(output, ["t", "tail"],
-                          [(t, float(v)) for t, v in enumerate(seq)])
+        write_csv_atomic(output, ["t", "tail"],
+                         [(t, float(v)) for t, v in enumerate(seq)])
         click.echo(f"wrote tail profile -> {output}")
 
 
@@ -421,6 +395,7 @@ def sbd_classify(chain_file: str, as_json: bool) -> None:
               help="Write the block table as CSV.")
 def sbd_blocks(chain_file: str, r_override, delta_override, output) -> None:
     """Partition the state line into width-r blocks around the center."""
+    from .chain import write_csv_atomic
     from .sbd import blocks, classify_sbd
 
     chain = _load_chain(chain_file)
@@ -444,8 +419,8 @@ def sbd_blocks(chain_file: str, r_override, delta_override, output) -> None:
         rows.append((j, int(members.min()), int(members.max()),
                      len(members), mass, j == dec.central_block))
     if output:
-        _write_csv_atomic(output, ["block", "lo", "hi", "size", "mass",
-                                   "central"], rows)
+        write_csv_atomic(output, ["block", "lo", "hi", "size", "mass",
+                                  "central"], rows)
         click.echo(f"wrote block table -> {output}")
         return
     bound_txt = ("" if dec.central_mass_bound is None
@@ -570,7 +545,7 @@ def verify_cmd(chain_file: str, suite_ids, eps_values, alpha_values,
                       report.suite)
         total_failures += report.counts().get("failed", 0)
     if output:
-        payload = [json.loads(r.dumps()) for r in reports]
+        payload = [r.to_dict() for r in reports]
         write_json_atomic(output, payload[0] if len(payload) == 1 else payload)
         click.echo(f"wrote report -> {output}")
     if total_failures:
@@ -638,10 +613,8 @@ def cutoff_scan_cmd(family: str, sizes: str, eps_values, alpha: float,
 def simulate(chain_file: str, start: int, set_states: str, t: int,
              paths: int, seed: int) -> None:
     """Estimate Pr[T_A > t] by simulation and compare to the exact tail."""
-    import numpy as np
-
+    from .hitting import KilledSystem
     from .oracle import simulate_hitting
-    from .verify import _build_killed
 
     chain = _load_chain(chain_file)
     states = _parse_states(set_states)
@@ -650,16 +623,16 @@ def simulate(chain_file: str, start: int, set_states: str, t: int,
                                seed=seed)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    mask = np.zeros(chain.n, dtype=bool)
-    mask[states] = True
-    if mask.all():
+    ks = KilledSystem(chain, states)
+    if ks.B.size == 0:
         raise click.ClickException("target set covers every state")
-    if mask[start]:
+    if start in ks.target.members:
         exact = 0.0
     else:
-        ks = _build_killed(chain, mask)
-        pos = int(np.nonzero(ks.B == start)[0][0])
-        exact = float(ks.tail_state(pos, [t])[0])
+        try:
+            exact = float(ks.tail_state(ks.position(start), [t])[0])
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
     click.echo(f"estimate = {est.value:.6g} +/- {est.standard_error:.3g} "
                f"({paths} paths, seed {seed})")
     click.echo(f"exact    = {exact:.10g}")

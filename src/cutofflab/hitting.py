@@ -1,11 +1,13 @@
 """Hitting-time tails, worst-set hitting profiles, and return-time identities.
 
 For a target set A the killed kernel ``P_B`` (the restriction of P to
-``B = complement(A)``) drives everything: tails are iterates ``P_B^t 1``,
-moments come from the linear systems ``(I - P_B) h = 1`` and
+``B = complement(A)``) drives everything, and :class:`KilledSystem` is the
+one place that computes with it: tails are iterates ``P_B^t 1``, moments
+come from the linear systems ``(I - P_B) h = 1`` and
 ``(I - P_B) m = 2h - 1``, and the eigen-decomposition of ``P_B`` in the
 pi-weighted inner product yields the exact mixture-of-geometrics form of
-the tail together with its decay radius.
+the tail together with its decay radius.  Every module that needs one of
+these quantities builds a ``KilledSystem`` for its target.
 
 The worst-set quantity ``p_x(alpha, t) = max { Pr_x[T_A > t] :
 pi(A) >= alpha }`` is computed exactly by enumerating inclusion-minimal
@@ -18,10 +20,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .chain import Chain
 
@@ -35,7 +37,7 @@ __all__ = [
     "worst_tail_profile",
     "HitResult",
     "hit_time",
-    "QSDecomposition",
+    "KilledSystem",
     "qs_decomposition",
     "GoodSet",
     "good_set",
@@ -98,25 +100,139 @@ def _start_vector(chain: Chain, start) -> np.ndarray:
     return np.clip(v, 0.0, None)
 
 
-def _killed(chain: Chain, A: TargetSet) -> tuple[np.ndarray, np.ndarray]:
-    """Indices of B = complement(A) and the killed kernel P_B."""
-    mask = A.indicator(chain.n)
-    B = np.nonzero(~mask)[0]
-    return B, chain.P[np.ix_(B, B)]
+# ---------------------------------------------------------------------------
+# the killed kernel
 
 
-def _absorption_moments(chain: Chain, A: TargetSet) -> tuple[np.ndarray, np.ndarray]:
-    """Full-space vectors of E_x[T_A] and E_x[T_A^2] (zero on A)."""
-    B, PB = _killed(chain, A)
-    h = np.zeros(chain.n)
-    m = np.zeros(chain.n)
-    if B.size:
-        I = np.eye(B.size)
-        hB = np.linalg.solve(I - PB, np.ones(B.size))
-        mB = np.linalg.solve(I - PB, 2.0 * hB - 1.0)
-        h[B] = hB
-        m[B] = mB
-    return h, m
+class KilledSystem:
+    """The chain killed on entering a target set A.
+
+    Holds the survivor states ``B = complement(A)`` in ascending order, the
+    killed kernel ``PB = P[B, B]``, ``pi_B = pi(B)`` and
+    ``pi_A = 1 - pi_B``.  The rest is computed on first use and kept:
+
+    - ``mean`` and ``second_moment``, the full-space vectors of E_x[T_A]
+      and E_x[T_A^2] (zero on A), from ``(I - P_B) h = 1`` and
+      ``(I - P_B) m = 2h - 1``; the second solve runs only when
+      ``second_moment`` is read;
+    - ``survival()``, the sequence ``P_B^t 1`` for t = 0, 1, ... in
+      survivor coordinates (entry i belongs to state ``B[i]``);
+    - the eigensystem of the symmetrized killed kernel
+      ``diag(sqrt pi_B) P_B diag(1/sqrt pi_B)``: a real spectrum
+      ``gammas`` in descending order, and ``weights`` such that the tail
+      from pi conditioned on B is ``sum_i weights_i gamma_i^t``
+      (continuized: ``exp(-(1 - gamma_i) t)``), nonnegative and adding to
+      one.  Powers are taken in closed form, so a tail at very large t
+      costs one vector operation.  Only this part requires a reversible
+      chain.
+    """
+
+    def __init__(self, chain: Chain, A):
+        self.chain = chain
+        self.target = _as_target(chain, A)
+        self.B = np.flatnonzero(~self.target.indicator(chain.n))
+        self.PB = chain.P[np.ix_(self.B, self.B)]
+        self.pi_B = float(chain.pi[self.B].sum())
+        self.pi_A = 1.0 - self.pi_B
+
+    def position(self, x: int) -> int:
+        """Index of state x in survivor coordinates."""
+        where = np.flatnonzero(self.B == int(x))
+        if where.size == 0:
+            raise ValueError(f"state {x} lies in the target")
+        return int(where[0])
+
+    # -- moments -------------------------------------------------------------
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(np.eye(self.B.size) - self.PB, rhs)
+
+    @cached_property
+    def mean(self) -> np.ndarray:
+        h = np.zeros(self.chain.n)
+        h[self.B] = self._solve(np.ones(self.B.size))
+        return h
+
+    @cached_property
+    def second_moment(self) -> np.ndarray:
+        m = np.zeros(self.chain.n)
+        m[self.B] = self._solve(2.0 * self.mean[self.B] - 1.0)
+        return m
+
+    # -- iterated tails ------------------------------------------------------
+
+    def survival(self):
+        """Yield ``Pr_x[T_A > t]`` for the survivors x, for t = 0, 1, ..."""
+        u = np.ones(self.B.size)
+        while True:
+            yield u
+            u = self.PB @ u
+
+    # -- eigensystem ---------------------------------------------------------
+
+    @cached_property
+    def _eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(gammas, U, sqrt pi_B, U^T sqrt pi_B), gammas descending."""
+        self.chain.require(reversible=True)
+        sq = np.sqrt(self.chain.pi[self.B])
+        S = (sq[:, None] * self.PB) / sq[None, :]
+        S = 0.5 * (S + S.T)
+        g, U = np.linalg.eigh(S)
+        order = np.argsort(g)[::-1]
+        g, U = g[order], U[:, order]
+        return g, U, sq, U.T @ sq
+
+    @cached_property
+    def gammas(self) -> np.ndarray:
+        return self._eigen[0]
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        return self._eigen[3] ** 2 / self.pi_B
+
+    @cached_property
+    def state_weights(self) -> np.ndarray:
+        """Row i: ``Pr_{B[i]}[T_A > t] = sum_j state_weights[i, j] gamma_j^t``."""
+        _, U, sq, right = self._eigen
+        return U / sq[:, None] * right[None, :]
+
+    def _factors(self, ts, continuous: bool) -> np.ndarray:
+        """One row per t: gamma_i^t (integer t) or exp(-(1 - gamma_i) t)."""
+        g = self.gammas
+        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        if continuous:
+            return np.exp(-np.outer(ts, 1.0 - g))
+        mag = np.abs(g)[None, :] ** ts[:, None]
+        neg = g < 0.0
+        if neg.any():
+            odd = (ts.astype(np.int64) % 2) == 1
+            sign = np.where(neg[None, :] & odd[:, None], -1.0, 1.0)
+            mag = mag * sign
+        return mag
+
+    def tail_stationary(self, ts, continuous: bool = False) -> np.ndarray:
+        """Pr[T_A > t] from pi conditioned on B, for each t in ts."""
+        return np.clip(self._factors(ts, continuous) @ self.weights, 0.0, None)
+
+    def tail_rows(self, t) -> np.ndarray:
+        """Pr_x[T_A > t] for every survivor x (one t, possibly huge)."""
+        _, U, sq, right = self._eigen
+        coef = self._factors([t], False)[0] * right
+        return np.clip((U @ coef) / sq, 0.0, 1.0)
+
+    def tail_state(self, pos: int, ts, continuous: bool = False) -> np.ndarray:
+        """Pr_x[T_A > t] for the survivor at position ``pos``, for each t."""
+        return np.clip(self._factors(ts, continuous) @ self.state_weights[pos], 0.0, 1.0)
+
+    def tail_dist(self, dist_B: np.ndarray, ts, continuous: bool = False) -> np.ndarray:
+        """Pr[T_A > t] from a start law given in survivor coordinates."""
+        _, U, sq, right = self._eigen
+        lead = (dist_B / sq) @ U
+        return np.clip(self._factors(ts, continuous) @ (lead * right), 0.0, None)
+
+    def mean_stationary(self) -> float:
+        """E[T_A] from pi conditioned on B, from the spectral weights."""
+        return float(np.sum(self.weights / (1.0 - self.gammas)))
 
 
 # ---------------------------------------------------------------------------
@@ -155,50 +271,21 @@ def hitting_tail(chain: Chain, start, A, t_max: int = 64,
     uniform grid up to ``t_max``) through the eigen-decomposition of the
     killed kernel.
     """
-    A = _as_target(chain, A)
     mu = _start_vector(chain, start)
-    B, PB = _killed(chain, A)
-    h, m2 = _absorption_moments(chain, A)
-    mean = float(mu @ h)
-    second = float(mu @ m2)
+    ks = KilledSystem(chain, A)
+    mean = float(mu @ ks.mean)
+    second = float(mu @ ks.second_moment)
+    muB = mu[ks.B]
     if not continuous:
-        u = np.ones(B.size)
-        muB = mu[B]
-        tail = np.empty(t_max + 1)
-        for t in range(t_max + 1):
-            tail[t] = muB @ u
-            u = PB @ u
-        return HittingProfile(target=A, times=np.arange(t_max + 1), tail=tail,
+        tail = np.array([muB @ u for u in islice(ks.survival(), t_max + 1)])
+        return HittingProfile(target=ks.target, times=np.arange(t_max + 1), tail=tail,
                               mean=mean, second_moment=second, continuous=False)
     if t_grid is None:
         t_grid = np.linspace(0.0, float(t_max), 129)
     times = np.asarray(t_grid, dtype=float)
-    rates, W = _ct_tail_system(chain, A)
-    weights = mu[B] @ W
-    tail = np.clip(np.exp(-np.outer(times, rates)) @ weights, 0.0, None)
-    return HittingProfile(target=A, times=times, tail=tail, mean=mean,
+    tail = ks.tail_dist(muB, times, continuous=True)
+    return HittingProfile(target=ks.target, times=times, tail=tail, mean=mean,
                           second_moment=mean + second, continuous=True)
-
-
-def _ct_tail_system(chain: Chain, A: TargetSet) -> tuple[np.ndarray, np.ndarray]:
-    """Rates (1 - gamma_i) and per-state weight matrix for continuized tails.
-
-    Returns ``(rates, W)`` with ``Pr_x[T_A > t] = sum_i W[x_B, i] exp(-rates[i] t)``
-    for x in B (row indices follow the B ordering).
-    """
-    chain.require(reversible=True)
-    B, PB = _killed(chain, A)
-    if B.size == 0:
-        return np.zeros(0), np.zeros((0, 0))
-    pb = chain.pi[B]
-    pb = pb / pb.sum()
-    sq = np.sqrt(pb)
-    S = 0.5 * ((sq[:, None] * PB / sq[None, :]) + (sq[:, None] * PB / sq[None, :]).T)
-    gam, V = np.linalg.eigh(S)
-    G = V / sq[:, None]
-    coef = pb @ G
-    W = G * coef[None, :]
-    return 1.0 - gam, W
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +473,13 @@ def _hit_ct_interval(chain: Chain, alpha: float, eps: float,
         A = TargetSet.from_states(chain, np.nonzero(sel)[0])
         if A.pi_mass >= 1.0 - 1e-15 and sel.all():
             continue
-        rates, W = _ct_tail_system(chain, A)
-        systems.append((rates, W))
+        ks = KilledSystem(chain, A)
+        systems.append((1.0 - ks.gammas, ks.state_weights))
 
     def p_ct(t: float) -> float:
         worst = 0.0
         for rates, W in systems:
-            vals = W @ np.exp(-rates * t)
-            worst = max(worst, float(vals.max()))
+            worst = max(worst, float((W @ np.exp(-rates * t)).max()))
         return worst
 
     t_rel = chain.spectrum.t_rel
@@ -440,88 +526,29 @@ def hit_time(chain: Chain, alpha: float, eps: float, x: int | None = None,
 # quasi-stationary structure of the killed kernel
 
 
-@dataclass(eq=False)
-class QSDecomposition:
-    """Mixture-of-geometrics form of the stationary-start tail.
+def qs_decomposition(chain: Chain, A) -> KilledSystem:
+    """The killed system of A, with its spectral weights checked.
 
-    ``Pr_{pi_B}[T_A > t] = sum_i weights[i] * gammas[i]^t`` with
-    nonnegative weights summing to one and ``|gamma_i| <= gammas[0] < 1``.
-    Components of B that are separated in the killed kernel are
-    diagonalized independently and merged.
+    Requires a reversible chain and a proper nonempty target.  The weights
+    must be nonnegative and add to one, and no eigenvalue may exceed the
+    leading one ``gamma_1`` in modulus, so that
+    ``Pr_{pi_B}[T_A > t] = sum_i weights_i gamma_i^t`` decays at rate
+    ``gamma_1``.  When B splits into several killed-kernel components the
+    spectrum is the union of theirs and each component's weights add to
+    pi(component)/pi(B).
     """
-
-    gammas: np.ndarray
-    weights: np.ndarray
-    pi_A: float
-
-    @property
-    def gamma_1(self) -> float:
-        return float(self.gammas[0]) if self.gammas.size else 0.0
-
-    def tail(self, t) -> np.ndarray | float:
-        # integer powers only: gammas may be negative
-        t_arr = np.atleast_1d(np.asarray(t)).astype(np.int64)
-        if self.gammas.size:
-            vals = (self.gammas[None, :] ** t_arr[:, None]) @ self.weights
-        else:
-            vals = np.zeros(t_arr.shape, dtype=float)
-        vals = np.clip(vals, 0.0, None)
-        return float(vals[0]) if np.isscalar(t) or np.ndim(t) == 0 else vals
-
-    def tail_ct(self, t) -> np.ndarray | float:
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.gammas.size:
-            vals = np.exp(-np.outer(t_arr, 1.0 - self.gammas)) @ self.weights
-        else:
-            vals = np.zeros(t_arr.shape)
-        vals = np.clip(vals, 0.0, None)
-        return float(vals[0]) if np.isscalar(t) or np.ndim(t) == 0 else vals
-
-
-def qs_decomposition(chain: Chain, A) -> QSDecomposition:
-    """Diagonalize the killed kernel under the pi_B inner product.
-
-    Requires a reversible chain and a proper nonempty target.  When B
-    splits into several killed-kernel components the per-component
-    spectra are combined with weights pi(component)/pi(B); the leading
-    eigenvalue of every component obeys the same spectral-gap ceiling
-    ``1 - pi(A)/t_rel``, so the merged list does too.
-    """
-    chain.require(reversible=True)
-    A = _as_target(chain, A)
-    B, PB = _killed(chain, A)
-    if B.size == 0:
+    ks = KilledSystem(chain, A)
+    if ks.B.size == 0:
         raise ValueError("target covers every state; killed kernel is empty")
-    n_comp, labels = connected_components(csr_matrix(PB > 0), directed=True, connection="strong")
-    piB_total = chain.pi[B].sum()
-    gammas: list[np.ndarray] = []
-    weights: list[np.ndarray] = []
-    for c in range(n_comp):
-        idx = np.nonzero(labels == c)[0]
-        sub = PB[np.ix_(idx, idx)]
-        p_sub = chain.pi[B[idx]]
-        w_comp = p_sub.sum() / piB_total
-        p_cond = p_sub / p_sub.sum()
-        sq = np.sqrt(p_cond)
-        S = sq[:, None] * sub / sq[None, :]
-        S = 0.5 * (S + S.T)
-        gam, V = np.linalg.eigh(S)
-        G = V / sq[:, None]
-        a = (p_cond @ G) ** 2
-        gammas.append(gam)
-        weights.append(w_comp * a)
-    g = np.concatenate(gammas)
-    w = np.concatenate(weights)
-    order = np.argsort(-g, kind="stable")
-    g, w = g[order], w[order]
+    g, w = ks.gammas, ks.weights
     total = w.sum()
     if abs(total - 1.0) > 1e-9:
         raise IdentityCheckError(f"killed-kernel spectral weights sum to {total!r}")
     if w.min() < -1e-12:
         raise IdentityCheckError("negative spectral weight in killed kernel decomposition")
-    if g.size and np.abs(g).max() > g[0] + 1e-12:
+    if np.abs(g).max() > g[0] + 1e-12:
         raise IdentityCheckError("killed-kernel eigenvalue exceeds the leading one in modulus")
-    return QSDecomposition(gammas=g, weights=np.clip(w, 0.0, None), pi_A=A.pi_mass)
+    return ks
 
 
 # ---------------------------------------------------------------------------
@@ -602,12 +629,9 @@ def blow_up_set(chain: Chain, A, w: float, alpha: float) -> BlowUpSet:
     if A.pi_mass <= 0:
         raise ValueError("target must have positive mass")
     t = math.ceil(t_rel * w / A.pi_mass)
-    B, PB = _killed(chain, A)
-    u = np.ones(B.size)
-    for _ in range(t):
-        u = PB @ u
+    ks = KilledSystem(chain, A)
     tails = np.zeros(chain.n)
-    tails[B] = u
+    tails[ks.B] = next(islice(ks.survival(), t, None))
     members = tails >= alpha
     ceiling = (1.0 - A.pi_mass) * math.exp(-w) / alpha
     return BlowUpSet(t=t, members=members, measure=float(chain.pi[members].sum()),
@@ -660,9 +684,10 @@ def kac_quantities(chain: Chain, A, check_tol: float = 1e-9) -> KacQuantities:
         raise ValueError("complement of the target is unreachable in one step; entry law undefined")
     psi = np.zeros(chain.n)
     psi[B] = (pi[ind] / pa) @ P[np.ix_(ind, B)] / phi_A
-    h, m2 = _absorption_moments(chain, A)
+    ks = KilledSystem(chain, A)
+    h = ks.mean
     mean_psi = float(psi @ h)
-    second_psi = float(psi @ m2)
+    second_psi = float(psi @ ks.second_moment)
     piB = np.where(B, pi, 0.0)
     piB = piB / piB.sum()
     mean_piB = float(piB @ h)
@@ -689,14 +714,14 @@ def mgf(chain: Chain, start, A, z: float) -> float:
     """
     if z <= 0:
         raise ValueError("z must be positive")
-    A = _as_target(chain, A)
     mu = _start_vector(chain, start)
-    B, PB = _killed(chain, A)
+    ks = KilledSystem(chain, A)
+    B, PB = ks.B, ks.PB
     if B.size == 0:
         return 1.0
-    gamma_1 = float(np.max(np.abs(np.linalg.eigvals(PB)))) if B.size else 0.0
+    gamma_1 = float(np.max(np.abs(np.linalg.eigvals(PB))))
     if z * gamma_1 >= 1.0 - 1e-12:
         raise ValueError(f"z = {z} is outside the convergence radius 1/gamma_1 = {1.0 / gamma_1}")
     c = 1.0 - PB.sum(axis=1)
     phi = np.linalg.solve(np.eye(B.size) - z * PB, z * c)
-    return float(mu[~A.indicator(chain.n)] @ phi + mu[A.indicator(chain.n)].sum())
+    return float(mu[B] @ phi + mu[ks.target.indicator(chain.n)].sum())

@@ -11,13 +11,12 @@ horizon using the spectral tail envelope.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import Chain
+from .chain import Chain, write_csv_atomic
 
 __all__ = [
     "tv_distance",
@@ -80,11 +79,9 @@ class MixingProfile:
         return int(self.times[idx[0]])
 
     def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "d", "argmax_state"])
-            for t, d, x in zip(self.times, self.d, self.argmax_state):
-                w.writerow([int(t), repr(float(d)), int(x)])
+        write_csv_atomic(path, ["t", "d", "argmax_state"],
+                         ([int(t), repr(float(d)), int(x)]
+                          for t, d, x in zip(self.times, self.d, self.argmax_state)))
 
 
 def mixing_profile(chain: Chain, t_max: int | None = None,

@@ -130,22 +130,20 @@ class Report:
                 f"checks={c['inequality'] + c['identity']} reports={c['report']} "
                 f"skips={c['skip']} failures={c['failed']}")
 
-    def to_json(self, path: str) -> None:
-        from .chain import write_json_atomic
-
-        payload = {
+    def to_dict(self) -> dict:
+        """The JSON payload of this report."""
+        return {
             "suite": self.suite,
             "chain": self.chain_fingerprint,
             "params": {k: _plain(v) for k, v in self.params.items()},
             "passed": self.passed,
             "records": [r.to_dict() for r in self.records],
         }
-        write_json_atomic(path, payload)
+
+    def to_json(self, path: str) -> None:
+        from .chain import write_json_atomic
+
+        write_json_atomic(path, self.to_dict())
 
     def dumps(self) -> str:
-        return json.dumps({
-            "suite": self.suite,
-            "chain": self.chain_fingerprint,
-            "passed": self.passed,
-            "records": [r.to_dict() for r in self.records],
-        }, indent=1)
+        return json.dumps(self.to_dict(), indent=1)

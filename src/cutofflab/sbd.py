@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import Chain
-from .hitting import (DEFAULT_EXACT_THRESHOLD, IdentityCheckError, TargetSet,
-                      _absorption_moments, _candidate_sets, _killed)
+from .hitting import (DEFAULT_EXACT_THRESHOLD, IdentityCheckError, KilledSystem,
+                      TargetSet, _candidate_sets)
 from .oracle import MCEstimate, uniform_block
 from .reporting import Record, check_le, report_value, skip
 
@@ -178,7 +178,7 @@ def comparable_start_bound(chain: Chain, interval, target, r: int | None = None,
     I = np.arange(lo, hi + 1)
     if np.intersect1d(I, np.array(A.members)).size:
         raise ValueError("interval must be disjoint from the target")
-    h, _ = _absorption_moments(chain, A)
+    h = KilledSystem(chain, A).mean
     factor = delta ** (-r)
     params = {"interval": (lo, hi), "target": list(A.members), "r": r, "delta": delta}
     records = [check_le("interval-comparable-hitting",
@@ -211,9 +211,9 @@ def _hit_distribution(chain: Chain, x: int, A: TargetSet) -> np.ndarray:
         nu = np.zeros(members.size)
         nu[int(np.nonzero(members == x)[0][0])] = 1.0
         return nu
-    B, PB = _killed(chain, A)
-    Y = np.linalg.solve(np.eye(B.size) - PB, chain.P[np.ix_(B, members)])
-    row = Y[int(np.nonzero(B == x)[0][0])]
+    ks = KilledSystem(chain, A)
+    Y = np.linalg.solve(np.eye(ks.B.size) - ks.PB, chain.P[np.ix_(ks.B, members)])
+    row = Y[ks.position(x)]
     total = row.sum()
     if not np.isclose(total, 1.0, atol=1e-9):
         raise IdentityCheckError("hitting distribution does not sum to 1; "
@@ -226,9 +226,9 @@ def _crossing_moments(chain: Chain, x: int, src: TargetSet,
     """Mean and second moment of T(dst) - T(src) from x, when the walk
     must reach src before dst (skip-free block order)."""
     nu = _hit_distribution(chain, x, src)
-    h, m = _absorption_moments(chain, dst)
+    ks = KilledSystem(chain, dst)
     members = np.array(src.members)
-    return float(nu @ h[members]), float(nu @ m[members])
+    return float(nu @ ks.mean[members]), float(nu @ ks.second_moment[members])
 
 
 @dataclass(eq=False)
@@ -259,8 +259,8 @@ def central_block_hit(chain: Chain, dec: BlockDecomposition, x: int | None = Non
     starts v.  All constants are reported for inspection only.
     """
     chain.require(reversible=True, lazy=True)
-    C = TargetSet.from_states(chain, dec.blocks[dec.central_block])
-    h, m = _absorption_moments(chain, C)
+    ks = KilledSystem(chain, dec.blocks[dec.central_block])
+    h, m = ks.mean, ks.second_moment
     if x is None:
         x = int(np.argmax(h))
     x = int(x)
@@ -273,15 +273,14 @@ def central_block_hit(chain: Chain, dec: BlockDecomposition, x: int | None = Non
                report_value("central-hit-variance", var, {"x": x})]
 
     # quantile profile by killed-kernel iteration
-    B, PB = _killed(chain, C)
     tau_profile: dict[float, int] = {}
-    pos = int(np.nonzero(B == x)[0][0])
+    pos = ks.position(x)
     target = min(eps_grid)
-    surv = np.ones(B.size)
-    tails = [1.0]
-    while tails[-1] > target and len(tails) < 10 ** 7:
-        surv = PB @ surv
+    tails = []
+    for surv in ks.survival():
         tails.append(float(surv[pos]))
+        if tails[-1] <= target or len(tails) >= 10 ** 7:
+            break
     for e in eps_grid:
         tau_profile[float(e)] = int(np.searchsorted(-np.array(tails), -e,
                                                     side="left"))
@@ -301,13 +300,12 @@ def central_block_hit(chain: Chain, dec: BlockDecomposition, x: int | None = Non
     records.append(report_value("central-hit-over-t_rel", comparison, {}))
     if dec.delta > 0:
         level = 1.0 - dec.delta ** dec.r / (4.0 * (dec.r + dec.delta ** dec.r))
-        central = np.asarray(C.members)
+        central = np.asarray(ks.target.members)
         sets, exact = _candidate_sets(chain, level, exact_threshold,
                                       starts=[int(v) for v in central])
         worst = 0.0
         for mask in sets:
-            big = TargetSet.from_states(chain, np.nonzero(mask)[0])
-            h_big, _ = _absorption_moments(chain, big)
+            h_big = KilledSystem(chain, np.nonzero(mask)[0]).mean
             worst = max(worst, float(h_big[central].max()))
         records.append(report_value(
             "worst-set-hit-constant", dec.delta ** dec.r * worst / t_rel,
@@ -428,7 +426,7 @@ def block_correlation_mc(chain: Chain, dec: BlockDecomposition, x: int,
         stages.append(mask)
 
     final = TargetSet.from_states(chain, dec.blocks[dec.parent(block_j)])
-    h_final, _ = _absorption_moments(chain, final)
+    h_final = KilledSystem(chain, final).mean
     if t_cap is None:
         t_cap = int(max(10000, 200 * h_final[x],
                         50 * chain.spectrum.t_rel * np.log(100.0 * paths)))

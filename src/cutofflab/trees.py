@@ -20,11 +20,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 
 import numpy as np
 
 from .chain import Chain, ChainSpec, load_chain, write_json_atomic
-from .hitting import IdentityCheckError
+from .hitting import IdentityCheckError, KilledSystem
 from .mixing import mixing_time
 from .reporting import Record, check_le, skip
 
@@ -179,11 +180,7 @@ class RootedTreeChain:
     @cached_property
     def mean_to_root(self) -> np.ndarray:
         """E_x[T_root] for every x, via one killed-kernel solve."""
-        B = np.array([v for v in range(self.n) if v != self.root])
-        PB = self.chain.P[np.ix_(B, B)]
-        h = np.zeros(self.n)
-        h[B] = np.linalg.solve(np.eye(B.size) - PB, np.ones(B.size))
-        return h
+        return KilledSystem(self.chain, [self.root]).mean
 
 
 def build_tree_chain(spec: TreeSpec) -> RootedTreeChain:
@@ -294,18 +291,14 @@ def crossing_time(tc: RootedTreeChain, u: int, check_tol: float = 1e-9) -> Cross
     pi = tc.pi
     t_u = tc.subtree_mass[u] / (pi[u] * tc.mu[u])
     members = _subtree_vertices(tc, u)
-    PB = tc.chain.P[np.ix_(members, members)]
-    I = np.eye(members.size)
-    hB = np.linalg.solve(I - PB, np.ones(members.size))
-    pos = int(np.nonzero(members == u)[0][0])
-    t_u_solve = float(hB[pos])
+    ks = KilledSystem(tc.chain, np.setdiff1d(np.arange(tc.n), members))
+    t_u_solve = float(ks.mean[u])
     if abs(t_u - t_u_solve) > check_tol * max(1.0, abs(t_u)):
         raise IdentityCheckError(f"crossing mean mismatch: formula {t_u}, solve {t_u_solve}")
     pw = pi[members] / pi[members].sum()
-    mean_from_stationary = float(pw @ hB)
+    mean_from_stationary = float(pw @ ks.mean[members])
     r_u = 2.0 * t_u * mean_from_stationary - t_u
-    mB = np.linalg.solve(I - PB, 2.0 * hB - 1.0)
-    r_u_solve = float(mB[pos])
+    r_u_solve = float(ks.second_moment[u])
     if abs(r_u - r_u_solve) > check_tol * max(1.0, abs(r_u)):
         raise IdentityCheckError(f"crossing second moment mismatch: formula {r_u}, solve {r_u_solve}")
     ceiling = 4.0 * t_u * tc.t_rel
@@ -324,18 +317,6 @@ class PathVariance:
     variance: float
     sigma_sq: float
     tail_records: list[Record]
-
-
-def _tail_function(chain: Chain, target: int, t_max: int) -> np.ndarray:
-    """Pr[T_target > t] for all starts, t = 0 .. t_max; rows are times."""
-    B = np.array([v for v in range(chain.n) if v != target])
-    PB = chain.P[np.ix_(B, B)]
-    u = np.ones(B.size)
-    out = np.zeros((t_max + 1, chain.n))
-    for t in range(t_max + 1):
-        out[t, B] = u
-        u = PB @ u
-    return out
 
 
 def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
@@ -361,13 +342,8 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
         mean += ct.mean
         var += ct.variance
     # independence of increments: compare with a direct solve to the target
-    B = np.array([v for v in range(tc.n) if v != y])
-    PB = tc.chain.P[np.ix_(B, B)]
-    I = np.eye(B.size)
-    hB = np.linalg.solve(I - PB, np.ones(B.size))
-    mB = np.linalg.solve(I - PB, 2.0 * hB - 1.0)
-    pos = int(np.nonzero(B == x)[0][0])
-    mean_solve, second_solve = float(hB[pos]), float(mB[pos])
+    ks = KilledSystem(tc.chain, [y])
+    mean_solve, second_solve = float(ks.mean[x]), float(ks.second_moment[x])
     if abs(mean - mean_solve) > 1e-9 * max(1.0, abs(mean)):
         raise IdentityCheckError("path mean disagrees with direct solve")
     var_solve = second_solve - mean_solve ** 2
@@ -379,12 +355,13 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
 
     sigma = math.sqrt(sigma_sq)
     t_cap = int(math.ceil(mean + max(c_grid) * sigma)) + 1
-    tails = _tail_function(tc.chain, y, t_cap)
+    pos = ks.position(x)
+    tails = [u[pos] for u in islice(ks.survival(), t_cap + 1)]
     records = []
     for c in c_grid:
         bound = 1.0 / (1.0 + c * c)
         thr_hi = mean + c * sigma
-        p_hi = float(tails[min(t_cap, max(0, math.ceil(thr_hi) - 1)), x])
+        p_hi = float(tails[min(t_cap, max(0, math.ceil(thr_hi) - 1))])
         rec = check_le("one-sided-upper-tail", p_hi, bound,
                        params={"x": x, "y": y, "c": c, "threshold": thr_hi})
         records.append(rec)
@@ -392,7 +369,7 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
         if thr_lo <= 0:
             p_lo = 0.0
         else:
-            p_lo = 1.0 - float(tails[min(t_cap, int(math.floor(thr_lo))), x])
+            p_lo = 1.0 - float(tails[min(t_cap, int(math.floor(thr_lo)))])
         records.append(check_le("one-sided-lower-tail", p_lo, bound,
                                 params={"x": x, "y": y, "c": c, "threshold": thr_lo}))
     for rec in records:
@@ -410,16 +387,11 @@ def tau_root(tc: RootedTreeChain, eps: float, t_max: int = 1_000_000) -> int:
     """Smallest t with ``max_x Pr_x[T_root > t] <= eps``."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    B = np.array([v for v in range(tc.n) if v != tc.root])
-    PB = tc.chain.P[np.ix_(B, B)]
-    u = np.ones(B.size)
-    t = 0
-    while u.max() > eps + 1e-12:
-        u = PB @ u
-        t += 1
-        if t > t_max:
+    for t, u in enumerate(KilledSystem(tc.chain, [tc.root]).survival()):
+        if u.max() <= eps + 1e-12:
+            return t
+        if t >= t_max:
             raise RuntimeError("tau_root scan failed to terminate")
-    return t
 
 
 def tau_sandwich_check(tc: RootedTreeChain, eps: float, delta: float | None = None,
@@ -493,11 +465,8 @@ def tail_bound_check(tc: RootedTreeChain, x: int, y: int | None = None,
     path = tc.path_to_root(x)
     if y not in path or y == x:
         raise ValueError("y must be a proper ancestor of x")
-    B = np.array([v for v in range(tc.n) if v != y])
-    PB = tc.chain.P[np.ix_(B, B)]
-    hB = np.linalg.solve(np.eye(B.size) - PB, np.ones(B.size))
-    pos = int(np.nonzero(B == x)[0][0])
-    t_xy = float(hB[pos])
+    ks = KilledSystem(tc.chain, [y])
+    t_xy = float(ks.mean[x])
     b = math.sqrt(t_xy * tc.t_rel)
     c_max = 2.5 * math.sqrt(t_xy / tc.t_rel)
     admissible = [c for c in c_grid if c <= c_max]
@@ -506,7 +475,8 @@ def tail_bound_check(tc: RootedTreeChain, x: int, y: int | None = None,
         return [skip("sub-gaussian-tails", f"no admissible c (c_max = {c_max:.3g})",
                      {"x": x, "y": y})]
     t_cap = int(math.ceil(t_xy + max(admissible) * b)) + 1
-    tails = _tail_function(tc.chain, y, t_cap)
+    pos = ks.position(x)
+    tails = [u[pos] for u in islice(ks.survival(), t_cap + 1)]
     for c in c_grid:
         if c > c_max:
             records.append(skip("sub-gaussian-tails", f"c = {c} exceeds c_max = {c_max:.3g}",
@@ -514,11 +484,11 @@ def tail_bound_check(tc: RootedTreeChain, x: int, y: int | None = None,
             continue
         bound = math.exp(-c * c / 20.0)
         thr_hi = t_xy + c * b
-        p_hi = float(tails[min(t_cap, max(0, math.ceil(thr_hi) - 1)), x])
+        p_hi = float(tails[min(t_cap, max(0, math.ceil(thr_hi) - 1))])
         records.append(check_le("sub-gaussian-upper-tail", p_hi, bound,
                                 {"x": x, "y": y, "c": c, "b": b}))
         thr_lo = t_xy - c * b
-        p_lo = 0.0 if thr_lo <= 0 else 1.0 - float(tails[min(t_cap, int(math.floor(thr_lo))), x])
+        p_lo = 0.0 if thr_lo <= 0 else 1.0 - float(tails[min(t_cap, int(math.floor(thr_lo)))])
         records.append(check_le("sub-gaussian-lower-tail", p_lo, bound,
                                 {"x": x, "y": y, "c": c, "b": b}))
     return records

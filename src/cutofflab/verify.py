@@ -36,18 +36,17 @@ mixing windows and ratios across growing sizes of one family.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
-import tempfile
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
-from .chain import Chain
+from .chain import Chain, write_csv_atomic
 from .families import FAMILIES
 from .hitting import (
     IdentityCheckError,
+    KilledSystem,
     TargetSet,
     WorstTailProfile,
     _hit_ct_interval,
@@ -120,80 +119,6 @@ def _log_plus(x: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# killed-kernel spectral system (shared across the escape/return suites)
-
-
-@dataclass(eq=False)
-class _KilledSystem:
-    """Eigensystem of the kernel killed on A, in survivor coordinates.
-
-    The symmetrized killed kernel diag(sqrt(pi_B)) P_B diag(1/sqrt(pi_B))
-    has a real spectrum gamma_1 >= ... >= gamma_k; started from pi
-    restricted to the survivor set B, the no-hit probability is the
-    mixture ``sum_i weights_i gamma_i^t`` with nonnegative weights that
-    add to one.  Powers are taken in closed form so tails at very large t
-    cost one vector operation.
-    """
-
-    B: np.ndarray
-    pi_A: float
-    pi_B: float
-    gammas: np.ndarray
-    weights: np.ndarray
-    U: np.ndarray
-    sqrt_d: np.ndarray
-    right: np.ndarray
-
-    def _powers(self, ts) -> np.ndarray:
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        mag = np.abs(self.gammas)[None, :] ** ts[:, None]
-        neg = self.gammas < 0.0
-        if neg.any():
-            odd = (ts.astype(np.int64) % 2) == 1
-            sign = np.where(neg[None, :] & odd[:, None], -1.0, 1.0)
-            mag = mag * sign
-        return mag
-
-    def tail_stationary(self, ts) -> np.ndarray:
-        """Pr[T_A > t] from pi conditioned on B, for each t in ts."""
-        return np.clip(self._powers(ts) @ self.weights, 0.0, None)
-
-    def tail_rows(self, t) -> np.ndarray:
-        """Pr_x[T_A > t] for every survivor x (one t, possibly huge)."""
-        coef = self._powers([t])[0] * self.right
-        return np.clip((self.U @ coef) / self.sqrt_d, 0.0, 1.0)
-
-    def tail_state(self, pos: int, ts) -> np.ndarray:
-        lead = self.U[pos] / self.sqrt_d[pos]
-        return np.clip(self._powers(ts) @ (lead * self.right), 0.0, 1.0)
-
-    def tail_dist(self, dist_B: np.ndarray, ts) -> np.ndarray:
-        lead = (dist_B / self.sqrt_d) @ self.U
-        return np.clip(self._powers(ts) @ (lead * self.right), 0.0, None)
-
-    def mean_stationary(self) -> float:
-        return float(np.sum(self.weights / (1.0 - self.gammas)))
-
-
-def _build_killed(chain: Chain, mask: np.ndarray) -> _KilledSystem:
-    B = np.flatnonzero(~mask)
-    if B.size == 0:
-        raise ValueError("target covers the whole space; nothing survives")
-    d = chain.pi[B]
-    pi_B = float(d.sum())
-    sq = np.sqrt(d)
-    S = (sq[:, None] * chain.P[np.ix_(B, B)]) / sq[None, :]
-    S = 0.5 * (S + S.T)
-    g, U = np.linalg.eigh(S)
-    order = np.argsort(g)[::-1]
-    g, U = g[order], U[:, order]
-    right = U.T @ sq
-    weights = right ** 2 / pi_B
-    return _KilledSystem(B=B, pi_A=1.0 - pi_B, pi_B=pi_B, gammas=g,
-                         weights=weights, U=U, sqrt_d=sq, right=right)
-
-
-# ---------------------------------------------------------------------------
 # shared evaluation context
 
 
@@ -217,7 +142,7 @@ class _Ctx:
         self._profiles: dict[float, WorstTailProfile] = {}
         self._hits: dict[tuple, int] = {}
         self._hit_ct: dict[tuple, tuple[float, float, bool]] = {}
-        self._killed: dict[bytes, _KilledSystem] = {}
+        self._killed: dict[bytes, KilledSystem] = {}
         self._sets: dict[str, list] = {}
         self._functions: np.ndarray | None = None
         self._tree = None
@@ -297,10 +222,10 @@ class _Ctx:
 
     # -- shared objects ------------------------------------------------------
 
-    def killed(self, mask: np.ndarray) -> _KilledSystem:
+    def killed(self, mask: np.ndarray) -> KilledSystem:
         key = mask.tobytes()
         if key not in self._killed:
-            self._killed[key] = _build_killed(self.chain, mask)
+            self._killed[key] = KilledSystem(self.chain, np.flatnonzero(mask))
         return self._killed[key]
 
     def sets(self, mode: str) -> list[tuple[np.ndarray, tuple[int, ...]]]:
@@ -628,7 +553,6 @@ def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[Record]:
     """The killed kernel's spectral mixture has the promised shape."""
     records = []
     t_rel = ctx.t_rel
-    P = ctx.chain.P
     pi = ctx.chain.pi
     for mask, members in ctx.sets(_set_mode(params)):
         ks = ctx.killed(mask)
@@ -644,15 +568,9 @@ def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[Record]:
             "killed-spectrum-symmetric-floor",
             -float(ks.gammas[0]), float(ks.gammas[-1]), p))
         # reconstruction against direct killed-kernel iteration
-        B = ks.B
-        PB = P[np.ix_(B, B)]
-        v = pi[B] / ks.pi_B
-        direct = {}
-        u = np.ones(B.size)
-        for t in range(1, 21):
-            u = PB @ u
-            if t in (1, 5, 20):
-                direct[t] = float(v @ u)
+        v = pi[ks.B] / ks.pi_B
+        direct = {t: float(v @ u) for t, u in enumerate(islice(ks.survival(), 21))
+                  if t in (1, 5, 20)}
         recon = ks.tail_stationary([1, 5, 20])
         for t, r in zip((1, 5, 20), recon):
             records.append(check_identity(
@@ -766,7 +684,7 @@ def _suite_martingale(ctx: _Ctx, params: dict) -> list[Record]:
         return [skip("martingale-tail", "eigenfunction has no positive part")]
     records = [check_le("negative-part-mass", 0.5, pa)]
     ks = ctx.killed(mask)
-    pos = int(np.nonzero(ks.B == x)[0][0])
+    pos = ks.position(x)
     K = _ceil(5.0 * ctx.t_rel)
     ts = np.arange(K + 1)
     tails = ks.tail_state(pos, ts)
@@ -1080,12 +998,10 @@ def _suite_tree_window(ctx: _Ctx, params: dict) -> list[Record]:
         sample = non_root
     for u in sample:
         ct = crossing_time(tc, u)
-        members = _subtree_vertices(tc, u)
-        PB = tc.chain.P[np.ix_(members, members)]
-        hB = np.linalg.solve(np.eye(members.size) - PB, np.ones(members.size))
-        pos = int(np.nonzero(members == u)[0][0])
+        outside = np.setdiff1d(np.arange(n), _subtree_vertices(tc, u))
         records.append(check_identity(
-            "crossing-mean-formula", ct.mean, float(hB[pos]), {"u": u}))
+            "crossing-mean-formula", ct.mean,
+            float(KilledSystem(tc.chain, outside).mean[u]), {"u": u}))
         records.append(check_le(
             "crossing-second-moment-bound", ct.second_moment,
             4.0 * ct.mean * t_rel, {"u": u}))
@@ -1378,20 +1294,8 @@ class CutoffScan:
         rows = self.row_dicts()
         cols = ["family", "n", "states", "eps", "alpha", "t_rel", "t_mix",
                 "t_mix_complement", "window", "ratio", "hit", "product"]
-        directory = os.path.dirname(os.path.abspath(path)) or "."
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=cols)
-                writer.writeheader()
-                for row in rows:
-                    writer.writerow({k: ("" if row[k] is None else row[k])
-                                     for k in cols})
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        write_csv_atomic(path, cols, ([("" if row[k] is None else row[k])
+                                       for k in cols] for row in rows))
 
 
 def cutoff_scan(family, sizes, eps_grid=(0.1,), alpha: float = 0.5,

@@ -13,6 +13,7 @@ from cutofflab import (
     heat_kernel,
     heat_matrix,
     load_chain,
+    mixing_profile,
     random_reversible,
     step_distribution,
     transition_power,
@@ -117,6 +118,18 @@ def test_atomic_write_leaves_no_temp_files(tmp_path, k2):
     leftovers = [p for p in tmp_path.iterdir() if p != target]
     assert leftovers == []
     json.loads(target.read_text())  # valid JSON all the way through
+
+
+def test_failed_csv_write_keeps_old_file(tmp_path, k2):
+    # a row that fails to format mid-write must leave the old file whole
+    target = tmp_path / "profile.csv"
+    target.write_text("old contents\n")
+    prof = mixing_profile(k2, t_max=3)
+    prof.argmax_state = np.array([0, 0, None, 0], dtype=object)
+    with pytest.raises(TypeError):
+        prof.write_csv(str(target))
+    assert target.read_text() == "old contents\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["profile.csv"]
 
 
 @settings(max_examples=25, deadline=None)

@@ -101,6 +101,18 @@ def test_hit_explicit_set(tmp_path, capsys):
     assert "tail <= 0.25" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--set=-1"], "out of range"),
+    (["--set", "5", "--start", "9"], "not a state"),
+])
+def test_hit_rejects_out_of_range_states(tmp_path, capsys, args, message):
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))
+    capsys.readouterr()
+    assert run("hit", str(chain), "--eps", "0.25", *args) == 1
+    assert message in capsys.readouterr().err
+
+
 def test_verify_exit_zero_and_report(tmp_path):
     chain = tmp_path / "chain.json"
     run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))
@@ -111,6 +123,8 @@ def test_verify_exit_zero_and_report(tmp_path):
     assert isinstance(payload, list) and len(payload) == 2
     assert {p["suite"] for p in payload} == {"relaxation", "escape"}
     assert all(p["passed"] for p in payload)
+    assert all(p["params"] == {"sets": "sampled", "seed": 7,
+                               "exact_threshold": 14} for p in payload)
 
 
 def test_verify_all_on_k2(tmp_path):

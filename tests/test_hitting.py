@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutofflab import (
+    biased_path,
     blow_up_set,
     good_set,
     hit_time,
@@ -80,10 +82,10 @@ def test_k2_hitting_tail_closed_form(k2):
 def test_k2_qs_decomposition_equality_case(k2):
     qs = qs_decomposition(k2, [0])
     # single surviving state: gamma_1 = holding = 3/4 = 1 - pi(A)/t_rel
-    assert qs.gamma_1 == pytest.approx(0.75, abs=1e-14)
+    assert qs.gammas[0] == pytest.approx(0.75, abs=1e-14)
     assert qs.weights.sum() == pytest.approx(1.0, abs=1e-12)
     t_rel = k2.spectrum.t_rel
-    assert qs.gamma_1 <= 1.0 - 0.5 / t_rel + 1e-14
+    assert qs.gammas[0] <= 1.0 - 0.5 / t_rel + 1e-14
 
 
 def test_k2_good_set_extremes(k2):
@@ -136,12 +138,32 @@ def test_qs_tail_reconstruction(small_corpus):
     for chain in small_corpus[:3]:
         qs = qs_decomposition(chain, [1])
         ts = np.arange(25)
-        recon = qs.tail(ts)
+        recon = qs.tail_stationary(ts)
         direct = hitting_tail(chain, _pi_b_vector(chain, [1]), [1],
                               t_max=24).tail
         assert np.allclose(recon, direct, atol=1e-10)
         assert qs.weights.min() >= -1e-12
         assert qs.weights.sum() == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("case", ["k2", "split"])
+def test_killed_system_routes_agree(case, k2):
+    # "split": the complement of the middle state of a 5-path is two
+    # separate killed components, diagonalized together in one eigh
+    if case == "k2":
+        ks = qs_decomposition(k2, [0])
+    else:
+        ks = qs_decomposition(biased_path(5), [2])
+        assert ks.B.tolist() == [0, 1, 3, 4]
+    start = ks.chain.pi[ks.B] / ks.pi_B
+    T = 4000
+    iterated = np.array([start @ u for u in islice(ks.survival(), T)])
+    eigen = ks.tail_stationary(np.arange(T))
+    assert np.max(np.abs(eigen - iterated)) <= 1e-11
+    # E[T_A] = sum_{t >= 0} Pr[T_A > t]
+    assert eigen.sum() == pytest.approx(start @ ks.mean[ks.B], rel=1e-10)
+    assert ks.weights.min() >= 0.0
+    assert ks.weights.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_worst_profile_exact_vs_greedy(small_corpus):

@@ -5,6 +5,7 @@ import pytest
 
 from cutofflab import (
     SUITE_IDS,
+    KilledSystem,
     build_tree_chain,
     cutoff_scan,
     good_set,
@@ -13,7 +14,7 @@ from cutofflab import (
     run_suites,
 )
 from cutofflab.trees import window_check
-from cutofflab.verify import _build_killed, _record_key
+from cutofflab.verify import _record_key
 
 
 def test_suite_registry_is_complete():
@@ -111,7 +112,7 @@ def test_killed_system_matches_iteration(small_corpus):
     chain = small_corpus[0]
     mask = np.zeros(chain.n, dtype=bool)
     mask[[0, 1]] = True
-    ks = _build_killed(chain, mask)
+    ks = KilledSystem(chain, np.flatnonzero(mask))
     # stationary-restricted tail vs direct substochastic iteration
     B = np.nonzero(~mask)[0]
     PB = chain.P[np.ix_(B, B)]
