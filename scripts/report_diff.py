@@ -1,0 +1,91 @@
+#!/usr/bin/env python3
+"""Compare two `cutofflab verify -o` outputs record by record.
+
+Each side is a report file or a directory of them (`*.json`, matched by
+file name).  The outputs match when both hold the same reports with the
+same sequence of (suite, inequality, params, kind, passed) records, and
+every lhs and rhs agrees to 1e-12 relative to max(1, |x|).  Use it to show
+that a change reproduces the records of a fixed corpus.
+
+Usage:
+    python3 scripts/report_diff.py before.json after.json
+    python3 scripts/report_diff.py before_dir/ after_dir/
+
+Exit status: 0 when the outputs match, 1 when they differ.
+"""
+
+import argparse
+import json
+import math
+import sys
+from pathlib import Path
+
+TOL = 1e-12
+SHOW = 10
+
+
+def _reports(path: Path) -> dict[str, list[dict]]:
+    """File name -> the reports it holds."""
+    files = sorted(path.glob("*.json")) if path.is_dir() else [path]
+    out = {}
+    for f in files:
+        payload = json.loads(f.read_text())
+        out[f.name] = payload if isinstance(payload, list) else [payload]
+    return out
+
+
+def _close(a, b) -> bool:
+    if a is None or b is None:
+        return a is b
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    if math.isinf(a) or math.isinf(b):
+        return a == b
+    return abs(a - b) <= TOL * max(1.0, abs(a), abs(b))
+
+
+def compare(a: Path, b: Path) -> list[str]:
+    """Differences between two outputs, one line each; empty when they match."""
+    left, right = _reports(a), _reports(b)
+    if sorted(left) != sorted(right):
+        return [f"report files differ: {sorted(left)} vs {sorted(right)}"]
+    problems = []
+    for name in sorted(left):
+        reps_a, reps_b = left[name], right[name]
+        if [r["suite"] for r in reps_a] != [r["suite"] for r in reps_b]:
+            problems.append(f"{name}: suites differ")
+            continue
+        for rep_a, rep_b in zip(reps_a, reps_b):
+            where = f"{name} {rep_a['suite']}"
+            recs_a, recs_b = rep_a["records"], rep_b["records"]
+            if len(recs_a) != len(recs_b):
+                problems.append(f"{where}: {len(recs_a)} vs {len(recs_b)} records")
+                continue
+            for i, (ra, rb) in enumerate(zip(recs_a, recs_b)):
+                key_a = [ra[k] for k in ("inequality", "params", "kind", "passed")]
+                key_b = [rb[k] for k in ("inequality", "params", "kind", "passed")]
+                if key_a != key_b:
+                    problems.append(f"{where} record {i}: {key_a} vs {key_b}")
+                for side in ("lhs", "rhs"):
+                    if not _close(ra[side], rb[side]):
+                        problems.append(f"{where} record {i} {ra['inequality']} "
+                                        f"{ra['params']}: {side} {ra[side]!r} vs {rb[side]!r}")
+    return problems
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("a", type=Path, help="report file or directory")
+    ap.add_argument("b", type=Path, help="report file or directory")
+    args = ap.parse_args(argv)
+    problems = compare(args.a, args.b)
+    for line in problems[:SHOW]:
+        print(line)
+    if len(problems) > SHOW:
+        print(f"... and {len(problems) - SHOW} more")
+    print("match" if not problems else f"{len(problems)} difference(s)")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

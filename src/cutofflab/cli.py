@@ -43,6 +43,13 @@ def _parse_sizes(text: str) -> list[int]:
         raise click.ClickException(f"bad size list {text!r}: {exc}") from exc
 
 
+def _check_state(option: str, value, n: int) -> None:
+    """Reject a state index outside 0..n-1; ``None`` means not given."""
+    if value is not None and not 0 <= value < n:
+        raise click.ClickException(
+            f"{option} {value} is not a state (states are 0..{n - 1})")
+
+
 def _load_chain(path: str):
     from .chain import ChainValidationError, chain_from_json
 
@@ -224,9 +231,7 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
     from .hitting import KilledSystem, hit_time, worst_tail_profile
 
     chain = _load_chain(chain_file)
-    if start is not None and not 0 <= start < chain.n:
-        raise click.ClickException(
-            f"--start {start} is not a state (states are 0..{chain.n - 1})")
+    _check_state("--start", start, chain.n)
     if set_states is not None:
         states = _parse_states(set_states)
         try:
@@ -310,6 +315,7 @@ def tree_crossing(tree_file: str, vertex: int) -> None:
     from .trees import crossing_time
 
     tc = _load_tree(tree_file)
+    _check_state("-u", vertex, tc.n)
     try:
         ct = crossing_time(tc, vertex)
     except ValueError as exc:
@@ -348,6 +354,8 @@ def tree_tails(tree_file: str, x: int, y, c_grid) -> None:
     from .trees import tail_bound_check
 
     tc = _load_tree(tree_file)
+    _check_state("--x", x, tc.n)
+    _check_state("--y", y, tc.n)
     try:
         records = tail_bound_check(tc, x, y, c_grid=c_grid)
     except ValueError as exc:
@@ -442,6 +450,7 @@ def sbd_hit_stats(chain_file: str, start) -> None:
     from .sbd import blocks, central_block_hit, classify_sbd
 
     chain = _load_chain(chain_file)
+    _check_state("--x", start, chain.n)
     cls = classify_sbd(chain)
     if not cls.is_sbd:
         raise click.ClickException("chain is not banded: "
@@ -474,6 +483,7 @@ def sbd_corr(chain_file: str, start: int, block_i: int, block_j: int,
     from .sbd import block_correlation_mc, blocks, classify_sbd
 
     chain = _load_chain(chain_file)
+    _check_state("--x", start, chain.n)
     cls = classify_sbd(chain)
     if not cls.is_sbd:
         raise click.ClickException("chain is not banded: "

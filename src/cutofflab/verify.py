@@ -37,6 +37,7 @@ mixing windows and ratios across growing sizes of one family.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -49,6 +50,7 @@ from .hitting import (
     KilledSystem,
     TargetSet,
     WorstTailProfile,
+    _dot,
     _hit_ct_interval,
     kac_quantities,
     mgf,
@@ -144,6 +146,8 @@ class _Ctx:
         self._hit_ct: dict[tuple, tuple[float, float, bool]] = {}
         self._killed: dict[bytes, KilledSystem] = {}
         self._sets: dict[str, list] = {}
+        self._stacks: dict[str, list] = {}
+        self._set_orders: dict[str, list[int]] = {}
         self._functions: np.ndarray | None = None
         self._tree = None
         self._sbd = None
@@ -237,9 +241,9 @@ class _Ctx:
             raise ValueError("exhaustive subset sweeps are limited to n <= 14")
         out = []
         if mode == "all" or (n <= 14 and (1 << n) - 2 <= 11):
-            for bits in range(1, (1 << n) - 1):
-                mask = np.array([(bits >> i) & 1 == 1 for i in range(n)])
-                out.append((mask, tuple(int(i) for i in np.flatnonzero(mask))))
+            bits = np.arange(1, (1 << n) - 1)
+            masks = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
+            out = [(mask, tuple(np.flatnonzero(mask).tolist())) for mask in masks]
         elif mode == "sampled":
             rng = np.random.Generator(np.random.Philox(key=self.seed))
             masks = []
@@ -268,6 +272,29 @@ class _Ctx:
         self._sets[mode] = out
         return out
 
+    def set_order(self, mode: str) -> list[int]:
+        """Positions in ``sets(mode)`` ordered by ``str(members)``, the
+        order of the record keys: no tuple repr is a prefix of another.
+
+        ``sets(mode)`` itself keeps its order: good-set evaluates all sets
+        in one matrix product, whose last bits depend on the column order.
+        """
+        if mode not in self._set_orders:
+            pairs = self.sets(mode)
+            self._set_orders[mode] = sorted(range(len(pairs)), key=lambda j: str(pairs[j][1]))
+        return self._set_orders[mode]
+
+    def stack(self, mode: str) -> list[tuple[np.ndarray, KilledSystem]]:
+        """The killed systems of ``sets(mode)``, one stack per |B|, each
+        with the positions of its targets in ``sets(mode)``."""
+        if mode not in self._stacks:
+            masks = np.array([mask for mask, _ in self.sets(mode)])
+            survivors = (~masks).sum(axis=1)
+            self._stacks[mode] = [
+                (idx, KilledSystem.stack(self.chain, masks[idx]))
+                for idx in (np.flatnonzero(survivors == m) for m in np.unique(survivors))]
+        return self._stacks[mode]
+
     def functions(self, count: int) -> np.ndarray:
         if self._functions is None or self._functions.shape[0] < count:
             rng = np.random.Generator(np.random.Philox(key=self.seed ^ 0x5EED))
@@ -294,6 +321,31 @@ def _grid(params: dict, key: str, default) -> tuple[float, ...]:
 
 def _set_mode(params: dict) -> str:
     return str(params.get("sets", "sampled"))
+
+
+def _per_set(stacks, count: int, fn) -> list[list]:
+    """Evaluate ``fn`` on every stack of ``_Ctx.stack`` and put the rows of
+    each array it returns at the positions of their targets.  Returns one
+    nested list per array, indexed like ``_Ctx.sets``."""
+    cols = None
+    for idx, ks in stacks:
+        vals = [np.asarray(v) for v in fn(ks)]
+        if cols is None:
+            cols = [np.empty((count,) + v.shape[1:]) for v in vals]
+        for col, v in zip(cols, vals):
+            col[idx] = v
+    return [col.tolist() for col in cols]
+
+
+def _str_order(values) -> list[tuple[int, object]]:
+    """(index, value) pairs of a parameter grid in the string order of
+    the values, the order record keys sort them in."""
+    return sorted(enumerate(values), key=lambda iv: str(iv[1]))
+
+
+def _by_inequality(by: dict[str, list[Record]]) -> list[Record]:
+    """Concatenate per-inequality record lists in inequality order."""
+    return [r for name in sorted(by) for r in by[name]]
 
 
 # ---------------------------------------------------------------------------
@@ -508,41 +560,64 @@ def _suite_hit_levels(ctx: _Ctx, params: dict) -> list[Record]:
 # escape tails from stationarity
 
 
+def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """``values[i][sel[i]].sum()`` for every row i, bit for bit.
+
+    numpy adds fewer than 8 entries in order, so zeros in place of the
+    unselected entries change nothing; longer rows are summed pairwise, in
+    blocks that the zeros would shift, so those rows are summed one by one.
+    """
+    if sel.shape[-1] < 8:
+        return np.where(sel, values, 0.0).sum(axis=-1)
+    return np.array([v[s].sum() for v, s in zip(values, sel)])
+
+
 def _suite_escape(ctx: _Ctx, params: dict) -> list[Record]:
     """Stationary escape tails decay geometrically with rate pi(A)/t_rel."""
-    records = []
     t_rel = ctx.t_rel
     pi = ctx.chain.pi
-    for mask, members in ctx.sets(_set_mode(params)):
-        ks = ctx.killed(mask)
-        pa, pb = ks.pi_A, ks.pi_B
-        base = 1.0 - pa / t_rel
-        tails = ks.tail_stationary(TAIL_T_GRID)
-        for t, tail in zip(TAIL_T_GRID, tails):
+    sets = ctx.sets(_set_mode(params))
+    works = _grid(params, "work_grid", WORK_GRID)
+    alphas = (0.25, 0.5)
+
+    def per_stack(ks: KilledSystem):
+        slow = []
+        for w in works:
+            t_w = np.array([_ceil(t_rel * w / pa) for pa in ks.pi_A.tolist()], dtype=float)
+            rows = ks.tail_rows(t_w)
+            slow.append([_row_sums(pi[ks.B], rows >= alpha) for alpha in alphas])
+        return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
+                ks.mean_stationary(), np.moveaxis(np.array(slow), -1, 0))
+
+    pa, pb, tails, means, slow = _per_set(ctx.stack(_set_mode(params)), len(sets), per_stack)
+    t_order = _str_order(TAIL_T_GRID)
+    slow_order = [(a, alpha, i, w) for a, alpha in _str_order(alphas)
+                  for i, w in _str_order(works)]
+    by = defaultdict(list)
+    for j in ctx.set_order(_set_mode(params)):
+        members = sets[j][1]
+        base = 1.0 - pa[j] / t_rel
+        for i, t in t_order:
             p = {"A": members, "t": t}
-            records.append(check_le(
-                "stationary-escape-tail", pb * float(tail), pb * base ** t, p))
+            by["stationary-escape-tail"].append(check_le(
+                "stationary-escape-tail", pb[j] * tails[j][i], pb[j] * base ** t, p))
             if base >= 0.0:
-                records.append(check_le(
-                    "escape-tail-exponential", pb * base ** t,
-                    pb * math.exp(-t * pa / t_rel), p))
+                by["escape-tail-exponential"].append(check_le(
+                    "escape-tail-exponential", pb[j] * base ** t,
+                    pb[j] * math.exp(-t * pa[j] / t_rel), p))
             else:
-                records.append(skip(
+                by["escape-tail-exponential"].append(skip(
                     "escape-tail-exponential",
                     "geometric base is negative (t_rel < pi(A))", p))
-        records.append(check_le(
-            "stationary-mean-hitting", pa * pb * ks.mean_stationary(),
-            t_rel * pb, {"A": members}))
-        for w in _grid(params, "work_grid", WORK_GRID):
-            t_w = _ceil(t_rel * w / pa)
-            slow = ks.tail_rows(t_w)
-            for alpha in (0.25, 0.5):
-                measure = float(pi[ks.B[slow >= alpha]].sum())
-                records.append(check_le(
-                    "slow-start-measure", measure,
-                    pb * math.exp(-w) / alpha,
-                    {"A": members, "w": w, "alpha": alpha}))
-    return records
+        by["stationary-mean-hitting"].append(check_le(
+            "stationary-mean-hitting", pa[j] * pb[j] * means[j],
+            t_rel * pb[j], {"A": members}))
+        for a, alpha, i, w in slow_order:
+            by["slow-start-measure"].append(check_le(
+                "slow-start-measure", slow[j][i][a],
+                pb[j] * math.exp(-w) / alpha,
+                {"A": members, "w": w, "alpha": alpha}))
+    return _by_inequality(by)
 
 
 # ---------------------------------------------------------------------------
@@ -551,32 +626,39 @@ def _suite_escape(ctx: _Ctx, params: dict) -> list[Record]:
 
 def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[Record]:
     """The killed kernel's spectral mixture has the promised shape."""
-    records = []
     t_rel = ctx.t_rel
     pi = ctx.chain.pi
-    for mask, members in ctx.sets(_set_mode(params)):
-        ks = ctx.killed(mask)
-        p = {"A": members}
-        records.append(check_le(
-            "killed-weights-nonnegative", 0.0, float(ks.weights.min()), p))
-        records.append(check_identity(
-            "killed-weights-normalized", float(ks.weights.sum()), 1.0, p))
-        records.append(check_le(
-            "killed-spectrum-ceiling", float(ks.gammas[0]),
-            1.0 - ks.pi_A / t_rel, p))
-        records.append(check_le(
-            "killed-spectrum-symmetric-floor",
-            -float(ks.gammas[0]), float(ks.gammas[-1]), p))
+    sets = ctx.sets(_set_mode(params))
+    marks = (1, 5, 20)
+
+    def per_stack(ks: KilledSystem):
         # reconstruction against direct killed-kernel iteration
-        v = pi[ks.B] / ks.pi_B
-        direct = {t: float(v @ u) for t, u in enumerate(islice(ks.survival(), 21))
-                  if t in (1, 5, 20)}
-        recon = ks.tail_stationary([1, 5, 20])
-        for t, r in zip((1, 5, 20), recon):
-            records.append(check_identity(
-                "killed-tail-reconstruction", float(r), direct[t],
-                {"A": members, "t": t}))
-    return records
+        v = pi[ks.B] / ks.pi_B[:, None]
+        direct = [_dot(v, u) for t, u in enumerate(islice(ks.survival(), marks[-1] + 1))
+                  if t in marks]
+        return (ks.pi_A, ks.weights.min(axis=-1), ks.weights.sum(axis=-1),
+                ks.gammas[:, 0], ks.gammas[:, -1], np.stack(direct, axis=-1),
+                ks.tail_stationary(marks))
+
+    pa, w_min, w_sum, g_top, g_bottom, direct, recon = _per_set(
+        ctx.stack(_set_mode(params)), len(sets), per_stack)
+    mark_order = _str_order(marks)
+    by = defaultdict(list)
+    for j in ctx.set_order(_set_mode(params)):
+        p = {"A": sets[j][1]}
+        by["killed-weights-nonnegative"].append(check_le(
+            "killed-weights-nonnegative", 0.0, w_min[j], p))
+        by["killed-weights-normalized"].append(check_identity(
+            "killed-weights-normalized", w_sum[j], 1.0, p))
+        by["killed-spectrum-ceiling"].append(check_le(
+            "killed-spectrum-ceiling", g_top[j], 1.0 - pa[j] / t_rel, p))
+        by["killed-spectrum-symmetric-floor"].append(check_le(
+            "killed-spectrum-symmetric-floor", -g_top[j], g_bottom[j], p))
+        for i, t in mark_order:
+            by["killed-tail-reconstruction"].append(check_identity(
+                "killed-tail-reconstruction", recon[j][i], direct[j][i],
+                {"A": sets[j][1], "t": t}))
+    return _by_inequality(by)
 
 
 # ---------------------------------------------------------------------------
@@ -650,17 +732,19 @@ def _suite_good_set(ctx: _Ctx, params: dict) -> list[Record]:
         np.maximum(running, dev, out=running)
         if k in want:
             snapshots[k] = running.copy()
+    measures = {}
     for s in s_grid:
         worst = snapshots[s]
         decay = math.exp(-s / t_rel)
         for m in m_grid:
             member = (worst < m * decay * rho[None, :]).astype(float)
-            measures = pi @ member
-            floor = 1.0 - 8.0 / m ** 2
-            for (_, members_j), measure in zip(pairs, measures):
-                records.append(check_le(
-                    "good-set-measure", floor, float(measure),
-                    {"A": members_j, "s": s, "m": m}))
+            measures[s, m] = (pi @ member).tolist()
+    grid_order = [(m, s) for _, m in _str_order(m_grid) for _, s in _str_order(s_grid)]
+    for j in ctx.set_order(_set_mode(params)):
+        for m, s in grid_order:
+            records.append(check_le(
+                "good-set-measure", 1.0 - 8.0 / m ** 2, measures[s, m][j],
+                {"A": pairs[j][1], "s": s, "m": m}))
     return records
 
 
@@ -716,38 +800,43 @@ def _suite_martingale(ctx: _Ctx, params: dict) -> list[Record]:
 
 def _suite_return_time(ctx: _Ctx, params: dict) -> list[Record]:
     """Flow symmetry and the return-time mean/second-moment identities."""
-    records = []
-    pi, P = ctx.chain.pi, ctx.chain.P
     t_rel = ctx.t_rel
-    for mask, members in ctx.sets(_set_mode(params)):
+    sets = ctx.sets(_set_mode(params))
+    t_marks = (1, 2, 5, 10)
+    stat_ts = sorted({t - 1 for t in t_marks} | set(t_marks))
+
+    def per_stack(ks: KilledSystem):
+        kq = ks.kac()
+        psi_B = np.take_along_axis(kq.psi, ks.B, axis=-1)
+        return (kq.flow_AB, kq.flow_BA, kq.phi_B, kq.mean_from_psi,
+                kq.second_from_psi, kq.mean_from_pi_B, ks.pi_A,
+                ks.tail_stationary(stat_ts),
+                ks.tail_dist(psi_B, [t - 1 for t in t_marks]))
+
+    (flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat,
+     entry) = _per_set(ctx.stack(_set_mode(params)), len(sets), per_stack)
+    mark_order = _str_order(t_marks)
+    by = defaultdict(list)
+    for j in ctx.set_order(_set_mode(params)):
+        members = sets[j][1]
         p = {"A": members}
-        ks = ctx.killed(mask)
-        flow_out = float(pi[mask] @ P[np.ix_(mask, ~mask)].sum(axis=1))
-        flow_in = float(pi[~mask] @ P[np.ix_(~mask, mask)].sum(axis=1))
-        records.append(check_identity(
-            "interface-flow-symmetry", flow_out, flow_in, p))
-        kq = kac_quantities(ctx.chain, members, check_tol=math.inf)
-        records.append(check_identity(
-            "return-mean-identity", kq.mean_from_psi, 1.0 / kq.phi_B, p))
-        records.append(check_identity(
-            "return-second-moment-identity", kq.second_from_psi,
-            kq.mean_from_psi * (2.0 * kq.mean_from_pi_B - 1.0), p))
-        records.append(check_le(
-            "return-second-moment-bound", kq.second_from_psi,
-            2.0 * kq.mean_from_psi * t_rel / ks.pi_A, p))
-        psi_B = kq.psi[ks.B]
-        t_marks = (1, 2, 5, 10)
-        stat = ks.tail_stationary(sorted({t - 1 for t in t_marks}
-                                         | set(t_marks)))
-        stat_at = dict(zip(sorted({t - 1 for t in t_marks} | set(t_marks)),
-                           stat))
-        entry = ks.tail_dist(psi_B, [t - 1 for t in t_marks])
-        for t, e in zip(t_marks, entry):
-            records.append(check_identity(
+        by["interface-flow-symmetry"].append(check_identity(
+            "interface-flow-symmetry", flow_out[j], flow_in[j], p))
+        by["return-mean-identity"].append(check_identity(
+            "return-mean-identity", mean_psi[j], 1.0 / phi_B[j], p))
+        by["return-second-moment-identity"].append(check_identity(
+            "return-second-moment-identity", second_psi[j],
+            mean_psi[j] * (2.0 * mean_pi_B[j] - 1.0), p))
+        by["return-second-moment-bound"].append(check_le(
+            "return-second-moment-bound", second_psi[j],
+            2.0 * mean_psi[j] * t_rel / pa[j], p))
+        stat_at = dict(zip(stat_ts, stat[j]))
+        for i, t in mark_order:
+            by["return-law-identity"].append(check_identity(
                 "return-law-identity",
-                (stat_at[t - 1] - stat_at[t]) / kq.phi_B, float(e),
+                (stat_at[t - 1] - stat_at[t]) / phi_B[j], entry[j][i],
                 {"A": members, "t": t}))
-    return records
+    return _by_inequality(by)
 
 
 # ---------------------------------------------------------------------------
@@ -1156,7 +1245,9 @@ def _suite_block_moments(ctx: _Ctx, params: dict) -> list[Record]:
             "block-exit-flow", phi, {"block": j, "side": side}))
         x_far = int(far.min()) if left_side else int(far.max())
         src = TargetSet.from_states(ctx.chain, dec.blocks[j])
-        dst = TargetSet.from_states(ctx.chain, dec.blocks[parent])
+        dst_mask = np.zeros(ctx.chain.n, dtype=bool)
+        dst_mask[dec.blocks[parent]] = True
+        dst = ctx.killed(dst_mask)
         for label, start_src in (("entry-law", src),
                                  ("far-end", TargetSet.from_states(
                                      ctx.chain, [x_far]))):
@@ -1202,6 +1293,12 @@ SUITES = {
 SUITE_IDS = tuple(SUITES)
 
 
+# Suites whose records come out already in ``_record_key`` order: by
+# inequality, then by ``str(members)`` of the target set, then by the other
+# parameters in their string order.
+_ORDERED_SUITES = frozenset({"escape", "killed-spectrum", "good-set", "return-time"})
+
+
 def _record_key(r: Record):
     return (r.inequality, str(sorted((str(k), str(v))
                                      for k, v in r.params.items())))
@@ -1213,6 +1310,12 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
     ``params`` may override ``eps_grid``, ``alpha_grid``, ``sets``
     ("sampled" or "all"), ``seed``, ``exact_threshold``, ``functions``,
     and per-suite grids.  Unknown suite ids raise ``ValueError``.
+
+    The records of every report are in ``_record_key`` order: by
+    inequality name, then by the string form of the sorted
+    ``(key, value)`` parameter pairs.  The set-sweeping suites escape,
+    killed-spectrum, good-set and return-time build their records in that
+    order; the records of the other suites are sorted here.
     """
     params = dict(params or {})
     for sid in suites:
@@ -1222,7 +1325,9 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
     ctx = _Ctx(chain, params)
     reports = []
     for sid in suites:
-        records = sorted(SUITES[sid](ctx, params), key=_record_key)
+        records = SUITES[sid](ctx, params)
+        if sid not in _ORDERED_SUITES:
+            records = sorted(records, key=_record_key)
         reports.append(Report(suite=sid, chain_fingerprint=fingerprint(chain.P),
                               records=records, params=params))
     return reports

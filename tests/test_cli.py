@@ -113,6 +113,25 @@ def test_hit_rejects_out_of_range_states(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["99", "-1"])
+@pytest.mark.parametrize("argv", [
+    ["sbd", "hit-stats", "CHAIN", "--x"],
+    ["sbd", "corr", "CHAIN", "--block-i", "0", "--block-j", "1", "--seed", "1", "--x"],
+    ["tree", "tails", "TREE", "--x"],
+    ["tree", "crossing", "TREE", "-u"],
+], ids=["sbd-hit-stats", "sbd-corr", "tree-tails", "tree-crossing"])
+def test_state_options_reject_out_of_range(tmp_path, capsys, argv, value):
+    # a 6-state biased path and an 8-vertex tree: 99 used to raise
+    # IndexError out of main, and -1 wrapped to the last state
+    chain, tree = tmp_path / "chain.json", tmp_path / "tree.json"
+    run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))
+    run("gen", "--family", "random-tree", "--n", "8", "--seed", "3", "-o", str(tree))
+    capsys.readouterr()
+    files = {"CHAIN": str(chain), "TREE": str(tree)}
+    assert run(*[files.get(a, a) for a in argv], value) == 1
+    assert f"{argv[-1]} {value} is not a state" in capsys.readouterr().err
+
+
 def test_verify_exit_zero_and_report(tmp_path):
     chain = tmp_path / "chain.json"
     run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))

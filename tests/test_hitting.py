@@ -7,17 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutofflab import (
+    KilledSystem,
     biased_path,
     blow_up_set,
     good_set,
     hit_time,
     hitting_tail,
     kac_quantities,
+    load_chain,
     mgf,
     qs_decomposition,
     random_reversible,
     worst_tail_profile,
 )
+from cutofflab.verify import _Ctx
 
 # ---------------------------------------------------------------------------
 # two-state chain: everything below is hand-derived.
@@ -204,3 +207,65 @@ def test_good_set_measure_floor(seed, s):
     m = 3.0
     res = good_set(chain, [0], s=s, m=m)
     assert res.measure >= 1.0 - 8.0 / m ** 2 - 1e-9
+
+
+def _non_lazy_k4():
+    # simple random walk on K4: killed kernels have negative eigenvalues
+    P = (np.ones((4, 4)) - np.eye(4)) / 3.0
+    return load_chain(P)
+
+
+@pytest.mark.parametrize("case, mode", [
+    ("k2", "all"), ("p3", "all"), ("non-lazy", "all"), ("split", "all"),
+    ("n7", "all"), ("n7", "sampled"),
+])
+def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
+    # every target's slice of a stack against a one-target system, an
+    # independent P_B^t 1 iteration and a direct solve, within 1e-12
+    chain = {"k2": k2, "p3": p3, "non-lazy": _non_lazy_k4(), "split": biased_path(5),
+             "n7": random_reversible(7, seed=1729)}[case]
+    ctx = _Ctx(chain, {"sets": mode})
+    sets = ctx.sets(mode)
+    stacks = ctx.stack(mode)
+    assert sorted(j for idx, _ in stacks for j in idx) == list(range(len(sets)))
+    if case == "non-lazy":
+        assert min(ks.gammas.min() for _, ks in stacks) < 0.0
+    if case == "split":
+        assert any(sets[j][1] == (2,) for idx, _ in stacks for j in idx)
+    ts = np.arange(10)
+    close = dict(rtol=1e-12, atol=1e-12)
+    for idx, st in stacks:
+        t_rows = np.arange(len(idx)) % 4 + 1
+        stat, rows = st.tail_stationary(ts), st.tail_rows(t_rows)
+        survival = [u for _, u in zip(ts, st.survival())]
+        kq = st.kac()
+        for r, j in enumerate(idx):
+            mask, members = sets[j]
+            one = KilledSystem(chain, members)
+            assert st.B[r].tolist() == one.B.tolist()
+            np.testing.assert_allclose(st.gammas[r], one.gammas, **close)
+            np.testing.assert_allclose(st.weights[r], one.weights, **close)
+            np.testing.assert_allclose(stat[r], one.tail_stationary(ts), **close)
+            np.testing.assert_allclose(rows[r], one.tail_rows(t_rows[r]), **close)
+            np.testing.assert_allclose(st.mean[r], one.mean, **close)
+            np.testing.assert_allclose(st.second_moment[r], one.second_moment, **close)
+            one_kq = one.kac()
+            for field in ("flow_AB", "flow_BA", "phi_A", "phi_B", "psi", "mean_from_psi",
+                          "second_from_psi", "mean_from_pi_B"):
+                np.testing.assert_allclose(getattr(kq, field)[r], getattr(one_kq, field), **close)
+            # independent routes: iterate P_B by hand, solve (I - P_B) h = 1
+            B = np.flatnonzero(~mask)
+            PB = chain.P[np.ix_(B, B)]
+            start = chain.pi[B] / chain.pi[B].sum()
+            u = np.ones(B.size)
+            for t in ts:
+                np.testing.assert_allclose(survival[t][r], u, **close)
+                np.testing.assert_allclose(stat[r][t], start @ u, **close)
+                if t == t_rows[r]:
+                    np.testing.assert_allclose(rows[r], u, **close)
+                u = PB @ u
+            h = np.linalg.solve(np.eye(B.size) - PB, np.ones(B.size))
+            m2 = np.linalg.solve(np.eye(B.size) - PB, 2.0 * h - 1.0)
+            np.testing.assert_allclose(st.mean[r][B], h, **close)
+            np.testing.assert_allclose(st.second_moment[r][B], m2, **close)
+            np.testing.assert_allclose(st.mean[r][mask], 0.0, atol=0.0)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -6,9 +7,11 @@ import pytest
 from cutofflab import (
     SUITE_IDS,
     KilledSystem,
+    biased_path,
     build_tree_chain,
     cutoff_scan,
     good_set,
+    random_reversible,
     random_tree,
     run_suite,
     run_suites,
@@ -41,11 +44,54 @@ def test_all_suites_pass_on_k2(k2):
             for r in rep.failures)
 
 
-def test_records_are_sorted_and_unique(k2):
-    for rep in run_suites(k2, ["escape", "tv-hit", "crossing-tails"]):
+IDENTITY_SUITES = ["escape", "good-set", "killed-spectrum", "return-time"]
+
+
+def test_records_are_sorted_and_unique(k2, p3):
+    # the set-sweeping suites build their records in key order instead of
+    # sorting them; every suite must come out as a sort would leave it
+    reports = (run_suites(k2, list(SUITE_IDS)) + run_suites(p3, list(SUITE_IDS))
+               + run_suites(random_reversible(7, seed=1729), IDENTITY_SUITES,
+                            {"sets": "all"}))
+    for rep in reports:
+        assert rep.records == sorted(rep.records, key=_record_key), rep.suite
         keys = [_record_key(r) for r in rep.records]
-        assert keys == sorted(keys)
         assert len(keys) == len(set(keys)), rep.suite
+
+
+def test_escape_slow_start_measure_is_exact_per_target():
+    # the stacked suite must give each target's measure bit for bit as one
+    # target's compressed sum does, with 8 survivors (summed pairwise by
+    # numpy) and with 5
+    chain = random_reversible(9, seed=3)
+    rep = run_suite(chain, "escape", {"sets": "all"})
+    recs = [r for r in rep.records if r.inequality == "slow-start-measure"
+            and len(r.params["A"]) in (1, 4)]
+    assert len(recs) == 6 * (9 + 126)
+    for r in recs:
+        ks = KilledSystem(chain, r.params["A"])
+        t_w = math.ceil(chain.spectrum.t_rel * r.params["w"] / ks.pi_A)
+        slow = ks.tail_rows(t_w) >= r.params["alpha"]
+        assert r.lhs == float(chain.pi[ks.B[slow]].sum())
+
+
+def test_block_moments_solves_each_system_once(monkeypatch):
+    # both starts of a block (entry law and far end) read the moments of
+    # the same destination system, so no linear system is solved twice
+    calls = []
+    solve = np.linalg.solve
+
+    def counting(a, b):
+        calls.append((np.asarray(a).tobytes(), np.asarray(b).tobytes()))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counting)
+    rep = run_suite(biased_path(20), "block-moments")
+    assert len(rep.records) == 95
+    assert len(calls) == len(set(calls)) == 56
+    # pi(0) = 3^-63 is below the resolution of the solve
+    with pytest.raises(np.linalg.LinAlgError):
+        run_suite(biased_path(64), "block-moments")
 
 
 def test_k2_escape_equality_record(k2):
