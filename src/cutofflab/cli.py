@@ -176,7 +176,10 @@ def analyze(chain_file: str, eps: float, as_json: bool) -> None:
 
     chain = _load_chain(chain_file)
     spectrum = chain.spectrum
-    t_mix = mixing_time(chain, eps)
+    try:
+        t_mix = mixing_time(chain, eps)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     payload = {
         "n": chain.n,
         "reversible": chain.is_reversible,

@@ -27,6 +27,7 @@ from itertools import islice
 import numpy as np
 
 from .chain import Chain
+from .mixing import _bisect_monotone
 
 __all__ = [
     "TargetSet",
@@ -595,20 +596,7 @@ def _hit_ct_interval(chain: Chain, alpha: float, eps: float,
         return worst
 
     t_rel = chain.spectrum.t_rel
-    tol = 1e-3 * max(t_rel, 1e-9)
-    lo, hi = 0.0, max(1.0, t_rel)
-    if p_ct(lo) <= eps:
-        return 0.0, 0.0, exact
-    while p_ct(hi) > eps:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket continuized hit time")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if p_ct(mid) <= eps:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _bisect_monotone(p_ct, eps, 0.0, max(1.0, t_rel), 1e-3 * max(t_rel, 1e-9))
     return lo, hi, exact
 
 

@@ -2,9 +2,14 @@
 
 The worst-case distance ``d(t) = max_x ||P^t(x,.) - pi||_TV`` is computed
 from dense powers of the kernel; the continuized analogue replaces ``P^t``
-with ``exp(-t (I - P))``.  Mixing times are found by a forward scan when the
-standard relaxation-time ceiling keeps the horizon small and by monotone
-sandwich search otherwise.  The running-maximum operator along even times,
+with ``exp(-t (I - P))``.  Every discrete mixing time comes from one rule,
+``mixing_times``: one dense scan serves all levels when min pi is below
+``_SPECTRAL_SAFE_MIN_PI``, and otherwise each level gets one integer search
+on the spectral evaluation of d.  Both are bounded by the certified ceiling
+``t_rel* (-log eps - log min pi)`` (Levin-Peres-Wilmer, Thm 12.4), where
+t_rel* is the absolute relaxation time; continuized times are bisected from
+the same ceiling with the relaxation time of ``I - P``.  The running-maximum
+operator along even times,
 ``f*(x) = sup_k |P^{2k} f(x)|``, is evaluated to a certified truncation
 horizon using the spectral tail envelope.
 """
@@ -28,8 +33,9 @@ __all__ = [
     "MaximalFunctionResult",
 ]
 
-#: forward scan is used while t_rel * ln(1/min pi) stays below this
-SCAN_HORIZON_LIMIT = 1e4
+# Spectral reconstruction of P^t amplifies roundoff by up to 1/sqrt(min pi);
+# below this floor mixing times come from iterated products instead.
+_SPECTRAL_SAFE_MIN_PI = 1e-12
 
 
 def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
@@ -124,6 +130,39 @@ def _d_continuous(chain: Chain, t: float) -> float:
     return float(_tv_rows(M, chain.pi).max())
 
 
+def _ceiling(chain: Chain, eps: float, continuous: bool = False) -> float:
+    """Certified bound ``t_rel* (-log eps - log min pi)`` on t_mix(eps).
+
+    ``d(t) <= exp(-t / t_rel*) / min pi`` with ``t_rel*`` the absolute
+    relaxation time in discrete time and ``1 / gap`` of ``I - P`` in
+    continuized time.  The sum of logs stays finite for subnormal min pi.
+    """
+    spectrum = chain.spectrum
+    t_rel = spectrum.t_rel if continuous else spectrum.t_rel_absolute
+    return t_rel * (-math.log(eps) - math.log(chain.pi.min()))
+
+
+def _first_integer(pred, hi: int) -> int:
+    """Smallest integer t >= 0 with ``pred(t)``, for a monotone predicate.
+
+    The bracket starts at ``[0, hi]`` and doubles while ``pred(hi)`` fails.
+    """
+    if pred(0):
+        return 0
+    lo = 0
+    while not pred(hi):
+        lo, hi = hi, 2 * hi
+        if hi > 1e12:
+            raise RuntimeError("failed to bracket monotone crossing")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def _bisect_monotone(f, level: float, lo: float, hi: float, tol: float) -> tuple[float, float]:
     """Bracket the crossing of a non-increasing f below ``level``.
 
@@ -146,49 +185,47 @@ def _bisect_monotone(f, level: float, lo: float, hi: float, tol: float) -> tuple
 
 
 def _mixing_time_ct_interval(chain: Chain, eps: float) -> tuple[float, float]:
-    t_rel = chain.spectrum.t_rel
-    tol = 1e-3 * max(t_rel, 1e-9)
-    hi0 = max(1.0, t_rel * math.log(1.0 / (eps * chain.pi.min())))
+    tol = 1e-3 * max(chain.spectrum.t_rel, 1e-9)
+    hi0 = max(1.0, _ceiling(chain, eps, continuous=True))
     return _bisect_monotone(lambda t: _d_continuous(chain, t), eps, 0.0, hi0, tol)
+
+
+def mixing_times(chain: Chain, levels) -> list[int]:
+    """Smallest t with d(t) <= eps + 1e-12 for each eps in ``levels``.
+
+    Levels must lie in (0, 1).  With min pi below ``_SPECTRAL_SAFE_MIN_PI``
+    one dense scan up to the certified ceiling of the lowest level serves
+    every level; otherwise each level gets one integer search on the
+    spectral d, bracketed from its ceiling.
+    """
+    if chain.pi.min() < _SPECTRAL_SAFE_MIN_PI:
+        floor = min(levels)
+        prof = mixing_profile(chain, t_max=math.ceil(_ceiling(chain, floor)),
+                              eps_floor=floor)
+        times = [prof.hit_level(e) for e in levels]
+        if None in times:
+            raise RuntimeError("mixing scan ended above its certified ceiling")
+        return times
+    return [_first_integer(lambda t: _d_spectral(chain, t) <= e + 1e-12,
+                           max(1, math.ceil(_ceiling(chain, e))))
+            for e in levels]
 
 
 def mixing_time(chain: Chain, eps: float, continuous: bool = False) -> int | float:
     """Smallest t with d(t) <= eps; real-valued in the continuized case.
 
-    Discrete chains are scanned forward step by step while the ceiling
-    ``t_rel * ln(1/(eps min pi))`` stays modest, and otherwise located by
-    monotone search on the spectral evaluation of d.  The continuized time
-    is found by bisection to a 1e-3 * t_rel resolution (the value returned
-    is the certified upper end of the final bracket).
+    Discrete times come from ``mixing_times``: a dense scan when min pi is
+    below ``_SPECTRAL_SAFE_MIN_PI``, otherwise an integer search on the
+    spectral d, both bounded by the certified ceiling
+    ``t_rel_absolute * (-log eps - log min pi)``.  The continuized time is
+    bisected from the ceiling with ``t_rel`` to a 1e-3 * t_rel resolution;
+    the value returned is the certified upper end of the final bracket.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     if continuous:
         return _mixing_time_ct_interval(chain, eps)[1]
-    spectrum = chain.spectrum
-    horizon = spectrum.t_rel * math.log(1.0 / chain.pi.min())
-    if horizon <= SCAN_HORIZON_LIMIT:
-        pi = chain.pi
-        M = np.eye(chain.n)
-        t = 0
-        cap = int(spectrum.t_rel * math.log(1.0 / (eps * pi.min()))) + 8
-        while True:
-            if float(_tv_rows(M, pi).max()) <= eps + 1e-12:
-                return t
-            M = M @ chain.P
-            t += 1
-            if t > max(cap, 64):
-                raise RuntimeError("mixing scan exceeded its certified horizon")
-    lo, hi = 0, max(1, int(math.ceil(spectrum.t_rel * math.log(1.0 / (eps * chain.pi.min())))))
-    while _d_spectral(chain, hi) > eps + 1e-12:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _d_spectral(chain, mid) <= eps + 1e-12:
-            hi = mid
-        else:
-            lo = mid
-    return hi if _d_spectral(chain, lo) > eps + 1e-12 else lo
+    return mixing_times(chain, (eps,))[0]
 
 
 @dataclass(eq=False)

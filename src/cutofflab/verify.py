@@ -57,11 +57,10 @@ from .hitting import (
     worst_tail_profile,
 )
 from .mixing import (
-    _d_spectral,
     _mixing_time_ct_interval,
     maximal_function,
-    mixing_profile,
     mixing_time,
+    mixing_times,
     worst_tv,
 )
 from .reporting import (
@@ -107,9 +106,6 @@ WORK_GRID = (0.5, 1.0, 2.0)
 TAIL_T_GRID = (0, 1, 2, 5, 10, 20, 30)
 STOP_LEVEL = 1 / 512
 EXACT_THRESHOLD = 14
-# Spectral reconstruction of P^t amplifies roundoff by up to 1/sqrt(min pi);
-# below this floor we fall back to iterated products.
-_SPECTRAL_SAFE_MIN_PI = 1e-12
 
 
 def _ceil(x: float) -> int:
@@ -156,37 +152,9 @@ class _Ctx:
 
     def tmix(self, eps: float) -> int:
         key = float(eps)
-        t = self._tmix.get(key)
-        if t is None:
-            if self.chain.n <= 32:
-                t = int(mixing_time(self.chain, key))
-            elif self.min_pi >= _SPECTRAL_SAFE_MIN_PI:
-                t = self._tmix_bisect(key)
-            else:
-                prof = mixing_profile(self.chain, eps_floor=key)
-                t = prof.hit_level(key)
-                if t is None:
-                    raise RuntimeError("mixing profile ended above the level")
-            self._tmix[key] = int(t)
+        if key not in self._tmix:
+            self._tmix[key] = mixing_time(self.chain, key)
         return self._tmix[key]
-
-    def _tmix_bisect(self, eps: float) -> int:
-        def d(t: int) -> float:
-            return _d_spectral(self.chain, t)
-
-        if d(0) <= eps + 1e-12:
-            return 0
-        hi = max(1, _ceil(self.t_rel * math.log(1.0 / (eps * self.min_pi))) + 8)
-        lo = 0
-        while d(hi) > eps + 1e-12:
-            lo, hi = hi, 2 * hi
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if d(mid) <= eps + 1e-12:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def tmix_ct(self, eps: float) -> tuple[float, float]:
         key = float(eps)
@@ -1431,14 +1399,7 @@ def cutoff_scan(family, sizes, eps_grid=(0.1,), alpha: float = 0.5,
         chain = builder(n)
         t_rel = float(chain.spectrum.t_rel)
         levels = sorted({*eps_grid, *(1.0 - e for e in eps_grid), 0.25})
-        floor = min(levels)
-        prof = mixing_profile(chain, eps_floor=floor)
-        t_at = {}
-        for level in levels:
-            t = prof.hit_level(level)
-            if t is None:
-                raise RuntimeError(f"profile ended above level {level}")
-            t_at[level] = int(t)
+        t_at = dict(zip(levels, mixing_times(chain, levels)))
         hit = {e: None for e in eps_grid}
         if chain.n <= exact_threshold:
             hp = worst_tail_profile(chain, alpha, stop_level=min(eps_grid),

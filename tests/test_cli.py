@@ -65,6 +65,17 @@ def test_analyze_json_output(tmp_path, capsys):
     assert payload["t_rel"] > 1.0
 
 
+@pytest.mark.parametrize("eps", ["0", "1.5"])
+def test_analyze_rejects_eps_outside_unit_interval(tmp_path, capsys, eps):
+    out = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "6", "-o", str(out))
+    capsys.readouterr()
+    assert run("analyze", str(out), "--eps", eps) == 1
+    err = capsys.readouterr().err
+    assert "eps must be in (0, 1)" in err
+    assert "Traceback" not in err
+
+
 def test_analyze_missing_file():
     assert run("analyze", "/nonexistent/chain.json") != 0
 

@@ -4,13 +4,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutofflab import (
+    biased_path,
+    load_chain,
     maximal_function,
     mixing_profile,
     mixing_time,
     random_reversible,
+    run_suite,
+    two_cliques,
     worst_tv,
 )
-from cutofflab.mixing import _mixing_time_ct_interval
+from cutofflab.families import random_tree
+from cutofflab.mixing import _ceiling, _mixing_time_ct_interval
+from cutofflab.trees import build_tree_chain
 
 
 def test_k2_distance_is_closed_form(k2):
@@ -41,11 +47,58 @@ def test_profile_is_monotone(small_corpus):
         assert np.all(np.diff(prof.d) <= 1e-12)
 
 
+def _cycle(n):
+    """Non-lazy simple random walk on the n-cycle (aperiodic for odd n)."""
+    P = np.zeros((n, n))
+    for i in range(n):
+        P[i, (i + 1) % n] += 0.5
+        P[i, (i - 1) % n] += 0.5
+    return load_chain(P)
+
+
 def test_mixing_time_agrees_with_profile_scan(small_corpus):
-    for chain in small_corpus:
+    # the dense scan is the oracle for the spectral search; biased_path(30)
+    # has min pi below the spectral floor and takes the scan side
+    extra = [
+        random_reversible(50, density=0.2, seed=3),
+        build_tree_chain(random_tree(40, seed=2)).chain,
+        two_cliques(10),
+        random_reversible(12, seed=5, holding_range=(0.0, 0.2)),
+        biased_path(30),
+    ]
+    for chain in [*small_corpus, *extra]:
         prof = mixing_profile(chain, eps_floor=1e-3)
         for eps in (0.25, 0.1, 0.02):
             assert mixing_time(chain, eps) == prof.hit_level(eps)
+
+
+@pytest.mark.parametrize("n", [9, 21, 41])
+def test_non_lazy_odd_cycle_mixes_within_absolute_ceiling(n):
+    # |lambda_min| is close to 1, so only the absolute relaxation time
+    # bounds t_mix; a ceiling from lambda_2 alone is too low
+    chain = _cycle(n)
+    prof = mixing_profile(chain, eps_floor=0.01)
+    for eps in (0.25, 0.1, 0.01):
+        t = mixing_time(chain, eps)
+        assert t == prof.hit_level(eps)
+        assert t <= _ceiling(chain, eps)
+    if n == 9:
+        assert mixing_time(chain, 0.01) == 67
+    if n == 21:
+        assert (mixing_time(chain, 0.01), mixing_time(chain, 0.1)) == (370, 165)
+        report = run_suite(chain, "submultiplicativity", {"eps_grid": (0.01,)})
+        assert report.records
+
+
+def test_ceiling_is_finite_for_subnormal_min_pi():
+    chain = biased_path(650)
+    assert 0.0 < chain.pi.min() < 1e-300
+    assert np.isfinite(_ceiling(chain, 0.25))
+    assert np.isfinite(_ceiling(chain, 0.25, continuous=True))
+    # the heat kernel cannot resolve d below the level, so the bracket
+    # fails loudly instead of returning inf
+    with pytest.raises(RuntimeError, match="bracket"):
+        mixing_time(chain, 0.25, continuous=True)
 
 
 def test_mixing_time_rejects_bad_eps(k2):
