@@ -5,7 +5,10 @@ Each side is a report file or a directory of them (`*.json`, matched by
 file name).  The outputs match when both hold the same reports with the
 same sequence of (suite, inequality, params, kind, passed) records, and
 every lhs and rhs agrees to 1e-12 relative to max(1, |x|).  Use it to show
-that a change reproduces the records of a fixed corpus.
+that a change reproduces the records of a fixed corpus.  Files that hold no
+report on either side, such as the chain files `verify` read, are skipped
+and named on stderr; a file that holds a report on one side only is a
+difference.
 
 Usage:
     python3 scripts/report_diff.py before.json after.json
@@ -24,13 +27,21 @@ TOL = 1e-12
 SHOW = 10
 
 
-def _reports(path: Path) -> dict[str, list[dict]]:
-    """File name -> the reports it holds."""
+def _is_report(payload) -> bool:
+    return isinstance(payload, dict) and "suite" in payload and "records" in payload
+
+
+def _reports(path: Path) -> dict[str, list[dict] | None]:
+    """File name -> the reports it holds, or None when it holds none.  A
+    single file is keyed by the empty name, so that two files of different
+    names are compared with each other."""
     files = sorted(path.glob("*.json")) if path.is_dir() else [path]
     out = {}
     for f in files:
         payload = json.loads(f.read_text())
-        out[f.name] = payload if isinstance(payload, list) else [payload]
+        reports = payload if isinstance(payload, list) else [payload]
+        key = f.name if path.is_dir() else ""
+        out[key] = reports if reports and all(map(_is_report, reports)) else None
     return out
 
 
@@ -47,11 +58,17 @@ def _close(a, b) -> bool:
 def compare(a: Path, b: Path) -> list[str]:
     """Differences between two outputs, one line each; empty when they match."""
     left, right = _reports(a), _reports(b)
-    if sorted(left) != sorted(right):
-        return [f"report files differ: {sorted(left)} vs {sorted(right)}"]
     problems = []
-    for name in sorted(left):
-        reps_a, reps_b = left[name], right[name]
+    for key in sorted(left.keys() | right.keys()):
+        reps_a, reps_b = left.get(key), right.get(key)
+        name = key or a.name
+        if reps_a is None and reps_b is None:
+            print(f"skipped {name}: no report on either side", file=sys.stderr)
+            continue
+        if reps_a is None or reps_b is None:
+            side = a if reps_b is None else b
+            problems.append(f"{name}: only {side} holds a report")
+            continue
         if [r["suite"] for r in reps_a] != [r["suite"] for r in reps_b]:
             problems.append(f"{name}: suites differ")
             continue

@@ -351,9 +351,10 @@ def _atomic_file(path: str):
 
 def write_json_atomic(path: str, payload) -> None:
     """Write ``payload`` as indented JSON, atomically."""
+    # one encode and one write: json.dump writes every token separately
+    text = json.dumps(payload, indent=1)
     with _atomic_file(path) as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def write_csv_atomic(path: str, header: list[str], rows) -> None:

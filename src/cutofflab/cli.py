@@ -73,20 +73,23 @@ def _load_tree(path: str):
 def _emit_records(records, label: str) -> int:
     """Print one line per record; return the number of failed assertions."""
     failures = 0
+    lines = []
     for rec in records:
         if rec.kind == "skip":
-            click.echo(f"  skip  {rec.inequality} {rec.params}: {rec.note}")
+            lines.append(f"  skip  {rec.inequality} {rec.params}: {rec.note}")
             continue
         if rec.kind == "report":
-            click.echo(f"  info  {rec.inequality} {rec.params}: "
-                       f"value={rec.lhs:.6g}")
+            lines.append(f"  info  {rec.inequality} {rec.params}: "
+                         f"value={rec.lhs:.6g}")
             continue
         status = "ok" if rec.passed else "FAIL"
         if not rec.passed:
             failures += 1
-        click.echo(f"  {status:4s}  {rec.inequality} {rec.params}: "
-                   f"lhs={rec.lhs:.10g} rhs={rec.rhs:.10g} "
-                   f"margin={rec.margin:.3e}")
+        lines.append(f"  {status:4s}  {rec.inequality} {rec.params}: "
+                     f"lhs={rec.lhs:.10g} rhs={rec.rhs:.10g} "
+                     f"margin={rec.margin:.3e}")
+    if lines:
+        click.echo("\n".join(lines))
     if failures:
         click.echo(f"{label}: {failures} failing record(s)", err=True)
     return failures

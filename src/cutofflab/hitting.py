@@ -179,6 +179,16 @@ class KilledSystem:
         ks._setup(chain, keep)
         return ks
 
+    @classmethod
+    def stacks(cls, chain: Chain, masks) -> list[tuple[np.ndarray, "KilledSystem"]]:
+        """One :meth:`stack` per complement size for the targets given as the
+        rows of a boolean k x n array, each with the row positions of its
+        targets, in ascending order of |B|."""
+        masks = np.asarray(masks, dtype=bool).reshape(-1, chain.n)
+        survivors = (~masks).sum(axis=1)
+        return [(idx, cls.stack(chain, masks[idx]))
+                for idx in (np.flatnonzero(survivors == m) for m in np.unique(survivors))]
+
     def _setup(self, chain: Chain, keep: np.ndarray) -> None:
         self.chain = chain
         self._keep = keep
@@ -578,21 +588,37 @@ class HitResult:
     bracket: tuple[float, float] | None = None
 
 
-def _hit_ct_interval(chain: Chain, alpha: float, eps: float,
-                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> tuple[float, float, bool]:
+def _ct_candidates(chain: Chain, alpha: float,
+                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> tuple[list, bool]:
+    """The continuized tails of the candidate targets of mass >= alpha, and
+    whether the family is exact.
+
+    The targets are stacked as one :class:`KilledSystem` per |B|; each
+    stack gives a pair (rates, W) with ``Pr_{B[i]}[T_A > t] = (W @
+    exp(-rates t))[i]`` per target.  Only these arrays are kept.  The full
+    state space is dropped: nothing survives it, so its tail is 0 at every
+    t > 0.
+    """
     sets, exact = _candidate_sets(chain, alpha, exact_threshold)
-    systems = []
-    for sel in sets:
-        A = TargetSet.from_states(chain, np.nonzero(sel)[0])
-        if A.pi_mass >= 1.0 - 1e-15 and sel.all():
-            continue
-        ks = KilledSystem(chain, A)
-        systems.append((1.0 - ks.gammas, ks.state_weights))
+    stacks = KilledSystem.stacks(chain, [s for s in sets if not s.all()])
+    return [(1.0 - ks.gammas, ks.state_weights) for _, ks in stacks], exact
+
+
+def _hit_ct_interval(chain: Chain, alpha: float, eps: float,
+                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
+                     candidates=None) -> tuple[float, float, bool]:
+    """(lo, hi, exact): a bracket of the continuized worst-set hitting time,
+    bisected on ``p_ct(t) = max_A max_x Pr_x[T_A > t]``.
+
+    ``candidates`` is what :func:`_ct_candidates` returns for this alpha;
+    callers that evaluate several eps at one alpha build it once.
+    """
+    terms, exact = candidates or _ct_candidates(chain, alpha, exact_threshold)
 
     def p_ct(t: float) -> float:
         worst = 0.0
-        for rates, W in systems:
-            worst = max(worst, float((W @ np.exp(-rates * t)).max()))
+        for rates, W in terms:
+            worst = max(worst, float(_mv(W, np.exp(-rates * t)).max()))
         return worst
 
     t_rel = chain.spectrum.t_rel
@@ -689,8 +715,8 @@ def good_set(chain: Chain, A, s: int, m: float) -> GoodSet:
     rho = math.sqrt(pa * (1.0 - pa))
     sigma = math.exp(-s / t_rel) * rho
     threshold = m * sigma
-    msq = m * math.sqrt(chain.pi.min())
-    extra = 0 if msq >= 1.0 else math.ceil(t_rel * math.log(1.0 / msq))
+    log_ratio = -math.log(m) - 0.5 * math.log(chain.pi.min())
+    extra = math.ceil(t_rel * log_ratio) if log_ratio > 0.0 else 0
     horizon = s + extra + 1
     ind = A.indicator(chain.n).astype(float)
     g = ind.copy()

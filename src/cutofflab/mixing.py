@@ -234,12 +234,14 @@ class MaximalFunctionResult:
 
     ``values[x]`` is the maximum over even powers up to the truncation
     horizon; the true supremum exceeds it by at most ``2 * tail_bound``.
+    For a block of functions every field gains a leading axis, one row
+    per function.
     """
 
     values: np.ndarray
     odd_values: np.ndarray | None
-    truncation_k: int
-    tail_bound: float
+    truncation_k: int | np.ndarray
+    tail_bound: float | np.ndarray
 
 
 def maximal_function(chain: Chain, f: np.ndarray, include_odd: bool = False,
@@ -256,10 +258,15 @@ def maximal_function(chain: Chain, f: np.ndarray, include_odd: bool = False,
 
     With ``include_odd`` the analogous running maximum over odd powers,
     i.e. (Pf)* on even times, is tracked as well.
+
+    ``f`` may also be a k x n block of functions.  They are iterated as the
+    columns of one n x k matrix, and each leaves it at its own certified
+    horizon, so row i of the result has the ``truncation_k`` and
+    ``tail_bound`` of the call on ``f[i]`` and its values up to rounding.
     """
     f = np.asarray(f, dtype=float)
-    if f.shape != (chain.n,):
-        raise ValueError("f must be a state function")
+    if f.ndim not in (1, 2) or f.shape[-1] != chain.n:
+        raise ValueError("f must be a state function or a k x n block of them")
     spectrum = chain.spectrum
     if not chain.is_lazy and not use_absolute_spectrum:
         raise ValueError("chain is not lazy; pass use_absolute_spectrum=True to proceed")
@@ -267,29 +274,53 @@ def maximal_function(chain: Chain, f: np.ndarray, include_odd: bool = False,
         spectrum.lambda_2, abs(spectrum.lambda_min))
     rate = min(max(rate, 0.0), 1.0 - 1e-15)
 
-    pi = chain.pi
-    mean = float(pi @ f)
-    centered_norm = math.sqrt(float(pi @ (f - mean) ** 2))
+    P, pi = chain.P, chain.pi
+    rows = f.reshape(-1, chain.n)
+    norms = np.empty(rows.shape[0])
+    for i, row in enumerate(rows):
+        mean = float(pi @ row)
+        norms[i] = math.sqrt(float(pi @ (row - mean) ** 2))
     scale = 1.0 / math.sqrt(float(pi.min()))
 
-    g = f.copy()
-    even_max = np.abs(g)
-    odd_max = None
+    values = np.empty_like(rows)
+    odd_values = np.empty_like(rows) if include_odd else None
+    truncation_k = np.zeros(rows.shape[0], dtype=int)
+    tail_bound = np.empty(rows.shape[0])
+    # column j of G (and of H, one step ahead) iterates row live[j]; an
+    # n x 1 block multiplies as a vector, with the single-function arithmetic
+    live = np.arange(rows.shape[0])
+    G = rows.T.copy()
+    run = np.abs(G)
     if include_odd:
-        h = chain.P @ f
-        odd_max = np.abs(h)
+        H = P @ G
+        run_odd = np.abs(H)
     k = 0
     while True:
-        tail = (rate ** (2 * k)) * centered_norm * scale
-        if tail <= resolution:
+        tail = (rate ** (2 * k)) * norms[live] * scale
+        done = tail <= resolution
+        if done.any():
+            ended = live[done]
+            truncation_k[ended] = k
+            tail_bound[ended] = tail[done]
+            values[ended] = run[:, done].T
+            keep = ~done
+            live, G, run = live[keep], G[:, keep], run[:, keep]
+            if include_odd:
+                odd_values[ended] = run_odd[:, done].T
+                H, run_odd = H[:, keep], run_odd[:, keep]
+        if not live.size:
             break
         if 2 * k >= max_steps:
             raise RuntimeError("maximal function iteration exceeded max_steps before certification")
-        g = chain.P @ (chain.P @ g)
+        G = P @ (P @ G)
         k += 1
-        np.maximum(even_max, np.abs(g), out=even_max)
+        np.maximum(run, np.abs(G), out=run)
         if include_odd:
-            h = chain.P @ (chain.P @ h)
-            np.maximum(odd_max, np.abs(h), out=odd_max)
-    return MaximalFunctionResult(values=even_max, odd_values=odd_max,
-                                 truncation_k=k, tail_bound=tail)
+            H = P @ (P @ H)
+            np.maximum(run_odd, np.abs(H), out=run_odd)
+    if f.ndim == 1:
+        return MaximalFunctionResult(
+            values=values[0], odd_values=None if odd_values is None else odd_values[0],
+            truncation_k=int(truncation_k[0]), tail_bound=float(tail_bound[0]))
+    return MaximalFunctionResult(values=values, odd_values=odd_values,
+                                 truncation_k=truncation_k, tail_bound=tail_bound)

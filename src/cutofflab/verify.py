@@ -50,6 +50,7 @@ from .hitting import (
     KilledSystem,
     TargetSet,
     WorstTailProfile,
+    _ct_candidates,
     _dot,
     _hit_ct_interval,
     kac_quantities,
@@ -57,6 +58,7 @@ from .hitting import (
     worst_tail_profile,
 )
 from .mixing import (
+    _ceiling,
     _mixing_time_ct_interval,
     maximal_function,
     mixing_time,
@@ -140,6 +142,7 @@ class _Ctx:
         self._profiles: dict[float, WorstTailProfile] = {}
         self._hits: dict[tuple, int] = {}
         self._hit_ct: dict[tuple, tuple[float, float, bool]] = {}
+        self._ct_candidates: dict[float, tuple[list, bool]] = {}
         self._killed: dict[bytes, KilledSystem] = {}
         self._sets: dict[str, list] = {}
         self._stacks: dict[str, list] = {}
@@ -151,6 +154,8 @@ class _Ctx:
     # -- mixing ------------------------------------------------------------
 
     def tmix(self, eps: float) -> int:
+        if eps >= 1.0:
+            return 0
         key = float(eps)
         if key not in self._tmix:
             self._tmix[key] = mixing_time(self.chain, key)
@@ -186,10 +191,15 @@ class _Ctx:
     def hit_ct(self, alpha: float, eps: float) -> tuple[float, float, bool]:
         if eps >= 1.0:
             return (0.0, 0.0, True)
-        key = (round(float(alpha), 12), round(float(eps), 15))
+        a_key = round(float(alpha), 12)
+        key = (a_key, round(float(eps), 15))
         if key not in self._hit_ct:
+            if a_key not in self._ct_candidates:
+                self._ct_candidates[a_key] = _ct_candidates(
+                    self.chain, alpha, self.exact_threshold)
             self._hit_ct[key] = _hit_ct_interval(
-                self.chain, alpha, eps, exact_threshold=self.exact_threshold)
+                self.chain, alpha, eps, exact_threshold=self.exact_threshold,
+                candidates=self._ct_candidates[a_key])
         return self._hit_ct[key]
 
     # -- shared objects ------------------------------------------------------
@@ -256,11 +266,8 @@ class _Ctx:
         """The killed systems of ``sets(mode)``, one stack per |B|, each
         with the positions of its targets in ``sets(mode)``."""
         if mode not in self._stacks:
-            masks = np.array([mask for mask, _ in self.sets(mode)])
-            survivors = (~masks).sum(axis=1)
-            self._stacks[mode] = [
-                (idx, KilledSystem.stack(self.chain, masks[idx]))
-                for idx in (np.flatnonzero(survivors == m) for m in np.unique(survivors))]
+            self._stacks[mode] = KilledSystem.stacks(
+                self.chain, [mask for mask, _ in self.sets(mode)])
         return self._stacks[mode]
 
     def functions(self, count: int) -> np.ndarray:
@@ -325,16 +332,16 @@ def _suite_relaxation(ctx: _Ctx, params: dict) -> list[Record]:
     if not ctx.lazy:
         return [skip("relaxation", "requires a lazy chain (diagonal >= 1/2)")]
     records = []
-    t_rel, min_pi = ctx.t_rel, ctx.min_pi
+    t_rel = ctx.t_rel
     for eps in _grid(params, "eps_grid", EPS_GRID):
         t = ctx.tmix(eps)
         if eps < 0.5:
             records.append(check_le(
                 "relaxation-lower", (t_rel - 1.0) * math.log(1.0 / (2.0 * eps)),
                 float(t), {"eps": eps}))
+        # t_rel* (-log eps - log min pi); t_rel* = t_rel on a lazy chain
         records.append(check_le(
-            "relaxation-upper", float(t),
-            t_rel * math.log(1.0 / (eps * min_pi)), {"eps": eps}))
+            "relaxation-upper", float(t), _ceiling(ctx.chain, eps), {"eps": eps}))
     return records
 
 
@@ -640,11 +647,11 @@ def _suite_maximal(ctx: _Ctx, params: dict) -> list[Record]:
     n_funcs = int(params.get("functions", 20))
     p_grid = _grid(params, "p_grid", (1.5, 2.0, 3.0))
     funcs = ctx.functions(n_funcs)
+    res = maximal_function(ctx.chain, funcs, use_absolute_spectrum=True)
+    upper = res.values + 2.0 * res.tail_bound[:, None]
     for i, f in enumerate(funcs):
-        res = maximal_function(ctx.chain, f, use_absolute_spectrum=True)
-        upper = res.values + 2.0 * res.tail_bound
         for p in p_grid:
-            lhs = float((pi @ upper ** p) ** (1.0 / p))
+            lhs = float((pi @ upper[i] ** p) ** (1.0 / p))
             rhs = p / (p - 1.0) * float((pi @ np.abs(f) ** p) ** (1.0 / p))
             records.append(check_le(
                 "even-maximal-lp", lhs, rhs, {"f": i, "p": p}))
@@ -686,10 +693,8 @@ def _suite_good_set(ctx: _Ctx, params: dict) -> list[Record]:
     # Beyond K the deviation envelope e^{-k/t_rel} rho / sqrt(min pi) is
     # already below every threshold m e^{-s/t_rel} rho, so the suffix max
     # over [s, K] decides membership for all k >= s.
-    m_min = min(m_grid)
-    extra = 0
-    if m_min * math.sqrt(ctx.min_pi) < 1.0:
-        extra = _ceil(t_rel * math.log(1.0 / (m_min * math.sqrt(ctx.min_pi))))
+    log_ratio = -math.log(min(m_grid)) - 0.5 * math.log(ctx.min_pi)
+    extra = _ceil(t_rel * log_ratio) if log_ratio > 0.0 else 0
     K = max(s_grid) + extra + 1
     C = F.T @ (pi[:, None] * ind.T)
     running = np.zeros((ctx.chain.n, ind.shape[0]))
@@ -966,8 +971,7 @@ def _suite_continuous_time(ctx: _Ctx, params: dict) -> list[Record]:
                 "relaxation-lower-ct", t_rel * math.log(1.0 / (2.0 * eps)),
                 hi, p))
         records.append(check_le(
-            "relaxation-upper-ct", lo,
-            t_rel * math.log(1.0 / (eps * ctx.min_pi)), p))
+            "relaxation-upper-ct", lo, _ceiling(ctx.chain, eps, continuous=True), p))
     if ctx.exact:
         for eps in eps_grid:
             if eps > 0.25 + 1e-12:

@@ -18,9 +18,17 @@ from cutofflab import (
     mgf,
     qs_decomposition,
     random_reversible,
+    run_suite,
+    two_cliques,
     worst_tail_profile,
 )
-from cutofflab.verify import _Ctx
+from cutofflab.hitting import (
+    DEFAULT_EXACT_THRESHOLD,
+    _candidate_sets,
+    _hit_ct_interval,
+)
+from cutofflab.mixing import _bisect_monotone
+from cutofflab.verify import ALPHA_GRID, EPS_GRID, _Ctx
 
 # ---------------------------------------------------------------------------
 # two-state chain: everything below is hand-derived.
@@ -269,3 +277,52 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
             np.testing.assert_allclose(st.mean[r][B], h, **close)
             np.testing.assert_allclose(st.second_moment[r][B], m2, **close)
             np.testing.assert_allclose(st.mean[r][mask], 0.0, atol=0.0)
+
+
+def _hit_ct_per_set(chain, alpha, eps):
+    # reference: one KilledSystem and one eigensystem per candidate target
+    sets, exact = _candidate_sets(chain, alpha, DEFAULT_EXACT_THRESHOLD)
+    systems = [KilledSystem(chain, np.flatnonzero(sel)) for sel in sets if not sel.all()]
+
+    def p_ct(t):
+        return max((float((ks.state_weights @ np.exp(-(1.0 - ks.gammas) * t)).max())
+                    for ks in systems), default=0.0)
+
+    t_rel = chain.spectrum.t_rel
+    lo, hi = _bisect_monotone(p_ct, eps, 0.0, max(1.0, t_rel), 1e-3 * max(t_rel, 1e-9))
+    return lo, hi, exact
+
+
+def test_stacked_ct_brackets_match_per_set_reference(k2, small_corpus):
+    chains = [k2, two_cliques(4)] + [c for c in small_corpus if c.n <= 10]
+    alphas = (0.25, 0.5, 0.75, 1.0 - 1.0 / 64)
+    for chain in chains:
+        ctx = _Ctx(chain, {})
+        for alpha in alphas:
+            for eps in (1.0 / 32, 0.25, 0.5, 31.0 / 32):
+                want = _hit_ct_per_set(chain, alpha, eps)
+                assert _hit_ct_interval(chain, alpha, eps) == want
+                assert ctx.hit_ct(alpha, eps) == want
+                if alpha == 0.5:
+                    res = hit_time(chain, alpha, eps, continuous=True)
+                    assert (res.bracket, res.value) == (want[:2], want[1])
+
+
+def test_continuous_suite_makes_one_eigh_per_alpha_and_size(monkeypatch):
+    chain = two_cliques(4)
+    chain.spectrum  # the chain's own eigensystem is not a killed one
+    alphas = {0.5, *(1.0 - eps / 4 for eps in EPS_GRID), *ALPHA_GRID}
+    pairs = {(alpha, int((~sel).sum())) for alpha in alphas
+             for sel in _candidate_sets(chain, alpha, DEFAULT_EXACT_THRESHOLD)[0]
+             if not sel.all()}
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    rep = run_suite(chain, "continuous-time")
+    assert rep.passed
+    assert len(alphas) == 6 and 0 < len(calls) <= len(pairs)

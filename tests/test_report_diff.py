@@ -23,3 +23,21 @@ def test_report_diff_passes_identical_and_catches_a_perturbed_lhs(tmp_path, k2, 
     capsys.readouterr()
     assert report_diff.main([str(a), str(b)]) == 1
     assert "lhs" in capsys.readouterr().out
+
+
+def test_report_diff_skips_chain_files_and_flags_one_sided_reports(tmp_path, k2, capsys):
+    payload = [rep.to_dict() for rep in run_suites(k2, ["relaxation"])]
+    chain = json.dumps({"n": 2, "P": k2.P.tolist()})
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "k2.json").write_text(json.dumps(payload))
+        (tmp_path / side / "chain.json").write_text(chain)
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert report_diff.main([str(a), str(b)]) == 0
+    assert "chain.json" in capsys.readouterr().err
+    (b / "chain.json").write_text(json.dumps(payload))
+    assert report_diff.main([str(a), str(b)]) == 1
+    assert "chain.json: only" in capsys.readouterr().out
+    # two single files are compared whatever their names
+    (tmp_path / "before.json").write_text(json.dumps(payload))
+    assert report_diff.main([str(tmp_path / "before.json"), str(a / "k2.json")]) == 0

@@ -11,11 +11,13 @@ from cutofflab import (
     build_tree_chain,
     cutoff_scan,
     good_set,
+    load_chain,
     random_reversible,
     random_tree,
     run_suite,
     run_suites,
 )
+from cutofflab.mixing import _ceiling
 from cutofflab.trees import window_check
 from cutofflab.verify import _record_key
 
@@ -211,3 +213,30 @@ def test_cutoff_scan_row_contents():
 def test_run_suites_shares_fingerprint(k2):
     reports = run_suites(k2, ["relaxation", "escape"])
     assert reports[0].chain_fingerprint == reports[1].chain_fingerprint
+
+
+def test_tv_hit_accepts_levels_from_one_half(k2):
+    # mix-below-set-hit asks t_mix(min(2 eps, 1)), and t_mix(1) = 0
+    rep = run_suite(k2, "tv-hit", {"eps_grid": (0.5, 0.75)})
+    assert rep.passed
+    mix = [r for r in rep.records if r.inequality == "mix-below-set-hit"]
+    assert len(mix) == 6 and all(r.lhs == 0.0 for r in mix)
+    assert {r.params["eps"] for r in rep.records if r.kind == "skip"} == {0.5, 0.75}
+
+
+def test_relaxation_upper_bounds_are_the_certified_ceiling(k2, small_corpus):
+    for chain in [k2, *small_corpus]:
+        for suite, name, continuous in (("relaxation", "relaxation-upper", False),
+                                        ("continuous-time", "relaxation-upper-ct", True)):
+            recs = [r for r in run_suite(chain, suite).records if r.inequality == name]
+            assert len(recs) == 3
+            for r in recs:
+                want = _ceiling(chain, r.params["eps"], continuous=continuous)
+                assert r.rhs == pytest.approx(want, rel=1e-12, abs=0.0)
+    # pi = (1, 1e-307): log(1 / (eps min pi)) overflows at eps = 0.01
+    tiny = load_chain(np.array([[1.0, 5e-308], [0.5, 0.5]]), pi=np.array([1.0, 1e-307]))
+    rep = run_suite(tiny, "relaxation", {"eps_grid": (0.01,)})
+    upper = [r for r in rep.records if r.inequality == "relaxation-upper"]
+    assert rep.passed and len(upper) == 1
+    assert upper[0].rhs == pytest.approx(_ceiling(tiny, 0.01), rel=1e-12)
+    assert math.isfinite(upper[0].rhs)
