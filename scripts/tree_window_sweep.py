@@ -12,6 +12,7 @@ Usage:
 """
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -41,7 +42,8 @@ def main() -> int:
                      for r in reports)
         bad = sum(len(r.failures) for r in reports)
         failures += bad
-        worst = min(r.worst_margin() for r in reports)
+        margins = [r.worst_margin() for r in reports]
+        worst = math.nan if any(map(math.isnan, margins)) else min(margins)
         status = "ok" if bad == 0 else f"{bad} FAILED"
         print(f"tree {k:>3}: n={n:>4} root={tree.root:>4} "
               f"t_rel={tree.t_rel:>9.2f} checks={checks:>4} "

@@ -3,23 +3,34 @@
 Margins are recorded relative to ``max(1, |lhs|, |rhs|)`` so the single
 pass tolerance stays meaningful whether the record compares probabilities
 or second moments of hitting times.
+
+A :class:`Report` stores its rows column by column, one
+:class:`RecordBlock` per run of rows of one inequality.  The suites that
+sweep every target set build each block as arrays, and ``Report.records``
+is a view of :class:`Record` objects built from the blocks on first use.
+:func:`check_le` and :func:`check_identity` certify one row; a block
+certifies all of its rows with the same IEEE operations.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import json
-from dataclasses import dataclass, field
+import math
+from contextlib import contextmanager
+from dataclasses import dataclass
+from itertools import groupby, repeat
 
 import numpy as np
 
 MARGIN_TOL = 1e-9
 
-__all__ = ["Record", "Report", "check_le", "check_identity", "report_value",
-           "skip", "fingerprint", "MARGIN_TOL"]
+__all__ = ["Record", "RecordBlock", "Report", "check_le", "check_identity",
+           "report_value", "skip", "fingerprint", "MARGIN_TOL"]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class Record:
     inequality: str
     params: dict
@@ -53,9 +64,10 @@ def _plain(v):
     return v
 
 
-# check_le and check_identity build most records of a sweep over all target
-# sets, so they convert each side once and pass the fields positionally, in
-# the order Record declares them (a third cheaper than keywords).
+# check_le and check_identity build, one by one, the records of the suites
+# that do not sweep target sets, so they convert each side once and pass the
+# fields positionally, in the order Record declares them (a third cheaper
+# than keywords).
 
 
 def check_le(inequality: str, lhs: float, rhs: float, params: dict | None = None,
@@ -95,34 +107,240 @@ def fingerprint(P: np.ndarray) -> str:
     return h.hexdigest()[:16]
 
 
-@dataclass(eq=False)
-class Report:
-    """Outcome of one verification suite on one chain."""
+# ---------------------------------------------------------------------------
+# columnar storage
 
-    suite: str
-    chain_fingerprint: str
-    records: list[Record] = field(default_factory=list)
-    params: dict = field(default_factory=dict)
+
+@contextmanager
+def _bulk():
+    """Pause cyclic garbage collection while rows are turned into objects.
+
+    Records and their dicts hold no reference cycles, yet every few hundred
+    allocations the collector would rescan all of them; over the half
+    million records of an all-sets sweep the rescans cost more than
+    building the objects.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _objects(values, n: int) -> np.ndarray:
+    """A parameter column: an object array of Python values, with numeric
+    arrays turned into Python ints and floats first."""
+    if isinstance(values, np.ndarray):
+        if values.dtype == object:
+            return values.reshape(n)
+        values = values.tolist()
+    return np.fromiter(values, dtype=object, count=n)
+
+
+def _plain_column(values: list) -> list:
+    """``_plain`` of every value, skipping the values it leaves alone."""
+    types = set(map(type, values))
+    if types <= {int, float, str, bool}:
+        return values
+    if types == {tuple}:
+        return list(map(list, values))
+    return list(map(_plain, values))
+
+
+def _dicts(keys: tuple, cols: list, n: int) -> list[dict]:
+    """One params dict per row.  Dict displays for the usual one to three
+    keys build twice as fast as ``dict(zip(keys, values))``."""
+    if len(keys) == 1:
+        (k0,), (c0,) = keys, cols
+        return [{k0: a} for a in c0]
+    if len(keys) == 2:
+        (k0, k1), (c0, c1) = keys, cols
+        return [{k0: a, k1: b} for a, b in zip(c0, c1)]
+    if len(keys) == 3:
+        (k0, k1, k2), (c0, c1, c2) = keys, cols
+        return [{k0: a, k1: b, k2: c} for a, b, c in zip(c0, c1, c2)]
+    if keys:
+        return [dict(zip(keys, vals)) for vals in zip(*cols)]
+    return [{} for _ in range(n)]
+
+
+def _labels(values, n: int):
+    """A kind or note column: one string shared by every row, or an array."""
+    if isinstance(values, str):
+        return values
+    if isinstance(values, list) and n and values.count(values[0]) == n:
+        return values[0]
+    values = np.asarray(values, dtype=str).reshape(n)
+    if n and (values == values[0]).all():
+        return str(values[0])
+    return values
+
+
+class RecordBlock:
+    """A run of rows of one inequality, held column by column.
+
+    ``lhs``, ``rhs`` and ``margin`` are float64 arrays and ``passed`` a bool
+    array.  ``kind`` and ``note`` are one string shared by every row or an
+    array with one string per row (escape interleaves ``skip`` rows).
+    ``params`` maps each parameter name, in record order, to an object
+    array of Python values, one per row.
+
+    Unless ``margin`` and ``passed`` are given, one numpy pass computes
+    them with the operations of :func:`check_le` and
+    :func:`check_identity`: ``margin = (rhs - lhs) / max(1, |lhs|, |rhs|)``,
+    where the max skips a NaN side as Python's ``max`` does, and a check
+    passes when ``margin >= -MARGIN_TOL`` (inequality) or
+    ``|margin| <= MARGIN_TOL`` (identity).  Report and skip rows get
+    margin 0 and pass.
+    """
+
+    __slots__ = ("inequality", "params", "lhs", "rhs", "margin", "kind", "passed", "note")
+
+    def __init__(self, inequality: str, lhs, rhs, kind, params: dict | None = None,
+                 note="", margin=None, passed=None):
+        lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
+        if lhs.shape != rhs.shape:
+            lhs, rhs = np.broadcast_arrays(lhs, rhs)
+        self.inequality = inequality
+        self.lhs, self.rhs = lhs.ravel(), rhs.ravel()
+        n = self.lhs.size
+        self.kind = _labels(kind, n)
+        self.note = _labels(note, n)
+        self.params = {k: _objects(v, n) for k, v in (params or {}).items()}
+        if margin is None:
+            self.margin, self.passed = self._certify()
+        else:
+            self.margin = np.asarray(margin, dtype=float).reshape(n)
+            self.passed = np.asarray(passed, dtype=bool).reshape(n)
+
+    def __len__(self) -> int:
+        return self.lhs.size
+
+    @property
+    def checked(self) -> np.ndarray:
+        """Whether each row is a check (an inequality or an identity)."""
+        if isinstance(self.kind, str):
+            return np.full(len(self), self.kind in ("inequality", "identity"))
+        return (self.kind == "inequality") | (self.kind == "identity")
+
+    def _certify(self) -> tuple[np.ndarray, np.ndarray]:
+        lhs, rhs = self.lhs, self.rhs
+        with np.errstate(all="ignore"):
+            margin = (rhs - lhs) / np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs))
+        passed = np.where(self.kind == "identity", np.abs(margin) <= MARGIN_TOL,
+                          margin >= -MARGIN_TOL)
+        checked = self.checked
+        return np.where(checked, margin, 0.0), passed | ~checked
+
+    @classmethod
+    def from_records(cls, records) -> list[RecordBlock]:
+        """Blocks holding ``records`` in order, one per run of records with
+        the same inequality and parameter names; margins and flags are kept
+        as the records carry them."""
+        blocks = []
+        for (name, keys), group in groupby(records, key=lambda r: (r.inequality,
+                                                                   tuple(r.params))):
+            rows = list(group)
+            lhs, rhs, margin = np.array([(r.lhs, r.rhs, r.margin) for r in rows],
+                                        dtype=float).T
+            blocks.append(cls(
+                name, lhs, rhs, [r.kind for r in rows],
+                {k: [r.params[k] for r in rows] for k in keys},
+                [r.note for r in rows], margin, [r.passed for r in rows]))
+        return blocks
+
+    def _fields(self, rows, plain: bool):
+        """The fields of the rows ``rows`` (a slice or an index array) after
+        the inequality, as per-row sequences in the order of ``Record``."""
+        lhs = self.lhs[rows]
+        n = lhs.size
+        cols = [c[rows].tolist() for c in self.params.values()]
+        if plain:
+            cols = list(map(_plain_column, cols))
+        params = _dicts(tuple(self.params), cols, n)
+        kind = repeat(self.kind, n) if isinstance(self.kind, str) else self.kind[rows].tolist()
+        note = repeat(self.note, n) if isinstance(self.note, str) else self.note[rows].tolist()
+        return (params, lhs.tolist(), self.rhs[rows].tolist(),
+                self.margin[rows].tolist(), kind, self.passed[rows].tolist(), note)
+
+    def records(self, rows=slice(None)) -> list[Record]:
+        """The rows ``rows`` (all by default) as :class:`Record` objects."""
+        return list(map(Record, repeat(self.inequality), *self._fields(rows, False)))
+
+    def dicts(self) -> list[dict]:
+        """Every row in the JSON layout of :meth:`Record.to_dict`."""
+        name = self.inequality
+        return [{"inequality": name, "params": p, "lhs": a, "rhs": b, "margin": m,
+                 "kind": k, "passed": ok, "note": t}
+                for p, a, b, m, k, ok, t in zip(*self._fields(slice(None), True))]
+
+
+class Report:
+    """Outcome of one verification suite on one chain.
+
+    The rows live in ``blocks``, one :class:`RecordBlock` per run of one
+    inequality; ``Report(records=[...])`` splits the records into blocks.
+    ``passed``, ``counts``, ``failures`` and ``worst_margin`` read the
+    columns.  ``records`` builds the :class:`Record` objects once, on first
+    access, in block order (the ``_record_key`` order for the reports of
+    :func:`~cutofflab.verify.run_suites`); treat it as a read-only view.
+    """
+
+    def __init__(self, suite: str, chain_fingerprint: str, records=(),
+                 params: dict | None = None, *, blocks=None):
+        if blocks is not None and records:
+            raise ValueError("give a report records or blocks, not both")
+        self.suite = suite
+        self.chain_fingerprint = chain_fingerprint
+        self.params = {} if params is None else params
+        self.blocks = (list(blocks) if blocks is not None
+                       else RecordBlock.from_records(records))
+        self._records = None
+
+    @property
+    def records(self) -> list[Record]:
+        if self._records is None:
+            with _bulk():
+                self._records = [r for b in self.blocks for r in b.records()]
+        return self._records
 
     @property
     def passed(self) -> bool:
-        return all(r.passed for r in self.records)
+        return all(b.passed.all() for b in self.blocks)
 
     @property
     def failures(self) -> list[Record]:
-        return [r for r in self.records if not r.passed]
+        if self._records is not None:
+            return [r for r in self._records if not r.passed]
+        return [r for b in self.blocks if not b.passed.all()
+                for r in b.records(np.flatnonzero(~b.passed))]
 
     def counts(self) -> dict:
         out = {"inequality": 0, "identity": 0, "report": 0, "skip": 0, "failed": 0}
-        for r in self.records:
-            out[r.kind] = out.get(r.kind, 0) + 1
-            if not r.passed:
-                out["failed"] += 1
+        for b in self.blocks:
+            if isinstance(b.kind, str):
+                out[b.kind] = out.get(b.kind, 0) + len(b)
+            else:
+                for kind in dict.fromkeys(b.kind.tolist()):
+                    out[kind] = out.get(kind, 0) + int((b.kind == kind).sum())
+            out["failed"] += len(b) - int(b.passed.sum())
         return out
 
     def worst_margin(self) -> float:
-        margins = [r.margin for r in self.records if r.kind in ("inequality", "identity")]
-        return min(margins) if margins else float("inf")
+        """The smallest margin over the checks (inequality and identity
+        rows).  NaN when any check margin is NaN: such a check fails but has
+        no place in the order.  +inf when the report holds no check."""
+        worst = []
+        for b in self.blocks:
+            margins = b.margin[b.checked]
+            if margins.size == 0:
+                continue
+            if np.isnan(margins).any():
+                return math.nan
+            worst.append(float(margins[np.argmin(margins)]))
+        return min(worst) if worst else math.inf
 
     def summary(self) -> str:
         c = self.counts()
@@ -133,12 +351,14 @@ class Report:
 
     def to_dict(self) -> dict:
         """The JSON payload of this report."""
+        with _bulk():
+            rows = [d for b in self.blocks for d in b.dicts()]
         return {
             "suite": self.suite,
             "chain": self.chain_fingerprint,
             "params": {k: _plain(v) for k, v in self.params.items()},
             "passed": self.passed,
-            "records": [r.to_dict() for r in self.records],
+            "records": rows,
         }
 
     def to_json(self, path: str) -> None:

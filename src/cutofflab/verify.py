@@ -30,14 +30,15 @@ Suite ids (see ``SUITES``):
 - ``block-moments``       measured block-crossing constants (reported only)
 
 ``run_suite``/``run_suites`` evaluate suites on a chain and return sorted
-:class:`~cutofflab.reporting.Report` objects; ``cutoff_scan`` tabulates
-mixing windows and ratios across growing sizes of one family.
+:class:`~cutofflab.reporting.Report` objects (the set-sweeping suites fill
+them with columnar :class:`~cutofflab.reporting.RecordBlock` rows);
+``cutoff_scan`` tabulates mixing windows and ratios across growing sizes of
+one family.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -67,6 +68,7 @@ from .mixing import (
 )
 from .reporting import (
     Record,
+    RecordBlock,
     Report,
     check_identity,
     check_le,
@@ -147,6 +149,7 @@ class _Ctx:
         self._sets: dict[str, list] = {}
         self._stacks: dict[str, list] = {}
         self._set_orders: dict[str, list[int]] = {}
+        self._members: dict[str, np.ndarray] = {}
         self._functions: np.ndarray | None = None
         self._tree = None
         self._sbd = None
@@ -221,7 +224,10 @@ class _Ctx:
         if mode == "all" or (n <= 14 and (1 << n) - 2 <= 11):
             bits = np.arange(1, (1 << n) - 1)
             masks = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
-            out = [(mask, tuple(np.flatnonzero(mask).tolist())) for mask in masks]
+            flat = np.nonzero(masks)[1].tolist()
+            ends = np.cumsum(masks.sum(axis=1)).tolist()
+            out = [(mask, tuple(flat[start:end]))
+                   for mask, start, end in zip(masks, [0] + ends[:-1], ends)]
         elif mode == "sampled":
             rng = np.random.Generator(np.random.Philox(key=self.seed))
             masks = []
@@ -262,6 +268,16 @@ class _Ctx:
             self._set_orders[mode] = sorted(range(len(pairs)), key=lambda j: str(pairs[j][1]))
         return self._set_orders[mode]
 
+    def members(self, mode: str) -> np.ndarray:
+        """The member tuples of ``sets(mode)`` in ``set_order``, as an
+        object array: the ``A`` column of the set-sweeping suites."""
+        if mode not in self._members:
+            pairs = self.sets(mode)
+            self._members[mode] = np.fromiter(
+                (pairs[j][1] for j in self.set_order(mode)), dtype=object,
+                count=len(pairs))
+        return self._members[mode]
+
     def stack(self, mode: str) -> list[tuple[np.ndarray, KilledSystem]]:
         """The killed systems of ``sets(mode)``, one stack per |B|, each
         with the positions of its targets in ``sets(mode)``."""
@@ -298,18 +314,26 @@ def _set_mode(params: dict) -> str:
     return str(params.get("sets", "sampled"))
 
 
-def _per_set(stacks, count: int, fn) -> list[list]:
+def _per_set(stacks, order: list[int], fn) -> list[np.ndarray]:
     """Evaluate ``fn`` on every stack of ``_Ctx.stack`` and put the rows of
     each array it returns at the positions of their targets.  Returns one
-    nested list per array, indexed like ``_Ctx.sets``."""
+    array per output, its rows in the order ``order`` of the targets
+    (``_Ctx.set_order``)."""
     cols = None
     for idx, ks in stacks:
         vals = [np.asarray(v) for v in fn(ks)]
         if cols is None:
-            cols = [np.empty((count,) + v.shape[1:]) for v in vals]
+            cols = [np.empty((len(order),) + v.shape[1:]) for v in vals]
         for col, v in zip(cols, vals):
             col[idx] = v
-    return [col.tolist() for col in cols]
+    return [col[order] for col in cols]
+
+
+def _pointwise(fn, *args) -> np.ndarray:
+    """``fn`` on Python floats (and ints), element by element with
+    broadcasting: numpy's ``exp`` and ``power`` differ from ``math.exp``
+    and float ``**`` in the last bit on some inputs."""
+    return np.frompyfunc(fn, len(args), 1)(*args).astype(float)
 
 
 def _str_order(values) -> list[tuple[int, object]]:
@@ -318,9 +342,24 @@ def _str_order(values) -> list[tuple[int, object]]:
     return sorted(enumerate(values), key=lambda iv: str(iv[1]))
 
 
-def _by_inequality(by: dict[str, list[Record]]) -> list[Record]:
-    """Concatenate per-inequality record lists in inequality order."""
-    return [r for name in sorted(by) for r in by[name]]
+def _sweep_block(inequality: str, kind, lhs, rhs, members: np.ndarray,
+                 grid: dict | None = None, note="") -> RecordBlock:
+    """The rows of one inequality over every target set (in ``set_order``;
+    ``members`` fills the ``A`` column) times the points of ``grid``
+    (parameter name -> one value per point, in key order).
+
+    ``lhs``, ``rhs`` and the ``kind`` and ``note`` arrays broadcast to the
+    shape (sets, points), or (sets,) without a grid."""
+    grid = grid or {}
+    points = len(next(iter(grid.values()))) if grid else 1
+    shape = (len(members), points) if grid else (len(members),)
+    params = {"A": np.repeat(members, points)}
+    for key, values in grid.items():
+        params[key] = np.tile(np.fromiter(values, dtype=object, count=points), len(members))
+
+    def rows(v):
+        return v if isinstance(v, str) else np.broadcast_to(v, shape).ravel()
+    return RecordBlock(inequality, rows(lhs), rows(rhs), rows(kind), params, rows(note))
 
 
 # ---------------------------------------------------------------------------
@@ -547,63 +586,64 @@ def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
     return np.array([v[s].sum() for v, s in zip(values, sel)])
 
 
-def _suite_escape(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_escape(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     """Stationary escape tails decay geometrically with rate pi(A)/t_rel."""
     t_rel = ctx.t_rel
     pi = ctx.chain.pi
-    sets = ctx.sets(_set_mode(params))
+    mode = _set_mode(params)
     works = _grid(params, "work_grid", WORK_GRID)
     alphas = (0.25, 0.5)
 
     def per_stack(ks: KilledSystem):
         slow = []
         for w in works:
-            t_w = np.array([_ceil(t_rel * w / pa) for pa in ks.pi_A.tolist()], dtype=float)
-            rows = ks.tail_rows(t_w)
+            with np.errstate(all="ignore"):
+                t_w = t_rel * w / ks.pi_A
+            bad = (ks.pi_A == 0.0) | ~np.isfinite(t_w)
+            if bad.any():  # raise as the integer ceiling of one target does
+                _ceil(t_rel * w / float(ks.pi_A[np.argmax(bad)]))
+            rows = ks.tail_rows(np.ceil(t_w))
             slow.append([_row_sums(pi[ks.B], rows >= alpha) for alpha in alphas])
         return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
                 ks.mean_stationary(), np.moveaxis(np.array(slow), -1, 0))
 
-    pa, pb, tails, means, slow = _per_set(ctx.stack(_set_mode(params)), len(sets), per_stack)
-    t_order = _str_order(TAIL_T_GRID)
+    pa, pb, tails, means, slow = _per_set(ctx.stack(mode), ctx.set_order(mode), per_stack)
+    members = ctx.members(mode)
+    t_idx, ts = map(list, zip(*_str_order(TAIL_T_GRID)))
+    base = 1.0 - pa / t_rel
+    # powers and exponentials stay Python float arithmetic, bit for bit
+    geometric = pb[:, None] * _pointwise(pow, base[:, None], np.array(ts))
+    exponential = pb[:, None] * _pointwise(math.exp, -np.array(ts) * pa[:, None] / t_rel)
+    defined = (base >= 0.0)[:, None]
     slow_order = [(a, alpha, i, w) for a, alpha in _str_order(alphas)
                   for i, w in _str_order(works)]
-    by = defaultdict(list)
-    for j in ctx.set_order(_set_mode(params)):
-        members = sets[j][1]
-        base = 1.0 - pa[j] / t_rel
-        for i, t in t_order:
-            p = {"A": members, "t": t}
-            by["stationary-escape-tail"].append(check_le(
-                "stationary-escape-tail", pb[j] * tails[j][i], pb[j] * base ** t, p))
-            if base >= 0.0:
-                by["escape-tail-exponential"].append(check_le(
-                    "escape-tail-exponential", pb[j] * base ** t,
-                    pb[j] * math.exp(-t * pa[j] / t_rel), p))
-            else:
-                by["escape-tail-exponential"].append(skip(
-                    "escape-tail-exponential",
-                    "geometric base is negative (t_rel < pi(A))", p))
-        by["stationary-mean-hitting"].append(check_le(
-            "stationary-mean-hitting", pa[j] * pb[j] * means[j],
-            t_rel * pb[j], {"A": members}))
-        for a, alpha, i, w in slow_order:
-            by["slow-start-measure"].append(check_le(
-                "slow-start-measure", slow[j][i][a],
-                pb[j] * math.exp(-w) / alpha,
-                {"A": members, "w": w, "alpha": alpha}))
-    return _by_inequality(by)
+    a_idx, slow_alphas, w_idx, slow_works = map(list, zip(*slow_order))
+    decay = np.array([math.exp(-w) for w in slow_works])
+    return [
+        _sweep_block("escape-tail-exponential",
+                     np.where(defined, "inequality", "skip"),
+                     np.where(defined, geometric, math.nan),
+                     np.where(defined, exponential, math.nan), members, {"t": ts},
+                     np.where(defined, "", "geometric base is negative (t_rel < pi(A))")),
+        _sweep_block("slow-start-measure", "inequality", slow[:, w_idx, a_idx],
+                     pb[:, None] * decay / np.array(slow_alphas), members,
+                     {"w": slow_works, "alpha": slow_alphas}),
+        _sweep_block("stationary-escape-tail", "inequality", pb[:, None] * tails[:, t_idx],
+                     geometric, members, {"t": ts}),
+        _sweep_block("stationary-mean-hitting", "inequality", pa * pb * means, t_rel * pb,
+                     members),
+    ]
 
 
 # ---------------------------------------------------------------------------
 # killed-kernel spectrum
 
 
-def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     """The killed kernel's spectral mixture has the promised shape."""
     t_rel = ctx.t_rel
     pi = ctx.chain.pi
-    sets = ctx.sets(_set_mode(params))
+    mode = _set_mode(params)
     marks = (1, 5, 20)
 
     def per_stack(ks: KilledSystem):
@@ -616,24 +656,19 @@ def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[Record]:
                 ks.tail_stationary(marks))
 
     pa, w_min, w_sum, g_top, g_bottom, direct, recon = _per_set(
-        ctx.stack(_set_mode(params)), len(sets), per_stack)
-    mark_order = _str_order(marks)
-    by = defaultdict(list)
-    for j in ctx.set_order(_set_mode(params)):
-        p = {"A": sets[j][1]}
-        by["killed-weights-nonnegative"].append(check_le(
-            "killed-weights-nonnegative", 0.0, w_min[j], p))
-        by["killed-weights-normalized"].append(check_identity(
-            "killed-weights-normalized", w_sum[j], 1.0, p))
-        by["killed-spectrum-ceiling"].append(check_le(
-            "killed-spectrum-ceiling", g_top[j], 1.0 - pa[j] / t_rel, p))
-        by["killed-spectrum-symmetric-floor"].append(check_le(
-            "killed-spectrum-symmetric-floor", -g_top[j], g_bottom[j], p))
-        for i, t in mark_order:
-            by["killed-tail-reconstruction"].append(check_identity(
-                "killed-tail-reconstruction", recon[j][i], direct[j][i],
-                {"A": sets[j][1], "t": t}))
-    return _by_inequality(by)
+        ctx.stack(mode), ctx.set_order(mode), per_stack)
+    members = ctx.members(mode)
+    m_idx, ts = map(list, zip(*_str_order(marks)))
+    return [
+        _sweep_block("killed-spectrum-ceiling", "inequality", g_top, 1.0 - pa / t_rel,
+                     members),
+        _sweep_block("killed-spectrum-symmetric-floor", "inequality", -g_top, g_bottom,
+                     members),
+        _sweep_block("killed-tail-reconstruction", "identity", recon[:, m_idx],
+                     direct[:, m_idx], members, {"t": ts}),
+        _sweep_block("killed-weights-nonnegative", "inequality", 0.0, w_min, members),
+        _sweep_block("killed-weights-normalized", "identity", w_sum, 1.0, members),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -676,11 +711,10 @@ def _suite_maximal(ctx: _Ctx, params: dict) -> list[Record]:
 # good starting sets (uniformly small deviations after time s)
 
 
-def _suite_good_set(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_good_set(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     """Most starts track pi(A) within m sigma_s from every time >= s."""
     if not ctx.lazy:
-        return [skip("good-set", "requires a lazy chain")]
-    records = []
+        return RecordBlock.from_records([skip("good-set", "requires a lazy chain")])
     t_rel, pi = ctx.t_rel, ctx.chain.pi
     F = ctx.spectrum.eigenfunctions
     lam = ctx.spectrum.eigenvalues
@@ -711,14 +745,13 @@ def _suite_good_set(ctx: _Ctx, params: dict) -> list[Record]:
         decay = math.exp(-s / t_rel)
         for m in m_grid:
             member = (worst < m * decay * rho[None, :]).astype(float)
-            measures[s, m] = (pi @ member).tolist()
+            measures[s, m] = pi @ member
     grid_order = [(m, s) for _, m in _str_order(m_grid) for _, s in _str_order(s_grid)]
-    for j in ctx.set_order(_set_mode(params)):
-        for m, s in grid_order:
-            records.append(check_le(
-                "good-set-measure", 1.0 - 8.0 / m ** 2, measures[s, m][j],
-                {"A": pairs[j][1], "s": s, "m": m}))
-    return records
+    mode = _set_mode(params)
+    return [_sweep_block(
+        "good-set-measure", "inequality", np.array([1.0 - 8.0 / m ** 2 for m, _ in grid_order]),
+        np.stack([measures[s, m] for m, s in grid_order], axis=-1)[ctx.set_order(mode)],
+        ctx.members(mode), {"s": [s for _, s in grid_order], "m": [m for m, _ in grid_order]})]
 
 
 # ---------------------------------------------------------------------------
@@ -771,10 +804,10 @@ def _suite_martingale(ctx: _Ctx, params: dict) -> list[Record]:
 # return-time identities
 
 
-def _suite_return_time(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_return_time(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     """Flow symmetry and the return-time mean/second-moment identities."""
     t_rel = ctx.t_rel
-    sets = ctx.sets(_set_mode(params))
+    mode = _set_mode(params)
     t_marks = (1, 2, 5, 10)
     stat_ts = sorted({t - 1 for t in t_marks} | set(t_marks))
 
@@ -787,29 +820,23 @@ def _suite_return_time(ctx: _Ctx, params: dict) -> list[Record]:
                 ks.tail_dist(psi_B, [t - 1 for t in t_marks]))
 
     (flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat,
-     entry) = _per_set(ctx.stack(_set_mode(params)), len(sets), per_stack)
-    mark_order = _str_order(t_marks)
-    by = defaultdict(list)
-    for j in ctx.set_order(_set_mode(params)):
-        members = sets[j][1]
-        p = {"A": members}
-        by["interface-flow-symmetry"].append(check_identity(
-            "interface-flow-symmetry", flow_out[j], flow_in[j], p))
-        by["return-mean-identity"].append(check_identity(
-            "return-mean-identity", mean_psi[j], 1.0 / phi_B[j], p))
-        by["return-second-moment-identity"].append(check_identity(
-            "return-second-moment-identity", second_psi[j],
-            mean_psi[j] * (2.0 * mean_pi_B[j] - 1.0), p))
-        by["return-second-moment-bound"].append(check_le(
-            "return-second-moment-bound", second_psi[j],
-            2.0 * mean_psi[j] * t_rel / pa[j], p))
-        stat_at = dict(zip(stat_ts, stat[j]))
-        for i, t in mark_order:
-            by["return-law-identity"].append(check_identity(
-                "return-law-identity",
-                (stat_at[t - 1] - stat_at[t]) / phi_B[j], entry[j][i],
-                {"A": members, "t": t}))
-    return _by_inequality(by)
+     entry) = _per_set(ctx.stack(mode), ctx.set_order(mode), per_stack)
+    if (phi_B == 0.0).any() or (pa == 0.0).any():
+        raise ZeroDivisionError("float division by zero")
+    members = ctx.members(mode)
+    m_idx, ts = map(list, zip(*_str_order(t_marks)))
+    before = stat[:, [stat_ts.index(t - 1) for t in ts]]
+    after = stat[:, [stat_ts.index(t) for t in ts]]
+    return [
+        _sweep_block("interface-flow-symmetry", "identity", flow_out, flow_in, members),
+        _sweep_block("return-law-identity", "identity", (before - after) / phi_B[:, None],
+                     entry[:, m_idx], members, {"t": ts}),
+        _sweep_block("return-mean-identity", "identity", mean_psi, 1.0 / phi_B, members),
+        _sweep_block("return-second-moment-bound", "inequality", second_psi,
+                     2.0 * mean_psi * t_rel / pa, members),
+        _sweep_block("return-second-moment-identity", "identity", second_psi,
+                     mean_psi * (2.0 * mean_pi_B - 1.0), members),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -1265,9 +1292,10 @@ SUITES = {
 SUITE_IDS = tuple(SUITES)
 
 
-# Suites whose records come out already in ``_record_key`` order: by
-# inequality, then by ``str(members)`` of the target set, then by the other
-# parameters in their string order.
+# Suites that sweep target sets: they return one ``RecordBlock`` per
+# inequality, built as arrays, in ``_record_key`` order: by inequality, then
+# by ``str(members)`` of the target set, then by the other parameters in
+# their string order.
 _ORDERED_SUITES = frozenset({"escape", "killed-spectrum", "good-set", "return-time"})
 
 
@@ -1286,8 +1314,9 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
     The records of every report are in ``_record_key`` order: by
     inequality name, then by the string form of the sorted
     ``(key, value)`` parameter pairs.  The set-sweeping suites escape,
-    killed-spectrum, good-set and return-time build their records in that
-    order; the records of the other suites are sorted here.
+    killed-spectrum, good-set and return-time build one columnar block per
+    inequality, its rows already in that order, and certify it in one numpy
+    pass; the records of the other suites are sorted here.
     """
     params = dict(params or {})
     for sid in suites:
@@ -1297,11 +1326,12 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
     ctx = _Ctx(chain, params)
     reports = []
     for sid in suites:
-        records = SUITES[sid](ctx, params)
-        if sid not in _ORDERED_SUITES:
-            records = sorted(records, key=_record_key)
-        reports.append(Report(suite=sid, chain_fingerprint=fingerprint(chain.P),
-                              records=records, params=params))
+        rows = SUITES[sid](ctx, params)
+        if sid in _ORDERED_SUITES:
+            report = Report(sid, fingerprint(chain.P), params=params, blocks=rows)
+        else:
+            report = Report(sid, fingerprint(chain.P), sorted(rows, key=_record_key), params)
+        reports.append(report)
     return reports
 
 

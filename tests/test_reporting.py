@@ -1,0 +1,169 @@
+import json
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cutofflab import random_reversible, run_suites
+from cutofflab.reporting import (
+    MARGIN_TOL,
+    Record,
+    RecordBlock,
+    Report,
+    check_identity,
+    check_le,
+    report_value,
+    skip,
+)
+
+
+def _bits(x: float) -> bytes:
+    return struct.pack("<d", x)
+
+
+def _edge_values() -> list[float]:
+    tol = MARGIN_TOL
+    return [0.0, -0.0, 0.5, -0.5, 1.0, -1.0, 1.5, -3.0, 1e-300, 5e-324,
+            tol, -tol, float(np.nextafter(tol, 1.0)), float(np.nextafter(-tol, -1.0)),
+            1.0 + tol, 1.0 - tol, 2.0 + 2 * tol, 1e308, -1e308,
+            math.inf, -math.inf, math.nan]
+
+
+def test_block_pass_matches_scalar_checks_bit_for_bit():
+    # NaN and +-inf on either side, -0.0, margins at exactly +-1e-9 and one
+    # ulp beyond, and |x| below and above 1
+    values = _edge_values()
+    lhs = np.array([a for a in values for _ in values])
+    rhs = np.array([b for _ in values for b in values])
+    assert (0.0, MARGIN_TOL) in zip(lhs.tolist(), rhs.tolist())
+    for kind, check in (("inequality", check_le), ("identity", check_identity)):
+        block = RecordBlock("x", lhs, rhs, kind)
+        want = [check("x", a, b) for a, b in zip(lhs.tolist(), rhs.tolist())]
+        assert [_bits(m) for m in block.margin.tolist()] == [_bits(r.margin) for r in want]
+        assert block.passed.tolist() == [r.passed for r in want]
+        assert {(r.margin, r.passed) for r in want if r.margin in (-MARGIN_TOL, MARGIN_TOL)}
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.tuples(st.floats(width=64), st.floats(width=64)), min_size=1, max_size=40),
+       st.sampled_from(["inequality", "identity"]))
+def test_block_pass_matches_scalar_checks_on_random_floats(pairs, kind):
+    check = check_le if kind == "inequality" else check_identity
+    lhs, rhs = (np.array(side, dtype=float) for side in zip(*pairs))
+    block = RecordBlock("x", lhs, rhs, kind)
+    want = [check("x", a, b) for a, b in pairs]
+    assert [_bits(m) for m in block.margin.tolist()] == [_bits(r.margin) for r in want]
+    assert block.passed.tolist() == [r.passed for r in want]
+
+
+def test_block_with_mixed_kinds_certifies_only_checks():
+    kinds = ["inequality", "identity", "skip", "report", "inequality"]
+    block = RecordBlock("x", [2.0, 1.0, math.nan, 3.0, math.nan], [1.0, 1.0, math.nan, math.nan, 0.0],
+                        kinds, {"t": np.arange(5)}, note=["", "", "why", "", ""])
+    assert block.passed.tolist() == [False, True, True, True, False]
+    assert [_bits(m) for m in block.margin.tolist()[:4]] == [
+        _bits(-0.5), _bits(0.0), _bits(0.0), _bits(0.0)]
+    assert math.isnan(block.margin[4])
+    recs = block.records()
+    assert [type(r.params["t"]) for r in recs] == [int] * 5
+    assert [r.note for r in recs] == ["", "", "why", "", ""]
+    assert Report("s", "fp", blocks=[block]).counts() == {
+        "inequality": 2, "identity": 1, "report": 1, "skip": 1, "failed": 2}
+
+
+def _mixed_records() -> list[Record]:
+    return [
+        check_le("a-bound", 0.5, 1.0, {"A": (0,), "t": 1}),
+        check_le("a-bound", 2.0, 1.0, {"A": (0,), "t": 2}),
+        check_le("a-bound", 0.5, 1.0, {"A": (0, 1), "t": 1}),
+        skip("a-bound", "precondition fails", {"eps": 0.5}),
+        check_identity("b-identity", 1.0, 1.0 + 1e-12, {"A": (1,)}),
+        report_value("c-value", 3.5, {"x": np.float64(0.25)}, note="measured"),
+        check_identity("d-identity", 1.0, math.nan),
+        check_le("e-bound", -math.inf, math.inf, {"k": 2}),
+    ]
+
+
+def _mixed_blocks() -> list[RecordBlock]:
+    """``_mixed_records`` built as columns, margins computed by the block."""
+    return [
+        RecordBlock("a-bound", [0.5, 2.0, 0.5], 1.0, "inequality",
+                    {"A": [(0,), (0,), (0, 1)], "t": np.array([1, 2, 1])}),
+        RecordBlock("a-bound", math.nan, math.nan, "skip", {"eps": [0.5]},
+                    note="precondition fails"),
+        RecordBlock("b-identity", [1.0], [1.0 + 1e-12], "identity", {"A": [(1,)]}),
+        RecordBlock("c-value", [3.5], math.nan, "report", {"x": [np.float64(0.25)]},
+                    note="measured"),
+        RecordBlock("d-identity", [1.0], [math.nan], "identity"),
+        RecordBlock("e-bound", [-math.inf], [math.inf], "inequality", {"k": [2]}),
+    ]
+
+
+def _same_records(got: list[Record], want: list[Record]) -> None:
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.inequality == b.inequality
+        assert repr(a.params) == repr(b.params)
+        assert [_bits(getattr(a, f)) for f in ("lhs", "rhs", "margin")] == \
+               [_bits(getattr(b, f)) for f in ("lhs", "rhs", "margin")]
+        assert (a.kind, a.passed, a.note) == (b.kind, b.passed, b.note)
+        assert type(a.passed) is bool and type(a.lhs) is float
+
+
+@pytest.mark.parametrize("source", ["synthetic", "suites"])
+def test_table_built_and_record_built_reports_agree(source):
+    if source == "synthetic":
+        tables = [Report("mixed", "fp", params={"sets": "all"}, blocks=_mixed_blocks())]
+        records = [Report("mixed", "fp", _mixed_records(), {"sets": "all"})]
+    else:
+        tables = run_suites(random_reversible(5, seed=11),
+                            ["escape", "killed-spectrum", "good-set", "return-time"],
+                            {"sets": "all"})
+        records = [Report(r.suite, r.chain_fingerprint, list(r.records), r.params)
+                   for r in run_suites(random_reversible(5, seed=11),
+                                       ["escape", "killed-spectrum", "good-set",
+                                        "return-time"], {"sets": "all"})]
+    for t, r in zip(tables, records):
+        assert t.passed == r.passed
+        assert t.counts() == r.counts()
+        _same_records(t.failures, r.failures)
+        assert _bits(t.worst_margin()) == _bits(r.worst_margin())
+        assert t.summary() == r.summary()
+        assert json.dumps(t.to_dict()) == json.dumps(r.to_dict())
+        assert json.dumps(t.to_dict()["records"]) == json.dumps([x.to_dict() for x in r.records])
+        assert t.dumps() == r.dumps()
+        _same_records(t.records, r.records)
+        assert t.records is t.records  # built once
+        _same_records(t.failures, r.failures)  # now read from the built records
+    if source == "synthetic":
+        assert not tables[0].passed and tables[0].counts()["failed"] == 3
+        assert math.isnan(tables[0].worst_margin())
+
+
+def test_report_takes_records_or_blocks_not_both():
+    recs = _mixed_records()
+    with pytest.raises(ValueError):
+        Report("s", "fp", recs, blocks=RecordBlock.from_records(recs))
+    empty = Report("s", "fp")
+    assert empty.passed and empty.records == [] and empty.worst_margin() == math.inf
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_worst_margin_is_nan_when_any_check_margin_is_nan(where):
+    good = [check_le("a", 0.0, 1.0, {"i": i}) for i in range(3)]
+    bad = check_le("a", 1.0, math.nan, {"i": 9})
+    assert math.isnan(bad.margin) and not bad.passed
+    pos = {"first": 0, "middle": 2, "last": 3}[where]
+    recs = good[:pos] + [bad] + good[pos:]
+    block = RecordBlock("a", [r.lhs for r in recs], [r.rhs for r in recs], "inequality",
+                        {"i": [r.params["i"] for r in recs]})
+    for rep in (Report("s", "fp", recs), Report("s", "fp", blocks=[block])):
+        assert not rep.passed
+        assert math.isnan(rep.worst_margin())
+    # without the NaN the minimum is the first smallest margin
+    rep = Report("s", "fp", good + [check_le("b", 0.0, -0.0), check_le("c", 0.0, 0.0)])
+    assert _bits(rep.worst_margin()) == _bits(-0.0)
+    assert Report("s", "fp", [skip("a", "no")]).worst_margin() == math.inf
