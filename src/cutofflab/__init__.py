@@ -9,12 +9,8 @@ from .chain import (
     Spectrum,
     chain_from_json,
     chain_to_json,
-    heat_kernel,
-    heat_matrix,
     load_chain,
     spectral_decomposition,
-    step_distribution,
-    transition_power,
     write_json_atomic,
 )
 from .families import (
@@ -84,9 +80,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Chain", "ChainSpec", "ChainValidationError", "Spectrum",
-    "chain_from_json", "chain_to_json", "heat_kernel", "heat_matrix",
-    "load_chain", "spectral_decomposition", "step_distribution",
-    "transition_power", "write_json_atomic",
+    "chain_from_json", "chain_to_json", "load_chain",
+    "spectral_decomposition", "write_json_atomic",
     "FAMILIES", "biased_path", "birth_death", "plateau_chain",
     "random_corpus", "random_reversible", "random_tree", "two_cliques",
     "BlowUpSet", "GoodSet", "HitResult", "KacQuantities", "KilledSystem",

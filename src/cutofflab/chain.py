@@ -33,10 +33,6 @@ __all__ = [
     "Spectrum",
     "load_chain",
     "spectral_decomposition",
-    "step_distribution",
-    "transition_power",
-    "heat_kernel",
-    "heat_matrix",
     "chain_from_json",
     "chain_to_json",
     "write_json_atomic",
@@ -264,66 +260,6 @@ def spectral_decomposition(chain: Chain) -> Spectrum:
         if F[j, i] < 0:
             F[:, i] = -F[:, i]
     return Spectrum(eigenvalues=lam, eigenfunctions=F, pi=pi)
-
-
-def _power_iterate_row(chain: Chain, x: int, t: int) -> np.ndarray:
-    v = np.zeros(chain.n)
-    v[x] = 1.0
-    for _ in range(t):
-        v = v @ chain.P
-    return v
-
-
-def step_distribution(chain: Chain, x: int, t: int, method: str = "iterate") -> np.ndarray:
-    """Distribution of the chain after ``t`` steps from state ``x``.
-
-    ``method`` selects the route: ``"iterate"`` multiplies the row vector
-    through P (binary powering for large t), ``"spectral"`` evaluates the
-    eigenfunction sum, ``"check"`` computes both and insists they agree to
-    1e-9 before returning the iterated row.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if not 0 <= x < chain.n:
-        raise ValueError(f"state {x} out of range")
-    if method == "iterate":
-        if t > 4096:
-            M = np.linalg.matrix_power(chain.P, t)
-            return M[x].copy()
-        return _power_iterate_row(chain, x, t)
-    if method == "spectral":
-        return chain.spectrum.transition_power(t)[x]
-    if method == "check":
-        a = step_distribution(chain, x, t, "iterate")
-        b = step_distribution(chain, x, t, "spectral")
-        err = float(np.max(np.abs(a - b)))
-        if err > 1e-9:
-            raise ChainValidationError(f"spectral and iterated P^t rows disagree by {err:.3e}")
-        return a
-    raise ValueError(f"unknown method {method!r}")
-
-
-def transition_power(chain: Chain, t: int, method: str = "auto") -> np.ndarray:
-    """Dense t-step matrix.  ``auto`` uses binary powering; ``spectral``
-    uses the eigenfunction sum (reversible chains only)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if method == "spectral":
-        return chain.spectrum.transition_power(t)
-    return np.linalg.matrix_power(chain.P, t)
-
-
-def heat_kernel(chain: Chain, x: int, t: float) -> np.ndarray:
-    """Row x of the continuized kernel exp(-t (I - P))."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return chain.spectrum.heat_matrix(t)[x]
-
-
-def heat_matrix(chain: Chain, t: float) -> np.ndarray:
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return chain.spectrum.heat_matrix(t)
 
 
 # ---------------------------------------------------------------------------

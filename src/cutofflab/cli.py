@@ -29,18 +29,12 @@ class VerificationFailure(Exception):
     """A suite produced at least one failing assertion record."""
 
 
-def _parse_states(text: str) -> list[int]:
+def _parse_ints(text: str, what: str) -> list[int]:
+    """A comma-separated list of integers; ``what`` names it in errors."""
     try:
         return [int(part) for part in text.replace(" ", "").split(",") if part]
     except ValueError as exc:
-        raise click.ClickException(f"bad state list {text!r}: {exc}") from exc
-
-
-def _parse_sizes(text: str) -> list[int]:
-    try:
-        return [int(part) for part in text.replace(" ", "").split(",") if part]
-    except ValueError as exc:
-        raise click.ClickException(f"bad size list {text!r}: {exc}") from exc
+        raise click.ClickException(f"bad {what} list {text!r}: {exc}") from exc
 
 
 def _check_state(option: str, value, n: int) -> None:
@@ -237,9 +231,10 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
     from .hitting import KilledSystem, hit_time, worst_tail_profile
 
     chain = _load_chain(chain_file)
+    chain.require(irreducible=True)
     _check_state("--start", start, chain.n)
     if set_states is not None:
-        states = _parse_states(set_states)
+        states = _parse_ints(set_states, "state")
         try:
             ks = KilledSystem(chain, states)
         except ValueError as exc:
@@ -534,7 +529,7 @@ def verify_cmd(chain_file: str, suite_ids, eps_values, alpha_values,
                set_mode: str, seed: int, exact_threshold: int, output,
                quiet: bool) -> None:
     """Run verification suites on a chain and report every record."""
-    from .chain import ChainValidationError, write_json_atomic
+    from .chain import write_json_atomic
     from .verify import SUITE_IDS, run_suites
 
     chain = _load_chain(chain_file)
@@ -552,7 +547,7 @@ def verify_cmd(chain_file: str, suite_ids, eps_values, alpha_values,
         params["alpha_grid"] = tuple(alpha_values)
     try:
         reports = run_suites(chain, wanted, params)
-    except (ChainValidationError, ValueError) as exc:
+    except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     total_failures = 0
     for report in reports:
@@ -590,22 +585,17 @@ def cutoff_scan_cmd(family: str, sizes: str, eps_values, alpha: float,
     from .verify import cutoff_scan
 
     try:
-        scan = cutoff_scan(family, _parse_sizes(sizes), eps_grid=eps_values,
+        scan = cutoff_scan(family, _parse_ints(sizes, "size"), eps_grid=eps_values,
                            alpha=alpha, exact_threshold=exact_threshold)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    rows = scan.row_dicts()
-    cols = ["family", "n", "states", "eps", "alpha", "t_rel", "t_mix",
-            "t_mix_complement", "window", "ratio", "hit", "product"]
     if output:
         scan.to_csv(output)
         click.echo(f"wrote scan -> {output}")
     else:
-        writer = csv.DictWriter(sys.stdout, fieldnames=cols)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: ("" if row[k] is None else row[k])
-                             for k in cols})
+        writer = csv.writer(sys.stdout)
+        writer.writerow(scan.COLUMNS)
+        writer.writerows(scan.csv_rows())
     if scan.flags:
         click.echo("flags: " + ", ".join(scan.flags), err=True)
     else:
@@ -633,7 +623,7 @@ def simulate(chain_file: str, start: int, set_states: str, t: int,
     from .oracle import simulate_hitting
 
     chain = _load_chain(chain_file)
-    states = _parse_states(set_states)
+    states = _parse_ints(set_states, "state")
     try:
         est = simulate_hitting(chain, start, states, t, paths=paths,
                                seed=seed)
@@ -657,7 +647,9 @@ def simulate(chain_file: str, start: int, set_states: str, t: int,
 
 
 def main(argv=None) -> int:
-    """Entry point with the documented exit-code mapping."""
+    """Entry point with the documented exit-code mapping.  A chain that
+    fails a command's requirements (say, ``analyze`` on a non-reversible
+    chain) is a validation problem: "Error: ...", exit 1."""
     try:
         cli.main(args=argv, standalone_mode=False)
     except VerificationFailure as exc:
@@ -665,6 +657,14 @@ def main(argv=None) -> int:
         return 2
     except click.ClickException as exc:
         exc.show()
+        return 1
+    except ValueError as exc:
+        # looked up, not imported, to keep numpy out until --threads has
+        # applied: no chain was validated if the module is not loaded
+        chain = sys.modules.get("cutofflab.chain")
+        if chain is None or not isinstance(exc, chain.ChainValidationError):
+            raise
+        click.ClickException(str(exc)).show()
         return 1
     except click.Abort:
         click.echo("aborted", err=True)

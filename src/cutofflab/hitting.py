@@ -33,8 +33,6 @@ __all__ = [
     "TargetSet",
     "HittingProfile",
     "hitting_tail",
-    "WorstSetTail",
-    "worst_set_tail",
     "WorstTailProfile",
     "worst_tail_profile",
     "HitResult",
@@ -483,65 +481,6 @@ def _candidate_sets(chain: Chain, alpha: float, exact_threshold: int,
     return _greedy_candidate_sets(chain, alpha, starts), False
 
 
-class _TailStack:
-    """Joint killed-kernel iteration over a family of candidate targets.
-
-    Column j of V holds ``Pr_x[T_{A_j} > t]`` for every state x (zero on
-    A_j); one step multiplies by P and re-kills the target rows.
-    """
-
-    def __init__(self, chain: Chain, sets: list[np.ndarray]):
-        self.P = chain.P
-        self.keep = ~np.stack(sets, axis=1) if sets else np.zeros((chain.n, 0), dtype=bool)
-        self.V = self.keep.astype(float)
-        self.t = 0
-
-    def step(self) -> None:
-        self.V = self.P @ self.V
-        self.V *= self.keep
-        self.t += 1
-
-    def per_state_max(self) -> np.ndarray:
-        if self.V.shape[1] == 0:
-            return np.zeros(self.P.shape[0])
-        return self.V.max(axis=1)
-
-
-@dataclass(eq=False)
-class WorstSetTail:
-    """Value of p_x(alpha, t) with the witness target achieving it."""
-
-    value: float
-    witness: tuple[int, ...]
-    exact: bool
-
-
-def worst_set_tail(chain: Chain, x: int, alpha: float, t: int,
-                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> WorstSetTail:
-    """Worst-case tail over targets of mass >= alpha, from state x.
-
-    Exact for ``n <= exact_threshold`` via minimal-set enumeration; above
-    that a greedy family gives a certified lower bound (``exact=False``).
-    Ties between witnesses resolve to the lexicographically smallest
-    member tuple.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    sets, exact = _candidate_sets(chain, alpha, exact_threshold, starts=[int(x)])
-    stack = _TailStack(chain, sets)
-    for _ in range(t):
-        stack.step()
-    row = stack.V[int(x)]
-    best, witness = 0.0, ()
-    for j, sel in enumerate(sets):
-        members = tuple(np.nonzero(sel)[0].tolist())
-        if row[j] > best + 1e-15 or (abs(row[j] - best) <= 1e-15 and witness and members < witness):
-            best, witness = float(row[j]), members
-        elif not witness and row[j] >= best:
-            best, witness = float(row[j]), members
-    return WorstSetTail(value=best, witness=witness, exact=exact)
-
-
 @dataclass(eq=False)
 class WorstTailProfile:
     """Per-start worst-set tails p_x(alpha, t) for t = 0 .. T.
@@ -571,13 +510,17 @@ def worst_tail_profile(chain: Chain, alpha: float, stop_level: float,
     """Scan p_x(alpha, t) jointly for all starts until the global maximum
     falls to ``stop_level``."""
     sets, exact = _candidate_sets(chain, alpha, exact_threshold)
-    stack = _TailStack(chain, sets)
-    rows = [stack.per_state_max()]
+    # column j of V holds Pr_x[T_{A_j} > t] for every x (zero on A_j): one
+    # step multiplies by P and re-kills the target rows
+    keep = ~np.stack(sets, axis=1)
+    V = keep.astype(float)
+    rows = [V.max(axis=1)]
     while rows[-1].max() > stop_level + 1e-12:
-        if stack.t >= t_max:
+        if len(rows) > t_max:
             raise RuntimeError("worst-set tail scan exceeded t_max")
-        stack.step()
-        rows.append(stack.per_state_max())
+        V = chain.P @ V
+        V *= keep
+        rows.append(V.max(axis=1))
     return WorstTailProfile(alpha=alpha, tails=np.array(rows), exact=exact)
 
 

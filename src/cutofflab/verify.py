@@ -124,6 +124,39 @@ def _log_plus(x: float) -> float:
 # shared evaluation context
 
 
+class _Clock:
+    """One time model for the comparisons stated in both discrete and
+    continuized time.
+
+    ``mix(eps)`` and ``hit(alpha, eps)`` are (lo, hi) brackets: the integer
+    twice in discrete time, the bisection brackets in continuized time.
+    A comparison reads ``lo`` for the times on its left and ``hi`` for the
+    times on its right, the conservative ends.  ``shift`` rounds an offset
+    up to whole steps in discrete time and keeps it in continuized time;
+    ``suffix`` ends the inequality names ("" or "-ct").
+    """
+
+    def __init__(self, ctx: "_Ctx", continuous: bool):
+        self.ctx = ctx
+        self.continuous = continuous
+        self.suffix = "-ct" if continuous else ""
+
+    def mix(self, eps: float) -> tuple:
+        if self.continuous:
+            return self.ctx.tmix_ct(eps)
+        t = self.ctx.tmix(eps)
+        return t, t
+
+    def hit(self, alpha: float, eps: float) -> tuple:
+        if self.continuous:
+            return self.ctx.hit_ct(alpha, eps)[:2]
+        t = self.ctx.hit(alpha, eps)
+        return t, t
+
+    def shift(self, x: float):
+        return x if self.continuous else _ceil(x)
+
+
 class _Ctx:
     """Caches spectra, profiles, mixing times, and killed systems so a
     batch of suites on one chain never recomputes a shared quantity."""
@@ -204,6 +237,9 @@ class _Ctx:
                 self.chain, alpha, eps, exact_threshold=self.exact_threshold,
                 candidates=self._ct_candidates[a_key])
         return self._hit_ct[key]
+
+    def clock(self, continuous: bool) -> _Clock:
+        return _Clock(self, continuous)
 
     # -- shared objects ------------------------------------------------------
 
@@ -362,6 +398,85 @@ def _sweep_block(inequality: str, kind, lhs, rhs, members: np.ndarray,
     return RecordBlock(inequality, rows(lhs), rows(rhs), rows(kind), params, rows(note))
 
 
+def _inexact(ctx: _Ctx, name: str) -> Record:
+    return skip(name, f"needs exact hitting profiles (n > {ctx.exact_threshold})")
+
+
+# ---------------------------------------------------------------------------
+# comparisons stated in both time models: each row function serves the
+# discrete suite and continuous-time alike, through ``_Ctx.clock``
+
+
+def _relaxation_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
+    """t_rel controls the mixing time from both sides."""
+    records = []
+    # the discrete lower bound is (t_rel - 1) log(1 / (2 eps))
+    rel = ctx.t_rel if clock.continuous else ctx.t_rel - 1.0
+    for eps in _grid(params, "eps_grid", EPS_GRID):
+        lo, hi = clock.mix(eps)
+        if eps < 0.5:
+            records.append(check_le(
+                "relaxation-lower" + clock.suffix,
+                rel * math.log(1.0 / (2.0 * eps)), hi, {"eps": eps}))
+        # t_rel* (-log eps - log min pi); t_rel* = t_rel on a lazy chain
+        records.append(check_le(
+            "relaxation-upper" + clock.suffix, lo,
+            _ceiling(ctx.chain, eps, continuous=clock.continuous), {"eps": eps}))
+    return records
+
+
+def _tv_hit_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
+    """Worst-case TV mixing is equivalent to hitting times of large sets."""
+    records = []
+    t_rel = ctx.t_rel
+    hit, shift = clock.hit, clock.shift
+    for eps in _grid(params, "eps_grid", EPS_GRID):
+        if eps > 0.25 + 1e-12:
+            records.append(skip("tv-hit" + clock.suffix, "level must lie in (0, 1/4]",
+                                {"eps": eps}))
+            continue
+        mix, high = clock.mix(eps), clock.mix(1.0 - eps)
+        back = shift(2.0 * t_rel * abs(math.log(eps)))
+        for name, lhs, rhs in (
+            ("tv-hit-upper-half-sets", mix[0],
+             hit(0.5, eps / 2)[1] + shift(t_rel * math.log(4.0 / eps))),
+            ("tv-hit-lower-half-sets", hit(0.5, 1.5 * eps)[0] - back, mix[1]),
+            ("tv-hit-upper-near-one", high[0],
+             hit(0.5, 1.0 - 2.0 * eps)[1] + shift(t_rel)),
+            ("tv-hit-lower-near-one", hit(0.5, 1.0 - eps / 2)[0] - back, high[1]),
+            ("tv-hit-lower-large-sets", hit(1.0 - eps / 4, 1.25 * eps)[0], mix[1]),
+            ("tv-hit-upper-large-sets", mix[0],
+             hit(1.0 - eps / 4, 0.75 * eps)[1]
+             + shift(1.5 * t_rel * math.log(4.0 / eps))),
+        ):
+            records.append(check_le(name + clock.suffix, lhs, rhs, {"eps": eps}))
+    return records
+
+
+def _level_pairs(params: dict):
+    """Threshold pairs alpha <= beta of the alpha grid."""
+    alph = _grid(params, "alpha_grid", ALPHA_GRID)
+    return [(alpha, beta) for alpha in alph for beta in alph if alpha <= beta]
+
+
+def _hit_mass_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
+    """Hitting times at different mass thresholds control each other."""
+    records = []
+    hit = clock.hit
+    for alpha, beta in _level_pairs(params):
+        for delta in (0.25, 0.5):
+            p = {"alpha": alpha, "beta": beta, "delta": delta}
+            records.append(check_le(
+                "hit-mass-monotone" + clock.suffix, hit(beta, delta)[0],
+                hit(alpha, delta)[1], p))
+            shift = clock.shift(ctx.t_rel / alpha * math.log(
+                (1.0 - alpha) / ((1.0 - beta) * (delta / 2))))
+            records.append(check_le(
+                "hit-mass-transfer" + clock.suffix, hit(alpha, delta)[0],
+                hit(beta, delta / 2)[1] + shift, p))
+    return records
+
+
 # ---------------------------------------------------------------------------
 # relaxation-time sandwich
 
@@ -370,18 +485,7 @@ def _suite_relaxation(ctx: _Ctx, params: dict) -> list[Record]:
     """t_rel controls the mixing time from both sides (lazy chains)."""
     if not ctx.lazy:
         return [skip("relaxation", "requires a lazy chain (diagonal >= 1/2)")]
-    records = []
-    t_rel = ctx.t_rel
-    for eps in _grid(params, "eps_grid", EPS_GRID):
-        t = ctx.tmix(eps)
-        if eps < 0.5:
-            records.append(check_le(
-                "relaxation-lower", (t_rel - 1.0) * math.log(1.0 / (2.0 * eps)),
-                float(t), {"eps": eps}))
-        # t_rel* (-log eps - log min pi); t_rel* = t_rel on a lazy chain
-        records.append(check_le(
-            "relaxation-upper", float(t), _ceiling(ctx.chain, eps), {"eps": eps}))
-    return records
+    return _relaxation_rows(ctx, ctx.clock(False), params)
 
 
 # ---------------------------------------------------------------------------
@@ -393,42 +497,15 @@ def _suite_tv_hit(ctx: _Ctx, params: dict) -> list[Record]:
     if not ctx.lazy:
         return [skip("tv-hit", "requires a lazy chain (diagonal >= 1/2)")]
     if not ctx.exact:
-        return [skip("tv-hit", "needs exact hitting profiles "
-                                f"(n > {ctx.exact_threshold})")]
-    records = []
+        return [_inexact(ctx, "tv-hit")]
+    records = _tv_hit_rows(ctx, ctx.clock(False), params)
     t_rel = ctx.t_rel
     for eps in _grid(params, "eps_grid", EPS_GRID):
-        if eps > 0.25 + 1e-12:
-            records.append(skip("tv-hit", "level must lie in (0, 1/4]",
-                                {"eps": eps}))
-            continue
-        p = {"eps": eps}
-        t_eps = ctx.tmix(eps)
-        t_high = ctx.tmix(1.0 - eps)
-        records.append(check_le(
-            "tv-hit-upper-half-sets", float(t_eps),
-            ctx.hit(0.5, eps / 2) + _ceil(t_rel * math.log(4.0 / eps)), p))
-        records.append(check_le(
-            "tv-hit-lower-half-sets",
-            ctx.hit(0.5, 1.5 * eps) - _ceil(2.0 * t_rel * abs(math.log(eps))),
-            float(t_eps), p))
-        records.append(check_le(
-            "tv-hit-upper-near-one", float(t_high),
-            ctx.hit(0.5, 1.0 - 2.0 * eps) + _ceil(t_rel), p))
-        records.append(check_le(
-            "tv-hit-lower-near-one",
-            ctx.hit(0.5, 1.0 - eps / 2) - _ceil(2.0 * t_rel * abs(math.log(eps))),
-            float(t_high), p))
-        records.append(check_le(
-            "tv-hit-lower-large-sets",
-            float(ctx.hit(1.0 - eps / 4, 1.25 * eps)), float(t_eps), p))
-        records.append(check_le(
-            "tv-relaxation-floor",
-            (t_rel - 1.0) * abs(math.log(2.0 * eps)), float(t_eps), p))
-        records.append(check_le(
-            "tv-hit-upper-large-sets", float(t_eps),
-            ctx.hit(1.0 - eps / 4, 0.75 * eps)
-            + _ceil(1.5 * t_rel * math.log(4.0 / eps)), p))
+        if eps <= 0.25 + 1e-12:
+            records.append(check_le(
+                "tv-relaxation-floor",
+                (t_rel - 1.0) * abs(math.log(2.0 * eps)), float(ctx.tmix(eps)),
+                {"eps": eps}))
     # general-threshold equivalences: both directions at every alpha
     for alpha in _grid(params, "alpha_grid", ALPHA_GRID):
         for eps in _grid(params, "eps_grid", EPS_GRID):
@@ -455,8 +532,7 @@ def _suite_set_probability(ctx: _Ctx, params: dict) -> list[Record]:
     if not ctx.lazy:
         return [skip("set-probability", "requires a lazy chain")]
     if not ctx.exact:
-        return [skip("set-probability", "needs exact hitting profiles "
-                                        f"(n > {ctx.exact_threshold})")]
+        return [_inexact(ctx, "set-probability")]
     records = []
     t_rel = ctx.t_rel
     F = ctx.spectrum.eigenfunctions
@@ -517,9 +593,7 @@ def _suite_submult(ctx: _Ctx, params: dict) -> list[Record]:
                         float(seq[t + s]), float(seq[t] * seq[s]),
                         {"alpha": alpha, "t": t, "s": s}))
     else:
-        records.append(skip("hit-submultiplicative",
-                            "needs exact hitting profiles "
-                            f"(n > {ctx.exact_threshold})"))
+        records.append(_inexact(ctx, "hit-submultiplicative"))
     for k in (2, 3):
         for t in sorted({ctx.tmix(0.25), ctx.tmix(1 / 8)}):
             records.append(check_le(
@@ -535,38 +609,23 @@ def _suite_submult(ctx: _Ctx, params: dict) -> list[Record]:
 def _suite_hit_levels(ctx: _Ctx, params: dict) -> list[Record]:
     """Hitting times at different mass thresholds control each other."""
     if not ctx.exact:
-        return [skip("hit-levels", "needs exact hitting profiles "
-                                   f"(n > {ctx.exact_threshold})")]
-    records = []
-    t_rel = ctx.t_rel
-    alph = _grid(params, "alpha_grid", ALPHA_GRID)
-    for alpha in alph:
-        for beta in alph:
-            if alpha > beta:
-                continue
-            for delta in (0.25, 0.5):
-                p = {"alpha": alpha, "beta": beta, "delta": delta}
-                records.append(check_le(
-                    "hit-mass-monotone", float(ctx.hit(beta, delta)),
-                    float(ctx.hit(alpha, delta)), p))
-                shift = _ceil(t_rel / alpha * math.log(
-                    (1.0 - alpha) / ((1.0 - beta) * (delta / 2))))
-                records.append(check_le(
-                    "hit-mass-transfer", float(ctx.hit(alpha, delta)),
-                    ctx.hit(beta, delta / 2) + shift, p))
-            if alpha < beta:
-                eps0 = 1 / 16
-                s_n = _ceil(t_rel / alpha * math.log(
-                    (1.0 - alpha) / ((1.0 - beta) * eps0)))
-                p = {"alpha": alpha, "beta": beta, "eps": eps0}
-                records.append(check_le(
-                    "hit-high-level-transfer",
-                    float(ctx.hit(alpha, 1.0 - eps0)),
-                    ctx.hit(beta, 1.0 - 2.0 * eps0) + s_n, p))
-                records.append(check_le(
-                    "hit-low-level-transfer",
-                    float(ctx.hit(alpha, 2.0 * eps0)),
-                    ctx.hit(beta, eps0) + s_n, p))
+        return [_inexact(ctx, "hit-levels")]
+    records = _hit_mass_rows(ctx, ctx.clock(False), params)
+    eps0 = 1 / 16
+    for alpha, beta in _level_pairs(params):
+        if alpha == beta:
+            continue
+        s_n = _ceil(ctx.t_rel / alpha * math.log(
+            (1.0 - alpha) / ((1.0 - beta) * eps0)))
+        p = {"alpha": alpha, "beta": beta, "eps": eps0}
+        records.append(check_le(
+            "hit-high-level-transfer",
+            float(ctx.hit(alpha, 1.0 - eps0)),
+            ctx.hit(beta, 1.0 - 2.0 * eps0) + s_n, p))
+        records.append(check_le(
+            "hit-low-level-transfer",
+            float(ctx.hit(alpha, 2.0 * eps0)),
+            ctx.hit(beta, eps0) + s_n, p))
     return records
 
 
@@ -903,8 +962,7 @@ def _suite_mix_hit(ctx: _Ctx, params: dict) -> list[Record]:
     if not ctx.lazy:
         return [skip("mix-hit", "requires a lazy chain")]
     if not ctx.exact:
-        return [skip("mix-hit", "needs exact hitting profiles "
-                                f"(n > {ctx.exact_threshold})")]
+        return [_inexact(ctx, "mix-hit")]
     records = []
     t_rel = ctx.t_rel
     tq = ctx.tmix(0.25)
@@ -950,8 +1008,7 @@ def _suite_lazy_floor(ctx: _Ctx, params: dict) -> list[Record]:
     if not ctx.lazy:
         return [skip("lazy-floor", "requires a lazy chain")]
     if not ctx.exact:
-        return [skip("lazy-floor", "needs exact hitting profiles "
-                                   f"(n > {ctx.exact_threshold})")]
+        return [_inexact(ctx, "lazy-floor")]
     records = []
     tq = ctx.tmix(0.25)
     for alpha in _grid(params, "alpha_grid", ALPHA_GRID):
@@ -984,69 +1041,15 @@ def _suite_continuous_time(ctx: _Ctx, params: dict) -> list[Record]:
     """Heat-kernel versions of the sandwiches, with ceilings dropped.
 
     Continuous times are only located inside tight brackets, so every
-    comparison uses the conservative ends: bracketed lower bounds face the
-    upper end of the other side and vice versa.
+    comparison uses the conservative ends (see :class:`_Clock`).
     """
-    records = []
-    t_rel = ctx.t_rel
-    eps_grid = _grid(params, "eps_grid", EPS_GRID)
-    for eps in eps_grid:
-        p = {"eps": eps}
-        lo, hi = ctx.tmix_ct(eps)
-        if eps < 0.5:
-            records.append(check_le(
-                "relaxation-lower-ct", t_rel * math.log(1.0 / (2.0 * eps)),
-                hi, p))
-        records.append(check_le(
-            "relaxation-upper-ct", lo, _ceiling(ctx.chain, eps, continuous=True), p))
+    clock = ctx.clock(True)
+    records = _relaxation_rows(ctx, clock, params)
     if ctx.exact:
-        for eps in eps_grid:
-            if eps > 0.25 + 1e-12:
-                records.append(skip("tv-hit-ct", "level must lie in (0, 1/4]",
-                                    {"eps": eps}))
-                continue
-            p = {"eps": eps}
-            mix_lo, mix_hi = ctx.tmix_ct(eps)
-            high_lo, high_hi = ctx.tmix_ct(1.0 - eps)
-            records.append(check_le(
-                "tv-hit-upper-half-sets-ct", mix_lo,
-                ctx.hit_ct(0.5, eps / 2)[1] + t_rel * math.log(4.0 / eps), p))
-            records.append(check_le(
-                "tv-hit-lower-half-sets-ct",
-                ctx.hit_ct(0.5, 1.5 * eps)[0]
-                - 2.0 * t_rel * abs(math.log(eps)), mix_hi, p))
-            records.append(check_le(
-                "tv-hit-upper-near-one-ct", high_lo,
-                ctx.hit_ct(0.5, 1.0 - 2.0 * eps)[1] + t_rel, p))
-            records.append(check_le(
-                "tv-hit-lower-near-one-ct",
-                ctx.hit_ct(0.5, 1.0 - eps / 2)[0]
-                - 2.0 * t_rel * abs(math.log(eps)), high_hi, p))
-            records.append(check_le(
-                "tv-hit-lower-large-sets-ct",
-                ctx.hit_ct(1.0 - eps / 4, 1.25 * eps)[0], mix_hi, p))
-            records.append(check_le(
-                "tv-hit-upper-large-sets-ct", mix_lo,
-                ctx.hit_ct(1.0 - eps / 4, 0.75 * eps)[1]
-                + 1.5 * t_rel * math.log(4.0 / eps), p))
-        alph = _grid(params, "alpha_grid", ALPHA_GRID)
-        for alpha in alph:
-            for beta in alph:
-                if alpha > beta:
-                    continue
-                for delta in (0.25, 0.5):
-                    p = {"alpha": alpha, "beta": beta, "delta": delta}
-                    records.append(check_le(
-                        "hit-mass-monotone-ct", ctx.hit_ct(beta, delta)[0],
-                        ctx.hit_ct(alpha, delta)[1], p))
-                    shift = t_rel / alpha * math.log(
-                        (1.0 - alpha) / ((1.0 - beta) * (delta / 2)))
-                    records.append(check_le(
-                        "hit-mass-transfer-ct", ctx.hit_ct(alpha, delta)[0],
-                        ctx.hit_ct(beta, delta / 2)[1] + shift, p))
+        records += _tv_hit_rows(ctx, clock, params) + _hit_mass_rows(ctx, clock, params)
     else:
-        records.append(skip("tv-hit-ct", "needs exact hitting profiles "
-                                         f"(n > {ctx.exact_threshold})"))
+        records.append(_inexact(ctx, "tv-hit" + clock.suffix))
+    t_rel = ctx.t_rel
     lam = ctx.spectrum.eigenvalues
     F = ctx.spectrum.eigenfunctions
     pi = ctx.chain.pi
@@ -1377,6 +1380,9 @@ class CutoffScan:
     rows: list[ScanRow]
     flags: list[str] = field(default_factory=list)
 
+    COLUMNS = ("family", "n", "states", "eps", "alpha", "t_rel", "t_mix",
+               "t_mix_complement", "window", "ratio", "hit", "product")
+
     def row_dicts(self) -> list[dict]:
         out = []
         for row in self.rows:
@@ -1397,12 +1403,13 @@ class CutoffScan:
                 })
         return out
 
+    def csv_rows(self) -> list[list]:
+        """The cells of ``row_dicts`` in ``COLUMNS`` order, None as ""."""
+        return [["" if row[k] is None else row[k] for k in self.COLUMNS]
+                for row in self.row_dicts()]
+
     def to_csv(self, path: str) -> None:
-        rows = self.row_dicts()
-        cols = ["family", "n", "states", "eps", "alpha", "t_rel", "t_mix",
-                "t_mix_complement", "window", "ratio", "hit", "product"]
-        write_csv_atomic(path, cols, ([("" if row[k] is None else row[k])
-                                       for k in cols] for row in rows))
+        write_csv_atomic(path, self.COLUMNS, self.csv_rows())
 
 
 def cutoff_scan(family, sizes, eps_grid=(0.1,), alpha: float = 0.5,

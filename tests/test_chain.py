@@ -10,13 +10,9 @@ from cutofflab import (
     ChainValidationError,
     chain_from_json,
     chain_to_json,
-    heat_kernel,
-    heat_matrix,
     load_chain,
     mixing_profile,
     random_reversible,
-    step_distribution,
-    transition_power,
 )
 
 
@@ -67,15 +63,14 @@ def test_spectral_reconstruction_matches_power(k2):
     # P^t(x, y) via the eigenbasis must agree with plain matrix powers.
     for t in (0, 1, 3, 7):
         direct = np.linalg.matrix_power(k2.P, t)
-        assert np.allclose(transition_power(k2, t, method="spectral"),
-                           direct, atol=1e-12)
+        assert np.allclose(k2.spectrum.transition_power(t), direct, atol=1e-12)
 
 
-def test_step_distribution_methods_agree(small_corpus):
+def test_spectral_rows_match_iterated_steps(small_corpus):
     chain = small_corpus[0]
     for t in (0, 1, 5, 17):
-        a = step_distribution(chain, 0, t, method="iterate")
-        b = step_distribution(chain, 0, t, method="spectral")
+        a = np.linalg.matrix_power(chain.P, t)[0]
+        b = chain.spectrum.transition_power(t)[0]
         assert np.allclose(a, b, atol=1e-11)
         assert a.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -86,11 +81,11 @@ def test_heat_kernel_row_matches_expm(k2):
     t = np.log(2.0)
     Q = k2.P - np.eye(2)
     expected = expm(Q * t)
-    assert np.allclose(heat_matrix(k2, t), expected, atol=1e-12)
-    row = heat_kernel(k2, 0, t)
+    M = k2.spectrum.heat_matrix(t)
+    assert np.allclose(M, expected, atol=1e-12)
     # closed form: 1/2 (1 +- e^{-t/t_rel}) with t_rel = 2
-    assert row[0] == pytest.approx(0.5 * (1 + np.exp(-t / 2)), abs=1e-12)
-    assert row[1] == pytest.approx(0.5 * (1 - np.exp(-t / 2)), abs=1e-12)
+    assert M[0, 0] == pytest.approx(0.5 * (1 + np.exp(-t / 2)), abs=1e-12)
+    assert M[0, 1] == pytest.approx(0.5 * (1 - np.exp(-t / 2)), abs=1e-12)
 
 
 def test_json_round_trip_is_bit_for_bit(tmp_path, small_corpus):

@@ -124,6 +124,25 @@ def test_hit_rejects_out_of_range_states(tmp_path, capsys, args, message):
     assert message in capsys.readouterr().err
 
 
+CYCLE = {"P": [[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]}  # not reversible
+SPLIT = {"P": [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]}  # reducible
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", CYCLE], "requires a reversible chain"),
+    (["analyze", SPLIT], "requires an irreducible chain"),
+    (["hit", CYCLE, "--set", "1", "--start", "0"], "requires a reversible chain"),
+    (["hit", SPLIT, "--set", "1", "--start", "0"], "requires an irreducible chain"),
+    (["hit", SPLIT], "requires an irreducible chain"),
+], ids=["analyze-cycle", "analyze-split", "hit-set-cycle", "hit-set-split", "hit-split"])
+def test_chain_requirements_are_validation_errors(tmp_path, capsys, argv, message):
+    # each used to end in a traceback; plain hit on SPLIT scanned to t_max
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(argv[1]))
+    assert run(argv[0], str(path), *argv[2:]) == 1
+    assert f"Error: operation {message}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", ["99", "-1"])
 @pytest.mark.parametrize("argv", [
     ["sbd", "hit-stats", "CHAIN", "--x"],
@@ -200,14 +219,19 @@ def test_cutoff_scan_stdout_csv(capsys):
     assert float(rows[0]["ratio"]) >= 1.0
 
 
-def test_cutoff_scan_csv_file(tmp_path):
+def test_cutoff_scan_csv_file(tmp_path, capsys):
     out = tmp_path / "scan.csv"
-    assert run("cutoff-scan", "--family", "biased-path", "--sizes", "6,9",
-               "--eps", "0.1", "--eps", "0.25", "-o", str(out)) == 0
+    argv = ["cutoff-scan", "--family", "biased-path", "--sizes", "6,9",
+            "--eps", "0.1", "--eps", "0.25"]
+    assert run(*argv, "-o", str(out)) == 0
     with open(out, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert "ratio" in rows[0]
+    # the file and the stdout table are the same CSV
+    capsys.readouterr()
+    assert run(*argv) == 0
+    assert list(csv.DictReader(capsys.readouterr().out.splitlines())) == rows
 
 
 def test_simulate_agrees_with_exact(tmp_path, capsys):

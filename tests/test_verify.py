@@ -16,10 +16,12 @@ from cutofflab import (
     random_tree,
     run_suite,
     run_suites,
+    two_cliques,
 )
-from cutofflab.mixing import _ceiling
+from cutofflab.hitting import _hit_ct_interval
+from cutofflab.mixing import _ceiling, _mixing_time_ct_interval
 from cutofflab.trees import window_check
-from cutofflab.verify import _record_key
+from cutofflab.verify import ALPHA_GRID, EPS_GRID, _record_key
 
 
 def test_suite_registry_is_complete():
@@ -187,6 +189,72 @@ def test_continuous_suite_passes_on_corpus(small_corpus):
     for chain in small_corpus[:3]:
         rep = run_suite(chain, "continuous-time")
         assert rep.passed, rep.failures[:3]
+
+
+def _ct_bracket_records(chain) -> dict:
+    """The continuized comparisons written out from the bracket searches:
+    times on the left of a comparison read the lower bracket end, times on
+    the right the upper one, and no ceiling is taken."""
+    t_rel = float(chain.spectrum.t_rel)
+    mixes, hits = {}, {}
+
+    def mix(eps):
+        if eps not in mixes:
+            mixes[eps] = _mixing_time_ct_interval(chain, eps)
+        return mixes[eps]
+
+    def hit(alpha, eps):
+        if (alpha, eps) not in hits:
+            hits[alpha, eps] = _hit_ct_interval(chain, alpha, eps)[:2]
+        return hits[alpha, eps]
+
+    rows = []
+    for eps in EPS_GRID:
+        p = {"eps": eps}
+        if eps < 0.5:
+            rows.append(("relaxation-lower-ct", p,
+                         t_rel * math.log(1.0 / (2.0 * eps)), mix(eps)[1]))
+        rows.append(("relaxation-upper-ct", p, mix(eps)[0],
+                     _ceiling(chain, eps, continuous=True)))
+        if eps > 0.25:
+            continue
+        rows += [
+            ("tv-hit-upper-half-sets-ct", p, mix(eps)[0],
+             hit(0.5, eps / 2)[1] + t_rel * math.log(4.0 / eps)),
+            ("tv-hit-lower-half-sets-ct", p,
+             hit(0.5, 1.5 * eps)[0] - 2.0 * t_rel * abs(math.log(eps)), mix(eps)[1]),
+            ("tv-hit-upper-near-one-ct", p, mix(1.0 - eps)[0],
+             hit(0.5, 1.0 - 2.0 * eps)[1] + t_rel),
+            ("tv-hit-lower-near-one-ct", p,
+             hit(0.5, 1.0 - eps / 2)[0] - 2.0 * t_rel * abs(math.log(eps)),
+             mix(1.0 - eps)[1]),
+            ("tv-hit-lower-large-sets-ct", p, hit(1.0 - eps / 4, 1.25 * eps)[0], mix(eps)[1]),
+            ("tv-hit-upper-large-sets-ct", p, mix(eps)[0],
+             hit(1.0 - eps / 4, 0.75 * eps)[1] + 1.5 * t_rel * math.log(4.0 / eps)),
+        ]
+    for alpha in ALPHA_GRID:
+        for beta in ALPHA_GRID:
+            if alpha > beta:
+                continue
+            for delta in (0.25, 0.5):
+                p = {"alpha": alpha, "beta": beta, "delta": delta}
+                shift = t_rel / alpha * math.log((1.0 - alpha) / ((1.0 - beta) * (delta / 2)))
+                rows += [
+                    ("hit-mass-monotone-ct", p, hit(beta, delta)[0], hit(alpha, delta)[1]),
+                    ("hit-mass-transfer-ct", p, hit(alpha, delta)[0],
+                     hit(beta, delta / 2)[1] + shift),
+                ]
+    return {(name, tuple(sorted(p.items()))): (lhs, rhs) for name, p, lhs, rhs in rows}
+
+
+def test_continuized_records_read_conservative_bracket_ends(k2, small_corpus):
+    for chain in [k2, two_cliques(4), *small_corpus]:
+        want = _ct_bracket_records(chain)
+        got = {(r.inequality, tuple(sorted(r.params.items()))): (r.lhs, r.rhs)
+               for r in run_suite(chain, "continuous-time").records
+               if r.kind != "skip" and r.inequality.startswith(
+                   ("relaxation-", "tv-hit-", "hit-mass-"))}
+        assert got == {key: (float(lhs), float(rhs)) for key, (lhs, rhs) in want.items()}
 
 
 def test_cutoff_scan_validates_input():
