@@ -241,7 +241,7 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
             raise click.ClickException(f"--set {set_states}: {exc}") from exc
         if ks.B.size == 0:
             raise click.ClickException("target set covers every state")
-        if start is not None and start in ks.target.members:
+        if start is not None and start in ks.A:
             click.echo("start lies inside the target; hit time is 0")
             return
         horizon = 4 * max(int(np.ceil(chain.spectrum.t_rel)), 1)
@@ -625,14 +625,13 @@ def simulate(chain_file: str, start: int, set_states: str, t: int,
     chain = _load_chain(chain_file)
     states = _parse_ints(set_states, "state")
     try:
-        est = simulate_hitting(chain, start, states, t, paths=paths,
-                               seed=seed)
+        ks = KilledSystem(chain, states)
+        est = simulate_hitting(chain, start, ks.A, t, paths=paths, seed=seed)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    ks = KilledSystem(chain, states)
     if ks.B.size == 0:
         raise click.ClickException("target set covers every state")
-    if start in ks.target.members:
+    if start in ks.A:
         exact = 0.0
     else:
         try:

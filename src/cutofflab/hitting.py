@@ -4,11 +4,13 @@ For a target set A the killed kernel ``P_B`` (the restriction of P to
 ``B = complement(A)``) drives everything, and :class:`KilledSystem` is the
 one place that computes with it: tails are iterates ``P_B^t 1``, moments
 come from the linear systems ``(I - P_B) h = 1`` and
-``(I - P_B) m = 2h - 1``, and the eigen-decomposition of ``P_B`` in the
-pi-weighted inner product yields the exact mixture-of-geometrics form of
-the tail together with its decay radius.  Every module that needs one of
-these quantities builds a ``KilledSystem`` for its target;
-``KilledSystem.stack`` serves many targets with equal |B| in batched calls.
+``(I - P_B) m = 2h - 1``, the exit law and the generating function of T_A
+from ``(I - P_B) Y = P[B, A]`` and ``(I - z P_B) phi = z P(., A)``, and the
+eigen-decomposition of ``P_B`` in the pi-weighted inner product yields the
+exact mixture-of-geometrics form of the tail together with its decay
+radius.  A ``KilledSystem`` is the one object for a target set, and every
+solve with ``I - P_B`` is one of its methods; ``KilledSystem.stack``
+serves many targets with equal |B| in batched calls.
 
 The worst-set quantity ``p_x(alpha, t) = max { Pr_x[T_A > t] :
 pi(A) >= alpha }`` is computed exactly by enumerating inclusion-minimal
@@ -30,7 +32,6 @@ from .chain import Chain
 from .mixing import _bisect_monotone
 
 __all__ = [
-    "TargetSet",
     "HittingProfile",
     "hitting_tail",
     "WorstTailProfile",
@@ -45,7 +46,6 @@ __all__ = [
     "blow_up_set",
     "KacQuantities",
     "kac_quantities",
-    "mgf",
     "DEFAULT_EXACT_THRESHOLD",
 ]
 
@@ -61,32 +61,17 @@ class IdentityCheckError(RuntimeError):
 # target sets
 
 
-@dataclass(frozen=True)
-class TargetSet:
-    """An immutable set of states together with its stationary mass."""
-
-    members: tuple[int, ...]
-    pi_mass: float
-
-    @staticmethod
-    def from_states(chain: Chain, states) -> "TargetSet":
-        members = tuple(sorted({int(s) for s in states}))
-        if not members:
-            raise ValueError("target set must be nonempty")
-        if members[0] < 0 or members[-1] >= chain.n:
-            raise ValueError("target state out of range")
-        return TargetSet(members=members, pi_mass=float(chain.pi[list(members)].sum()))
-
-    def indicator(self, n: int) -> np.ndarray:
-        ind = np.zeros(n, dtype=bool)
-        ind[list(self.members)] = True
-        return ind
-
-
-def _as_target(chain: Chain, A) -> TargetSet:
-    if isinstance(A, TargetSet):
-        return A
-    return TargetSet.from_states(chain, A)
+def _target_mask(chain: Chain, states) -> np.ndarray:
+    """Boolean membership of a target given as states: nonempty, in
+    0..n-1, duplicates allowed."""
+    members = sorted({int(s) for s in states})
+    if not members:
+        raise ValueError("target set must be nonempty")
+    if members[0] < 0 or members[-1] >= chain.n:
+        raise ValueError("target state out of range")
+    mask = np.zeros(chain.n, dtype=bool)
+    mask[members] = True
+    return mask
 
 
 def _start_vector(chain: Chain, start) -> np.ndarray:
@@ -129,7 +114,9 @@ def _scalar(x):
 class KilledSystem:
     """The chain killed on entering a target set A.
 
-    Holds the survivor states ``B = complement(A)`` in ascending order, the
+    Built from the target states, which must be nonempty and in 0..n-1
+    (duplicates are dropped).  Holds the target members ``A`` and the
+    survivor states ``B = complement(A)``, both in ascending order, the
     killed kernel ``PB = P[B, B]``, ``pi_B = pi(B)`` and
     ``pi_A = 1 - pi_B``.  The rest is computed on first use and kept:
 
@@ -137,6 +124,9 @@ class KilledSystem:
       and E_x[T_A^2] (zero on A), from ``(I - P_B) h = 1`` and
       ``(I - P_B) m = 2h - 1``; the second solve runs only when
       ``second_moment`` is read;
+    - ``exit_law``, whose row i is the law of X_{T_A} over ``A`` from
+      ``B[i]``, from ``(I - P_B) Y = P[B, A]``;
+    - ``mgf(start, z)``, the generating function E[z^{T_A}] (one target);
     - ``survival()``, the sequence ``P_B^t 1`` for t = 0, 1, ... in
       survivor coordinates (entry i belongs to state ``B[i]``);
     - the eigensystem of the symmetrized killed kernel
@@ -152,15 +142,14 @@ class KilledSystem:
     :meth:`stack` builds one system for k targets whose complements have
     the same size m.  Every array and result then carries a leading target
     axis of length k (``B`` is k x m, ``PB`` k x m x m, ``pi_B`` has
-    length k, ``mean`` is k x n), and each eigensystem, moment solve and
-    survival step is one batched call over the stack.  A system built from
-    one target is the one-element case without that axis, with Python
-    floats for its scalars.
+    length k, ``A`` is k x |A|, ``mean`` is k x n), and each eigensystem,
+    moment solve and survival step is one batched call over the stack.  A
+    system built from one target is the one-element case without that
+    axis, with Python floats for its scalars.
     """
 
     def __init__(self, chain: Chain, A):
-        self.target = _as_target(chain, A)
-        self._setup(chain, ~self.target.indicator(chain.n))
+        self._setup(chain, ~_target_mask(chain, A))
 
     @classmethod
     def stack(cls, chain: Chain, masks) -> "KilledSystem":
@@ -173,7 +162,6 @@ class KilledSystem:
         if np.any(sizes != sizes[0]):
             raise ValueError("stacked targets must have complements of equal size")
         ks = cls.__new__(cls)
-        ks.target = None
         ks._setup(chain, keep)
         return ks
 
@@ -189,8 +177,8 @@ class KilledSystem:
 
     def _setup(self, chain: Chain, keep: np.ndarray) -> None:
         self.chain = chain
-        self._keep = keep
         lead = keep.shape[:-1]
+        self.A = np.nonzero(~keep)[-1].reshape(lead + (-1,))
         self.B = np.nonzero(keep)[-1].reshape(lead + (-1,))
         self.PB = chain.P[self.B[..., :, None], self.B[..., None, :]]
         self.pi_B = _scalar(chain.pi[self.B].sum(axis=-1))
@@ -211,9 +199,11 @@ class KilledSystem:
 
     # -- moments -------------------------------------------------------------
 
-    def _solve(self, rhs: np.ndarray) -> np.ndarray:
-        M = np.eye(self.B.shape[-1]) - self.PB
-        if rhs.ndim == 1:
+    def _solve(self, rhs: np.ndarray, z: float = 1.0) -> np.ndarray:
+        """Solve ``(I - z P_B) y = rhs`` for one right-hand side per target,
+        or for a matrix of them when ``rhs`` has one axis more than ``B``."""
+        M = np.eye(self.B.shape[-1]) - z * self.PB
+        if rhs.ndim == 1 or rhs.ndim > self.B.ndim:
             return np.linalg.solve(M, rhs)
         return np.linalg.solve(M, rhs[..., None])[..., 0]
 
@@ -228,6 +218,36 @@ class KilledSystem:
     @cached_property
     def second_moment(self) -> np.ndarray:
         return self._full(self._solve(2.0 * self._mean_B - 1.0))
+
+    @cached_property
+    def exit_law(self) -> np.ndarray:
+        """Row i: the law of the first state entered in A, over the members
+        ``A``, from the survivor ``B[i]``."""
+        return self._solve(self.chain.P[self.B[..., :, None], self.A[..., None, :]])
+
+    @cached_property
+    def _radius(self) -> float:
+        """The spectral radius gamma_1 of P_B; no reversibility needed."""
+        return float(np.max(np.abs(np.linalg.eigvals(self.PB))))
+
+    def mgf(self, start, z: float) -> float:
+        """Exact E[z^{T_A}] from a start state or distribution (one target).
+
+        Solves ``(I - z P_B) phi = z P(., A)`` on B.  Requires ``z`` inside
+        the convergence radius: ``z * gamma_1 < 1`` where gamma_1 is the
+        spectral radius of the killed kernel; otherwise raises with the
+        radius reported.
+        """
+        if z <= 0:
+            raise ValueError("z must be positive")
+        mu = _start_vector(self.chain, start)
+        if self.B.size == 0:
+            return 1.0
+        gamma_1 = self._radius
+        if z * gamma_1 >= 1.0 - 1e-12:
+            raise ValueError(f"z = {z} is outside the convergence radius 1/gamma_1 = {1.0 / gamma_1}")
+        phi = self._solve(z * (1.0 - self.PB.sum(axis=1)), z)
+        return float(mu[self.B] @ phi + mu[self.A].sum())
 
     # -- iterated tails ------------------------------------------------------
 
@@ -311,8 +331,10 @@ class KilledSystem:
         return np.clip(_mv(self._factors(ts, continuous), lead * right), 0.0, None)
 
     def mean_stationary(self):
-        """E[T_A] from pi conditioned on B, from the spectral weights."""
-        return _scalar(np.sum(self.weights / (1.0 - self.gammas), axis=-1))
+        """E[T_A] from pi conditioned on B, from the spectral weights; inf
+        when a killed eigenvalue rounds to 1."""
+        with np.errstate(divide="ignore"):
+            return _scalar(np.sum(self.weights / (1.0 - self.gammas), axis=-1))
 
     # -- return times --------------------------------------------------------
 
@@ -327,8 +349,7 @@ class KilledSystem:
         """
         if self.B.shape[-1] == 0:
             raise ValueError("target covers every state; complement is empty")
-        pi, P, B = self.chain.pi, self.chain.P, self.B
-        A = np.nonzero(~self._keep)[-1].reshape(B.shape[:-1] + (-1,))
+        pi, P, A, B = self.chain.pi, self.chain.P, self.A, self.B
         P_AB = P[A[..., :, None], B[..., None, :]]
         pa = pi[A].sum(axis=-1)
         pb = 1.0 - pa
@@ -349,7 +370,7 @@ class KilledSystem:
         pi_cond = pi_cond / pi_cond.sum(axis=-1)[..., None]
         h = self.mean
         return KacQuantities(
-            target=self.target, flow_AB=_scalar(flow_AB), flow_BA=_scalar(flow_BA),
+            flow_AB=_scalar(flow_AB), flow_BA=_scalar(flow_BA),
             phi_A=_scalar(phi_A), phi_B=_scalar(phi_B), psi=psi,
             mean_from_psi=_scalar(_dot(psi, h)),
             second_from_psi=_scalar(_dot(psi, self.second_moment)),
@@ -370,7 +391,6 @@ class HittingProfile:
     continuized second moment is ``mean + second_moment`` of the jump count.
     """
 
-    target: TargetSet
     times: np.ndarray
     tail: np.ndarray
     mean: float
@@ -399,14 +419,14 @@ def hitting_tail(chain: Chain, start, A, t_max: int = 64,
     muB = mu[ks.B]
     if not continuous:
         tail = np.array([muB @ u for u in islice(ks.survival(), t_max + 1)])
-        return HittingProfile(target=ks.target, times=np.arange(t_max + 1), tail=tail,
-                              mean=mean, second_moment=second, continuous=False)
+        return HittingProfile(times=np.arange(t_max + 1), tail=tail, mean=mean,
+                              second_moment=second, continuous=False)
     if t_grid is None:
         t_grid = np.linspace(0.0, float(t_max), 129)
     times = np.asarray(t_grid, dtype=float)
     tail = ks.tail_dist(muB, times, continuous=True)
-    return HittingProfile(target=ks.target, times=times, tail=tail, mean=mean,
-                          second_moment=mean + second, continuous=True)
+    return HittingProfile(times=times, tail=tail, mean=mean, second_moment=mean + second,
+                          continuous=True)
 
 
 # ---------------------------------------------------------------------------
@@ -646,12 +666,12 @@ def good_set(chain: Chain, A, s: int, m: float) -> GoodSet:
     below the threshold, after which no state can violate.
     """
     chain.require(reversible=True, lazy=True)
-    A = _as_target(chain, A)
+    mask = _target_mask(chain, A)
     if s < 0:
         raise ValueError("s must be >= 0")
     if m <= 0:
         raise ValueError("m must be positive")
-    pa = A.pi_mass
+    pa = float(chain.pi[mask].sum())
     if not 0.0 < pa < 1.0:
         raise ValueError("good set requires a proper nonempty target (0 < pi(A) < 1)")
     t_rel = chain.spectrum.t_rel
@@ -661,8 +681,7 @@ def good_set(chain: Chain, A, s: int, m: float) -> GoodSet:
     log_ratio = -math.log(m) - 0.5 * math.log(chain.pi.min())
     extra = math.ceil(t_rel * log_ratio) if log_ratio > 0.0 else 0
     horizon = s + extra + 1
-    ind = A.indicator(chain.n).astype(float)
-    g = ind.copy()
+    g = mask.astype(float)
     ok = np.ones(chain.n, dtype=bool)
     for k in range(horizon + 1):
         if k >= s:
@@ -693,16 +712,16 @@ def blow_up_set(chain: Chain, A, w: float, alpha: float) -> BlowUpSet:
         raise ValueError("w must be >= 0")
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    A = _as_target(chain, A)
-    t_rel = chain.spectrum.t_rel
-    if A.pi_mass <= 0:
-        raise ValueError("target must have positive mass")
-    t = math.ceil(t_rel * w / A.pi_mass)
     ks = KilledSystem(chain, A)
+    pa = float(chain.pi[ks.A].sum())
+    t_rel = chain.spectrum.t_rel
+    if pa <= 0:
+        raise ValueError("target must have positive mass")
+    t = math.ceil(t_rel * w / pa)
     tails = np.zeros(chain.n)
     tails[ks.B] = next(islice(ks.survival(), t, None))
     members = tails >= alpha
-    ceiling = (1.0 - A.pi_mass) * math.exp(-w) / alpha
+    ceiling = (1.0 - pa) * math.exp(-w) / alpha
     return BlowUpSet(t=t, members=members, measure=float(chain.pi[members].sum()),
                      ceiling=ceiling)
 
@@ -718,15 +737,14 @@ class KacQuantities:
     ``flow_AB`` and ``flow_BA`` are the stationary flows across the cut,
     ``phi_A`` is the one-step escape probability of A under pi conditioned
     on A, ``psi`` the entry law into B = complement(A); the moments are
-    exact solves.  From :meth:`KilledSystem.kac` of a stack every field
-    but ``target`` is an array with the target axis.
+    exact solves.  From :meth:`KilledSystem.kac` of a stack every field is
+    an array with the target axis.
     :func:`kac_quantities` enforces the flow symmetry
     ``pi(A) phi_A = pi(B) phi_B`` and the two entry-law identities
     ``E_psi[T_A] = 1/phi_B`` and
     ``E_psi[T_A^2] = E_psi[T_A] (2 E_{pi_B}[T_A] - 1)``.
     """
 
-    target: TargetSet | None
     flow_AB: float
     flow_BA: float
     phi_A: float
@@ -751,24 +769,3 @@ def kac_quantities(chain: Chain, A, check_tol: float = 1e-9) -> KacQuantities:
         raise IdentityCheckError("entry-law second moment identity failed")
     return kq
 
-
-def mgf(chain: Chain, start, A, z: float) -> float:
-    """Exact E[z^{T_A}] from a start state or distribution.
-
-    Solves ``(I - z P_B) phi = z P(., A)`` on B.  Requires ``z`` inside the
-    convergence radius: ``z * gamma_1 < 1`` where gamma_1 is the spectral
-    radius of the killed kernel; otherwise raises with the radius reported.
-    """
-    if z <= 0:
-        raise ValueError("z must be positive")
-    mu = _start_vector(chain, start)
-    ks = KilledSystem(chain, A)
-    B, PB = ks.B, ks.PB
-    if B.size == 0:
-        return 1.0
-    gamma_1 = float(np.max(np.abs(np.linalg.eigvals(PB))))
-    if z * gamma_1 >= 1.0 - 1e-12:
-        raise ValueError(f"z = {z} is outside the convergence radius 1/gamma_1 = {1.0 / gamma_1}")
-    c = 1.0 - PB.sum(axis=1)
-    phi = np.linalg.solve(np.eye(B.size) - z * PB, z * c)
-    return float(mu[B] @ phi + mu[ks.target.indicator(chain.n)].sum())

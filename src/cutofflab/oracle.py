@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import Chain
-from .hitting import _as_target
+from .hitting import _target_mask
 
 _CHUNK_PATHS = 16_384
 MIN_PATHS = 1_000
@@ -65,7 +65,7 @@ def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
     gives exactly zero (the hitting time is zero surely), with no random
     numbers consumed.
     """
-    target = _as_target(chain, A)
+    members = _target_mask(chain, A)
     if paths < MIN_PATHS:
         raise ValueError(f"paths must be at least {MIN_PATHS}")
     t = int(t)
@@ -74,8 +74,6 @@ def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
     start = int(start)
     if not 0 <= start < chain.n:
         raise ValueError("start state out of range")
-    members = np.zeros(chain.n, dtype=bool)
-    members[list(target.members)] = True
     if members[start]:
         return MCEstimate(value=0.0, standard_error=0.0, paths=paths, seed=seed,
                           note="start lies in the target set, so T_A = 0 surely")

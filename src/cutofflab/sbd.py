@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import Chain
-from .hitting import (DEFAULT_EXACT_THRESHOLD, IdentityCheckError, KilledSystem,
-                      TargetSet, _candidate_sets)
+from .hitting import DEFAULT_EXACT_THRESHOLD, IdentityCheckError, KilledSystem, _candidate_sets
 from .oracle import MCEstimate, uniform_block
 from .reporting import Record, check_le, report_value, skip
 
@@ -174,17 +173,17 @@ def comparable_start_bound(chain: Chain, interval, target, r: int | None = None,
     lo, hi = int(interval[0]), int(interval[1])
     if not (0 <= lo <= hi < chain.n) or hi - lo + 1 > r:
         raise ValueError("interval must be inclusive (lo, hi) with length <= r")
-    A = TargetSet.from_states(chain, target)
+    ks = KilledSystem(chain, target)
     I = np.arange(lo, hi + 1)
-    if np.intersect1d(I, np.array(A.members)).size:
+    if np.intersect1d(I, ks.A).size:
         raise ValueError("interval must be disjoint from the target")
-    h = KilledSystem(chain, A).mean
+    h = ks.mean
     factor = delta ** (-r)
-    params = {"interval": (lo, hi), "target": list(A.members), "r": r, "delta": delta}
+    params = {"interval": (lo, hi), "target": ks.A.tolist(), "r": r, "delta": delta}
     records = [check_le("interval-comparable-hitting",
                         float(h[I].max()), factor * float(h[I].min()),
                         params=params)]
-    members = np.array(A.members)
+    members = ks.A
     pi = chain.pi
     if members.max() < lo:
         side = np.arange(lo, chain.n)
@@ -204,16 +203,15 @@ def comparable_start_bound(chain: Chain, interval, target, r: int | None = None,
     return records
 
 
-def _hit_distribution(chain: Chain, x: int, A: TargetSet) -> np.ndarray:
-    """Law of the state at which T_A is first attained, started from x."""
-    members = np.array(A.members)
-    if x in set(A.members):
-        nu = np.zeros(members.size)
-        nu[int(np.nonzero(members == x)[0][0])] = 1.0
+def _hit_distribution(x: int, ks: KilledSystem) -> np.ndarray:
+    """Law over ``ks.A`` of the state at which T_A is first attained,
+    started from x."""
+    inside = np.flatnonzero(ks.A == x)
+    if inside.size:
+        nu = np.zeros(ks.A.size)
+        nu[inside[0]] = 1.0
         return nu
-    ks = KilledSystem(chain, A)
-    Y = np.linalg.solve(np.eye(ks.B.size) - ks.PB, chain.P[np.ix_(ks.B, members)])
-    row = Y[ks.position(x)]
+    row = ks.exit_law[ks.position(x)]
     total = row.sum()
     if not np.isclose(total, 1.0, atol=1e-9):
         raise IdentityCheckError("hitting distribution does not sum to 1; "
@@ -221,14 +219,12 @@ def _hit_distribution(chain: Chain, x: int, A: TargetSet) -> np.ndarray:
     return row / total
 
 
-def _crossing_moments(chain: Chain, x: int, src: TargetSet,
-                      dst: KilledSystem) -> tuple[float, float]:
+def _crossing_moments(x: int, src: KilledSystem, dst: KilledSystem) -> tuple[float, float]:
     """Mean and second moment of T(dst) - T(src) from x, when the walk
-    must reach src before dst (skip-free block order); ``dst`` is the
-    killed system of the destination, whose moment solves callers share."""
-    nu = _hit_distribution(chain, x, src)
-    members = np.array(src.members)
-    return float(nu @ dst.mean[members]), float(nu @ dst.second_moment[members])
+    must reach src before dst (skip-free block order), from the killed
+    systems of both sets, whose solves callers share."""
+    nu = _hit_distribution(x, src)
+    return float(nu @ dst.mean[src.A]), float(nu @ dst.second_moment[src.A])
 
 
 @dataclass(eq=False)
@@ -288,10 +284,12 @@ def central_block_hit(chain: Chain, dec: BlockDecomposition, x: int | None = Non
         records.append(report_value("central-hit-quantile", t, {"x": x, "eps": e}))
 
     crossing: dict[int, float] = {}
-    for b in dec.path_to_central(x)[:-1]:
-        src = TargetSet.from_states(chain, dec.blocks[b])
-        dst = KilledSystem(chain, dec.blocks[dec.parent(b)])
-        e1, e2 = _crossing_moments(chain, x, src, dst)
+    path = dec.path_to_central(x)
+    # each block's system is the destination of one crossing and the
+    # source of the next; the central block's is ks
+    systems = [KilledSystem(chain, dec.blocks[b]) for b in path[:-1]] + [ks]
+    for b, src, dst in zip(path, systems, systems[1:]):
+        e1, e2 = _crossing_moments(x, src, dst)
         const = e2 / (t_rel * e1) if e1 > 0 else 0.0
         crossing[b] = const
         records.append(report_value("block-crossing-constant", const,
@@ -300,7 +298,7 @@ def central_block_hit(chain: Chain, dec: BlockDecomposition, x: int | None = Non
     records.append(report_value("central-hit-over-t_rel", comparison, {}))
     if dec.delta > 0:
         level = 1.0 - dec.delta ** dec.r / (4.0 * (dec.r + dec.delta ** dec.r))
-        central = np.asarray(ks.target.members)
+        central = ks.A
         sets, exact = _candidate_sets(chain, level, exact_threshold,
                                       starts=[int(v) for v in central])
         worst = 0.0
@@ -419,14 +417,16 @@ def block_correlation_mc(chain: Chain, dec: BlockDecomposition, x: int,
         raise ValueError("block_i must precede block_j on the path")
     if block_j == dec.central_block:
         raise ValueError("block_j must have a parent (not the central block)")
+    order = (block_i, dec.parent(block_i), block_j, dec.parent(block_j))
+    killed = {b: KilledSystem(chain, dec.blocks[b]) for b in set(order)}
+    src_i, dst_i, src_j, dst_j = (killed[b] for b in order)
     stages = []
-    for b in (block_i, dec.parent(block_i), block_j, dec.parent(block_j)):
+    for b in order:
         mask = np.zeros(chain.n, dtype=bool)
         mask[dec.blocks[b]] = True
         stages.append(mask)
 
-    final = KilledSystem(chain, dec.blocks[dec.parent(block_j)])
-    h_final = final.mean
+    h_final = dst_j.mean
     if t_cap is None:
         t_cap = int(max(10000, 200 * h_final[x],
                         50 * chain.spectrum.t_rel * np.log(100.0 * paths)))
@@ -439,11 +439,8 @@ def block_correlation_mc(chain: Chain, dec: BlockDecomposition, x: int,
     estimate = MCEstimate(value=est, standard_error=se, paths=paths, seed=seed,
                           note=f"E[tau_{block_i} tau_{block_j}] from x={x}")
 
-    src_i = TargetSet.from_states(chain, dec.blocks[block_i])
-    dst_i = KilledSystem(chain, dec.blocks[dec.parent(block_i)])
-    mean_i, _ = _crossing_moments(chain, x, src_i, dst_i)
-    src_j = TargetSet.from_states(chain, dec.blocks[block_j])
-    mean_j, _ = _crossing_moments(chain, x, src_j, final)
+    mean_i, _ = _crossing_moments(x, src_i, dst_i)
+    mean_j, _ = _crossing_moments(x, src_j, dst_j)
     gap = pos_j - pos_i - 1
     dr = dec.delta ** dec.r
     bound = mean_i * mean_j * (1.0 + (1.0 - dr) ** gap / dr)

@@ -49,13 +49,10 @@ from .families import FAMILIES
 from .hitting import (
     IdentityCheckError,
     KilledSystem,
-    TargetSet,
     WorstTailProfile,
     _ct_candidates,
     _dot,
     _hit_ct_interval,
-    kac_quantities,
-    mgf,
     worst_tail_profile,
 )
 from .mixing import (
@@ -922,8 +919,8 @@ def _suite_return_mgf(ctx: _Ctx, params: dict) -> list[Record]:
     for b_states in complements:
         mask = np.ones(n, dtype=bool)
         mask[list(b_states)] = False  # A = everything except the slow core
-        members = tuple(int(i) for i in np.flatnonzero(mask))
-        kq = kac_quantities(ctx.chain, members, check_tol=math.inf)
+        ks = ctx.killed(mask)
+        kq = ks.kac()
         pa = float(pi[mask].sum())
         p_rate = 1.0 - pa / t_rel
         base = {"B": b_states}
@@ -941,8 +938,8 @@ def _suite_return_mgf(ctx: _Ctx, params: dict) -> list[Record]:
                     "return-mgf-upper-deviation",
                     "exponential moment exceeds double precision range", p))
                 continue
-            up = mgf(ctx.chain, kq.psi, members, z)
-            down = mgf(ctx.chain, kq.psi, members, 1.0 / z)
+            up = ks.mgf(kq.psi, z)
+            down = ks.mgf(kq.psi, 1.0 / z)
             records.append(check_le(
                 "return-mgf-upper-deviation",
                 math.log(up) - a * math.log(z), bound, p))
@@ -1227,6 +1224,12 @@ def _suite_block_moments(ctx: _Ctx, params: dict) -> list[Record]:
     dec = blocks(ctx.chain, cls.r, cls.delta)
     pi, P = ctx.chain.pi, ctx.chain.P
     t_rel = ctx.t_rel
+
+    def killed(states) -> KilledSystem:
+        mask = np.zeros(ctx.chain.n, dtype=bool)
+        mask[states] = True
+        return ctx.killed(mask)
+
     records = []
     for j in range(dec.n_blocks):
         if j == dec.central_block:
@@ -1246,14 +1249,9 @@ def _suite_block_moments(ctx: _Ctx, params: dict) -> list[Record]:
         records.append(report_value(
             "block-exit-flow", phi, {"block": j, "side": side}))
         x_far = int(far.min()) if left_side else int(far.max())
-        src = TargetSet.from_states(ctx.chain, dec.blocks[j])
-        dst_mask = np.zeros(ctx.chain.n, dtype=bool)
-        dst_mask[dec.blocks[parent]] = True
-        dst = ctx.killed(dst_mask)
-        for label, start_src in (("entry-law", src),
-                                 ("far-end", TargetSet.from_states(
-                                     ctx.chain, [x_far]))):
-            e1, e2 = _crossing_moments(ctx.chain, x_far, start_src, dst)
+        dst = killed(dec.blocks[parent])
+        for label, states in (("entry-law", dec.blocks[j]), ("far-end", [x_far])):
+            e1, e2 = _crossing_moments(x_far, killed(states), dst)
             p = {"block": j, "start": label}
             records.append(report_value(
                 "block-second-moment-per-mean", e2 / (t_rel * max(e1, 1e-300)),

@@ -257,6 +257,35 @@ def test_simulate_requires_seed(tmp_path):
                "--set", "5", "--t", "10") != 0
 
 
+@pytest.mark.parametrize("states, message", [
+    ("99", "target state out of range"),
+    ("", "target set must be nonempty"),
+])
+def test_simulate_rejects_bad_target(tmp_path, capsys, states, message):
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))
+    capsys.readouterr()
+    assert run("simulate", "--chain", str(chain), "--start", "0", "--set", states,
+               "--t", "10", "--seed", "1") == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.filterwarnings("error")
+def test_escape_with_an_unreachable_target_warns_nothing(tmp_path, capsys):
+    # on biased-path n = 34 a killed eigenvalue of A = {0} rounds to 1, so
+    # E_pi[T_A] is inf and stationary-mean-hitting fails, with no numpy
+    # warning on the way
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "34", "-o", str(chain))
+    capsys.readouterr()
+    assert run("verify", "--chain", str(chain), "--suite", "escape") == 2
+    out, err = capsys.readouterr()
+    assert "FAIL  stationary-mean-hitting {'A': (0,)}: lhs=inf" in out
+    assert "Warning" not in err
+
+
 def test_tree_subcommands(tmp_path, capsys):
     tree = tmp_path / "tree.json"
     assert run("gen", "--family", "random-tree", "--n", "12", "--seed", "8",

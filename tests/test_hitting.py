@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from cutofflab import (
     KilledSystem,
     biased_path,
+    birth_death,
     blow_up_set,
     good_set,
     hit_time,
     hitting_tail,
     kac_quantities,
     load_chain,
-    mgf,
     qs_decomposition,
     random_reversible,
     run_suite,
@@ -70,17 +70,17 @@ def test_k2_kac_identities(k2):
 
 
 def test_k2_mgf_closed_form(k2):
+    ks = KilledSystem(k2, [0])
     z = 7.0 / 6.0
-    assert mgf(k2, 1, [0], z) == pytest.approx(7.0 / 3.0, abs=1e-12)
+    assert ks.mgf(1, z) == pytest.approx(7.0 / 3.0, abs=1e-12)
     for z in (0.5, 1.0, 1.2):
-        assert mgf(k2, 1, [0], z) == pytest.approx(z / (4.0 - 3.0 * z),
-                                                   abs=1e-12)
+        assert ks.mgf(1, z) == pytest.approx(z / (4.0 - 3.0 * z), abs=1e-12)
 
 
 def test_k2_mgf_divergence_guard(k2):
     # z gamma_1 >= 1 has no finite expectation; gamma_1 = 3/4 here.
     with pytest.raises(ValueError):
-        mgf(k2, 1, [0], 4.0 / 3.0)
+        KilledSystem(k2, [0]).mgf(1, 4.0 / 3.0)
 
 
 def test_k2_hitting_tail_closed_form(k2):
@@ -326,3 +326,42 @@ def test_continuous_suite_makes_one_eigh_per_alpha_and_size(monkeypatch):
     rep = run_suite(chain, "continuous-time")
     assert rep.passed
     assert len(alphas) == 6 and 0 < len(calls) <= len(pairs)
+
+
+@pytest.mark.parametrize("states, message", [
+    ([], "target set must be nonempty"),
+    ([5], "target state out of range"),
+    ([-1], "target state out of range"),
+])
+def test_killed_system_validates_target(states, message):
+    with pytest.raises(ValueError, match=message):
+        KilledSystem(biased_path(5), states)
+
+
+def test_killed_system_sorts_and_deduplicates_target():
+    ks = KilledSystem(biased_path(5), [2, 0, 2])
+    assert ks.A.tolist() == [0, 2]
+    assert ks.B.tolist() == [1, 3, 4]
+
+
+@pytest.mark.parametrize("case", ["biased-path", "birth-death"])
+def test_exit_law_is_the_killed_series(case):
+    # row x of the exit law is sum_t P_B^t P[B, A] from x, summed here by
+    # doubling: S_2m = S_m + P_B^m S_m covers 2^64 terms
+    if case == "biased-path":
+        chain, width = biased_path(12), 3
+    else:
+        rng = np.random.default_rng(5)
+        up, down = rng.uniform(0.1, 0.4, 9), rng.uniform(0.1, 0.4, 9)
+        chain, width = birth_death(up, down, 1.0 - np.r_[up, 0.0] - np.r_[0.0, down]), 2
+    for lo in range(0, chain.n, width):
+        ks = KilledSystem(chain, range(lo, min(lo + width, chain.n)))
+        series = chain.P[np.ix_(ks.B, ks.A)]
+        power = ks.PB
+        for _ in range(64):
+            series = series + power @ series
+            power = power @ power
+        assert ks.exit_law.shape == (ks.B.size, ks.A.size)
+        assert ks.exit_law.min() >= 0.0
+        np.testing.assert_allclose(ks.exit_law.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(ks.exit_law, series, rtol=0.0, atol=1e-12)

@@ -11,6 +11,7 @@ from cutofflab import (
     build_tree_chain,
     cutoff_scan,
     good_set,
+    kac_quantities,
     load_chain,
     random_reversible,
     random_tree,
@@ -96,6 +97,39 @@ def test_block_moments_solves_each_system_once(monkeypatch):
     # pi(0) = 3^-63 is below the resolution of the solve
     with pytest.raises(np.linalg.LinAlgError):
         run_suite(biased_path(64), "block-moments")
+
+
+def test_return_mgf_builds_one_system_per_complement(monkeypatch):
+    # one eigvals call per complement (four here): every generating function
+    # of a target comes from its one shared system
+    chain = biased_path(20)
+    calls = []
+    eigvals = np.linalg.eigvals
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvals(a)
+
+    monkeypatch.setattr(np.linalg, "eigvals", counting)
+    rep = run_suite(chain, "return-mgf")
+    assert len(calls) == 4
+    monkeypatch.undo()
+    assert len(rep.records) == 16
+    # bit for bit what a fresh system per call gives
+    t_rel = float(chain.spectrum.t_rel)
+    for r in rep.records:
+        mask = np.ones(chain.n, dtype=bool)
+        mask[list(r.params["B"])] = False
+        A = np.flatnonzero(mask)
+        p_rate = 1.0 - float(chain.pi[mask].sum()) / t_rel
+        z = 1.0 + r.params["theta"] * (1.0 - p_rate) / (2.0 * p_rate)
+        kq = kac_quantities(chain, A, check_tol=math.inf)
+        a = kq.mean_from_psi
+        if r.inequality == "return-mgf-upper-deviation":
+            lhs = math.log(KilledSystem(chain, A).mgf(kq.psi, z)) - a * math.log(z)
+        else:
+            lhs = a * math.log(z) + math.log(KilledSystem(chain, A).mgf(kq.psi, 1.0 / z))
+        assert r.lhs == lhs
 
 
 def test_k2_escape_equality_record(k2):
