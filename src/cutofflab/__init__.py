@@ -32,7 +32,7 @@ _EXPORTS = {
     "trees": ("CrossingTime", "RootedTreeChain", "TreeSpec", "build_tree_chain",
               "crossing_time", "path_variance", "tail_bound_check", "tau_root",
               "tau_sandwich_check", "tree_from_chain", "tree_from_json",
-              "tree_to_json", "window_check"),
+              "tree_to_json"),
     "verify": ("SUITE_IDS", "CutoffScan", "cutoff_scan", "run_suite", "run_suites"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -132,29 +132,34 @@ def gen(family_id: str, size: int, seed: int | None, density: float,
     from .families import FAMILIES, birth_death, random_reversible, random_tree
     from .trees import tree_to_json
 
-    if family_id in FAMILIES:
-        chain_to_json(FAMILIES[family_id](size), output)
-        click.echo(f"wrote {family_id} n={size} -> {output}")
-        return
-    if seed is None:
+    if family_id not in FAMILIES and seed is None:
         raise click.ClickException(
             f"--family {family_id} is randomized; --seed is required")
-    if family_id == "random":
-        chain_to_json(random_reversible(size, density=density, seed=seed),
-                      output)
-    elif family_id == "random-tree":
-        tree_to_json(random_tree(size, seed=seed), output)
-    else:  # bd
-        import numpy as np
+    try:
+        if family_id in FAMILIES:
+            chain_to_json(FAMILIES[family_id](size), output)
+            click.echo(f"wrote {family_id} n={size} -> {output}")
+            return
+        if family_id == "random":
+            chain_to_json(random_reversible(size, density=density, seed=seed),
+                          output)
+        elif family_id == "random-tree":
+            tree_to_json(random_tree(size, seed=seed), output)
+        else:  # bd
+            import numpy as np
 
-        rng = np.random.default_rng(seed)
-        up = rng.uniform(0.05, 0.25, size=size - 1)
-        down = rng.uniform(0.05, 0.25, size=size - 1)
-        holding = np.full(size, 0.5)
-        holding[0] = 1.0 - up[0]
-        holding[-1] = 1.0 - down[-1]
-        holding[1:-1] = 1.0 - up[1:] - down[:-1]
-        chain_to_json(birth_death(up, down, holding), output)
+            if size < 2:
+                raise ValueError("need n >= 2")
+            rng = np.random.default_rng(seed)
+            up = rng.uniform(0.05, 0.25, size=size - 1)
+            down = rng.uniform(0.05, 0.25, size=size - 1)
+            holding = np.full(size, 0.5)
+            holding[0] = 1.0 - up[0]
+            holding[-1] = 1.0 - down[-1]
+            holding[1:-1] = 1.0 - up[1:] - down[:-1]
+            chain_to_json(birth_death(up, down, holding), output)
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     click.echo(f"wrote {family_id} n={size} seed={seed} -> {output}")
 
 
@@ -331,14 +336,18 @@ def tree_crossing(tree_file: str, vertex: int) -> None:
 @click.argument("tree_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--eps", type=float, default=0.25, show_default=True)
 def tree_window(tree_file: str, eps: float) -> None:
-    """Run the mixing-window and concentration checks on one tree."""
-    from .trees import window_check
+    """Print the tree-window suite's window rows at one eps in (0, 1/4]."""
+    from functools import cache
+
+    from .mixing import mixing_time
+    from .trees import window_rows
 
     tc = _load_tree(tree_file)
-    try:
-        records = window_check(tc, eps)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    if not 0 < eps <= 0.25:
+        raise click.ClickException("eps must be in (0, 1/4]")
+    if tc.n < 3:
+        raise click.ClickException("window check needs at least 3 vertices")
+    records = window_rows(tc, tc.t_rel, cache(lambda e: mixing_time(tc.chain, e)), [eps])
     if _emit_records(records, "window-check"):
         raise VerificationFailure("window-check failed")
 

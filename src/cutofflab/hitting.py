@@ -111,6 +111,28 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+class _TailScan:
+    """One scalar tail sequence, t = 0, 1, ..., drawn from its iterator
+    only as far as a caller has asked, each step taken once.  Holds the
+    scalars, never the vectors: O(T) memory."""
+
+    def __init__(self, steps):
+        self._steps = steps
+        self.values: list[float] = []
+
+    def at(self, t: int) -> float:
+        while len(self.values) <= t:
+            self.values.append(next(self._steps))
+        return self.values[t]
+
+    def first_below(self, eps: float, t_max: int) -> int:
+        """Smallest t with tail <= eps (to 1e-12); raises past ``t_max``."""
+        for t in range(t_max + 1):
+            if self.at(t) <= eps + 1e-12:
+                return t
+        raise RuntimeError(f"tail scan stayed above {eps} through t = {t_max}")
+
+
 class KilledSystem:
     """The chain killed on entering a target set A.
 
@@ -128,7 +150,9 @@ class KilledSystem:
       ``B[i]``, from ``(I - P_B) Y = P[B, A]``;
     - ``mgf(start, z)``, the generating function E[z^{T_A}] (one target);
     - ``survival()``, the sequence ``P_B^t 1`` for t = 0, 1, ... in
-      survivor coordinates (entry i belongs to state ``B[i]``);
+      survivor coordinates (entry i belongs to state ``B[i]``), and
+      ``scan(x)``, the one scalar tail sequence read from it per start
+      (one target);
     - the eigensystem of the symmetrized killed kernel
       ``diag(sqrt pi_B) P_B diag(1/sqrt pi_B)``: a real spectrum
       ``gammas`` in descending order, and ``weights`` such that the tail
@@ -183,6 +207,7 @@ class KilledSystem:
         self.PB = chain.P[self.B[..., :, None], self.B[..., None, :]]
         self.pi_B = _scalar(chain.pi[self.B].sum(axis=-1))
         self.pi_A = 1.0 - self.pi_B
+        self._scans: dict[int | None, _TailScan] = {}
 
     def position(self, x: int) -> int:
         """Index of state x in survivor coordinates (one target)."""
@@ -259,6 +284,15 @@ class KilledSystem:
         while True:
             yield u
             u = step(u)
+
+    def scan(self, x: int | None = None) -> _TailScan:
+        """The tail ``Pr_x[T_A > t]``, or its maximum over the survivors when
+        x is None, as one :class:`_TailScan` per start (one target)."""
+        if x not in self._scans:
+            pos = None if x is None else self.position(x)
+            self._scans[x] = _TailScan(float(u.max() if pos is None else u[pos])
+                                       for u in self.survival())
+        return self._scans[x]
 
     # -- eigensystem ---------------------------------------------------------
 

@@ -268,18 +268,9 @@ def central_block_hit(chain: Chain, dec: BlockDecomposition, x: int | None = Non
     records = [report_value("central-hit-mean", mean, {"x": x}),
                report_value("central-hit-variance", var, {"x": x})]
 
-    # quantile profile by killed-kernel iteration
-    tau_profile: dict[float, int] = {}
-    pos = ks.position(x)
-    target = min(eps_grid)
-    tails = []
-    for surv in ks.survival():
-        tails.append(float(surv[pos]))
-        if tails[-1] <= target or len(tails) >= 10 ** 7:
-            break
-    for e in eps_grid:
-        tau_profile[float(e)] = int(np.searchsorted(-np.array(tails), -e,
-                                                    side="left"))
+    # quantile profile: first passages of the tail scan from x
+    scan = ks.scan(x)
+    tau_profile = {float(e): scan.first_below(e, 10 ** 7) for e in eps_grid}
     for e, t in tau_profile.items():
         records.append(report_value("central-hit-quantile", t, {"x": x, "eps": e}))
 

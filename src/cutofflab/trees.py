@@ -20,13 +20,11 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
 
 import numpy as np
 
 from .chain import Chain, ChainSpec, load_chain, write_json_atomic
-from .hitting import IdentityCheckError, KilledSystem
-from .mixing import mixing_time
+from .hitting import IdentityCheckError, KilledSystem, hit_time
 from .reporting import Record, check_le, skip
 
 __all__ = [
@@ -39,7 +37,7 @@ __all__ = [
     "PathVariance",
     "path_variance",
     "tau_root",
-    "window_check",
+    "window_rows",
     "tail_bound_check",
     "tree_to_json",
     "tree_from_json",
@@ -80,26 +78,8 @@ class TreeSpec:
                 raise ValueError(f"duplicate edge {key}")
             seen.add(key)
         # n-1 distinct edges + connectivity equivalent to acyclicity
-        if _component_count(self.n, self.edges) != 1:
+        if len(_bfs(_adjacency(self), 0)[1]) != self.n:
             raise ValueError("edge set is not connected")
-
-
-def _component_count(n: int, edges) -> int:
-    parent = list(range(n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    comps = n
-    for u, v, _ in edges:
-        ra, rb = find(u), find(v)
-        if ra != rb:
-            parent[ra] = rb
-            comps -= 1
-    return comps
 
 
 def _adjacency(spec: TreeSpec) -> list[list[tuple[int, float]]]:
@@ -110,33 +90,39 @@ def _adjacency(spec: TreeSpec) -> list[list[tuple[int, float]]]:
     return adj
 
 
-def _central_vertex(pi: np.ndarray, adj) -> int:
-    """Smallest-index vertex all of whose complement components weigh <= 1/2."""
-    n = pi.size
-    parent = np.full(n, -1, dtype=int)
-    order = [0]
-    seen = {0}
+def _bfs(adj, root: int) -> tuple[np.ndarray, list[int], np.ndarray, list[list[int]]]:
+    """Parent array (-1 at the root), breadth-first order, depths and child
+    lists from ``root``."""
+    parent = np.full(len(adj), -1, dtype=int)
+    depth = np.zeros(len(adj), dtype=int)
+    children: list[list[int]] = [[] for _ in adj]
+    order = [root]
+    seen = {root}
     for v in order:
         for u, _ in adj[v]:
             if u not in seen:
                 seen.add(u)
                 parent[u] = v
+                depth[u] = depth[v] + 1
+                children[v].append(u)
                 order.append(u)
+    return parent, order, depth, children
+
+
+def _central_vertex(pi: np.ndarray, adj) -> int:
+    """Smallest-index vertex all of whose complement components weigh <= 1/2."""
+    parent, order, _, _ = _bfs(adj, 0)
     mass = pi.copy()
     for v in reversed(order[1:]):
         mass[parent[v]] += mass[v]
-    best = None
-    for v in range(n):
+    for v in range(pi.size):
         worst = 1.0 - mass[v]  # component holding the temporary root's side
         for u, _ in adj[v]:
             if parent[u] == v:
                 worst = max(worst, mass[u])
         if worst <= 0.5 + 1e-12:
-            best = v
-            break
-    if best is None:
-        raise RuntimeError("no central vertex found; tree masses are inconsistent")
-    return best
+            return v
+    raise RuntimeError("no central vertex found; tree masses are inconsistent")
 
 
 @dataclass(eq=False)
@@ -144,17 +130,27 @@ class RootedTreeChain:
     """A tree walk rooted at its central vertex.
 
     ``parent[u]`` is the next vertex toward the root (-1 at the root),
-    ``subtree_mass[u]`` the stationary mass of u's subtree, and ``mu[u]``
-    the one-step probability of moving from u to its parent.
+    ``depth[u]`` its edge count to the root, ``children[u]`` its child
+    list, ``subtree_mass[u]`` the stationary mass of u's subtree, and
+    ``mu[u]`` the one-step probability of moving from u to its parent.
+    The object keeps what the tree checks share: one
+    :class:`KilledSystem` per target (``killed``), whose tail scans every
+    reader extends, and one :class:`CrossingTime` per vertex
+    (``crossing_time``).
     """
 
     spec: TreeSpec
     chain: Chain
     root: int
     parent: np.ndarray
-    order: np.ndarray  # BFS order from the root
+    depth: np.ndarray
+    children: list[list[int]]
     subtree_mass: np.ndarray
     mu: np.ndarray
+
+    def __post_init__(self) -> None:
+        self._killed: dict[tuple[int, ...], KilledSystem] = {}
+        self._crossings: dict[int, CrossingTime] = {}
 
     @property
     def n(self) -> int:
@@ -174,13 +170,26 @@ class RootedTreeChain:
             path.append(int(self.parent[path[-1]]))
         return path
 
-    def is_ancestor(self, y: int, x: int) -> bool:
-        return y in self.path_to_root(x)
+    def subtree(self, u: int) -> np.ndarray:
+        """The vertices of u's subtree, ascending."""
+        stack, members = [u], []
+        while stack:
+            v = stack.pop()
+            members.append(v)
+            stack.extend(self.children[v])
+        return np.array(sorted(members))
 
-    @cached_property
+    def killed(self, target) -> KilledSystem:
+        """The walk killed on the sorted target states, built once per target."""
+        key = tuple(int(v) for v in target)
+        if key not in self._killed:
+            self._killed[key] = KilledSystem(self.chain, key)
+        return self._killed[key]
+
+    @property
     def mean_to_root(self) -> np.ndarray:
-        """E_x[T_root] for every x, via one killed-kernel solve."""
-        return KilledSystem(self.chain, [self.root]).mean
+        """E_x[T_root] for every x, from the root's killed system."""
+        return self.killed([self.root]).mean
 
 
 def build_tree_chain(spec: TreeSpec) -> RootedTreeChain:
@@ -202,16 +211,7 @@ def build_tree_chain(spec: TreeSpec) -> RootedTreeChain:
         raise RuntimeError("tree walk failed detailed balance; construction bug")
 
     root = _central_vertex(pi, adj)
-    parent = np.full(n, -1, dtype=int)
-    order = [root]
-    seen = {root}
-    for v in order:
-        for u, _ in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                order.append(u)
-    order = np.array(order)
+    parent, order, depth, children = _bfs(adj, root)
     subtree = pi.copy()
     for v in order[:0:-1]:
         subtree[parent[v]] += subtree[v]
@@ -220,7 +220,7 @@ def build_tree_chain(spec: TreeSpec) -> RootedTreeChain:
         if parent[u] >= 0:
             mu[u] = P[u, parent[u]]
     return RootedTreeChain(spec=spec, chain=chain, root=root, parent=parent,
-                           order=order, subtree_mass=subtree, mu=mu)
+                           depth=depth, children=children, subtree_mass=subtree, mu=mu)
 
 
 def tree_from_chain(chain: Chain) -> RootedTreeChain:
@@ -255,30 +255,19 @@ def tree_from_chain(chain: Chain) -> RootedTreeChain:
 
 @dataclass(eq=False)
 class CrossingTime:
-    """Moments of the time to step from u to its parent edge endpoint."""
+    """Moments of the time to step from u to its parent edge endpoint;
+    ``mean_solve`` is the mean from the direct solve that checks ``mean``."""
 
     u: int
     mean: float
     second_moment: float
     variance: float
+    mean_solve: float
 
 
-def _subtree_vertices(tc: RootedTreeChain, u: int) -> np.ndarray:
-    children: dict[int, list[int]] = {}
-    for v in range(tc.n):
-        if tc.parent[v] >= 0:
-            children.setdefault(int(tc.parent[v]), []).append(v)
-    stack = [u]
-    members = []
-    while stack:
-        v = stack.pop()
-        members.append(v)
-        stack.extend(children.get(v, []))
-    return np.array(sorted(members))
-
-
-def crossing_time(tc: RootedTreeChain, u: int, check_tol: float = 1e-9) -> CrossingTime:
-    """Exact crossing-time moments for the edge (u, parent(u)).
+def crossing_time(tc: RootedTreeChain, u: int) -> CrossingTime:
+    """Exact crossing-time moments for the edge (u, parent(u)), computed
+    once per vertex and kept on ``tc``.
 
     The mean is the flow formula ``pi(subtree(u)) / (pi(u) mu_u)`` and the
     second moment the entry-law identity
@@ -288,23 +277,38 @@ def crossing_time(tc: RootedTreeChain, u: int, check_tol: float = 1e-9) -> Cross
     """
     if u == tc.root:
         raise ValueError("the root has no parent edge")
+    if u in tc._crossings:
+        return tc._crossings[u]
     pi = tc.pi
     t_u = tc.subtree_mass[u] / (pi[u] * tc.mu[u])
-    members = _subtree_vertices(tc, u)
-    ks = KilledSystem(tc.chain, np.setdiff1d(np.arange(tc.n), members))
+    members = tc.subtree(u)
+    ks = tc.killed(np.setdiff1d(np.arange(tc.n), members))
     t_u_solve = float(ks.mean[u])
-    if abs(t_u - t_u_solve) > check_tol * max(1.0, abs(t_u)):
+    if abs(t_u - t_u_solve) > 1e-9 * max(1.0, abs(t_u)):
         raise IdentityCheckError(f"crossing mean mismatch: formula {t_u}, solve {t_u_solve}")
     pw = pi[members] / pi[members].sum()
     mean_from_stationary = float(pw @ ks.mean[members])
     r_u = 2.0 * t_u * mean_from_stationary - t_u
     r_u_solve = float(ks.second_moment[u])
-    if abs(r_u - r_u_solve) > check_tol * max(1.0, abs(r_u)):
+    if abs(r_u - r_u_solve) > 1e-9 * max(1.0, abs(r_u)):
         raise IdentityCheckError(f"crossing second moment mismatch: formula {r_u}, solve {r_u_solve}")
     ceiling = 4.0 * t_u * tc.t_rel
     if r_u > ceiling * (1.0 + 1e-9) + 1e-9:
         raise IdentityCheckError(f"crossing second moment {r_u} exceeds 4 t_u t_rel = {ceiling}")
-    return CrossingTime(u=u, mean=t_u, second_moment=r_u, variance=r_u - t_u * t_u)
+    tc._crossings[u] = CrossingTime(u=u, mean=t_u, second_moment=r_u,
+                                    variance=r_u - t_u * t_u, mean_solve=t_u_solve)
+    return tc._crossings[u]
+
+
+def _two_sided_tails(tc: RootedTreeChain, x: int, y: int, mean: float, c: float,
+                     scale: float) -> tuple[float, float]:
+    """``Pr_x[T_y >= mean + c scale]`` and ``Pr_x[T_y <= mean - c scale]``,
+    read off the one tail scan from x to y."""
+    if c <= 0:
+        raise ValueError("c must be positive")
+    scan = tc.killed([y]).scan(x)
+    hi, lo = mean + c * scale, mean - c * scale
+    return scan.at(math.ceil(hi) - 1), 0.0 if lo <= 0 else 1.0 - scan.at(math.floor(lo))
 
 
 @dataclass(eq=False)
@@ -342,7 +346,7 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
         mean += ct.mean
         var += ct.variance
     # independence of increments: compare with a direct solve to the target
-    ks = KilledSystem(tc.chain, [y])
+    ks = tc.killed([y])
     mean_solve, second_solve = float(ks.mean[x]), float(ks.second_moment[x])
     if abs(mean - mean_solve) > 1e-9 * max(1.0, abs(mean)):
         raise IdentityCheckError("path mean disagrees with direct solve")
@@ -354,24 +358,14 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
         raise IdentityCheckError(f"variance {var} exceeds 4 E t_rel = {sigma_sq}")
 
     sigma = math.sqrt(sigma_sq)
-    t_cap = int(math.ceil(mean + max(c_grid) * sigma)) + 1
-    pos = ks.position(x)
-    tails = [u[pos] for u in islice(ks.survival(), t_cap + 1)]
     records = []
     for c in c_grid:
         bound = 1.0 / (1.0 + c * c)
-        thr_hi = mean + c * sigma
-        p_hi = float(tails[min(t_cap, max(0, math.ceil(thr_hi) - 1))])
-        rec = check_le("one-sided-upper-tail", p_hi, bound,
-                       params={"x": x, "y": y, "c": c, "threshold": thr_hi})
-        records.append(rec)
-        thr_lo = mean - c * sigma
-        if thr_lo <= 0:
-            p_lo = 0.0
-        else:
-            p_lo = 1.0 - float(tails[min(t_cap, int(math.floor(thr_lo)))])
+        p_hi, p_lo = _two_sided_tails(tc, x, y, mean, c, sigma)
+        records.append(check_le("one-sided-upper-tail", p_hi, bound,
+                                params={"x": x, "y": y, "c": c, "threshold": mean + c * sigma}))
         records.append(check_le("one-sided-lower-tail", p_lo, bound,
-                                params={"x": x, "y": y, "c": c, "threshold": thr_lo}))
+                                params={"x": x, "y": y, "c": c, "threshold": mean - c * sigma}))
     for rec in records:
         if not rec.passed:
             raise IdentityCheckError(f"Chebyshev tail check failed: {rec.inequality} {rec.params}")
@@ -384,22 +378,17 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
 
 
 def tau_root(tc: RootedTreeChain, eps: float, t_max: int = 1_000_000) -> int:
-    """Smallest t with ``max_x Pr_x[T_root > t] <= eps``."""
+    """Smallest t with ``max_x Pr_x[T_root > t] <= eps``; every level reads
+    the root's one max-tail scan."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    for t, u in enumerate(KilledSystem(tc.chain, [tc.root]).survival()):
-        if u.max() <= eps + 1e-12:
-            return t
-        if t >= t_max:
-            raise RuntimeError("tau_root scan failed to terminate")
+    return tc.killed([tc.root]).scan().first_below(eps, t_max)
 
 
 def tau_sandwich_check(tc: RootedTreeChain, eps: float, delta: float | None = None,
                        exact_threshold: int = 14) -> list[Record]:
     """Worst-set sandwich: tau(eps) <= hit_{1/2}(eps) <= tau(eps - delta) + s_delta
     with ``s_delta = ceil(4 t_rel |ln(4 delta / 9)|)``."""
-    from .hitting import hit_time
-
     if delta is None:
         delta = eps / 2.0
     if not 0 < delta < eps:
@@ -417,38 +406,36 @@ def tau_sandwich_check(tc: RootedTreeChain, eps: float, delta: float | None = No
     ]
 
 
-def window_check(tc: RootedTreeChain, eps: float) -> list[Record]:
-    """Mixing-window and root-concentration checks for a tree walk.
+def window_rows(tc: RootedTreeChain, t_rel: float, tmix, eps_grid) -> list[Record]:
+    """Mixing-window and root-concentration rows of a tree walk with at
+    least 3 vertices, from the relaxation time and the mixing times
+    ``tmix(eps)`` its caller holds.
 
-    Verifies, at level eps in (0, 1/4] on trees with at least 3 vertices:
-    the square-root mixing window
-    ``t_mix(eps) - t_mix(1-eps) <= 35 sqrt(t_rel t_mix / eps)``,
-    the domination ``max_x E_x[T_root] <= 4 t_mix``, and the two-sided
-    localization of tau_root around ``rho = max_x E_x[T_root]`` within
+    With ``rho = max_x E_x[T_root]``: ``rho <= 4 t_mix(1/4)``, and at each
+    level eps in (0, 1/4] (other levels are skipped) the square-root window
+    ``t_mix(eps) - t_mix(1-eps) <= 35 sqrt(t_rel t_mix(1/4) / eps)`` and
+    the localization of tau_root around rho within
     ``kappa = sqrt(4 rho t_rel / eps)``.
     """
-    if not 0 < eps <= 0.25:
-        raise ValueError("eps must be in (0, 1/4]")
-    if tc.n < 3:
-        raise ValueError("window check needs at least 3 vertices")
-    chain = tc.chain
-    t_rel = tc.t_rel
-    t_mix = mixing_time(chain, 0.25)
-    t_hi = mixing_time(chain, eps)
-    t_lo = mixing_time(chain, 1.0 - eps)
-    window = t_hi - t_lo
-    bound = 35.0 * math.sqrt(t_rel * t_mix / eps)
-    records = [check_le("mixing-window-sqrt", window, bound,
-                        {"eps": eps, "t_mix": t_mix, "t_rel": t_rel})]
+    tq = tmix(0.25)
     rho = float(tc.mean_to_root.max())
-    records.append(check_le("root-mean-below-4tmix", rho, 4.0 * t_mix,
-                            {"t_mix": t_mix}))
-    kappa = math.sqrt(4.0 * rho * t_rel / eps)
-    records.append(check_le("tau-lower-concentration", rho - kappa,
-                            tau_root(tc, 1.0 - eps), {"eps": eps, "rho": rho, "kappa": kappa}))
-    records.append(check_le("tau-upper-concentration", tau_root(tc, eps),
-                            rho + kappa, {"eps": eps, "rho": rho, "kappa": kappa},
-                            note="strict in exact arithmetic"))
+    records = [check_le("root-mean-below-4tmix", rho, 4.0 * tq)]
+    for eps in eps_grid:
+        if eps > 0.25 + 1e-12:
+            records.append(skip("mixing-window-sqrt",
+                                "level must lie in (0, 1/4]", {"eps": eps}))
+            continue
+        p = {"eps": eps}
+        records.append(check_le(
+            "mixing-window-sqrt", float(tmix(eps) - tmix(1.0 - eps)),
+            35.0 * math.sqrt(t_rel * tq / eps), p))
+        kappa = math.sqrt(4.0 * rho * t_rel / eps)
+        records.append(check_le(
+            "tau-lower-concentration", rho - kappa,
+            float(tau_root(tc, 1.0 - eps)), p))
+        records.append(check_le(
+            "tau-upper-concentration", float(tau_root(tc, eps)),
+            rho + kappa, p))
     return records
 
 
@@ -459,14 +446,13 @@ def tail_bound_check(tc: RootedTreeChain, x: int, y: int | None = None,
     For ``b = sqrt(E_x[T_y] t_rel)`` and admissible
     ``c <= 2.5 sqrt(E_x[T_y] / t_rel)`` the exact tails must satisfy
     ``Pr_x[|T_y - E_x[T_y]| >= c b] <= exp(-c^2 / 20)`` on each side.
-    Inadmissible c values are recorded as skips.
+    Inadmissible c values are recorded as skips; c must be positive.
     """
     y = tc.root if y is None else y
     path = tc.path_to_root(x)
     if y not in path or y == x:
         raise ValueError("y must be a proper ancestor of x")
-    ks = KilledSystem(tc.chain, [y])
-    t_xy = float(ks.mean[x])
+    t_xy = float(tc.killed([y]).mean[x])
     b = math.sqrt(t_xy * tc.t_rel)
     c_max = 2.5 * math.sqrt(t_xy / tc.t_rel)
     admissible = [c for c in c_grid if c <= c_max]
@@ -474,21 +460,15 @@ def tail_bound_check(tc: RootedTreeChain, x: int, y: int | None = None,
     if not admissible:
         return [skip("sub-gaussian-tails", f"no admissible c (c_max = {c_max:.3g})",
                      {"x": x, "y": y})]
-    t_cap = int(math.ceil(t_xy + max(admissible) * b)) + 1
-    pos = ks.position(x)
-    tails = [u[pos] for u in islice(ks.survival(), t_cap + 1)]
     for c in c_grid:
         if c > c_max:
             records.append(skip("sub-gaussian-tails", f"c = {c} exceeds c_max = {c_max:.3g}",
                                 {"x": x, "y": y, "c": c}))
             continue
         bound = math.exp(-c * c / 20.0)
-        thr_hi = t_xy + c * b
-        p_hi = float(tails[min(t_cap, max(0, math.ceil(thr_hi) - 1))])
+        p_hi, p_lo = _two_sided_tails(tc, x, y, t_xy, c, b)
         records.append(check_le("sub-gaussian-upper-tail", p_hi, bound,
                                 {"x": x, "y": y, "c": c, "b": b}))
-        thr_lo = t_xy - c * b
-        p_lo = 0.0 if thr_lo <= 0 else 1.0 - float(tails[min(t_cap, int(math.floor(thr_lo)))])
         records.append(check_le("sub-gaussian-lower-tail", p_lo, bound,
                                 {"x": x, "y": y, "c": c, "b": b}))
     return records

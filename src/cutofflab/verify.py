@@ -81,13 +81,12 @@ from .sbd import (
     comparable_start_bound,
 )
 from .trees import (
-    _subtree_vertices,
     crossing_time,
     path_variance,
     tail_bound_check,
-    tau_root,
     tau_sandwich_check,
     tree_from_chain,
+    window_rows,
 )
 
 __all__ = [
@@ -1066,6 +1065,18 @@ def _suite_continuous_time(ctx: _Ctx, params: dict) -> list[Record]:
 # tree crossing moments and the mixing window
 
 
+def _tree_pairs(tc) -> list[tuple[int, int]]:
+    """The (start, ancestor) passages both tree suites read: from the
+    deepest vertex x (ties to the largest label) to the root, and to the
+    middle of x's root path when that path has more than 3 vertices."""
+    deepest = max(range(tc.n), key=lambda v: (tc.depth[v], v))
+    path = tc.path_to_root(deepest)
+    pairs = [(deepest, tc.root)]
+    if len(path) > 3:
+        pairs.append((deepest, path[len(path) // 2]))
+    return pairs
+
+
 def _suite_tree_window(ctx: _Ctx, params: dict) -> list[Record]:
     """On trees, crossing moments concentrate the root passage time and
     force a sqrt-size mixing window."""
@@ -1073,61 +1084,32 @@ def _suite_tree_window(ctx: _Ctx, params: dict) -> list[Record]:
     if tc is None:
         return [skip("tree-window", f"not a tree walk: {reason}")]
     records = []
-    n = tc.n
     t_rel = ctx.t_rel
-    pi = tc.pi
-    depth = {v: len(tc.path_to_root(v)) - 1 for v in range(n)}
-    non_root = [v for v in range(n) if v != tc.root]
-    if len(non_root) > 12:
-        by_depth = sorted(non_root, key=lambda v: (depth[v], v))
-        idx = np.linspace(0, len(by_depth) - 1, 12).round().astype(int)
-        sample = sorted({by_depth[i] for i in idx})
-    else:
-        sample = non_root
-    for u in sample:
+    # 12 crossings spread over the depths (every one on smaller trees)
+    by_depth = sorted((v for v in range(tc.n) if v != tc.root), key=lambda v: (tc.depth[v], v))
+    idx = np.linspace(0, len(by_depth) - 1, 12).round().astype(int)
+    for u in sorted({by_depth[i] for i in idx}):
         ct = crossing_time(tc, u)
-        outside = np.setdiff1d(np.arange(n), _subtree_vertices(tc, u))
         records.append(check_identity(
-            "crossing-mean-formula", ct.mean,
-            float(KilledSystem(tc.chain, outside).mean[u]), {"u": u}))
+            "crossing-mean-formula", ct.mean, ct.mean_solve, {"u": u}))
         records.append(check_le(
             "crossing-second-moment-bound", ct.second_moment,
             4.0 * ct.mean * t_rel, {"u": u}))
-    deepest = max(non_root, key=lambda v: (depth[v], v))
-    targets = [(deepest, tc.root)]
-    path = tc.path_to_root(deepest)
-    if len(path) > 3:
-        targets.append((deepest, path[len(path) // 2]))
-    for x, y in targets:
+    for x, y in _tree_pairs(tc):
         pv = path_variance(tc, x, y)
         records.append(check_le(
             "path-variance-bound", pv.variance, pv.sigma_sq,
             {"x": x, "y": y}))
         records.extend(pv.tail_records)
-    if n < 3:
+    if tc.n < 3:
         records.append(skip("mixing-window-sqrt", "needs at least 3 states"))
         return records
-    tq = ctx.tmix(0.25)
-    rho = float(tc.mean_to_root.max())
-    records.append(check_le("root-mean-below-4tmix", rho, 4.0 * tq))
-    for eps in _grid(params, "eps_grid", EPS_GRID):
-        if eps > 0.25 + 1e-12:
-            records.append(skip("mixing-window-sqrt",
-                                "level must lie in (0, 1/4]", {"eps": eps}))
-            continue
-        p = {"eps": eps}
-        records.append(check_le(
-            "mixing-window-sqrt", float(ctx.tmix(eps) - ctx.tmix(1.0 - eps)),
-            35.0 * math.sqrt(t_rel * tq / eps), p))
-        kappa = math.sqrt(4.0 * rho * t_rel / eps)
-        records.append(check_le(
-            "tau-lower-concentration", rho - kappa,
-            float(tau_root(tc, 1.0 - eps)), p))
-        records.append(check_le(
-            "tau-upper-concentration", float(tau_root(tc, eps)),
-            rho + kappa, p))
-        records.extend(tau_sandwich_check(tc, eps,
-                                          exact_threshold=ctx.exact_threshold))
+    eps_grid = _grid(params, "eps_grid", EPS_GRID)
+    records.extend(window_rows(tc, t_rel, ctx.tmix, eps_grid))
+    for eps in eps_grid:
+        if eps <= 0.25 + 1e-12:
+            records.extend(tau_sandwich_check(tc, eps,
+                                              exact_threshold=ctx.exact_threshold))
     return records
 
 
@@ -1142,17 +1124,11 @@ def _suite_crossing_tails(ctx: _Ctx, params: dict) -> list[Record]:
     if tc is None:
         return [skip("crossing-tails", f"not a tree walk: {reason}")]
     c_grid = _grid(params, "c_grid", (0.5, 1.0, 1.5, 2.0))
-    depth = {v: len(tc.path_to_root(v)) - 1 for v in range(tc.n)}
-    non_root = [v for v in range(tc.n) if v != tc.root]
-    deepest = max(non_root, key=lambda v: (depth[v], v))
-    pairs = [(deepest, tc.root)]
-    path = tc.path_to_root(deepest)
-    if len(path) > 3:
-        pairs.append((deepest, path[len(path) // 2]))
-    off_path = [v for v in non_root if v not in set(path) and depth[v] >= 2]
+    pairs = _tree_pairs(tc)
+    path = set(tc.path_to_root(pairs[0][0]))
+    off_path = [v for v in range(tc.n) if v not in path and tc.depth[v] >= 2]
     if off_path:
-        other = max(off_path, key=lambda v: (depth[v], v))
-        pairs.append((other, tc.root))
+        pairs.append((max(off_path, key=lambda v: (tc.depth[v], v)), tc.root))
     records = []
     for x, y in pairs:
         records.extend(tail_bound_check(tc, x, y, c_grid=c_grid))
@@ -1310,7 +1286,9 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
 
     ``params`` may override ``eps_grid``, ``alpha_grid``, ``sets``
     ("sampled" or "all"), ``seed``, ``exact_threshold``, ``functions``,
-    and per-suite grids.  Unknown suite ids raise ``ValueError``.
+    and per-suite grids.  Unknown suite ids, and ``eps_grid`` or
+    ``alpha_grid`` values outside (0, 1), raise ``ValueError`` before any
+    suite runs.
 
     The records of every report are in ``_record_key`` order: by
     inequality name, then by the string form of the sorted
@@ -1324,6 +1302,10 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
         if sid not in SUITES:
             known = ", ".join(SUITE_IDS)
             raise ValueError(f"unknown suite id {sid!r}; known suites: {known}")
+    for key in ("eps_grid", "alpha_grid"):
+        bad = [v for v in params.get(key, ()) if not 0 < float(v) < 1]
+        if bad:
+            raise ValueError(f"{key} values must lie in (0, 1); got {bad}")
     ctx = _Ctx(chain, params)
     reports = []
     for sid in suites:

@@ -42,6 +42,17 @@ def test_gen_bd_family(tmp_path):
     assert np.all(chain.P[off] == 0.0)
 
 
+@pytest.mark.parametrize("family, n", [
+    ("biased-path", "1"), ("aldous", "0"), ("two-cliques", "1"),
+    ("random", "1"), ("random-tree", "1"), ("bd", "1"),
+])
+def test_gen_rejects_small_sizes(tmp_path, capsys, family, n):
+    out = tmp_path / "g.json"
+    assert run("gen", "--family", family, "--n", n, "--seed", "1", "-o", str(out)) == 1
+    assert "Error: need n >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_round_trip_bit_for_bit(tmp_path):
     p1 = tmp_path / "one.json"
     p2 = tmp_path / "two.json"
@@ -192,6 +203,20 @@ def test_verify_unknown_suite_is_usage_error(tmp_path):
     assert run("verify", "--chain", str(chain), "--suite", "bogus") == 1
 
 
+@pytest.mark.parametrize("argv, key", [
+    (["--suite", "tv-hit", "--alpha", "0"], "alpha_grid"),
+    (["--suite", "relaxation", "--eps", "1.5"], "eps_grid"),
+])
+def test_verify_rejects_grid_values_outside_unit_interval(tmp_path, capsys, argv, key):
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))
+    capsys.readouterr()
+    assert run("verify", "--chain", str(chain), *argv) == 1
+    out, err = capsys.readouterr()
+    assert f"Error: {key} values must lie in (0, 1)" in err
+    assert out == ""
+
+
 def test_verify_failure_exits_two(tmp_path, monkeypatch):
     chain = tmp_path / "chain.json"
     run("gen", "--family", "biased-path", "--n", "5", "-o", str(chain))
@@ -294,6 +319,30 @@ def test_tree_subcommands(tmp_path, capsys):
     capsys.readouterr()
     assert run("tree", "window-check", str(tree), "--eps", "0.25") == 0
     assert run("tree", "tails", str(tree), "--x", "0") in (0, 1)
+
+
+def test_tree_window_check_prints_the_suite_rows(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    run("gen", "--family", "random-tree", "--n", "20", "--seed", "2", "-o", str(tree))
+    capsys.readouterr()
+    assert run("tree", "window-check", str(tree)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines] == [
+        ["ok", "root-mean-below-4tmix"], ["ok", "mixing-window-sqrt"],
+        ["ok", "tau-lower-concentration"], ["ok", "tau-upper-concentration"]]
+    assert run("tree", "window-check", str(tree), "--eps", "0.3") == 1
+    assert "Error: eps must be in (0, 1/4]" in capsys.readouterr().err
+
+
+def test_tree_tails_rejects_nonpositive_c(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    run("gen", "--family", "random-tree", "--n", "20", "--seed", "2", "-o", str(tree))
+    run("tree", "central", str(tree))
+    x = "1" if "root     = 0" in capsys.readouterr().out else "0"
+    assert run("tree", "tails", str(tree), "--x", x, "--c", "-1") == 1
+    err = capsys.readouterr().err
+    assert "Error: c must be positive" in err
+    assert "islice" not in err
 
 
 def test_sbd_subcommands(tmp_path, capsys):

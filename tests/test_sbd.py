@@ -102,6 +102,20 @@ def test_central_block_tau_profile_is_quantile():
             assert prev > eps - 1e-12
 
 
+def test_central_block_quantiles_read_levels_like_tau_root():
+    # the first-passage scan counts a tail within 1e-12 above eps as
+    # reached, as tau_root and the mixing scans do
+    chain = biased_path(10)
+    cls = classify_sbd(chain)
+    dec = blocks(chain, cls.r, cls.delta)
+    x = central_block_hit(chain, dec).x
+    tail = hitting_tail(chain, x, list(dec.blocks[dec.central_block]), t_max=400).tail
+    t = int(np.argmax(tail < 0.5))
+    assert tail[t - 1] >= 0.5 > tail[t]
+    eps = float(tail[t]) - 1e-13
+    assert central_block_hit(chain, dec, x=x, eps_grid=(eps,)).tau_profile[eps] == t
+
+
 def test_block_correlation_bound_holds():
     chain = biased_path(12)
     cls = classify_sbd(chain)

@@ -13,9 +13,11 @@ from cutofflab import (
     tree_from_chain,
     tree_from_json,
     tree_to_json,
-    window_check,
 )
-from cutofflab.hitting import hitting_tail
+from cutofflab.hitting import KilledSystem, hitting_tail
+from cutofflab.mixing import mixing_time
+from cutofflab.trees import window_rows
+from cutofflab.verify import run_suites
 
 
 def _p3_tree(p3):
@@ -105,8 +107,40 @@ def test_tau_sandwich_records_pass():
 def test_window_check_passes_on_random_trees():
     for seed in (1, 2, 8):
         tc = build_tree_chain(random_tree(20, seed=seed))
-        for rec in window_check(tc, 0.25):
-            assert rec.kind == "skip" or rec.passed, rec
+        recs = window_rows(tc, tc.t_rel, lambda e: mixing_time(tc.chain, e),
+                           (1 / 16, 1 / 4, 0.3))
+        assert [r.inequality for r in recs if r.kind != "skip"] == [
+            "root-mean-below-4tmix"] + 2 * ["mixing-window-sqrt",
+                                            "tau-lower-concentration",
+                                            "tau-upper-concentration"]
+        assert [r.params for r in recs if r.kind == "skip"] == [{"eps": 0.3}]
+        for rec in recs:
+            assert rec.passed, rec
+
+
+def test_tree_suites_build_each_system_and_scan_each_tail_once(monkeypatch):
+    tc = build_tree_chain(random_tree(40, seed=7))
+    built, scans = [], []
+    setup, survival = KilledSystem._setup, KilledSystem.survival
+
+    def counting_setup(self, chain, keep):
+        built.append(tuple(np.flatnonzero(~keep)))
+        setup(self, chain, keep)
+
+    def counting_survival(self):
+        scans.append(tuple(self.A))
+        return survival(self)
+
+    monkeypatch.setattr(KilledSystem, "_setup", counting_setup)
+    monkeypatch.setattr(KilledSystem, "survival", counting_survival)
+    reports = run_suites(tc.chain, ["tree-window", "crossing-tails"])
+    assert all(r.passed for r in reports)
+    assert len(built) == len(set(built))
+    # one tail sequence per (start, ancestor) pair the tail records read,
+    # plus the root's max-tail that every tau_root level reads
+    pairs = {(r.params["x"], r.params["y"]) for rep in reports for r in rep.records
+             if "y" in r.params}
+    assert sorted(scans) == sorted([(y,) for _, y in pairs] + [(tc.root,)])
 
 
 def test_tail_bound_records_pass():
@@ -118,6 +152,14 @@ def test_tail_bound_records_pass():
     assert any(r.kind != "skip" for r in recs)
     for rec in recs:
         assert rec.kind == "skip" or rec.passed, rec
+
+
+def test_tail_bound_rejects_nonpositive_c():
+    tc = build_tree_chain(random_tree(36, seed=44))
+    x = max(range(tc.n), key=lambda v: len(tc.path_to_root(v)))
+    for c in (-1.0, 0.0):
+        with pytest.raises(ValueError, match="c must be positive"):
+            tail_bound_check(tc, x, c_grid=(0.5, c))
 
 
 def test_tail_bound_rejects_non_ancestor():

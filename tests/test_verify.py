@@ -21,7 +21,6 @@ from cutofflab import (
 )
 from cutofflab.hitting import _hit_ct_interval
 from cutofflab.mixing import _ceiling, _mixing_time_ct_interval
-from cutofflab.trees import window_check
 from cutofflab.verify import ALPHA_GRID, EPS_GRID, _record_key
 
 
@@ -161,20 +160,6 @@ def test_good_set_suite_matches_direct_evaluation(small_corpus):
         direct = good_set(chain, A, s=s, m=m)
         assert rec.lhs == pytest.approx(1.0 - 8.0 / m ** 2, abs=1e-12)
         assert rec.rhs == pytest.approx(direct.measure, abs=1e-9)
-
-
-def test_tree_window_suite_matches_window_check():
-    tc = build_tree_chain(random_tree(14, seed=21))
-    rep = run_suite(tc.chain, "tree-window")
-    assert rep.passed
-    direct = {(
-        r.inequality, r.params.get("eps")): r for r in window_check(tc, 0.25)
-        if r.kind != "skip"}
-    suite = {(r.inequality, r.params.get("eps")): r for r in rep.records}
-    for key, rec in direct.items():
-        if key in suite:
-            assert suite[key].lhs == pytest.approx(rec.lhs, rel=1e-9, abs=1e-9)
-            assert suite[key].rhs == pytest.approx(rec.rhs, rel=1e-9, abs=1e-9)
 
 
 def test_tree_suites_skip_on_non_tree(small_corpus):
