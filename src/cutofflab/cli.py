@@ -233,7 +233,7 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
     import numpy as np
 
     from .chain import write_csv_atomic
-    from .hitting import KilledSystem, hit_time, worst_tail_profile
+    from .hitting import KilledSystem, worst_tail_profile
 
     chain = _load_chain(chain_file)
     chain.require(irreducible=True)
@@ -269,23 +269,20 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
                              [(t, float(v)) for t, v in zip(grid, tails)])
             click.echo(f"wrote tail profile -> {output}")
         return
-    for e in eps_values:
-        try:
-            res = hit_time(chain, alpha, e, x=start, continuous=continuous,
-                           exact_threshold=exact_threshold)
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
-        if res.bracket is not None:
-            tag = f"bracket [{res.bracket[0]:.6g}, {res.bracket[1]:.6g}]"
-        else:
-            tag = "exact sweep" if res.exact else "greedy lower bound"
-        click.echo(f"hit(alpha={alpha:g}, eps={e:g}) = {res.value:g} ({tag})")
+    try:
+        prof = worst_tail_profile(chain, alpha, exact_threshold=exact_threshold)
+        for e in eps_values:
+            res = prof.result(e, x=start, continuous=continuous)
+            if res.bracket is not None:
+                tag = f"bracket [{res.bracket[0]:.6g}, {res.bracket[1]:.6g}]"
+            else:
+                tag = "exact sweep" if res.exact else "greedy lower bound"
+            click.echo(f"hit(alpha={alpha:g}, eps={e:g}) = {res.value:g} ({tag})")
+    except ValueError as exc:
+        raise click.ClickException(str(exc)) from exc
     if output:
-        prof = worst_tail_profile(chain, alpha, stop_level=min(eps_values),
-                                  exact_threshold=exact_threshold)
-        seq = prof.global_sequence()
-        write_csv_atomic(output, ["t", "tail"],
-                         [(t, float(v)) for t, v in enumerate(seq)])
+        last = prof.hit(min(eps_values))
+        write_csv_atomic(output, ["t", "tail"], list(enumerate(prof.scan().values[:last + 1])))
         click.echo(f"wrote tail profile -> {output}")
 
 

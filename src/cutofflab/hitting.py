@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 
@@ -50,6 +50,8 @@ __all__ = [
 ]
 
 DEFAULT_EXACT_THRESHOLD = 14
+# the longest worst-set tail scan, in steps
+_HIT_T_MAX = 200_000
 _FEAS_TOL = 1e-12
 
 
@@ -112,9 +114,8 @@ def _scalar(x):
 
 
 class _TailScan:
-    """One scalar tail sequence, t = 0, 1, ..., drawn from its iterator
-    only as far as a caller has asked, each step taken once.  Holds the
-    scalars, never the vectors: O(T) memory."""
+    """One tail sequence, t = 0, 1, ..., drawn from its iterator only as far
+    as a caller has asked, each step taken once and kept."""
 
     def __init__(self, steps):
         self._steps = steps
@@ -535,47 +536,71 @@ def _candidate_sets(chain: Chain, alpha: float, exact_threshold: int,
     return _greedy_candidate_sets(chain, alpha, starts), False
 
 
-@dataclass(eq=False)
 class WorstTailProfile:
-    """Per-start worst-set tails p_x(alpha, t) for t = 0 .. T.
+    """The worst sets of mass >= alpha on one chain, in both time models.
 
-    ``tails[t, x]`` is exact when ``exact`` is set, otherwise a lower
-    bound from the greedy candidate family.
+    The candidate targets are enumerated once: every inclusion-minimal set
+    of mass >= alpha up to ``exact_threshold`` states (``exact``), a greedy
+    family above (lower bounds).  ``scan(x)`` is p_x(alpha, t), or its max
+    over the starts when x is None, stepped on demand; ``tails[t, x]`` are
+    the rows stepped so far.  ``ct_terms`` holds the continuized tails, one
+    pair (rates, W) per |B| with ``Pr_{B[i]}[T_A > t] = (W @ exp(-rates
+    t))[i]``; the full state space, dead past t = 0, is dropped.
     """
 
-    alpha: float
-    tails: np.ndarray
-    exact: bool
+    def __init__(self, chain: Chain, alpha: float, exact_threshold: int = DEFAULT_EXACT_THRESHOLD):
+        self.chain = chain
+        self.alpha = alpha
+        self.sets, self.exact = _candidate_sets(chain, alpha, exact_threshold)
+        self._rows = _TailScan(self._steps())
+        self._rows.at(0)
+        self._scans: dict[int | None, _TailScan] = {}
 
-    def global_sequence(self) -> np.ndarray:
-        return self.tails.max(axis=1)
+    def _steps(self):
+        # column j of V holds Pr_x[T_{A_j} > t] for every x (zero on A_j): one
+        # step multiplies by P and re-kills the target rows
+        keep = ~np.stack(self.sets, axis=1)
+        V = keep.astype(float)
+        while True:
+            yield V.max(axis=1)
+            V = self.chain.P @ V
+            V *= keep
+
+    @property
+    def tails(self) -> np.ndarray:
+        return np.array(self._rows.values)
+
+    def scan(self, x: int | None = None) -> _TailScan:
+        if x not in self._scans:
+            rows = map(self._rows.at, count())
+            self._scans[x] = _TailScan(float(r.max() if x is None else r[x]) for r in rows)
+        return self._scans[x]
 
     def hit(self, eps: float, x: int | None = None) -> int:
-        seq = self.tails[:, x] if x is not None else self.global_sequence()
-        idx = np.nonzero(seq <= eps + 1e-12)[0]
-        if idx.size == 0:
-            raise RuntimeError(f"profile too short: p(alpha, t) never reached {eps}")
-        return int(idx[0])
+        """Smallest t with p_x(alpha, t) <= eps (worst start when x is None)."""
+        return self.scan(x).first_below(eps, _HIT_T_MAX)
+
+    def result(self, eps: float, x: int | None = None, continuous: bool = False) -> "HitResult":
+        """What :func:`hit_time` returns at this alpha."""
+        if not 0 < eps < 1:
+            raise ValueError("eps must be in (0, 1)")
+        if continuous:
+            if x is not None:
+                raise ValueError("per-start continuized hit times are not supported")
+            lo, hi, exact = _hit_ct_interval(self.chain, self.alpha, eps, profile=self)
+            return HitResult(value=hi, exact=exact, bracket=(lo, hi))
+        return HitResult(value=float(self.hit(eps, x=x)), exact=self.exact)
+
+    @cached_property
+    def ct_terms(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        stacks = KilledSystem.stacks(self.chain, [s for s in self.sets if not s.all()])
+        return [(1.0 - ks.gammas, ks.state_weights) for _, ks in stacks]
 
 
-def worst_tail_profile(chain: Chain, alpha: float, stop_level: float,
-                       t_max: int = 200_000,
+def worst_tail_profile(chain: Chain, alpha: float,
                        exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> WorstTailProfile:
-    """Scan p_x(alpha, t) jointly for all starts until the global maximum
-    falls to ``stop_level``."""
-    sets, exact = _candidate_sets(chain, alpha, exact_threshold)
-    # column j of V holds Pr_x[T_{A_j} > t] for every x (zero on A_j): one
-    # step multiplies by P and re-kills the target rows
-    keep = ~np.stack(sets, axis=1)
-    V = keep.astype(float)
-    rows = [V.max(axis=1)]
-    while rows[-1].max() > stop_level + 1e-12:
-        if len(rows) > t_max:
-            raise RuntimeError("worst-set tail scan exceeded t_max")
-        V = chain.P @ V
-        V *= keep
-        rows.append(V.max(axis=1))
-    return WorstTailProfile(alpha=alpha, tails=np.array(rows), exact=exact)
+    """The one :class:`WorstTailProfile` of ``chain`` at ``alpha``."""
+    return WorstTailProfile(chain, alpha, exact_threshold)
 
 
 @dataclass(eq=False)
@@ -585,42 +610,25 @@ class HitResult:
     bracket: tuple[float, float] | None = None
 
 
-def _ct_candidates(chain: Chain, alpha: float,
-                   exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> tuple[list, bool]:
-    """The continuized tails of the candidate targets of mass >= alpha, and
-    whether the family is exact.
-
-    The targets are stacked as one :class:`KilledSystem` per |B|; each
-    stack gives a pair (rates, W) with ``Pr_{B[i]}[T_A > t] = (W @
-    exp(-rates t))[i]`` per target.  Only these arrays are kept.  The full
-    state space is dropped: nothing survives it, so its tail is 0 at every
-    t > 0.
-    """
-    sets, exact = _candidate_sets(chain, alpha, exact_threshold)
-    stacks = KilledSystem.stacks(chain, [s for s in sets if not s.all()])
-    return [(1.0 - ks.gammas, ks.state_weights) for _, ks in stacks], exact
-
-
 def _hit_ct_interval(chain: Chain, alpha: float, eps: float,
-                     exact_threshold: int = DEFAULT_EXACT_THRESHOLD,
-                     candidates=None) -> tuple[float, float, bool]:
+                     profile: WorstTailProfile | None = None) -> tuple[float, float, bool]:
     """(lo, hi, exact): a bracket of the continuized worst-set hitting time,
     bisected on ``p_ct(t) = max_A max_x Pr_x[T_A > t]``.
 
-    ``candidates`` is what :func:`_ct_candidates` returns for this alpha;
-    callers that evaluate several eps at one alpha build it once.
+    ``profile`` is the chain's :class:`WorstTailProfile` at this alpha,
+    which every eps shares (built at the default threshold when omitted).
     """
-    terms, exact = candidates or _ct_candidates(chain, alpha, exact_threshold)
+    profile = profile or worst_tail_profile(chain, alpha)
 
     def p_ct(t: float) -> float:
         worst = 0.0
-        for rates, W in terms:
+        for rates, W in profile.ct_terms:
             worst = max(worst, float(_mv(W, np.exp(-rates * t)).max()))
         return worst
 
     t_rel = chain.spectrum.t_rel
     lo, hi = _bisect_monotone(p_ct, eps, 0.0, max(1.0, t_rel), 1e-3 * max(t_rel, 1e-9))
-    return lo, hi, exact
+    return lo, hi, profile.exact
 
 
 def hit_time(chain: Chain, alpha: float, eps: float, x: int | None = None,
@@ -634,15 +642,7 @@ def hit_time(chain: Chain, alpha: float, eps: float, x: int | None = None,
     attached.  Results carry ``exact=False`` when the greedy candidate
     family was used (the value is then a certified lower bound).
     """
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    if continuous:
-        if x is not None:
-            raise ValueError("per-start continuized hit times are not supported")
-        lo, hi, exact = _hit_ct_interval(chain, alpha, eps, exact_threshold)
-        return HitResult(value=hi, exact=exact, bracket=(lo, hi))
-    prof = worst_tail_profile(chain, alpha, stop_level=eps, exact_threshold=exact_threshold)
-    return HitResult(value=float(prof.hit(eps, x=x)), exact=prof.exact)
+    return worst_tail_profile(chain, alpha, exact_threshold).result(eps, x, continuous)
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain import Chain, ChainSpec, load_chain, write_json_atomic
-from .hitting import IdentityCheckError, KilledSystem, hit_time
+from .hitting import IdentityCheckError, KilledSystem
 from .reporting import Record, check_le, skip
 
 __all__ = [
@@ -300,6 +300,17 @@ def crossing_time(tc: RootedTreeChain, u: int) -> CrossingTime:
     return tc._crossings[u]
 
 
+def _ancestor_path(tc: RootedTreeChain, x: int, y: int | None) -> list[int]:
+    """x's path up to its proper ancestor y (the root when None), ends included."""
+    if x == tc.root:
+        raise ValueError(f"x = {x} is the root and has no proper ancestor")
+    y = tc.root if y is None else y
+    path = tc.path_to_root(x)
+    if y == x or y not in path:
+        raise ValueError(f"{y} is not a proper ancestor of {x}")
+    return path[: path.index(y) + 1]
+
+
 def _two_sided_tails(tc: RootedTreeChain, x: int, y: int, mean: float, c: float,
                      scale: float) -> tuple[float, float]:
     """``Pr_x[T_y >= mean + c scale]`` and ``Pr_x[T_y <= mean - c scale]``,
@@ -332,13 +343,8 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
     consequences ``Pr[T >= mean + c sigma] <= 1/(1+c^2)`` (and the mirrored
     lower tail) against exact tail evaluations for each c in ``c_grid``.
     """
-    y = tc.root if y is None else y
-    path = tc.path_to_root(x)
-    if y not in path:
-        raise ValueError(f"{y} is not an ancestor of {x}")
-    path = path[: path.index(y) + 1]
-    if len(path) < 2:
-        raise ValueError("x and y coincide")
+    path = _ancestor_path(tc, x, y)
+    y = path[-1]
     mean = 0.0
     var = 0.0
     for u in path[:-1]:
@@ -385,17 +391,15 @@ def tau_root(tc: RootedTreeChain, eps: float, t_max: int = 1_000_000) -> int:
     return tc.killed([tc.root]).scan().first_below(eps, t_max)
 
 
-def tau_sandwich_check(tc: RootedTreeChain, eps: float, delta: float | None = None,
-                       exact_threshold: int = 14) -> list[Record]:
+def tau_sandwich_check(tc: RootedTreeChain, eps: float, hit,
+                       delta: float | None = None) -> list[Record]:
     """Worst-set sandwich: tau(eps) <= hit_{1/2}(eps) <= tau(eps - delta) + s_delta
-    with ``s_delta = ceil(4 t_rel |ln(4 delta / 9)|)``."""
-    if delta is None:
-        delta = eps / 2.0
+    with ``s_delta = ceil(4 t_rel |ln(4 delta / 9)|)``, for the exact worst-set
+    hitting times ``hit(eps)`` at mass 1/2 its caller holds."""
+    delta = eps / 2.0 if delta is None else delta
     if not 0 < delta < eps:
         raise ValueError("need 0 < delta < eps")
-    if tc.n > exact_threshold:
-        return [skip("tau-hit-sandwich", f"n = {tc.n} exceeds exact threshold", {"eps": eps})]
-    hit = hit_time(tc.chain, 0.5, eps).value
+    hit = float(hit(eps))
     lo = tau_root(tc, eps)
     s_delta = math.ceil(4.0 * tc.t_rel * abs(math.log(4.0 * delta / 9.0)))
     hi = tau_root(tc, eps - delta) + s_delta
@@ -448,10 +452,7 @@ def tail_bound_check(tc: RootedTreeChain, x: int, y: int | None = None,
     ``Pr_x[|T_y - E_x[T_y]| >= c b] <= exp(-c^2 / 20)`` on each side.
     Inadmissible c values are recorded as skips; c must be positive.
     """
-    y = tc.root if y is None else y
-    path = tc.path_to_root(x)
-    if y not in path or y == x:
-        raise ValueError("y must be a proper ancestor of x")
+    y = _ancestor_path(tc, x, y)[-1]
     t_xy = float(tc.killed([y]).mean[x])
     b = math.sqrt(t_xy * tc.t_rel)
     c_max = 2.5 * math.sqrt(t_xy / tc.t_rel)

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -50,7 +51,6 @@ from .hitting import (
     IdentityCheckError,
     KilledSystem,
     WorstTailProfile,
-    _ct_candidates,
     _dot,
     _hit_ct_interval,
     worst_tail_profile,
@@ -104,7 +104,6 @@ ALPHA_GRID = (1 / 4, 1 / 2, 3 / 4)
 DEVIATION_GRID = (3.0, 4.0, 6.0)
 WORK_GRID = (0.5, 1.0, 2.0)
 TAIL_T_GRID = (0, 1, 2, 5, 10, 20, 30)
-STOP_LEVEL = 1 / 512
 EXACT_THRESHOLD = 14
 
 
@@ -173,7 +172,6 @@ class _Ctx:
         self._profiles: dict[float, WorstTailProfile] = {}
         self._hits: dict[tuple, int] = {}
         self._hit_ct: dict[tuple, tuple[float, float, bool]] = {}
-        self._ct_candidates: dict[float, tuple[list, bool]] = {}
         self._killed: dict[bytes, KilledSystem] = {}
         self._sets: dict[str, list] = {}
         self._stacks: dict[str, list] = {}
@@ -208,8 +206,7 @@ class _Ctx:
         key = round(float(alpha), 12)
         if key not in self._profiles:
             self._profiles[key] = worst_tail_profile(
-                self.chain, alpha, stop_level=STOP_LEVEL,
-                exact_threshold=self.exact_threshold)
+                self.chain, alpha, exact_threshold=self.exact_threshold)
         return self._profiles[key]
 
     def hit(self, alpha: float, eps: float, x: int | None = None) -> int:
@@ -223,15 +220,10 @@ class _Ctx:
     def hit_ct(self, alpha: float, eps: float) -> tuple[float, float, bool]:
         if eps >= 1.0:
             return (0.0, 0.0, True)
-        a_key = round(float(alpha), 12)
-        key = (a_key, round(float(eps), 15))
+        key = (round(float(alpha), 12), round(float(eps), 15))
         if key not in self._hit_ct:
-            if a_key not in self._ct_candidates:
-                self._ct_candidates[a_key] = _ct_candidates(
-                    self.chain, alpha, self.exact_threshold)
-            self._hit_ct[key] = _hit_ct_interval(
-                self.chain, alpha, eps, exact_threshold=self.exact_threshold,
-                candidates=self._ct_candidates[a_key])
+            self._hit_ct[key] = _hit_ct_interval(self.chain, alpha, eps,
+                                                 profile=self.profile(alpha))
         return self._hit_ct[key]
 
     def clock(self, continuous: bool) -> _Clock:
@@ -260,7 +252,7 @@ class _Ctx:
             ends = np.cumsum(masks.sum(axis=1)).tolist()
             out = [(mask, tuple(flat[start:end]))
                    for mask, start, end in zip(masks, [0] + ends[:-1], ends)]
-        elif mode == "sampled":
+        else:  # "sampled", the one other mode _set_mode lets through
             rng = np.random.Generator(np.random.Philox(key=self.seed))
             masks = []
             lo = np.zeros(n, dtype=bool)
@@ -283,8 +275,6 @@ class _Ctx:
                     uniq.append(m)
             uniq.sort(key=lambda m: (int(m.sum()), m.tobytes()))
             out = [(m, tuple(int(i) for i in np.flatnonzero(m))) for m in uniq]
-        else:
-            raise ValueError(f"unknown set mode {mode!r}; use 'sampled' or 'all'")
         self._sets[mode] = out
         return out
 
@@ -343,7 +333,10 @@ def _grid(params: dict, key: str, default) -> tuple[float, ...]:
 
 
 def _set_mode(params: dict) -> str:
-    return str(params.get("sets", "sampled"))
+    mode = str(params.get("sets", "sampled"))
+    if mode not in ("sampled", "all"):
+        raise ValueError(f"unknown set mode {mode!r}; use 'sampled' or 'all'")
+    return mode
 
 
 def _per_set(stacks, order: list[int], fn) -> list[np.ndarray]:
@@ -574,19 +567,13 @@ def _suite_submult(ctx: _Ctx, params: dict) -> list[Record]:
                         float(ctx.hit(alpha, e1 * e2)),
                         float(ctx.hit(alpha, e1) + ctx.hit(alpha, e2)),
                         {"alpha": alpha, "eps": e1, "delta": e2}))
-            seq = ctx.profile(alpha).global_sequence()
+            seq = ctx.profile(alpha).scan()
             marks = sorted({1, _ceil(ctx.t_rel), ctx.tmix(0.25)})
             for i, t in enumerate(marks):
                 for s in marks[i:]:
-                    if t + s >= seq.size:
-                        records.append(skip(
-                            "tail-supermultiplicative",
-                            "profile truncated before t + s",
-                            {"alpha": alpha, "t": t, "s": s}))
-                        continue
                     records.append(check_le(
                         "tail-supermultiplicative",
-                        float(seq[t + s]), float(seq[t] * seq[s]),
+                        seq.at(t + s), seq.at(t) * seq.at(s),
                         {"alpha": alpha, "t": t, "s": s}))
     else:
         records.append(_inexact(ctx, "hit-submultiplicative"))
@@ -1106,10 +1093,10 @@ def _suite_tree_window(ctx: _Ctx, params: dict) -> list[Record]:
         return records
     eps_grid = _grid(params, "eps_grid", EPS_GRID)
     records.extend(window_rows(tc, t_rel, ctx.tmix, eps_grid))
-    for eps in eps_grid:
-        if eps <= 0.25 + 1e-12:
-            records.extend(tau_sandwich_check(tc, eps,
-                                              exact_threshold=ctx.exact_threshold))
+    for eps in (e for e in eps_grid if e <= 0.25 + 1e-12):
+        records.extend(
+            tau_sandwich_check(tc, eps, partial(ctx.hit, 0.5)) if ctx.exact
+            else [skip("tau-hit-sandwich", f"n = {tc.n} exceeds exact threshold", {"eps": eps})])
     return records
 
 
@@ -1276,6 +1263,17 @@ SUITE_IDS = tuple(SUITES)
 _ORDERED_SUITES = frozenset({"escape", "killed-spectrum", "good-set", "return-time"})
 
 
+# Each parameter grid's range: a test of one value and its wording.
+_GRID_RANGES = {
+    "eps_grid": (lambda v: 0 < v < 1, "lie in (0, 1)"),
+    "alpha_grid": (lambda v: 0 < v < 1, "lie in (0, 1)"),
+    "p_grid": (lambda v: v > 1, "be > 1"),
+    "m_grid": (lambda v: v > 0, "be > 0"),
+    "work_grid": (lambda v: v >= 0, "be >= 0"),
+    "c_grid": (lambda v: v > 0, "be > 0"),
+}
+
+
 def _record_key(r: Record):
     return (r.inequality, str(sorted((str(k), str(v))
                                      for k, v in r.params.items())))
@@ -1286,9 +1284,9 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
 
     ``params`` may override ``eps_grid``, ``alpha_grid``, ``sets``
     ("sampled" or "all"), ``seed``, ``exact_threshold``, ``functions``,
-    and per-suite grids.  Unknown suite ids, and ``eps_grid`` or
-    ``alpha_grid`` values outside (0, 1), raise ``ValueError`` before any
-    suite runs.
+    and per-suite grids.  Unknown suite ids, a grid value out of its range
+    (``_GRID_RANGES``), ``functions`` below 1 or not an integer and an
+    unknown set mode raise ``ValueError`` before any suite runs.
 
     The records of every report are in ``_record_key`` order: by
     inequality name, then by the string form of the sorted
@@ -1302,10 +1300,14 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
         if sid not in SUITES:
             known = ", ".join(SUITE_IDS)
             raise ValueError(f"unknown suite id {sid!r}; known suites: {known}")
-    for key in ("eps_grid", "alpha_grid"):
-        bad = [v for v in params.get(key, ()) if not 0 < float(v) < 1]
+    for key, (ok, wording) in _GRID_RANGES.items():
+        bad = [v for v in params.get(key, ()) if not ok(float(v))]
         if bad:
-            raise ValueError(f"{key} values must lie in (0, 1); got {bad}")
+            raise ValueError(f"{key} values must {wording}; got {bad}")
+    functions = params.get("functions", 20)
+    if (type(functions) is not int and not isinstance(functions, np.integer)) or functions < 1:
+        raise ValueError(f"functions must be an integer >= 1; got {functions!r}")
+    _set_mode(params)  # raises on an unknown set mode
     ctx = _Ctx(chain, params)
     reports = []
     for sid in suites:
@@ -1423,8 +1425,7 @@ def cutoff_scan(family, sizes, eps_grid=(0.1,), alpha: float = 0.5,
         t_at = dict(zip(levels, mixing_times(chain, levels)))
         hit = {e: None for e in eps_grid}
         if chain.n <= exact_threshold:
-            hp = worst_tail_profile(chain, alpha, stop_level=min(eps_grid),
-                                    exact_threshold=exact_threshold)
+            hp = worst_tail_profile(chain, alpha, exact_threshold=exact_threshold)
             hit = {e: int(hp.hit(e)) for e in eps_grid}
         t_mix = {e: t_at[e] for e in eps_grid}
         t_high = {e: t_at[1.0 - e] for e in eps_grid}

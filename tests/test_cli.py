@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -343,6 +344,18 @@ def test_tree_tails_rejects_nonpositive_c(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Error: c must be positive" in err
     assert "islice" not in err
+
+
+def test_tree_tails_rejects_a_root_start(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    run("gen", "--family", "random-tree", "--n", "8", "--seed", "1", "-o", str(tree))
+    capsys.readouterr()
+    run("tree", "central", str(tree))
+    root = re.search(r"root\s+= (\d+)", capsys.readouterr().out).group(1)
+    assert run("tree", "tails", str(tree), "--x", root) == 1
+    err = capsys.readouterr().err
+    assert f"Error: x = {root} is the root and has no proper ancestor" in err
+    assert "y must be" not in err
 
 
 def test_sbd_subcommands(tmp_path, capsys):

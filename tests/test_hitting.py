@@ -7,10 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutofflab import (
+    SUITE_IDS,
     KilledSystem,
     biased_path,
     birth_death,
     blow_up_set,
+    build_tree_chain,
+    chain_to_json,
     good_set,
     hit_time,
     hitting_tail,
@@ -18,10 +21,14 @@ from cutofflab import (
     load_chain,
     qs_decomposition,
     random_reversible,
+    random_tree,
     run_suite,
+    run_suites,
     two_cliques,
     worst_tail_profile,
 )
+from cutofflab import hitting, sbd
+from cutofflab.cli import main as cli_main
 from cutofflab.hitting import (
     DEFAULT_EXACT_THRESHOLD,
     _candidate_sets,
@@ -39,8 +46,9 @@ from cutofflab.verify import ALPHA_GRID, EPS_GRID, _Ctx
 
 
 def test_k2_worst_tail_is_geometric(k2):
-    prof = worst_tail_profile(k2, 0.5, stop_level=1e-3)
-    seq = prof.global_sequence()
+    prof = worst_tail_profile(k2, 0.5)
+    prof.hit(1e-3)
+    seq = np.array(prof.scan().values)
     expected = 0.75 ** np.arange(seq.size)
     assert np.allclose(seq, expected, atol=1e-12)
     assert prof.exact
@@ -180,13 +188,13 @@ def test_killed_system_routes_agree(case, k2):
 def test_worst_profile_exact_vs_greedy(small_corpus):
     # exhaustive enumeration and the greedy family agree on small chains
     chain = small_corpus[1]
-    exact = worst_tail_profile(chain, 0.5, stop_level=0.05,
-                               exact_threshold=chain.n)
-    greedy = worst_tail_profile(chain, 0.5, stop_level=0.05,
-                                exact_threshold=2)
+    exact = worst_tail_profile(chain, 0.5, exact_threshold=chain.n)
+    greedy = worst_tail_profile(chain, 0.5, exact_threshold=2)
     assert exact.exact and not greedy.exact
-    g = greedy.global_sequence()
-    e = exact.global_sequence()
+    exact.hit(0.05)
+    greedy.hit(0.05)
+    g = np.array(greedy.scan().values)
+    e = np.array(exact.scan().values)
     m = min(g.size, e.size)
     # the greedy profile is a pointwise lower bound on the exact one
     assert np.all(g[:m] <= e[:m] + 1e-12)
@@ -365,3 +373,63 @@ def test_exit_law_is_the_killed_series(case):
         assert ks.exit_law.min() >= 0.0
         np.testing.assert_allclose(ks.exit_law.sum(axis=1), 1.0, rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(ks.exit_law, series, rtol=0.0, atol=1e-12)
+
+
+def _eager_worst_tails(chain, alpha, stop_level, exact_threshold):
+    # reference: the full scan of p_x(alpha, t) over every start, stepped
+    # until the maximum over the starts falls to stop_level
+    sets, exact = _candidate_sets(chain, alpha, exact_threshold)
+    keep = ~np.stack(sets, axis=1)
+    V = keep.astype(float)
+    rows = [V.max(axis=1)]
+    while rows[-1].max() > stop_level + 1e-12:
+        V = chain.P @ V
+        V *= keep
+        rows.append(V.max(axis=1))
+    return np.array(rows), exact
+
+
+def test_profile_matches_eager_reference(k2, small_corpus):
+    chains = [k2, two_cliques(3), two_cliques(4), biased_path(8),
+              build_tree_chain(random_tree(12, seed=5)).chain, *small_corpus]
+    levels = [0.9, *(2.0 ** -k for k in range(1, 10))]
+    order = levels[1::2] + levels[::2]  # out of order: scans extend on demand
+    for chain in chains:
+        for alpha in (0.25, 0.5, 0.75, 15 / 16):
+            for threshold in (DEFAULT_EXACT_THRESHOLD, 0):
+                tails, exact = _eager_worst_tails(chain, alpha, 1 / 512, threshold)
+                prof = worst_tail_profile(chain, alpha, exact_threshold=threshold)
+                assert prof.exact == exact
+                for x in (None, *range(chain.n)):
+                    seq = tails.max(axis=1) if x is None else tails[:, x]
+                    for eps in order:
+                        want = int(np.nonzero(seq <= eps + 1e-12)[0][0])
+                        assert prof.hit(eps, x) == want
+                    values = prof.scan(x).values
+                    assert values == seq[:len(values)].tolist()
+                assert np.array_equal(prof.tails, tails[:len(prof.tails)])
+
+
+def test_candidate_family_enumerated_once_per_alpha(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return _candidate_sets(*args, **kwargs)
+
+    monkeypatch.setattr(hitting, "_candidate_sets", counting)
+    monkeypatch.setattr(sbd, "_candidate_sets", counting)
+    # six alphas: the grid, 1 - eps/4 over the eps grid; each serves the
+    # discrete and the continuized suites
+    tree_walk = build_tree_chain(random_tree(12, seed=5)).chain
+    for chain in (two_cliques(4), tree_walk):
+        calls.clear()
+        run_suites(chain, SUITE_IDS)
+        assert len(calls) == len(set(calls)) == 6
+    path = tmp_path / "chain.json"
+    chain_to_json(two_cliques(4), str(path))
+    levels = ["--eps", "0.25", "--eps", "0.1", "--eps", "0.01"]
+    for extra in (["-o", str(tmp_path / "tails.csv")], ["--continuous"]):
+        calls.clear()
+        assert cli_main(["hit", str(path), *levels, *extra]) == 0
+        assert calls == [0.5]

@@ -1,4 +1,5 @@
-"""Package layout: lazy exports and where the killed-kernel solves live."""
+"""Package layout: lazy exports, where the killed-kernel solves live, and
+where the worst-set candidate targets are enumerated."""
 
 import ast
 import os
@@ -35,9 +36,9 @@ def test_every_export_resolves():
         assert not hasattr(cutofflab, gone)
 
 
-class _SolveSites(ast.NodeVisitor):
-    """(module, enclosing scope, line) of every ``*.linalg.solve`` call and
-    of every import of ``solve`` from a ``linalg`` module."""
+class _Sites(ast.NodeVisitor):
+    """Collects (module, enclosing scope, line) of the nodes a subclass
+    marks with ``_site``."""
 
     def __init__(self, module: str):
         self.module = module
@@ -54,6 +55,20 @@ class _SolveSites(ast.NodeVisitor):
     def _site(self, node):
         self.sites.append((self.module, ".".join(self.scope), node.lineno))
 
+
+def _sites(visitor_class) -> list[tuple[str, str, int]]:
+    sites = []
+    for path in sorted((SRC / "cutofflab").glob("*.py")):
+        visitor = visitor_class(path.stem)
+        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
+        sites += visitor.sites
+    return sites
+
+
+class _SolveSites(_Sites):
+    """Every ``*.linalg.solve`` call and every import of ``solve`` from a
+    ``linalg`` module."""
+
     def visit_Call(self, node):
         f = node.func
         if (isinstance(f, ast.Attribute) and f.attr == "solve"
@@ -69,13 +84,28 @@ class _SolveSites(ast.NodeVisitor):
 def test_linear_solves_live_in_killed_system():
     # every solve with I - P_B is a KilledSystem method, so a change of
     # solver for the killed kernel is a change to one class
-    sites = []
-    for path in sorted((SRC / "cutofflab").glob("*.py")):
-        visitor = _SolveSites(path.stem)
-        visitor.visit(ast.parse(path.read_text(), filename=str(path)))
-        sites += visitor.sites
+    sites = _sites(_SolveSites)
     assert sites
     allowed = [s for s in sites
                if (s[0], s[1]) == ("chain", "_solve_stationary")
                or (s[0] == "hitting" and s[1].startswith("KilledSystem."))]
     assert sites == allowed
+
+
+class _CandidateSites(_Sites):
+    """Every call of ``_candidate_sets``, by name or as an attribute."""
+
+    def visit_Call(self, node):
+        f = node.func
+        if "_candidate_sets" in (getattr(f, "id", None), getattr(f, "attr", None)):
+            self._site(node)
+        self.generic_visit(node)
+
+
+def test_candidate_targets_are_enumerated_in_the_worst_set_object():
+    # the worst sets of one alpha live in WorstTailProfile, so replacing the
+    # candidate family is a change to one class; the banded central-block
+    # statistics keep their own greedy starts
+    sites = _sites(_CandidateSites)
+    assert sorted((module, scope) for module, scope, _ in sites) == [
+        ("hitting", "WorstTailProfile.__init__"), ("sbd", "central_block_hit")]

@@ -14,7 +14,7 @@ from cutofflab import (
     tree_from_json,
     tree_to_json,
 )
-from cutofflab.hitting import KilledSystem, hitting_tail
+from cutofflab.hitting import KilledSystem, hit_time, hitting_tail
 from cutofflab.mixing import mixing_time
 from cutofflab.trees import window_rows
 from cutofflab.verify import run_suites
@@ -98,9 +98,9 @@ def test_tau_root_matches_worst_tail():
 
 
 def test_tau_sandwich_records_pass():
-    spec = random_tree(30, seed=12)
+    spec = random_tree(12, seed=12)
     tc = build_tree_chain(spec)
-    for rec in tau_sandwich_check(tc, 0.25):
+    for rec in tau_sandwich_check(tc, 0.25, lambda e: hit_time(tc.chain, 0.5, e).value):
         assert rec.passed, rec
 
 
@@ -160,6 +160,15 @@ def test_tail_bound_rejects_nonpositive_c():
     for c in (-1.0, 0.0):
         with pytest.raises(ValueError, match="c must be positive"):
             tail_bound_check(tc, x, c_grid=(0.5, c))
+
+
+def test_root_start_has_no_proper_ancestor():
+    tc = build_tree_chain(random_tree(8, seed=1))
+    message = f"x = {tc.root} is the root and has no proper ancestor"
+    with pytest.raises(ValueError, match=message):
+        tail_bound_check(tc, tc.root)
+    with pytest.raises(ValueError, match=message):
+        path_variance(tc, tc.root)
 
 
 def test_tail_bound_rejects_non_ancestor():

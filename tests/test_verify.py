@@ -21,7 +21,7 @@ from cutofflab import (
 )
 from cutofflab.hitting import _hit_ct_interval
 from cutofflab.mixing import _ceiling, _mixing_time_ct_interval
-from cutofflab.verify import ALPHA_GRID, EPS_GRID, _record_key
+from cutofflab.verify import ALPHA_GRID, EPS_GRID, SUITES, _record_key
 
 
 def test_suite_registry_is_complete():
@@ -327,3 +327,46 @@ def test_relaxation_upper_bounds_are_the_certified_ceiling(k2, small_corpus):
     assert rep.passed and len(upper) == 1
     assert upper[0].rhs == pytest.approx(_ceiling(tiny, 0.01), rel=1e-12)
     assert math.isfinite(upper[0].rhs)
+
+
+@pytest.mark.parametrize("suite, params, message", [
+    ("maximal-function", {"p_grid": (1.0,)}, "p_grid values must be > 1"),
+    ("maximal-function", {"p_grid": (0.5,)}, "p_grid values must be > 1"),
+    ("good-set", {"m_grid": (0.0,)}, "m_grid values must be > 0"),
+    ("escape", {"work_grid": (-2.0,)}, "work_grid values must be >= 0"),
+    ("crossing-tails", {"c_grid": (0.0,)}, "c_grid values must be > 0"),
+    ("maximal-function", {"functions": -1}, "functions must be an integer >= 1"),
+    ("maximal-function", {"functions": 2.5}, "functions must be an integer >= 1"),
+    ("escape", {"sets": "bogus"}, "unknown set mode"),
+])
+def test_run_suites_rejects_parameters_out_of_range(k2, monkeypatch, suite, params, message):
+    ran = []
+    monkeypatch.setitem(SUITES, suite, lambda ctx, p: ran.append(suite) or [])
+    for chain in (k2, random_reversible(5, seed=3)):
+        with pytest.raises(ValueError, match=message):
+            run_suites(chain, [suite], params)
+    assert ran == []
+
+
+def test_tree_window_sandwich_reads_the_suite_threshold():
+    # the sandwich reads the suite's worst-set hitting times, exact at the
+    # threshold the run was given
+    for seed in range(1, 13):
+        chain = build_tree_chain(random_tree(16, seed=seed)).chain
+        rep = run_suite(chain, "tree-window", {"exact_threshold": 16})
+        assert rep.failures == []
+        sandwich = [r for r in rep.records
+                    if r.inequality.startswith(("tau-below", "worst-set-hit"))]
+        assert len(sandwich) == 6
+    skips = [r for r in run_suite(chain, "tree-window").records if r.kind == "skip"]
+    assert [(r.inequality, r.note, r.params) for r in skips] == [
+        ("tau-hit-sandwich", "n = 16 exceeds exact threshold", {"eps": eps}) for eps in EPS_GRID]
+
+
+def test_submultiplicativity_reads_tails_past_every_hit_level():
+    rep = run_suite(two_cliques(3), "submultiplicativity")
+    assert not [r for r in rep.records if r.kind == "skip"]
+    rows = {(r.params["t"], r.params["s"]): r for r in rep.records
+            if r.inequality == "tail-supermultiplicative" and r.params["alpha"] == 0.75}
+    for key in ((15, 15), (15, 16), (16, 16)):
+        assert rows[key].kind == "inequality" and rows[key].passed
