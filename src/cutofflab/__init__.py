@@ -11,6 +11,11 @@ from importlib import import_module
 
 __version__ = "0.1.0"
 
+# The largest chain whose worst-set hitting values sweep every candidate
+# target; above it they are greedy lower bounds.  ``hitting`` exports it,
+# and it lives here so that the CLI reads it without loading numpy.
+DEFAULT_EXACT_THRESHOLD = 14
+
 # submodule -> the names the package exports from it
 _EXPORTS = {
     "chain": ("Chain", "ChainSpec", "ChainValidationError", "Spectrum",

@@ -15,7 +15,8 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
+from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -35,6 +36,7 @@ __all__ = [
     "spectral_decomposition",
     "chain_from_json",
     "chain_to_json",
+    "json_text",
     "write_json_atomic",
     "write_csv_atomic",
 ]
@@ -263,9 +265,113 @@ def spectral_decomposition(chain: Chain) -> Spectrum:
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip
+# JSON text
 #
-# Format: {"n": int, "P": [[...], ...], "labels": [...]?, "pi": [...]?}
+# Every JSON file and JSON echo is written by json_text, whose output is the
+# bytes of json.dumps(obj, indent=1).  With an indent, json.dumps runs the
+# pure-Python encoder; json_text instead hands each flat container (scalars
+# only) to the C encoder with the indentation folded into the item
+# separator, writes float arrays with float.__repr__, and lets record
+# blocks fill one template per block.
+
+# the types json.dumps writes as scalars
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+@cache
+def _flat_encoder(level: int):
+    """Encodes a scalar, or a flat container whose items sit at
+    ``level + 1``, one item per line, as the bracketed text."""
+    separator = ",\n" + " " * (level + 1)
+    if c_make_encoder is None:  # no C accelerator: the same text, slower
+        return json.JSONEncoder(separators=(separator, ": ")).encode
+    # what JSONEncoder.encode builds on every call, built once
+    encode = c_make_encoder(None, json.JSONEncoder().default, encode_basestring_ascii,
+                            None, ": ", separator, False, False, True)
+    return lambda obj: "".join(encode(obj, 0))
+
+
+def json_join(items: list[str], level: int, brackets: str = "[]") -> str:
+    """Encoded items in one JSON array (or object, with ``brackets="{}"``)
+    that sits at nesting ``level``, indented as ``json.dumps(indent=1)``."""
+    if not items:
+        return brackets
+    inner = " " * (level + 1)
+    return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
+            + "\n" + " " * level + brackets[1])
+
+
+def scalar_texts(values: list) -> list[str]:
+    """The JSON text of each scalar in ``values``, from one C encoder call.
+
+    An encoded scalar holds no raw newline (strings escape theirs), so the
+    item separator splits the list text back into its items.
+    """
+    if not values:
+        return []
+    return _flat_encoder(0)(values)[1:-1].split(",\n ")
+
+
+def float_texts(values: np.ndarray) -> list[str]:
+    """The JSON text of each entry of a 1-D float array."""
+    texts = list(map(float.__repr__, values.tolist()))
+    finite = np.isfinite(values)
+    if not finite.all():
+        for i in np.flatnonzero(~finite).tolist():
+            texts[i] = _NONFINITE[texts[i]]
+    return texts
+
+
+def _key_text(key) -> str:
+    # json.dumps writes float, int, bool and None keys as their scalar text
+    if not isinstance(key, str):
+        if not (key is None or isinstance(key, (int, float))):
+            raise TypeError(f"keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = _flat_encoder(0)(key)
+    return encode_basestring_ascii(key)
+
+
+def _array_text(a: np.ndarray, level: int) -> str:
+    if a.dtype.kind != "f" or a.dtype.itemsize > 8 or a.size == 0 or a.ndim == 0:
+        return json_text(a.tolist(), level)
+    texts = float_texts(a.ravel())
+    # join the innermost axis first, one nesting level out per axis
+    for depth in reversed(range(a.ndim)):
+        m = a.shape[depth]
+        texts = [json_join(texts[i:i + m], level + depth) for i in range(0, len(texts), m)]
+    return texts[0]
+
+
+def json_text(obj, level: int = 0) -> str:
+    """``obj`` as the text of ``json.dumps(obj, indent=1)``, byte for byte.
+
+    ``level`` is the nesting depth the text sits at.  A NumPy array is
+    written as its ``tolist()``, and an object with an ``encode_json(level)``
+    method (a :class:`~cutofflab.reporting.Report`) writes itself.
+    """
+    if isinstance(obj, (list, tuple)):
+        if obj and set(map(type, obj)) <= _SCALARS:
+            return json_join([_flat_encoder(level)(obj)[1:-1]], level)
+        return json_join([json_text(v, level + 1) for v in obj], level)
+    if isinstance(obj, dict):
+        if obj and set(map(type, obj.values())) <= _SCALARS:
+            return json_join([_flat_encoder(level)(obj)[1:-1]], level, "{}")
+        return json_join([_key_text(k) + ": " + json_text(v, level + 1)
+                          for k, v in obj.items()], level, "{}")
+    if isinstance(obj, np.ndarray):
+        return _array_text(obj, level)
+    encode = getattr(obj, "encode_json", None)
+    if encode is not None:
+        return encode(level)
+    return _flat_encoder(level)(obj)
+
+
+# ---------------------------------------------------------------------------
+# files
+#
+# Chain format: {"n": int, "P": [[...], ...], "labels": [...]?, "pi": [...]?}
 
 
 @contextmanager
@@ -286,9 +392,8 @@ def _atomic_file(path: str):
 
 
 def write_json_atomic(path: str, payload) -> None:
-    """Write ``payload`` as indented JSON, atomically."""
-    # one encode and one write: json.dump writes every token separately
-    text = json.dumps(payload, indent=1)
+    """Write ``payload`` as :func:`json_text` plus a newline, atomically."""
+    text = json_text(payload)
     with _atomic_file(path) as fh:
         fh.write(text + "\n")
 
@@ -314,12 +419,12 @@ def chain_to_json(chain: Chain | ChainSpec, path: str) -> None:
         s = P[i].sum()
         if abs(s - 1.0) > 1e-13:
             P[i] /= s
-    payload: dict = {"n": int(P.shape[0]), "P": P.tolist()}
+    payload: dict = {"n": int(P.shape[0]), "P": P}
     if spec.labels is not None:
         payload["labels"] = list(spec.labels)
     pi = chain.pi if isinstance(chain, Chain) else spec.pi
     if pi is not None:
-        payload["pi"] = np.asarray(pi, dtype=float).tolist()
+        payload["pi"] = np.asarray(pi, dtype=float)
     write_json_atomic(path, payload)
 
 

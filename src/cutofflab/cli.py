@@ -18,11 +18,12 @@ thread pools before numpy is loaded.
 from __future__ import annotations
 
 import csv
-import json
 import os
 import sys
 
 import click
+
+from . import DEFAULT_EXACT_THRESHOLD
 
 
 class VerificationFailure(Exception):
@@ -64,29 +65,76 @@ def _load_tree(path: str):
         raise click.ClickException(f"{path}: malformed tree file ({exc})") from exc
 
 
-def _emit_records(records, label: str) -> int:
-    """Print one line per record; return the number of failed assertions."""
-    failures = 0
-    lines = []
-    for rec in records:
-        if rec.kind == "skip":
-            lines.append(f"  skip  {rec.inequality} {rec.params}: {rec.note}")
-            continue
-        if rec.kind == "report":
-            lines.append(f"  info  {rec.inequality} {rec.params}: "
-                         f"value={rec.lhs:.6g}")
-            continue
-        status = "ok" if rec.passed else "FAIL"
-        if not rec.passed:
-            failures += 1
-        lines.append(f"  {status:4s}  {rec.inequality} {rec.params}: "
-                     f"lhs={rec.lhs:.10g} rhs={rec.rhs:.10g} "
-                     f"margin={rec.margin:.3e}")
+def _lines(inequality: str, keys, kind: str, params: list, lhs: list, rhs: list,
+           margin: list, passed: list, note: list) -> list[str]:
+    """The lines of rows of one inequality and kind, from one ``%``
+    template.  ``params`` holds a list of values per key of ``keys``, and
+    each other argument a list with one entry per row.  The parameters
+    print as a record's params dict does, through the repr of each value."""
+    head = (inequality.replace("%", "%%") + " {"
+            + ", ".join(repr(k).replace("%", "%%") + ": %r" for k in keys) + "}: ")
+    if kind == "skip":
+        template, cols = "  skip  " + head + "%s", [*params, note]
+    elif kind == "report":
+        template, cols = "  info  " + head + "value=%.6g", [*params, lhs]
+    else:
+        template = "  %s  " + head + "lhs=%.10g rhs=%.10g margin=%.3e"
+        cols = [["ok  " if ok else "FAIL" for ok in passed], *params, lhs, rhs, margin]
+    return list(map(template.__mod__, zip(*cols)))
+
+
+def _block_lines(block, rows) -> list[str]:
+    """The lines of the rows ``rows`` (an index array) of a record block,
+    one template per kind of row."""
+    import numpy as np
+
+    kinds = np.broadcast_to(block.kind, block.lhs.shape)[rows]
+    notes = np.broadcast_to(block.note, block.lhs.shape)
+    lines = [""] * rows.size
+    for kind in dict.fromkeys(kinds.tolist()):
+        at = np.flatnonzero(kinds == kind)
+        sel = rows[at]
+        got = _lines(block.inequality, block.params, kind,
+                     [c[sel].tolist() for c in block.params.values()],
+                     block.lhs[sel].tolist(), block.rhs[sel].tolist(),
+                     block.margin[sel].tolist(), block.passed[sel].tolist(),
+                     notes[sel].tolist())
+        for i, line in zip(at.tolist(), got):
+            lines[i] = line
+    return lines
+
+
+def _echo_lines(lines: list[str], failures: int, label: str) -> int:
     if lines:
         click.echo("\n".join(lines))
     if failures:
         click.echo(f"{label}: {failures} failing record(s)", err=True)
     return failures
+
+
+def _emit_blocks(blocks, label: str, failures_only: bool = False) -> int:
+    """Print one line per row of the record blocks ``blocks`` (only the
+    failing rows with ``failures_only``); return the number of failed
+    assertions."""
+    import numpy as np
+
+    failures = 0
+    lines = []
+    for b in blocks:
+        rows = np.flatnonzero(~b.passed) if failures_only else np.arange(len(b))
+        lines += _block_lines(b, rows)
+        failures += int((b.checked[rows] & ~b.passed[rows]).sum())
+    return _echo_lines(lines, failures, label)
+
+
+def _emit_records(records, label: str) -> int:
+    """Print one line per record; return the number of failed assertions."""
+    lines = []
+    for r in records:
+        lines += _lines(r.inequality, r.params, r.kind, [[v] for v in r.params.values()],
+                        [r.lhs], [r.rhs], [r.margin], [r.passed], [r.note])
+    failures = sum(not r.passed for r in records if r.kind not in ("skip", "report"))
+    return _echo_lines(lines, failures, label)
 
 
 @click.group(context_settings={"help_option_names": ["-h", "--help"]})
@@ -195,7 +243,9 @@ def analyze(chain_file: str, eps: float, as_json: bool) -> None:
         "min_pi": float(chain.pi.min()),
     }
     if as_json:
-        click.echo(json.dumps(payload, indent=1))
+        from .chain import json_text
+
+        click.echo(json_text(payload))
         return
     click.echo(f"n        = {payload['n']}")
     click.echo(f"flags    = reversible={payload['reversible']} "
@@ -221,8 +271,8 @@ def analyze(chain_file: str, eps: float, as_json: bool) -> None:
 @click.option("--set", "set_states", default=None,
               help="Comma-separated target states; overrides the "
                    "worst-set sweep at --alpha.")
-@click.option("--exact-threshold", type=int, default=14, show_default=True,
-              help="Largest n for exhaustive set enumeration.")
+@click.option("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD,
+              show_default=True, help="Largest n for exhaustive set enumeration.")
 @click.option("--continuous", is_flag=True,
               help="Continuized-walk hitting values instead of discrete.")
 @click.option("-o", "--output", type=click.Path(), default=None,
@@ -391,7 +441,9 @@ def sbd_classify(chain_file: str, as_json: bool) -> None:
     payload = {"is_banded": cls.is_sbd, "r": cls.r, "delta": cls.delta,
                "alpha": cls.alpha, "reasons": list(cls.reasons)}
     if as_json:
-        click.echo(json.dumps(payload, indent=1))
+        from .chain import json_text
+
+        click.echo(json_text(payload))
         return
     click.echo(f"banded = {cls.is_sbd}")
     if cls.is_sbd:
@@ -527,7 +579,8 @@ def sbd_corr(chain_file: str, start: int, block_i: int, block_j: int,
               help="Target-set sweep mode for the identity suites.")
 @click.option("--seed", type=int, default=7, show_default=True,
               help="Seed for sampled sets and random test functions.")
-@click.option("--exact-threshold", type=int, default=14, show_default=True)
+@click.option("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD,
+              show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="Write the JSON report(s).")
 @click.option("--quiet", is_flag=True, help="Only summaries and failures.")
@@ -536,15 +589,9 @@ def verify_cmd(chain_file: str, suite_ids, eps_values, alpha_values,
                quiet: bool) -> None:
     """Run verification suites on a chain and report every record."""
     from .chain import write_json_atomic
-    from .verify import SUITE_IDS, run_suites
+    from .verify import run_suites
 
     chain = _load_chain(chain_file)
-    wanted: list[str] = []
-    for sid in suite_ids:
-        if sid == "all":
-            wanted.extend(s for s in SUITE_IDS if s not in wanted)
-        elif sid not in wanted:
-            wanted.append(sid)
     params: dict = {"sets": set_mode, "seed": seed,
                     "exact_threshold": exact_threshold}
     if eps_values:
@@ -552,18 +599,16 @@ def verify_cmd(chain_file: str, suite_ids, eps_values, alpha_values,
     if alpha_values:
         params["alpha_grid"] = tuple(alpha_values)
     try:
-        reports = run_suites(chain, wanted, params)
+        reports = run_suites(chain, suite_ids, params)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     total_failures = 0
     for report in reports:
         click.echo(report.summary())
-        _emit_records(report.records if not quiet else report.failures,
-                      report.suite)
+        _emit_blocks(report.blocks, report.suite, failures_only=quiet)
         total_failures += report.counts().get("failed", 0)
     if output:
-        payload = [r.to_dict() for r in reports]
-        write_json_atomic(output, payload[0] if len(payload) == 1 else payload)
+        write_json_atomic(output, reports[0] if len(reports) == 1 else reports)
         click.echo(f"wrote report -> {output}")
     if total_failures:
         raise VerificationFailure(f"{total_failures} failing record(s) "
@@ -582,7 +627,8 @@ def verify_cmd(chain_file: str, suite_ids, eps_values, alpha_values,
 @click.option("--eps", "eps_values", type=float, multiple=True,
               default=(0.1,), show_default=True)
 @click.option("--alpha", type=float, default=0.5, show_default=True)
-@click.option("--exact-threshold", type=int, default=14, show_default=True)
+@click.option("--exact-threshold", type=int, default=DEFAULT_EXACT_THRESHOLD,
+              show_default=True)
 @click.option("-o", "--output", type=click.Path(), default=None,
               help="CSV destination (stdout when omitted).")
 def cutoff_scan_cmd(family: str, sizes: str, eps_values, alpha: float,

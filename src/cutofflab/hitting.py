@@ -28,6 +28,7 @@ from itertools import count, islice
 
 import numpy as np
 
+from . import DEFAULT_EXACT_THRESHOLD
 from .chain import Chain
 from .mixing import _bisect_monotone
 
@@ -49,7 +50,6 @@ __all__ = [
     "DEFAULT_EXACT_THRESHOLD",
 ]
 
-DEFAULT_EXACT_THRESHOLD = 14
 # the longest worst-set tail scan, in steps
 _HIT_T_MAX = 200_000
 _FEAS_TOL = 1e-12

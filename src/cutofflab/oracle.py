@@ -51,9 +51,20 @@ def uniform_block(seed: int, offset: int, shape) -> np.ndarray:
     return gen.random(shape)
 
 
-def _step_states(states: np.ndarray, u: np.ndarray, cum: np.ndarray) -> np.ndarray:
-    # Inverse-CDF step: count how many cumulative cells sit at or below u.
-    return (cum[states] <= u[:, None]).sum(axis=1)
+def _step_table(chain: Chain) -> np.ndarray:
+    """The cumulative transition rows as complex keys: entry (s, j) is
+    s + i*cum[s, j].  NumPy orders complex numbers by real part, then by
+    imaginary part, so the raveled table is sorted."""
+    return np.arange(chain.n)[:, None] + 1j * np.cumsum(chain.P, axis=1)
+
+
+def _step_states(states: np.ndarray, u: np.ndarray, table: np.ndarray) -> np.ndarray:
+    # Inverse-CDF step: the next state is the number of cumulative cells of
+    # row s at or below u.  A row is non-decreasing, so that count is the
+    # right insertion index of s + i*u in the table, less the n cells of
+    # each earlier row; both keys are exact, so the step is too.
+    n = table.shape[1]
+    return np.searchsorted(table.ravel(), states + 1j * u, side="right") - states * n
 
 
 def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
@@ -81,7 +92,7 @@ def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
         return MCEstimate(value=1.0, standard_error=0.0, paths=paths, seed=seed,
                           note="T_A >= 1 from any start outside the target set")
 
-    cum = np.cumsum(chain.P, axis=1)
+    table = _step_table(chain)
     survived = 0
     for lo in range(0, paths, _CHUNK_PATHS):
         hi = min(lo + _CHUNK_PATHS, paths)
@@ -92,7 +103,7 @@ def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
             idx = np.flatnonzero(alive)
             if idx.size == 0:
                 break
-            states[idx] = _step_states(states[idx], u[idx, step], cum)
+            states[idx] = _step_states(states[idx], u[idx, step], table)
             alive[idx] = ~members[states[idx]]
         survived += int(alive.sum())
     p_hat = survived / paths
@@ -119,14 +130,14 @@ def simulate_tv_proxy(chain: Chain, x: int, t: int, paths: int,
     if not 0 <= x < chain.n:
         raise ValueError("start state out of range")
 
-    cum = np.cumsum(chain.P, axis=1)
+    table = _step_table(chain)
     counts = np.zeros(chain.n)
     for lo in range(0, paths, _CHUNK_PATHS):
         hi = min(lo + _CHUNK_PATHS, paths)
         u = uniform_block(seed, lo * t, (hi - lo, t))
         states = np.full(hi - lo, x, dtype=np.int64)
         for step in range(t):
-            states = _step_states(states, u[:, step], cum)
+            states = _step_states(states, u[:, step], table)
         counts += np.bincount(states, minlength=chain.n)
     nu = counts / paths
     tv = 0.5 * float(np.abs(nu - chain.pi).sum())

@@ -9,20 +9,32 @@ A :class:`Report` stores its rows column by column, one
 sweep every target set build each block as arrays, and ``Report.records``
 is a view of :class:`Record` objects built from the blocks on first use.
 :func:`check_le` and :func:`check_identity` certify one row; a block
-certifies all of its rows with the same IEEE operations.
+certifies all of its rows with the same IEEE operations.  A report's JSON
+text is written from the columns too, one template per block, with the
+bytes ``json.dumps(report.to_dict(), indent=1)`` would give.
 """
 
 from __future__ import annotations
 
 import gc
 import hashlib
-import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import groupby, repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
+
+from .chain import (
+    _SCALARS,
+    _key_text,
+    float_texts,
+    json_join,
+    json_text,
+    scalar_texts,
+    write_json_atomic,
+)
 
 MARGIN_TOL = 1e-9
 
@@ -149,6 +161,21 @@ def _plain_column(values: list) -> list:
     return list(map(_plain, values))
 
 
+def _value_texts(column: np.ndarray, level: int) -> list[str]:
+    """The JSON text of each value of a parameter column at ``level``."""
+    values = _plain_column(column.tolist())
+    if set(map(type, values)) <= _SCALARS:
+        return scalar_texts(values)
+    return [json_text(v, level) for v in values]
+
+
+def _label_texts(values) -> str | list[str]:
+    """The JSON text of a kind or note column: one text or one per row."""
+    if isinstance(values, str):
+        return encode_basestring_ascii(values)
+    return list(map(encode_basestring_ascii, values.tolist()))
+
+
 def _dicts(keys: tuple, cols: list, n: int) -> list[dict]:
     """One params dict per row.  Dict displays for the usual one to three
     keys build twice as fast as ``dict(zip(keys, values))``."""
@@ -269,6 +296,32 @@ class RecordBlock:
         """The rows ``rows`` (all by default) as :class:`Record` objects."""
         return list(map(Record, repeat(self.inequality), *self._fields(rows, False)))
 
+    def json_rows(self, level: int) -> list[str]:
+        """Every row as the JSON text of its :meth:`dicts` entry at nesting
+        ``level``, from one ``%`` template filled from the columns."""
+        cols = []
+
+        def field(text):
+            # a text shared by every row, or a column filled in per row
+            if isinstance(text, list):
+                cols.append(text)
+                return "%s"
+            return text.replace("%", "%%")
+
+        name = field(encode_basestring_ascii(self.inequality))
+        params = json_join([field(_key_text(k)) + ": "
+                            + field(_value_texts(c, level + 2))
+                            for k, c in self.params.items()], level + 1, "{}")
+        floats = [field(float_texts(a)) for a in (self.lhs, self.rhs, self.margin)]
+        kind = field(_label_texts(self.kind))
+        passed = field(np.where(self.passed, "true", "false").tolist())
+        note = field(_label_texts(self.note))
+        template = json_join([f'"inequality": {name}', f'"params": {params}',
+                              f'"lhs": {floats[0]}', f'"rhs": {floats[1]}',
+                              f'"margin": {floats[2]}', f'"kind": {kind}',
+                              f'"passed": {passed}', f'"note": {note}'], level, "{}")
+        return list(map(template.__mod__, zip(*cols)))
+
     def dicts(self) -> list[dict]:
         """Every row in the JSON layout of :meth:`Record.to_dict`."""
         name = self.inequality
@@ -361,10 +414,19 @@ class Report:
             "records": rows,
         }
 
-    def to_json(self, path: str) -> None:
-        from .chain import write_json_atomic
+    def encode_json(self, level: int = 0) -> str:
+        """The JSON text of :meth:`to_dict` at nesting ``level``, written
+        from the columns without building the row dicts."""
+        head = {"suite": self.suite, "chain": self.chain_fingerprint,
+                "params": {k: _plain(v) for k, v in self.params.items()},
+                "passed": self.passed}
+        rows = [t for b in self.blocks for t in b.json_rows(level + 2)]
+        return json_join([_key_text(k) + ": " + json_text(v, level + 1)
+                          for k, v in head.items()]
+                         + ['"records": ' + json_join(rows, level + 1)], level, "{}")
 
-        write_json_atomic(path, self.to_dict())
+    def to_json(self, path: str) -> None:
+        write_json_atomic(path, self)
 
     def dumps(self) -> str:
-        return json.dumps(self.to_dict(), indent=1)
+        return json_text(self)

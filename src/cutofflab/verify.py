@@ -48,6 +48,7 @@ import numpy as np
 from .chain import Chain, write_csv_atomic
 from .families import FAMILIES
 from .hitting import (
+    DEFAULT_EXACT_THRESHOLD,
     IdentityCheckError,
     KilledSystem,
     WorstTailProfile,
@@ -104,7 +105,6 @@ ALPHA_GRID = (1 / 4, 1 / 2, 3 / 4)
 DEVIATION_GRID = (3.0, 4.0, 6.0)
 WORK_GRID = (0.5, 1.0, 2.0)
 TAIL_T_GRID = (0, 1, 2, 5, 10, 20, 30)
-EXACT_THRESHOLD = 14
 
 
 def _ceil(x: float) -> int:
@@ -160,7 +160,7 @@ class _Ctx:
         chain.require(reversible=True, irreducible=True)
         self.chain = chain
         self.params = params
-        self.exact_threshold = int(params.get("exact_threshold", EXACT_THRESHOLD))
+        self.exact_threshold = int(params.get("exact_threshold", DEFAULT_EXACT_THRESHOLD))
         self.seed = int(params.get("seed", 7))
         self.spectrum = chain.spectrum
         self.t_rel = float(self.spectrum.t_rel)
@@ -1282,7 +1282,9 @@ def _record_key(r: Record):
 def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]:
     """Evaluate several suites on one chain, sharing every cached quantity.
 
-    ``params`` may override ``eps_grid``, ``alpha_grid``, ``sets``
+    ``suites`` lists suite ids; "all" stands for every suite in
+    ``SUITE_IDS`` order, and a suite named twice runs once, where it first
+    appears.  ``params`` may override ``eps_grid``, ``alpha_grid``, ``sets``
     ("sampled" or "all"), ``seed``, ``exact_threshold``, ``functions``,
     and per-suite grids.  Unknown suite ids, a grid value out of its range
     (``_GRID_RANGES``), ``functions`` below 1 or not an integer and an
@@ -1296,6 +1298,8 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
     pass; the records of the other suites are sorted here.
     """
     params = dict(params or {})
+    suites = list(dict.fromkeys(s for sid in suites
+                                for s in (SUITE_IDS if sid == "all" else (sid,))))
     for sid in suites:
         if sid not in SUITES:
             known = ", ".join(SUITE_IDS)
@@ -1395,7 +1399,7 @@ class CutoffScan:
 
 
 def cutoff_scan(family, sizes, eps_grid=(0.1,), alpha: float = 0.5,
-                exact_threshold: int = EXACT_THRESHOLD) -> CutoffScan:
+                exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> CutoffScan:
     """Tabulate mixing windows and ratios across increasing sizes.
 
     ``family`` is a registered family id (see ``families.FAMILIES``) or a

@@ -1,9 +1,11 @@
 import json
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from cutofflab import (
     ChainSpec,
@@ -14,6 +16,7 @@ from cutofflab import (
     mixing_profile,
     random_reversible,
 )
+from cutofflab.chain import json_text
 
 
 def test_k2_spectrum_is_exact(k2):
@@ -148,3 +151,67 @@ def test_spectrum_decomposition_identities(seed):
     assert np.allclose((F ** 2).sum(axis=1), 1.0 / chain.pi, atol=1e-8)
     # eigenvalues all >= 0 for lazy chains
     assert s.eigenvalues.min() >= -1e-12
+
+
+_SCALARS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308, 10 ** 30,
+                     -(2 ** 70), True, False, None, "", 'q"u"ote', "back\\slash",
+                     "\u00e9t\u00e9 \u20ac \U0001f600", "50% %s %%d", "line\nbreak, \t"]),
+    st.floats(), st.integers(), st.booleans(), st.text(max_size=6),
+    st.floats().map(np.float64),
+)
+_KEYS = st.one_of(st.text(max_size=4), st.integers(-5, 5), st.floats(), st.booleans(),
+                  st.none())
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: (st.lists(kids, max_size=4) | st.lists(kids, max_size=4).map(tuple)
+                  | st.dictionaries(_KEYS, kids, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_VALUES)
+def test_json_text_is_json_dumps_byte_for_byte(obj):
+    assert json_text(obj) == json.dumps(obj, indent=1)
+    assert json_text([obj, {"k": obj}]) == json.dumps([obj, {"k": obj}], indent=1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(arrays(np.float64, array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)))
+def test_json_text_writes_float_arrays_as_their_lists(a):
+    assert json_text(a) == json.dumps(a.tolist(), indent=1)
+    payload = {"P": a, "rows": [a, a.tolist()], "n": 3}
+    assert json_text(payload) == json.dumps(
+        {"P": a.tolist(), "rows": [a.tolist(), a.tolist()], "n": 3}, indent=1)
+
+
+def test_json_text_without_the_c_encoder(monkeypatch):
+    from cutofflab import chain as chain_module
+
+    obj = {"a": [1, 2.5, math.nan, "\u00e9"], "b": {"c": None, "d": []}, "e": True}
+    monkeypatch.setattr(chain_module, "c_make_encoder", None)
+    chain_module._flat_encoder.cache_clear()
+    try:
+        assert json_text(obj) == json.dumps(obj, indent=1)
+    finally:
+        chain_module._flat_encoder.cache_clear()
+
+
+def test_json_text_rejects_what_json_dumps_rejects():
+    for obj in ([np.int64(1)], {"k": object()}, {(1, 2): 1}, {"a": [1, {(1,): 2}]}):
+        with pytest.raises(TypeError):
+            json.dumps(obj, indent=1)
+        with pytest.raises(TypeError):
+            json_text(obj)
+
+
+def test_chain_file_is_json_dumps_of_its_lists(tmp_path, small_corpus):
+    path = tmp_path / "chain.json"
+    for chain in small_corpus:
+        chain_to_json(ChainSpec(P=chain.P, pi=chain.pi, labels=list("abcdefghijklmnop"[:chain.n])),
+                      str(path))
+        text = path.read_text()
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=1) + "\n"
+        assert list(payload) == ["n", "P", "labels", "pi"]
+        assert payload["pi"] == chain.pi.tolist()

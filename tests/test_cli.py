@@ -1,14 +1,15 @@
 import csv
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
 
-from cutofflab import chain_from_json
-from cutofflab.cli import main
-from cutofflab.reporting import Record, Report
+from cutofflab import SUITE_IDS, chain_from_json, run_suites
+from cutofflab.cli import _emit_blocks, _emit_records, main
+from cutofflab.reporting import Record, RecordBlock, Report
 
 
 def run(*argv):
@@ -186,6 +187,57 @@ def test_verify_exit_zero_and_report(tmp_path):
     assert all(p["passed"] for p in payload)
     assert all(p["params"] == {"sets": "sampled", "seed": 7,
                                "exact_threshold": 14} for p in payload)
+
+
+def _record_line(rec: Record) -> str:
+    """The line ``verify`` prints for one record."""
+    if rec.kind == "skip":
+        return f"  skip  {rec.inequality} {rec.params}: {rec.note}"
+    if rec.kind == "report":
+        return f"  info  {rec.inequality} {rec.params}: value={rec.lhs:.6g}"
+    status = "ok" if rec.passed else "FAIL"
+    return (f"  {status:4s}  {rec.inequality} {rec.params}: lhs={rec.lhs:.10g} "
+            f"rhs={rec.rhs:.10g} margin={rec.margin:.3e}")
+
+
+@pytest.mark.parametrize("quiet", [False, True])
+def test_verify_writes_and_prints_the_records_of_run_suites(tmp_path, capsys, quiet):
+    # biased-path n = 34 has failing checks, a NaN margin, skip and report rows
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "34", "-o", str(chain))
+    report = tmp_path / "report.json"
+    capsys.readouterr()
+    assert run("verify", "--chain", str(chain), "--suite", "all", "-o", str(report),
+               *(["--quiet"] if quiet else [])) == 2
+    out = capsys.readouterr().out
+    reports = run_suites(chain_from_json(str(chain)), SUITE_IDS,
+                         {"sets": "sampled", "seed": 7, "exact_threshold": 14})
+    assert report.read_text() == json.dumps([r.to_dict() for r in reports], indent=1) + "\n"
+    want = []
+    for r in reports:
+        want.append(r.summary())
+        want += [_record_line(rec) for rec in (r.failures if quiet else r.records)]
+    want.append(f"wrote report -> {report}")
+    assert out == "\n".join(want) + "\n"
+
+
+def test_record_lines_of_mixed_and_escaped_blocks(capsys):
+    blocks = [
+        RecordBlock("50% %s", [2.0, 1.0, math.nan, 3.0, -0.0], [1.0, 1.0, math.nan, math.nan, 0.0],
+                    ["inequality", "identity", "skip", "report", "inequality"],
+                    {"a%d": [(0, 1), "%r", None, [1.5], np.float64(0.25)], "t": np.arange(5)},
+                    note=["", "", "why %s", "", ""]),
+        RecordBlock("no-params", [1.0, 0.5], [0.5, 1.0], "identity"),
+    ]
+    records = [r for b in blocks for r in b.records()]
+    for emit in (lambda: _emit_blocks(blocks, "x"), lambda: _emit_records(records, "x")):
+        assert emit() == 3
+        out, err = capsys.readouterr()
+        assert out == "\n".join(map(_record_line, records)) + "\n"
+        assert err == "x: 3 failing record(s)\n"
+    assert _emit_blocks(blocks, "x", failures_only=True) == 3
+    out, _ = capsys.readouterr()
+    assert out == "\n".join(_record_line(r) for r in records if not r.passed) + "\n"
 
 
 def test_verify_all_on_k2(tmp_path):

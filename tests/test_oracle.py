@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cutofflab import simulate_hitting, simulate_tv_proxy
-from cutofflab.oracle import uniform_block
+from cutofflab import load_chain, simulate_hitting, simulate_tv_proxy
+from cutofflab.oracle import _step_states, _step_table, uniform_block
 
 
 def test_uniform_block_chunking_is_bit_for_bit():
@@ -17,6 +17,36 @@ def test_uniform_block_seeds_differ():
     a = uniform_block(1, 0, (16,))
     b = uniform_block(2, 0, (16,))
     assert not np.array_equal(a, b)
+
+
+def _gather_step(states, u, cum):
+    # the inverse-CDF step as a gather: count the row's cells at or below u
+    return (cum[states] <= u[:, None]).sum(axis=1)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_step_kernel_matches_the_gather_formula(seed):
+    # zero-probability transitions give runs of tied cumulative values, and
+    # u is drawn from the cumulative values themselves as well as at random
+    rng = np.random.default_rng(seed)
+    n = 9
+    P = rng.random((n, n)) * (rng.random((n, n)) < 0.4)
+    P[0] = 0.0
+    P[0, 3] = 1.0
+    P[1, :] = 0.0
+    P[1, [0, n - 1]] = 0.5
+    P[np.arange(n), np.arange(n)] += 1e-3
+    P /= P.sum(axis=1, keepdims=True)
+    chain = load_chain(P)
+    cum = np.cumsum(chain.P, axis=1)
+    states = rng.integers(0, n, size=4000)
+    u = np.where(rng.random(4000) < 0.5, rng.random(4000),
+                 cum[rng.integers(0, n, size=4000), rng.integers(0, n, size=4000)])
+    u[:n * n] = cum.ravel()
+    states[:n * n] = np.repeat(np.arange(n), n)
+    u[n * n:n * n + n] = 0.0
+    want = _gather_step(states, u, cum)
+    assert np.array_equal(_step_states(states, u, _step_table(chain)), want)
 
 
 def test_simulate_hitting_is_reproducible(k2):

@@ -109,3 +109,35 @@ def test_candidate_targets_are_enumerated_in_the_worst_set_object():
     sites = _sites(_CandidateSites)
     assert sorted((module, scope) for module, scope, _ in sites) == [
         ("hitting", "WorstTailProfile.__init__"), ("sbd", "central_block_hit")]
+
+
+class _IndentedJsonSites(_Sites):
+    """Every ``json.dump``/``json.dumps`` call (by attribute or by a name
+    imported from ``json``) and every ``JSONEncoder`` built with an
+    ``indent`` keyword."""
+
+    def visit_Call(self, node):
+        f = node.func
+        name = getattr(f, "attr", None) or getattr(f, "id", None)
+        if (name in ("dump", "dumps", "JSONEncoder")
+                and any(k.arg == "indent" for k in node.keywords)):
+            self._site(node)
+        self.generic_visit(node)
+
+
+def test_indented_json_is_written_by_one_emitter():
+    # every JSON file and echo is chain.json_text; an indented json.dumps
+    # elsewhere would be a second writer, on the pure-Python encoder
+    assert _sites(_IndentedJsonSites) == []
+
+
+def test_one_exact_threshold():
+    from cutofflab import DEFAULT_EXACT_THRESHOLD, cli, hitting, verify
+
+    assert hitting.DEFAULT_EXACT_THRESHOLD is DEFAULT_EXACT_THRESHOLD
+    assert not hasattr(verify, "EXACT_THRESHOLD")
+    defaults = {(cmd.name, p.name): p.default
+                for cmd in (cli.hit, cli.verify_cmd, cli.cutoff_scan_cmd)
+                for p in cmd.params if p.name == "exact_threshold"}
+    assert defaults == {(name, "exact_threshold"): DEFAULT_EXACT_THRESHOLD
+                        for name in ("hit", "verify", "cutoff-scan")}

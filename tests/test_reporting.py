@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cutofflab import random_reversible, run_suites
+from cutofflab import biased_path, random_reversible, run_suites, two_cliques
+from cutofflab.chain import json_text
 from cutofflab.reporting import (
     MARGIN_TOL,
     Record,
@@ -167,3 +168,36 @@ def test_worst_margin_is_nan_when_any_check_margin_is_nan(where):
     rep = Report("s", "fp", good + [check_le("b", 0.0, -0.0), check_le("c", 0.0, 0.0)])
     assert _bits(rep.worst_margin()) == _bits(-0.0)
     assert Report("s", "fp", [skip("a", "no")]).worst_margin() == math.inf
+
+
+@pytest.mark.parametrize("name", ["random-6 all sets", "biased-path-34", "two-cliques-4"])
+def test_report_json_is_json_dumps_of_to_dict(name):
+    chain, params = {"random-6 all sets": (random_reversible(6, seed=11), {"sets": "all"}),
+                     "biased-path-34": (biased_path(34), {}),
+                     "two-cliques-4": (two_cliques(4), {})}[name]
+    reports = run_suites(chain, ["all"], params)
+    for r in reports:
+        assert r.dumps() == json.dumps(r.to_dict(), indent=1)
+    assert json_text(reports) == json.dumps([r.to_dict() for r in reports], indent=1)
+    if name == "biased-path-34":
+        # skip and report rows, failures and a NaN margin all reach the text
+        kinds = {k for r in reports for b in r.blocks for k in np.atleast_1d(b.kind).tolist()}
+        assert {"skip", "report", "identity", "inequality"} <= kinds
+        assert any(np.isnan(b.margin).any() for r in reports for b in r.blocks)
+        assert not all(r.passed for r in reports)
+
+
+def test_report_json_of_mixed_and_escaped_blocks():
+    odd = RecordBlock("50% %s \"q\"", [2.0, 1.0, math.nan, 3.0, -0.0],
+                      [1.0, 1.0, math.nan, math.nan, math.inf],
+                      ["inequality", "identity", "skip", "report", "inequality"],
+                      {"a%d": [(0, 1), 'd\u00e9j\u00e0 "vu"', None, [1.5, math.inf], {"k": 1}],
+                       "t": np.arange(5)},
+                      note=["", "%s", "why \u00e9", "", "back\\slash"])
+    reports = [Report("mixed", "fp", params={"sets": "all", "eps_grid": (0.25, 0.5)},
+                      blocks=_mixed_blocks() + [odd]),
+               Report("empty", "fp", params={}),
+               Report("records", "fp", _mixed_records())]
+    for r in reports:
+        assert r.dumps() == json.dumps(r.to_dict(), indent=1)
+    assert json_text(reports) == json.dumps([r.to_dict() for r in reports], indent=1)

@@ -40,6 +40,16 @@ def test_unknown_suite_raises(k2):
         run_suites(k2, ["relaxation", "nope"])
 
 
+def test_all_names_every_suite_once(p3):
+    want = run_suites(p3, SUITE_IDS)
+    for suites in (["all"], ["all", "relaxation"], list(SUITE_IDS) + ["all"]):
+        got = run_suites(p3, suites)
+        assert [r.suite for r in got] == list(SUITE_IDS)
+        assert [r.dumps() for r in got] == [r.dumps() for r in want]
+    got = run_suites(p3, ["escape", "all", "escape"])
+    assert [r.suite for r in got] == ["escape"] + [s for s in SUITE_IDS if s != "escape"]
+
+
 def test_all_suites_pass_on_k2(k2):
     reports = run_suites(k2, list(SUITE_IDS))
     for rep in reports:
