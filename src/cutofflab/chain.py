@@ -19,8 +19,6 @@ from functools import cache, cached_property
 from json.encoder import c_make_encoder, encode_basestring_ascii
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 ROW_SUM_TOL = 1e-12
 STATIONARY_TOL = 1e-10
@@ -97,6 +95,30 @@ class ChainSpec:
             raise ChainValidationError("labels length does not match state count")
 
 
+def _strongly_connected(adj: np.ndarray) -> bool:
+    """Whether the digraph with boolean adjacency matrix ``adj`` is strongly
+    connected, i.e. a chain with support ``adj`` is irreducible.
+
+    A level-synchronous frontier search from state 0 along the edges and
+    one along the reversed edges: the graph is strongly connected exactly
+    when both reach every state.  A symmetric support, which every
+    reversible chain has, needs the first search only.  Each level is one
+    numpy step over the rows of its frontier, so a dense graph takes a few
+    steps and a path one step per state.
+    """
+    n = adj.shape[0]
+    for a in (adj,) if (adj == adj.T).all() else (adj, adj.T):
+        seen = np.zeros(n, dtype=bool)
+        seen[0] = True
+        frontier = np.zeros(1, dtype=np.intp)
+        while frontier.size:
+            frontier = np.flatnonzero(a[frontier].any(axis=0) & ~seen)
+            seen[frontier] = True
+        if not seen.all():
+            return False
+    return True
+
+
 def _solve_stationary(P: np.ndarray) -> np.ndarray:
     """Stationary row vector of P via a dense solve of (P^T - I) pi = 0."""
     n = P.shape[0]
@@ -165,8 +187,7 @@ def load_chain(spec: ChainSpec | np.ndarray, pi: np.ndarray | None = None,
     P = np.asarray(spec.P, dtype=float)
     n = P.shape[0]
 
-    ncomp, _ = connected_components(csr_matrix(P > 0), directed=True, connection="strong")
-    irreducible = ncomp == 1
+    irreducible = _strongly_connected(P > 0)
 
     if spec.pi is not None:
         pi_vec = np.asarray(spec.pi, dtype=float)

@@ -3,13 +3,13 @@
 The worst-case distance ``d(t) = max_x ||P^t(x,.) - pi||_TV`` is computed
 from dense powers of the kernel; the continuized analogue replaces ``P^t``
 with ``exp(-t (I - P))``.  Every discrete mixing time comes from one rule,
-``mixing_times``: one dense scan serves all levels when min pi is below
-``_SPECTRAL_SAFE_MIN_PI``, and otherwise each level gets one integer search
-on the spectral evaluation of d.  Both are bounded by the certified ceiling
-``t_rel* (-log eps - log min pi)`` (Levin-Peres-Wilmer, Thm 12.4), where
-t_rel* is the absolute relaxation time; continuized times are bisected from
-the same ceiling with the relaxation time of ``I - P``.  The running-maximum
-operator along even times,
+``mixing_times``: one on-demand dense scan of d(t) serves all levels when
+min pi is below ``_SPECTRAL_SAFE_MIN_PI``, and otherwise each level gets
+one integer search on the spectral evaluation of d.  Both are bounded by
+the certified ceiling ``t_rel* (-log eps - log min pi)`` (Levin-Peres-Wilmer,
+Thm 12.4), where t_rel* is the absolute relaxation time; continuized times
+are bisected from the same ceiling with the relaxation time of ``I - P``.
+The running-maximum operator along even times,
 ``f*(x) = sup_k |P^{2k} f(x)|``, is evaluated to a certified truncation
 horizon using the spectral tail envelope.
 """
@@ -90,6 +90,40 @@ class MixingProfile:
                           for t, d, x in zip(self.times, self.d, self.argmax_state)))
 
 
+class _DistanceScan:
+    """d(t) for t = 0, 1, ... from iterated dense products ``M <- M P``,
+    taken only as far as a caller has asked, each step taken once and kept
+    with its worst start (ties to the lowest index)."""
+
+    def __init__(self, chain: Chain):
+        self._chain = chain
+        self._M: np.ndarray | None = None
+        self.d: list[float] = []
+        self.argmax: list[int] = []
+
+    def _step(self) -> None:
+        self._M = np.eye(self._chain.n) if self._M is None else self._M @ self._chain.P
+        tv = _tv_rows(self._M, self._chain.pi)
+        x = int(np.argmax(tv))
+        self.d.append(float(tv[x]))
+        self.argmax.append(x)
+
+    def at(self, t: int) -> float:
+        while len(self.d) <= t:
+            self._step()
+        return self.d[t]
+
+    def first_below(self, eps: float, t_max: int) -> int:
+        """Smallest t with d(t) <= eps (to 1e-12); raises past ``t_max``."""
+        level = eps + 1e-12
+        for t in range(t_max + 1):
+            if t == len(self.d):
+                self._step()
+            if self.d[t] <= level:
+                return t
+        raise RuntimeError("mixing scan ended above its certified ceiling")
+
+
 def mixing_profile(chain: Chain, t_max: int | None = None,
                    eps_floor: float | None = None) -> MixingProfile:
     """d(t) for t = 0, 1, ... by iterated dense multiplication.
@@ -99,25 +133,19 @@ def mixing_profile(chain: Chain, t_max: int | None = None,
     """
     if t_max is None and eps_floor is None:
         eps_floor = 1.0 / 1024.0
-    pi = chain.pi
-    M = np.eye(chain.n)
-    times, ds, arg = [], [], []
+    scan = _DistanceScan(chain)
     t = 0
     while True:
-        tv = _tv_rows(M, pi)
-        x = int(np.argmax(tv))
-        times.append(t)
-        ds.append(float(tv[x]))
-        arg.append(x)
+        d = scan.at(t)
         if t_max is not None and t >= t_max:
             break
-        if eps_floor is not None and tv[x] <= eps_floor:
+        if eps_floor is not None and d <= eps_floor:
             break
         if t > 10_000_000:
             raise RuntimeError("mixing profile scan failed to terminate")
-        M = M @ chain.P
         t += 1
-    return MixingProfile(times=np.array(times), d=np.array(ds), argmax_state=np.array(arg))
+    return MixingProfile(times=np.arange(t + 1), d=np.array(scan.d),
+                         argmax_state=np.array(scan.argmax))
 
 
 def _d_spectral(chain: Chain, t: int) -> float:
@@ -190,25 +218,24 @@ def _mixing_time_ct_interval(chain: Chain, eps: float) -> tuple[float, float]:
     return _bisect_monotone(lambda t: _d_continuous(chain, t), eps, 0.0, hi0, tol)
 
 
-def mixing_times(chain: Chain, levels) -> list[int]:
+def mixing_times(chain: Chain, levels, scan: _DistanceScan | None = None) -> list[int]:
     """Smallest t with d(t) <= eps + 1e-12 for each eps in ``levels``.
 
     Levels must lie in (0, 1).  With min pi below ``_SPECTRAL_SAFE_MIN_PI``
-    one dense scan up to the certified ceiling of the lowest level serves
-    every level; otherwise each level gets one integer search on the
-    spectral d, bracketed from its ceiling.
+    every level reads one dense :class:`_DistanceScan` (``scan``, when the
+    caller keeps one for the chain), each up to its own certified ceiling;
+    otherwise each level gets one integer search on the spectral d,
+    bracketed from its ceiling.
     """
+    if not all(0 < e < 1 for e in levels):
+        raise ValueError("eps must be in (0, 1)")
+    ceilings = [math.ceil(_ceiling(chain, e)) for e in levels]
     if chain.pi.min() < _SPECTRAL_SAFE_MIN_PI:
-        floor = min(levels)
-        prof = mixing_profile(chain, t_max=math.ceil(_ceiling(chain, floor)),
-                              eps_floor=floor)
-        times = [prof.hit_level(e) for e in levels]
-        if None in times:
-            raise RuntimeError("mixing scan ended above its certified ceiling")
-        return times
-    return [_first_integer(lambda t: _d_spectral(chain, t) <= e + 1e-12,
-                           max(1, math.ceil(_ceiling(chain, e))))
-            for e in levels]
+        if scan is None:
+            scan = _DistanceScan(chain)
+        return [scan.first_below(e, t_max) for e, t_max in zip(levels, ceilings)]
+    return [_first_integer(lambda t: _d_spectral(chain, t) <= e + 1e-12, max(1, t_max))
+            for e, t_max in zip(levels, ceilings)]
 
 
 def mixing_time(chain: Chain, eps: float, continuous: bool = False) -> int | float:

@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import islice
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,9 +59,9 @@ from .hitting import (
 )
 from .mixing import (
     _ceiling,
+    _DistanceScan,
     _mixing_time_ct_interval,
     maximal_function,
-    mixing_time,
     mixing_times,
     worst_tv,
 )
@@ -152,6 +153,46 @@ class _Clock:
         return x if self.continuous else _ceil(x)
 
 
+class _Targets(NamedTuple):
+    """The nonempty proper target sets of one sweep, read-only.
+
+    ``masks`` holds one boolean row per set and ``pairs`` the (mask row,
+    members) pairs in the same order.  That order is kept: good-set
+    evaluates all sets in one matrix product, whose last bits depend on the
+    column order.  ``order`` lists the positions by ``str(members)``, the
+    order of the record keys (no tuple repr is a prefix of another), and
+    ``members`` the member tuples in that order as an object array, the
+    ``A`` column of the set-sweeping suites.
+    """
+
+    masks: np.ndarray
+    pairs: list[tuple[np.ndarray, tuple[int, ...]]]
+    order: list[int]
+    members: np.ndarray
+
+    @classmethod
+    def of(cls, masks: np.ndarray) -> "_Targets":
+        masks.setflags(write=False)
+        flat = np.nonzero(masks)[1].tolist()
+        ends = np.cumsum(masks.sum(axis=1)).tolist()
+        pairs = [(mask, tuple(flat[start:end]))
+                 for mask, start, end in zip(masks, [0] + ends[:-1], ends)]
+        order = sorted(range(len(pairs)), key=lambda j: str(pairs[j][1]))
+        members = np.fromiter((pairs[j][1] for j in order), dtype=object, count=len(pairs))
+        members.setflags(write=False)
+        return cls(masks, pairs, order, members)
+
+
+@cache
+def _all_targets(n: int) -> _Targets:
+    """Every nonempty proper subset of n <= 14 states, in bit order; it
+    depends on n alone, so it is built once per n and shared."""
+    if n > 14:
+        raise ValueError("exhaustive subset sweeps are limited to n <= 14")
+    bits = np.arange(1, (1 << n) - 1)
+    return _Targets.of(((bits[:, None] >> np.arange(n)) & 1).astype(bool))
+
+
 class _Ctx:
     """Caches spectra, profiles, mixing times, and killed systems so a
     batch of suites on one chain never recomputes a shared quantity."""
@@ -168,15 +209,14 @@ class _Ctx:
         self.lazy = bool(chain.is_lazy)
         self.exact = chain.n <= self.exact_threshold
         self._tmix: dict[float, int] = {}
+        self._d_scan = _DistanceScan(chain)
         self._tmix_ct: dict[float, tuple[float, float]] = {}
         self._profiles: dict[float, WorstTailProfile] = {}
         self._hits: dict[tuple, int] = {}
         self._hit_ct: dict[tuple, tuple[float, float, bool]] = {}
         self._killed: dict[bytes, KilledSystem] = {}
-        self._sets: dict[str, list] = {}
+        self._targets: dict[str, _Targets] = {}
         self._stacks: dict[str, list] = {}
-        self._set_orders: dict[str, list[int]] = {}
-        self._members: dict[str, np.ndarray] = {}
         self._functions: np.ndarray | None = None
         self._tree = None
         self._sbd = None
@@ -188,7 +228,7 @@ class _Ctx:
             return 0
         key = float(eps)
         if key not in self._tmix:
-            self._tmix[key] = mixing_time(self.chain, key)
+            self._tmix[key] = mixing_times(self.chain, (key,), self._d_scan)[0]
         return self._tmix[key]
 
     def tmix_ct(self, eps: float) -> tuple[float, float]:
@@ -237,21 +277,15 @@ class _Ctx:
             self._killed[key] = KilledSystem(self.chain, np.flatnonzero(mask))
         return self._killed[key]
 
-    def sets(self, mode: str) -> list[tuple[np.ndarray, tuple[int, ...]]]:
-        """Nonempty proper target sets as (mask, members) pairs."""
-        if mode in self._sets:
-            return self._sets[mode]
+    def targets(self, mode: str) -> _Targets:
+        """The target sets of ``mode``: every set ("all", n <= 14, and
+        "sampled" when n is small enough for all of them), or a seeded
+        sample of at most 11."""
+        if mode in self._targets:
+            return self._targets[mode]
         n = self.chain.n
-        if mode == "all" and n > 14:
-            raise ValueError("exhaustive subset sweeps are limited to n <= 14")
-        out = []
         if mode == "all" or (n <= 14 and (1 << n) - 2 <= 11):
-            bits = np.arange(1, (1 << n) - 1)
-            masks = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
-            flat = np.nonzero(masks)[1].tolist()
-            ends = np.cumsum(masks.sum(axis=1)).tolist()
-            out = [(mask, tuple(flat[start:end]))
-                   for mask, start, end in zip(masks, [0] + ends[:-1], ends)]
+            out = _all_targets(n)
         else:  # "sampled", the one other mode _set_mode lets through
             rng = np.random.Generator(np.random.Philox(key=self.seed))
             masks = []
@@ -274,38 +308,15 @@ class _Ctx:
                     seen.add(key)
                     uniq.append(m)
             uniq.sort(key=lambda m: (int(m.sum()), m.tobytes()))
-            out = [(m, tuple(int(i) for i in np.flatnonzero(m))) for m in uniq]
-        self._sets[mode] = out
+            out = _Targets.of(np.array(uniq))
+        self._targets[mode] = out
         return out
 
-    def set_order(self, mode: str) -> list[int]:
-        """Positions in ``sets(mode)`` ordered by ``str(members)``, the
-        order of the record keys: no tuple repr is a prefix of another.
-
-        ``sets(mode)`` itself keeps its order: good-set evaluates all sets
-        in one matrix product, whose last bits depend on the column order.
-        """
-        if mode not in self._set_orders:
-            pairs = self.sets(mode)
-            self._set_orders[mode] = sorted(range(len(pairs)), key=lambda j: str(pairs[j][1]))
-        return self._set_orders[mode]
-
-    def members(self, mode: str) -> np.ndarray:
-        """The member tuples of ``sets(mode)`` in ``set_order``, as an
-        object array: the ``A`` column of the set-sweeping suites."""
-        if mode not in self._members:
-            pairs = self.sets(mode)
-            self._members[mode] = np.fromiter(
-                (pairs[j][1] for j in self.set_order(mode)), dtype=object,
-                count=len(pairs))
-        return self._members[mode]
-
     def stack(self, mode: str) -> list[tuple[np.ndarray, KilledSystem]]:
-        """The killed systems of ``sets(mode)``, one stack per |B|, each
-        with the positions of its targets in ``sets(mode)``."""
+        """The killed systems of ``targets(mode)``, one stack per |B|, each
+        with the positions of its targets in ``targets(mode).pairs``."""
         if mode not in self._stacks:
-            self._stacks[mode] = KilledSystem.stacks(
-                self.chain, [mask for mask, _ in self.sets(mode)])
+            self._stacks[mode] = KilledSystem.stacks(self.chain, self.targets(mode).masks)
         return self._stacks[mode]
 
     def functions(self, count: int) -> np.ndarray:
@@ -343,7 +354,7 @@ def _per_set(stacks, order: list[int], fn) -> list[np.ndarray]:
     """Evaluate ``fn`` on every stack of ``_Ctx.stack`` and put the rows of
     each array it returns at the positions of their targets.  Returns one
     array per output, its rows in the order ``order`` of the targets
-    (``_Ctx.set_order``)."""
+    (``_Targets.order``)."""
     cols = None
     for idx, ks in stacks:
         vals = [np.asarray(v) for v in fn(ks)]
@@ -369,7 +380,7 @@ def _str_order(values) -> list[tuple[int, object]]:
 
 def _sweep_block(inequality: str, kind, lhs, rhs, members: np.ndarray,
                  grid: dict | None = None, note="") -> RecordBlock:
-    """The rows of one inequality over every target set (in ``set_order``;
+    """The rows of one inequality over every target set (in ``_Targets.order``;
     ``members`` fills the ``A`` column) times the points of ``grid``
     (parameter name -> one value per point, in key order).
 
@@ -529,7 +540,7 @@ def _suite_set_probability(ctx: _Ctx, params: dict) -> list[Record]:
     pi = ctx.chain.pi
     starts = sorted({int(np.argmax(pi)), int(np.argmin(pi))})
     s_grid = sorted({0, _ceil(t_rel), _ceil(3.0 * t_rel)})
-    for mask, members in ctx.sets("sampled"):
+    for mask, members in ctx.targets("sampled").pairs:
         pa = float(pi[mask].sum())
         coef = F.T @ (pi * mask)
         for x in starts:
@@ -649,8 +660,8 @@ def _suite_escape(ctx: _Ctx, params: dict) -> list[RecordBlock]:
         return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
                 ks.mean_stationary(), np.moveaxis(np.array(slow), -1, 0))
 
-    pa, pb, tails, means, slow = _per_set(ctx.stack(mode), ctx.set_order(mode), per_stack)
-    members = ctx.members(mode)
+    pa, pb, tails, means, slow = _per_set(ctx.stack(mode), ctx.targets(mode).order, per_stack)
+    members = ctx.targets(mode).members
     t_idx, ts = map(list, zip(*_str_order(TAIL_T_GRID)))
     base = 1.0 - pa / t_rel
     # powers and exponentials stay Python float arithmetic, bit for bit
@@ -698,8 +709,8 @@ def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[RecordBlock]:
                 ks.tail_stationary(marks))
 
     pa, w_min, w_sum, g_top, g_bottom, direct, recon = _per_set(
-        ctx.stack(mode), ctx.set_order(mode), per_stack)
-    members = ctx.members(mode)
+        ctx.stack(mode), ctx.targets(mode).order, per_stack)
+    members = ctx.targets(mode).members
     m_idx, ts = map(list, zip(*_str_order(marks)))
     return [
         _sweep_block("killed-spectrum-ceiling", "inequality", g_top, 1.0 - pa / t_rel,
@@ -760,8 +771,8 @@ def _suite_good_set(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     t_rel, pi = ctx.t_rel, ctx.chain.pi
     F = ctx.spectrum.eigenfunctions
     lam = ctx.spectrum.eigenvalues
-    pairs = ctx.sets(_set_mode(params))
-    ind = np.stack([m for m, _ in pairs]).astype(float)
+    targets = ctx.targets(_set_mode(params))
+    ind = targets.masks.astype(float)
     pa = ind @ pi
     rho = np.sqrt(pa * (1.0 - pa))
     m_grid = _grid(params, "m_grid", DEVIATION_GRID)
@@ -789,11 +800,10 @@ def _suite_good_set(ctx: _Ctx, params: dict) -> list[RecordBlock]:
             member = (worst < m * decay * rho[None, :]).astype(float)
             measures[s, m] = pi @ member
     grid_order = [(m, s) for _, m in _str_order(m_grid) for _, s in _str_order(s_grid)]
-    mode = _set_mode(params)
     return [_sweep_block(
         "good-set-measure", "inequality", np.array([1.0 - 8.0 / m ** 2 for m, _ in grid_order]),
-        np.stack([measures[s, m] for m, s in grid_order], axis=-1)[ctx.set_order(mode)],
-        ctx.members(mode), {"s": [s for _, s in grid_order], "m": [m for m, _ in grid_order]})]
+        np.stack([measures[s, m] for m, s in grid_order], axis=-1)[targets.order],
+        targets.members, {"s": [s for _, s in grid_order], "m": [m for m, _ in grid_order]})]
 
 
 # ---------------------------------------------------------------------------
@@ -862,10 +872,10 @@ def _suite_return_time(ctx: _Ctx, params: dict) -> list[RecordBlock]:
                 ks.tail_dist(psi_B, [t - 1 for t in t_marks]))
 
     (flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat,
-     entry) = _per_set(ctx.stack(mode), ctx.set_order(mode), per_stack)
+     entry) = _per_set(ctx.stack(mode), ctx.targets(mode).order, per_stack)
     if (phi_B == 0.0).any() or (pa == 0.0).any():
         raise ZeroDivisionError("float division by zero")
-    members = ctx.members(mode)
+    members = ctx.targets(mode).members
     m_idx, ts = map(list, zip(*_str_order(t_marks)))
     before = stat[:, [stat_ts.index(t - 1) for t in ts]]
     after = stat[:, [stat_ts.index(t) for t in ts]]

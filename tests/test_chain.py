@@ -10,13 +10,14 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from cutofflab import (
     ChainSpec,
     ChainValidationError,
+    biased_path,
     chain_from_json,
     chain_to_json,
     load_chain,
     mixing_profile,
     random_reversible,
 )
-from cutofflab.chain import json_text
+from cutofflab.chain import _strongly_connected, json_text
 
 
 def test_k2_spectrum_is_exact(k2):
@@ -60,6 +61,71 @@ def test_require_raises_on_missing_property():
     chain = load_chain(P)
     with pytest.raises(ChainValidationError):
         chain.require(lazy=True)
+
+
+def _scipy_strongly_connected(adj: np.ndarray) -> bool:
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    ncomp, _ = connected_components(csr_matrix(adj), directed=True, connection="strong")
+    return ncomp == 1
+
+
+def test_strong_connectivity_matches_scipy_on_random_digraphs():
+    # every other graph is symmetrized: a reversible chain's support is
+    # symmetric, and the check searches such a graph in one direction only
+    rng = np.random.default_rng(20140913)
+    seen = set()
+    for k in range(1500):
+        n = int(rng.integers(2, 16))
+        adj = rng.random((n, n)) < rng.uniform(0.02, 0.6)
+        if k % 2:
+            adj |= adj.T
+        want = _scipy_strongly_connected(adj)
+        assert _strongly_connected(adj) == want, adj.astype(int)
+        seen.add((k % 2, want))
+    assert seen == {(0, False), (0, True), (1, False), (1, True)}
+
+
+def _one_way_cycle(n: int) -> np.ndarray:
+    return 0.5 * (np.eye(n) + np.roll(np.eye(n), 1, axis=1))
+
+
+def _absorbing_path(n: int) -> np.ndarray:
+    P = 0.5 * np.eye(n) + 0.25 * (np.eye(n, k=1) + np.eye(n, k=-1))
+    P[0, 0] += 0.25
+    P[-1] = 0.0
+    P[-1, -1] = 1.0
+    return P
+
+
+def _two_closed_classes() -> np.ndarray:
+    block = np.array([[0.75, 0.25], [0.5, 0.5]])
+    return np.kron(np.eye(2), block)
+
+
+@pytest.mark.parametrize("case, irreducible, reversible", [
+    ("one-way cycle", True, False),
+    ("absorbing state", False, None),
+    ("two closed classes", False, None),
+    ("biased path 600", True, True),
+])
+def test_named_support_graphs(case, irreducible, reversible):
+    if case == "biased path 600":
+        chain = biased_path(600)  # diameter 599: one search level per state
+    else:
+        P = {"one-way cycle": _one_way_cycle(7), "absorbing state": _absorbing_path(6),
+             "two closed classes": _two_closed_classes()}[case]
+        chain = load_chain(P)
+    adj = chain.P > 0
+    assert _strongly_connected(adj) is irreducible
+    assert _scipy_strongly_connected(adj) == irreducible
+    assert chain.is_irreducible is irreducible
+    if reversible is not None:
+        assert chain.is_reversible is reversible
+    if not irreducible:
+        with pytest.raises(ChainValidationError, match="irreducible"):
+            chain.require(irreducible=True)
 
 
 def test_spectral_reconstruction_matches_power(k2):

@@ -241,7 +241,7 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
     chain = {"k2": k2, "p3": p3, "non-lazy": _non_lazy_k4(), "split": biased_path(5),
              "n7": random_reversible(7, seed=1729)}[case]
     ctx = _Ctx(chain, {"sets": mode})
-    sets = ctx.sets(mode)
+    sets = ctx.targets(mode).pairs
     stacks = ctx.stack(mode)
     assert sorted(j for idx, _ in stacks for j in idx) == list(range(len(sets)))
     if case == "non-lazy":

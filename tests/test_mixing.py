@@ -15,8 +15,9 @@ from cutofflab import (
     worst_tv,
 )
 from cutofflab.families import random_tree
-from cutofflab.mixing import _ceiling, _mixing_time_ct_interval
+from cutofflab.mixing import _ceiling, _DistanceScan, _mixing_time_ct_interval, mixing_times
 from cutofflab.trees import build_tree_chain
+from cutofflab.verify import _Ctx
 
 
 def test_k2_distance_is_closed_form(k2):
@@ -70,6 +71,34 @@ def test_mixing_time_agrees_with_profile_scan(small_corpus):
         prof = mixing_profile(chain, eps_floor=1e-3)
         for eps in (0.25, 0.1, 0.02):
             assert mixing_time(chain, eps) == prof.hit_level(eps)
+
+
+def test_one_distance_scan_serves_every_level():
+    # below the spectral floor every level reads one on-demand scan of
+    # d(t), the levels in any order, to the same integers as one scan each
+    chain = biased_path(34)
+    assert chain.pi.min() < 1e-12
+    levels = (1 / 16, 1 / 8, 1 / 4, 15 / 16, 7 / 8, 3 / 4)
+    want = [mixing_profile(chain, eps_floor=e).hit_level(e) for e in levels]
+    scan = _DistanceScan(chain)
+    assert [mixing_times(chain, (e,), scan)[0] for e in reversed(levels)] == want[::-1]
+    assert len(scan.d) == max(want) + 1
+    assert mixing_times(chain, levels) == want
+    ctx = _Ctx(chain, {})
+    assert [ctx.tmix(e) for e in levels] == want
+    assert len(ctx._d_scan.d) == max(want) + 1
+    prof = mixing_profile(chain, t_max=max(want))
+    assert prof.d.tolist() == scan.d and prof.argmax_state.tolist() == scan.argmax
+
+
+def test_distance_scan_raises_past_each_level_ceiling():
+    chain = biased_path(34)
+    scan = _DistanceScan(chain)
+    t = scan.first_below(0.25, 10_000)
+    with pytest.raises(RuntimeError, match="certified ceiling"):
+        scan.first_below(0.25, t - 1)
+    with pytest.raises(ValueError):
+        mixing_times(chain, (0.25, 0.0), scan)
 
 
 @pytest.mark.parametrize("n", [9, 21, 41])

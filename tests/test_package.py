@@ -1,10 +1,11 @@
-"""Package layout: lazy exports, where the killed-kernel solves live, and
-where the worst-set candidate targets are enumerated."""
+"""Package layout: lazy exports, what a run imports, where the killed-kernel
+solves live, and where the worst-set candidate targets are enumerated."""
 
 import ast
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import cutofflab
@@ -12,15 +13,41 @@ import cutofflab
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
+def _fresh(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter on ``src``."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    return out.stdout.strip()
+
+
 def test_importing_the_cli_loads_no_numpy():
     # --threads sets the BLAS thread caps in the environment, which numpy
     # reads once when it loads
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
-    code = "import sys; from cutofflab import cli; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert _fresh("import sys; from cutofflab import cli; print('numpy' in sys.modules)") == "False"
+
+
+def test_no_library_or_command_path_loads_scipy(tmp_path):
+    # irreducibility is decided in numpy, so a run loads neither scipy nor
+    # the second BLAS it brings; scipy is a test dependency only
+    path = str(tmp_path / "c.json")
+    code = textwrap.dedent(f"""
+        import contextlib, io, sys
+        import numpy as np
+        import cutofflab
+        from cutofflab import cli, load_chain, run_suites
+        chain = load_chain(np.array([[0.75, 0.25, 0.0], [0.125, 0.75, 0.125],
+                                     [0.0, 0.25, 0.75]]))
+        assert chain.is_lazy and chain.is_irreducible
+        run_suites(chain, ["all"])
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["gen", "--family", "biased-path", "--n", "5", "-o", {path!r}]),
+                     cli.main(["analyze", {path!r}]),
+                     cli.main(["verify", "--chain", {path!r}, "--suite", "all"])]
+        print(codes, "scipy" in sys.modules)
+    """)
+    assert _fresh(code) == "[0, 0, 0] False"
 
 
 def test_every_export_resolves():
@@ -90,6 +117,36 @@ def test_linear_solves_live_in_killed_system():
                if (s[0], s[1]) == ("chain", "_solve_stationary")
                or (s[0] == "hitting" and s[1].startswith("KilledSystem."))]
     assert sites == allowed
+
+
+class _ScipyImportSites(_Sites):
+    """Every import of scipy (or a scipy submodule) outside a function
+    body, i.e. one that runs when its module loads."""
+
+    def __init__(self, module: str):
+        super().__init__(module)
+        self.depth = 0
+
+    def _function(self, node):
+        self.depth += 1
+        self._scoped(node)
+        self.depth -= 1
+
+    visit_FunctionDef = visit_AsyncFunctionDef = _function
+
+    def visit_Import(self, node):
+        if not self.depth and any(a.name.split(".")[0] == "scipy" for a in node.names):
+            self._site(node)
+
+    def visit_ImportFrom(self, node):
+        if not self.depth and not node.level and (node.module or "").split(".")[0] == "scipy":
+            self._site(node)
+
+
+def test_no_module_imports_scipy_when_it_loads():
+    # a kernel that needs scipy (say eigh_tridiagonal) imports it inside
+    # the function that calls it, so loading the package never does
+    assert _sites(_ScipyImportSites) == []
 
 
 class _CandidateSites(_Sites):

@@ -49,7 +49,7 @@ def _by_inequality(by: dict[str, list[Record]]) -> list[Record]:
 def _escape(ctx, params):
     t_rel = ctx.t_rel
     pi = ctx.chain.pi
-    sets = ctx.sets(_set_mode(params))
+    sets = ctx.targets(_set_mode(params)).pairs
     works = _grid(params, "work_grid", WORK_GRID)
     alphas = (0.25, 0.5)
 
@@ -67,7 +67,7 @@ def _escape(ctx, params):
     slow_order = [(a, alpha, i, w) for a, alpha in _str_order(alphas)
                   for i, w in _str_order(works)]
     by = defaultdict(list)
-    for j in ctx.set_order(_set_mode(params)):
+    for j in ctx.targets(_set_mode(params)).order:
         members = sets[j][1]
         base = 1.0 - pa[j] / t_rel
         for i, t in t_order:
@@ -96,7 +96,7 @@ def _escape(ctx, params):
 def _killed_spectrum(ctx, params):
     t_rel = ctx.t_rel
     pi = ctx.chain.pi
-    sets = ctx.sets(_set_mode(params))
+    sets = ctx.targets(_set_mode(params)).pairs
     marks = (1, 5, 20)
 
     def per_stack(ks: KilledSystem):
@@ -111,7 +111,7 @@ def _killed_spectrum(ctx, params):
         ctx.stack(_set_mode(params)), len(sets), per_stack)
     mark_order = _str_order(marks)
     by = defaultdict(list)
-    for j in ctx.set_order(_set_mode(params)):
+    for j in ctx.targets(_set_mode(params)).order:
         p = {"A": sets[j][1]}
         by["killed-weights-nonnegative"].append(check_le(
             "killed-weights-nonnegative", 0.0, w_min[j], p))
@@ -135,7 +135,7 @@ def _good_set(ctx, params):
     t_rel, pi = ctx.t_rel, ctx.chain.pi
     F = ctx.spectrum.eigenfunctions
     lam = ctx.spectrum.eigenvalues
-    pairs = ctx.sets(_set_mode(params))
+    pairs = ctx.targets(_set_mode(params)).pairs
     ind = np.stack([m for m, _ in pairs]).astype(float)
     pa = ind @ pi
     rho = np.sqrt(pa * (1.0 - pa))
@@ -161,7 +161,7 @@ def _good_set(ctx, params):
             member = (worst < m * decay * rho[None, :]).astype(float)
             measures[s, m] = (pi @ member).tolist()
     grid_order = [(m, s) for _, m in _str_order(m_grid) for _, s in _str_order(s_grid)]
-    for j in ctx.set_order(_set_mode(params)):
+    for j in ctx.targets(_set_mode(params)).order:
         for m, s in grid_order:
             records.append(check_le(
                 "good-set-measure", 1.0 - 8.0 / m ** 2, measures[s, m][j],
@@ -171,7 +171,7 @@ def _good_set(ctx, params):
 
 def _return_time(ctx, params):
     t_rel = ctx.t_rel
-    sets = ctx.sets(_set_mode(params))
+    sets = ctx.targets(_set_mode(params)).pairs
     t_marks = (1, 2, 5, 10)
     stat_ts = sorted({t - 1 for t in t_marks} | set(t_marks))
 
@@ -187,7 +187,7 @@ def _return_time(ctx, params):
      entry) = _per_set(ctx.stack(_set_mode(params)), len(sets), per_stack)
     mark_order = _str_order(t_marks)
     by = defaultdict(list)
-    for j in ctx.set_order(_set_mode(params)):
+    for j in ctx.targets(_set_mode(params)).order:
         members = sets[j][1]
         p = {"A": members}
         by["interface-flow-symmetry"].append(check_identity(

@@ -21,7 +21,7 @@ from cutofflab import (
 )
 from cutofflab.hitting import _hit_ct_interval
 from cutofflab.mixing import _ceiling, _mixing_time_ct_interval
-from cutofflab.verify import ALPHA_GRID, EPS_GRID, SUITES, _record_key
+from cutofflab.verify import ALPHA_GRID, EPS_GRID, SUITES, _all_targets, _Ctx, _record_key
 
 
 def test_suite_registry_is_complete():
@@ -33,6 +33,31 @@ def test_suite_registry_is_complete():
         "crossing-tails", "banded", "block-moments",
     }
     assert set(SUITE_IDS) == expected
+
+
+def test_all_sets_tables_are_built_once_per_size():
+    # the exhaustive target table depends on n alone; two chains of one
+    # size share it, read-only, and a sampled sweep never builds one
+    a = _Ctx(random_reversible(9, seed=1), {})
+    b = _Ctx(biased_path(9), {})
+    table = a.targets("all")
+    assert b.targets("all") is table and table is _all_targets(9)
+    assert len(table.pairs) == 2 ** 9 - 2 and a.targets("all").pairs is table.pairs
+    assert [str(table.pairs[j][1]) for j in table.order] == sorted(
+        str(members) for _, members in table.pairs)
+    assert list(table.members) == [table.pairs[j][1] for j in table.order]
+    assert not table.masks.flags.writeable and not table.members.flags.writeable
+    assert not any(mask.flags.writeable for mask, _ in table.pairs)
+    with pytest.raises(ValueError):
+        table.masks[0, 0] = True
+    built = _all_targets.cache_info().currsize
+    for n in (4, 13, 20):
+        sampled = _Ctx(random_reversible(n, seed=n), {}).targets("sampled")
+        assert 3 <= len(sampled.pairs) <= 11
+    assert _all_targets.cache_info().currsize == built
+    with pytest.raises(ValueError, match="n <= 14"):
+        _Ctx(random_reversible(15, seed=1), {}).targets("all")
+    assert _all_targets.cache_info().currsize == built
 
 
 def test_unknown_suite_raises(k2):
