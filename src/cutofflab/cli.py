@@ -30,6 +30,17 @@ class VerificationFailure(Exception):
     """A suite produced at least one failing assertion record."""
 
 
+def _echo(message=None, err: bool = False) -> None:
+    """Write one line to stdout (stderr with ``err``), as ``click.echo``.
+
+    The stream is looked up on every call.  Without ``file=``,
+    ``click.echo`` keeps a wrapper per ``sys.stdout`` object in a
+    ``WeakKeyDictionary`` whose value, for an in-memory stream, is the
+    stream itself, so every redirected stream of an in-process run would
+    stay alive for the life of the process."""
+    click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"))
+
+
 def _parse_ints(text: str, what: str) -> list[int]:
     """A comma-separated list of integers; ``what`` names it in errors."""
     try:
@@ -106,9 +117,9 @@ def _block_lines(block, rows) -> list[str]:
 
 def _echo_lines(lines: list[str], failures: int, label: str) -> int:
     if lines:
-        click.echo("\n".join(lines))
+        _echo("\n".join(lines))
     if failures:
-        click.echo(f"{label}: {failures} failing record(s)", err=True)
+        _echo(f"{label}: {failures} failing record(s)", err=True)
     return failures
 
 
@@ -186,7 +197,7 @@ def gen(family_id: str, size: int, seed: int | None, density: float,
     try:
         if family_id in FAMILIES:
             chain_to_json(FAMILIES[family_id](size), output)
-            click.echo(f"wrote {family_id} n={size} -> {output}")
+            _echo(f"wrote {family_id} n={size} -> {output}")
             return
         if family_id == "random":
             chain_to_json(random_reversible(size, density=density, seed=seed),
@@ -208,7 +219,7 @@ def gen(family_id: str, size: int, seed: int | None, density: float,
             chain_to_json(birth_death(up, down, holding), output)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    click.echo(f"wrote {family_id} n={size} seed={seed} -> {output}")
+    _echo(f"wrote {family_id} n={size} seed={seed} -> {output}")
 
 
 # ---------------------------------------------------------------------------
@@ -245,15 +256,15 @@ def analyze(chain_file: str, eps: float, as_json: bool) -> None:
     if as_json:
         from .chain import json_text
 
-        click.echo(json_text(payload))
+        _echo(json_text(payload))
         return
-    click.echo(f"n        = {payload['n']}")
-    click.echo(f"flags    = reversible={payload['reversible']} "
-               f"lazy={payload['lazy']} irreducible={payload['irreducible']}")
-    click.echo(f"lambda_2 = {payload['lambda_2']:.12g}")
-    click.echo(f"t_rel    = {payload['t_rel']:.12g}")
-    click.echo(f"t_mix({eps:g}) = {payload['t_mix']}")
-    click.echo(f"min pi   = {payload['min_pi']:.6g}")
+    _echo(f"n        = {payload['n']}")
+    _echo(f"flags    = reversible={payload['reversible']} "
+          f"lazy={payload['lazy']} irreducible={payload['irreducible']}")
+    _echo(f"lambda_2 = {payload['lambda_2']:.12g}")
+    _echo(f"t_rel    = {payload['t_rel']:.12g}")
+    _echo(f"t_mix({eps:g}) = {payload['t_mix']}")
+    _echo(f"min pi   = {payload['min_pi']:.6g}")
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +295,7 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
 
     from .chain import write_csv_atomic
     from .hitting import KilledSystem, worst_tail_profile
+    from .mixing import _first_integer
 
     chain = _load_chain(chain_file)
     chain.require(irreducible=True)
@@ -297,27 +309,34 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
         if ks.B.size == 0:
             raise click.ClickException("target set covers every state")
         if start is not None and start in ks.A:
-            click.echo("start lies inside the target; hit time is 0")
+            _echo("start lies inside the target; hit time is 0")
             return
-        horizon = 4 * max(int(np.ceil(chain.spectrum.t_rel)), 1)
-        grid: list[float] = list(range(0, horizon + 1))
+        pos = None if start is None else ks.position(start)
+
+        def tails(ts):
+            if pos is None:
+                return ks.tail_stationary(ts, continuous)
+            return ks.tail_state(pos, ts, continuous)
+
+        # both tails are closed-form at any t, so each level's crossing is
+        # one monotone integer search
+        first = max(int(np.ceil(chain.spectrum.t_rel)), 1)
         try:
-            if start is None:
-                tails = ks.tail_stationary(grid, continuous)
-            else:
-                tails = ks.tail_state(ks.position(start), grid, continuous)
+            when = [_first_integer(lambda t: tails([t])[0] <= e + 1e-12, first)
+                    for e in eps_values]
         except ValueError as exc:
             raise click.ClickException(str(exc)) from exc
-        for e in eps_values:
-            below = np.nonzero(tails <= e + 1e-12)[0]
-            when = f"t = {grid[int(below[0])]}" if below.size else \
-                f"beyond t = {horizon}"
-            click.echo(f"tail <= {e:g} first at {when} "
-                       f"(set={states}, start={'stationary' if start is None else start})")
+        except RuntimeError as exc:  # a killed eigenvalue rounds to 1
+            raise click.ClickException(
+                "the tail does not fall to every --eps level by t = 1e12") from exc
+        for e, t in zip(eps_values, when):
+            _echo(f"tail <= {e:g} first at t = {t} "
+                  f"(set={states}, start={'stationary' if start is None else start})")
         if output:
+            grid = range(max(when) + 1)
             write_csv_atomic(output, ["t", "tail"],
-                             [(t, float(v)) for t, v in zip(grid, tails)])
-            click.echo(f"wrote tail profile -> {output}")
+                             [(t, float(v)) for t, v in zip(grid, tails(list(grid)))])
+            _echo(f"wrote tail profile -> {output}")
         return
     try:
         prof = worst_tail_profile(chain, alpha, exact_threshold=exact_threshold)
@@ -327,13 +346,13 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
                 tag = f"bracket [{res.bracket[0]:.6g}, {res.bracket[1]:.6g}]"
             else:
                 tag = "exact sweep" if res.exact else "greedy lower bound"
-            click.echo(f"hit(alpha={alpha:g}, eps={e:g}) = {res.value:g} ({tag})")
+            _echo(f"hit(alpha={alpha:g}, eps={e:g}) = {res.value:g} ({tag})")
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
     if output:
         last = prof.hit(min(eps_values))
         write_csv_atomic(output, ["t", "tail"], list(enumerate(prof.scan().values[:last + 1])))
-        click.echo(f"wrote tail profile -> {output}")
+        _echo(f"wrote tail profile -> {output}")
 
 
 # ---------------------------------------------------------------------------
@@ -350,13 +369,13 @@ def tree() -> None:
 def tree_central(tree_file: str) -> None:
     """Print the central root and heaviest branches."""
     tc = _load_tree(tree_file)
-    click.echo(f"vertices = {tc.n}")
-    click.echo(f"root     = {tc.root}")
-    click.echo(f"t_rel    = {tc.t_rel:.12g}")
+    _echo(f"vertices = {tc.n}")
+    _echo(f"root     = {tc.root}")
+    _echo(f"t_rel    = {tc.t_rel:.12g}")
     masses = sorted(((float(tc.subtree_mass[v]), v) for v in range(tc.n)
                      if tc.parent[v] == tc.root), reverse=True)
     for mass, v in masses[:5]:
-        click.echo(f"branch at {v}: stationary mass {mass:.6g}")
+        _echo(f"branch at {v}: stationary mass {mass:.6g}")
 
 
 @tree.command("crossing")
@@ -373,10 +392,10 @@ def tree_crossing(tree_file: str, vertex: int) -> None:
         ct = crossing_time(tc, vertex)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    click.echo(f"crossing {vertex} -> {int(tc.parent[vertex])}")
-    click.echo(f"mean          = {ct.mean:.12g}")
-    click.echo(f"second moment = {ct.second_moment:.12g}")
-    click.echo(f"variance      = {ct.variance:.12g}")
+    _echo(f"crossing {vertex} -> {int(tc.parent[vertex])}")
+    _echo(f"mean          = {ct.mean:.12g}")
+    _echo(f"second moment = {ct.second_moment:.12g}")
+    _echo(f"variance      = {ct.variance:.12g}")
 
 
 @tree.command("window-check")
@@ -443,15 +462,15 @@ def sbd_classify(chain_file: str, as_json: bool) -> None:
     if as_json:
         from .chain import json_text
 
-        click.echo(json_text(payload))
+        _echo(json_text(payload))
         return
-    click.echo(f"banded = {cls.is_sbd}")
+    _echo(f"banded = {cls.is_sbd}")
     if cls.is_sbd:
-        click.echo(f"r      = {cls.r}")
-        click.echo(f"delta  = {cls.delta:.12g}")
-        click.echo(f"alpha  = {cls.alpha:.12g}")
+        _echo(f"r      = {cls.r}")
+        _echo(f"delta  = {cls.delta:.12g}")
+        _echo(f"alpha  = {cls.alpha:.12g}")
     for reason in cls.reasons:
-        click.echo(f"note: {reason}")
+        _echo(f"note: {reason}")
 
 
 @sbd.command("blocks")
@@ -488,16 +507,16 @@ def sbd_blocks(chain_file: str, r_override, delta_override, output) -> None:
     if output:
         write_csv_atomic(output, ["block", "lo", "hi", "size", "mass",
                                   "central"], rows)
-        click.echo(f"wrote block table -> {output}")
+        _echo(f"wrote block table -> {output}")
         return
     bound_txt = ("" if dec.central_mass_bound is None
                  else f" <= {dec.central_mass_bound:.6g}")
-    click.echo(f"r={dec.r} delta={dec.delta:.6g} "
-               f"central block={dec.central_block} "
-               f"(mass {dec.central_mass:.6g}{bound_txt})")
+    _echo(f"r={dec.r} delta={dec.delta:.6g} "
+          f"central block={dec.central_block} "
+          f"(mass {dec.central_mass:.6g}{bound_txt})")
     for j, lo, hi, size, mass, central in rows:
         mark = " *" if central else ""
-        click.echo(f"block {j}: [{lo}, {hi}] size={size} mass={mass:.6g}{mark}")
+        _echo(f"block {j}: [{lo}, {hi}] size={size} mass={mass:.6g}{mark}")
 
 
 @sbd.command("hit-stats")
@@ -519,11 +538,11 @@ def sbd_hit_stats(chain_file: str, start) -> None:
         cbh = central_block_hit(chain, dec, x=start)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    click.echo(f"start    = {cbh.x}")
-    click.echo(f"mean     = {cbh.mean:.12g}")
-    click.echo(f"variance = {cbh.variance:.12g}")
+    _echo(f"start    = {cbh.x}")
+    _echo(f"mean     = {cbh.mean:.12g}")
+    _echo(f"variance = {cbh.variance:.12g}")
     for level, t in sorted(cbh.tau_profile.items()):
-        click.echo(f"tau({level:g}) = {t}")
+        _echo(f"tau({level:g}) = {t}")
     if _emit_records(cbh.records, "hit-stats"):
         raise VerificationFailure("hit-stats failed")
 
@@ -553,10 +572,10 @@ def sbd_corr(chain_file: str, start: int, block_i: int, block_j: int,
                                   paths=paths, seed=seed)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    click.echo(f"E[tau_i tau_j]  = {mc.estimate.value:.6g} "
-               f"(se {mc.estimate.standard_error:.3g}, {paths} paths)")
-    click.echo(f"mean_i * mean_j = {mc.mean_i * mc.mean_j:.6g}")
-    click.echo(f"bound           = {mc.bound:.6g} (gap {mc.gap})")
+    _echo(f"E[tau_i tau_j]  = {mc.estimate.value:.6g} "
+          f"(se {mc.estimate.standard_error:.3g}, {paths} paths)")
+    _echo(f"mean_i * mean_j = {mc.mean_i * mc.mean_j:.6g}")
+    _echo(f"bound           = {mc.bound:.6g} (gap {mc.gap})")
     if _emit_records([mc.record], "corr"):
         raise VerificationFailure("correlation bound failed")
 
@@ -604,12 +623,12 @@ def verify_cmd(chain_file: str, suite_ids, eps_values, alpha_values,
         raise click.ClickException(str(exc)) from exc
     total_failures = 0
     for report in reports:
-        click.echo(report.summary())
+        _echo(report.summary())
         _emit_blocks(report.blocks, report.suite, failures_only=quiet)
         total_failures += report.counts().get("failed", 0)
     if output:
         write_json_atomic(output, reports[0] if len(reports) == 1 else reports)
-        click.echo(f"wrote report -> {output}")
+        _echo(f"wrote report -> {output}")
     if total_failures:
         raise VerificationFailure(f"{total_failures} failing record(s) "
                                   f"across {len(reports)} suite(s)")
@@ -643,15 +662,15 @@ def cutoff_scan_cmd(family: str, sizes: str, eps_values, alpha: float,
         raise click.ClickException(str(exc)) from exc
     if output:
         scan.to_csv(output)
-        click.echo(f"wrote scan -> {output}")
+        _echo(f"wrote scan -> {output}")
     else:
         writer = csv.writer(sys.stdout)
         writer.writerow(scan.COLUMNS)
         writer.writerows(scan.csv_rows())
     if scan.flags:
-        click.echo("flags: " + ", ".join(scan.flags), err=True)
+        _echo("flags: " + ", ".join(scan.flags), err=True)
     else:
-        click.echo("flags: none", err=True)
+        _echo("flags: none", err=True)
 
 
 # ---------------------------------------------------------------------------
@@ -690,11 +709,11 @@ def simulate(chain_file: str, start: int, set_states: str, t: int,
             exact = float(ks.tail_state(ks.position(start), [t])[0])
         except ValueError as exc:
             raise click.ClickException(str(exc)) from exc
-    click.echo(f"estimate = {est.value:.6g} +/- {est.standard_error:.3g} "
-               f"({paths} paths, seed {seed})")
-    click.echo(f"exact    = {exact:.10g}")
+    _echo(f"estimate = {est.value:.6g} +/- {est.standard_error:.3g} "
+          f"({paths} paths, seed {seed})")
+    _echo(f"exact    = {exact:.10g}")
     if est.standard_error > 0:
-        click.echo(f"z        = {(est.value - exact) / est.standard_error:+.2f}")
+        _echo(f"z        = {(est.value - exact) / est.standard_error:+.2f}")
 
 
 def main(argv=None) -> int:
@@ -704,7 +723,7 @@ def main(argv=None) -> int:
     try:
         cli.main(args=argv, standalone_mode=False)
     except VerificationFailure as exc:
-        click.echo(f"verification failed: {exc}", err=True)
+        _echo(f"verification failed: {exc}", err=True)
         return 2
     except click.ClickException as exc:
         exc.show()
@@ -718,7 +737,7 @@ def main(argv=None) -> int:
         click.ClickException(str(exc)).show()
         return 1
     except click.Abort:
-        click.echo("aborted", err=True)
+        _echo("aborted", err=True)
         return 1
     return 0
 

@@ -53,9 +53,18 @@ def uniform_block(seed: int, offset: int, shape) -> np.ndarray:
 
 def _step_table(chain: Chain) -> np.ndarray:
     """The cumulative transition rows as complex keys: entry (s, j) is
-    s + i*cum[s, j].  NumPy orders complex numbers by real part, then by
-    imaginary part, so the raveled table is sorted."""
-    return np.arange(chain.n)[:, None] + 1j * np.cumsum(chain.P, axis=1)
+    s + i*cum[s, j], except that the cells from row s's last positive
+    entry on are s + 2i, above every uniform.  NumPy orders complex numbers
+    by real part, then by imaginary part, so the raveled table is sorted.
+
+    A row may sum to a little less than 1 in double precision; the mass
+    between its rounded total and 1 then goes to the row's last state of
+    positive probability, never to a state it cannot reach or to n."""
+    n = chain.n
+    cum = np.cumsum(chain.P, axis=1)
+    last = n - 1 - np.argmax(chain.P[:, ::-1] > 0, axis=1)
+    cum[np.arange(n) >= last[:, None]] = 2.0
+    return np.arange(n)[:, None] + 1j * cum
 
 
 def _step_states(states: np.ndarray, u: np.ndarray, table: np.ndarray) -> np.ndarray:

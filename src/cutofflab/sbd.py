@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import Chain
 from .hitting import DEFAULT_EXACT_THRESHOLD, IdentityCheckError, KilledSystem, _candidate_sets
-from .oracle import MCEstimate, uniform_block
+from .oracle import MCEstimate, _step_states, _step_table, uniform_block
 from .reporting import Record, check_le, report_value, skip
 
 __all__ = [
@@ -326,8 +326,7 @@ def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
     the sample.
     """
     n_stages = len(stage_masks)
-    cum = np.cumsum(chain.P, axis=1)
-    cum[:, -1] = 1.0
+    table = _step_table(chain)
     out = np.empty((paths, n_stages), dtype=np.int64)
 
     def settle(states, ptr, times, t, sel_pool):
@@ -360,8 +359,7 @@ def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
                 if not active.any():
                     break
                 idx = np.nonzero(active)[0]
-                rows = cum[states[idx]]
-                states[idx] = (rows <= u[idx, h][:, None]).sum(axis=1)
+                states[idx] = _step_states(states[idx], u[idx, h], table)
                 t += 1
                 settle(states, ptr, times, t, active)
             rnd += 1

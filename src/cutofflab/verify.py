@@ -1323,13 +1323,14 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
         raise ValueError(f"functions must be an integer >= 1; got {functions!r}")
     _set_mode(params)  # raises on an unknown set mode
     ctx = _Ctx(chain, params)
+    chain_id = fingerprint(chain.P)
     reports = []
     for sid in suites:
         rows = SUITES[sid](ctx, params)
         if sid in _ORDERED_SUITES:
-            report = Report(sid, fingerprint(chain.P), params=params, blocks=rows)
+            report = Report(sid, chain_id, params=params, blocks=rows)
         else:
-            report = Report(sid, fingerprint(chain.P), sorted(rows, key=_record_key), params)
+            report = Report(sid, chain_id, sorted(rows, key=_record_key), params)
         reports.append(report)
     return reports
 

@@ -125,6 +125,35 @@ def test_hit_explicit_set(tmp_path, capsys):
     assert "tail <= 0.25" in capsys.readouterr().out
 
 
+def test_hit_explicit_set_finds_late_crossings(tmp_path, capsys):
+    # the stationary tails of this killed system first reach 0.25 at t = 60
+    # and 0.05 at t = 130, far past 4 t_rel
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "random", "--n", "12", "--seed", "3", "-o", str(chain))
+    out = tmp_path / "tails.csv"
+    capsys.readouterr()
+    assert run("hit", str(chain), "--set", "4", "--eps", "0.25", "--eps", "0.05",
+               "-o", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["tail <= 0.25 first at t = 60 (set=[4], start=stationary)",
+                         "tail <= 0.05 first at t = 130 (set=[4], start=stationary)"]
+    with open(out, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    tails = [float(v) for _, v in rows]
+    assert [int(t) for t, _ in rows] == list(range(131))
+    assert tails[59] > 0.25 >= tails[60] and tails[129] > 0.05 >= tails[130]
+
+
+def test_hit_explicit_set_reports_a_tail_that_never_falls(tmp_path, capsys):
+    # pi(0) = 3^-33 on biased-path n = 34: a killed eigenvalue of {0}
+    # rounds to 1, so the tail stays put in double precision
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "34", "-o", str(chain))
+    capsys.readouterr()
+    assert run("hit", str(chain), "--set", "0", "--eps", "0.25") == 1
+    assert "does not fall to every --eps level" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args, message", [
     (["--set=-1"], "out of range"),
     (["--set", "5", "--start", "9"], "not a state"),
@@ -435,3 +464,40 @@ def test_threads_option_sets_environment(tmp_path, monkeypatch):
 def test_threads_rejects_nonpositive():
     assert run("--threads", "0", "gen", "--family", "biased-path",
                "--n", "5", "-o", "/tmp/x.json") == 1
+
+
+def test_in_process_runs_keep_no_stream_alive(tmp_path):
+    # every write goes through a stream looked up per call, so the streams
+    # a caller redirects to are freed once main returns (a bare click.echo
+    # would keep each one in click's per-stream cache)
+    import contextlib
+    import gc
+    import io
+    import weakref
+
+    chain, far = str(tmp_path / "c.json"), str(tmp_path / "far.json")
+    assert run("gen", "--family", "biased-path", "--n", "34", "-o", far) == 0
+    cases = [
+        (["gen", "--family", "biased-path", "--n", "6", "-o", chain], 0),
+        (["analyze", chain, "--json"], 0),
+        (["verify", "--chain", chain, "--suite", "relaxation",
+          "-o", str(tmp_path / "r.json")], 0),
+        (["simulate", "--chain", chain, "--start", "0", "--set", "5", "--t", "4",
+          "--paths", "1000", "--seed", "3"], 0),
+        (["cutoff-scan", "--family", "biased-path", "--sizes", "4,5"], 0),
+        (["verify", "--chain", far, "--suite", "escape", "--quiet"], 2),
+        (["analyze"], 1),
+    ]
+    refs = []
+    for argv, code in cases:
+        for _ in range(3):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                assert main(argv) == code
+            # cutoff-scan's flags line, the failure summary and the usage
+            # error all go to stderr
+            assert bool(err.getvalue()) == (argv[0] == "cutoff-scan" or code != 0)
+            refs += [weakref.ref(out), weakref.ref(err)]
+            del out, err
+    gc.collect()
+    assert [r for r in refs if r() is not None] == []

@@ -19,9 +19,13 @@ def test_uniform_block_seeds_differ():
     assert not np.array_equal(a, b)
 
 
-def _gather_step(states, u, cum):
-    # the inverse-CDF step as a gather: count the row's cells at or below u
-    return (cum[states] <= u[:, None]).sum(axis=1)
+def _gather_step(states, u, P):
+    # the inverse-CDF step as a gather: count the row's cells at or below u;
+    # the mass at or above the row's rounded total goes to the row's last
+    # state of positive probability
+    cum = np.cumsum(P, axis=1)
+    last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
+    return np.minimum((cum[states] <= u[:, None]).sum(axis=1), last[states])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -45,8 +49,39 @@ def test_step_kernel_matches_the_gather_formula(seed):
     u[:n * n] = cum.ravel()
     states[:n * n] = np.repeat(np.arange(n), n)
     u[n * n:n * n + n] = 0.0
-    want = _gather_step(states, u, cum)
+    want = _gather_step(states, u, chain.P)
     assert np.array_equal(_step_states(states, u, _step_table(chain)), want)
+
+
+# row 0 sums to 1 - 4e-13, inside load_chain's tolerance, and its last
+# state has probability zero
+_SHORT_ROW = [[0.6, 0.4 - 4e-13, 0.0], [0.3, 0.4, 0.3], [0.0, 0.5, 0.5]]
+_TOP_U = 1.0 - 2.0 ** -53
+
+
+def test_step_sends_the_leftover_mass_to_a_reachable_state():
+    chain = load_chain(_SHORT_ROW)
+    step = _step_states(np.array([0, 1, 2]), np.full(3, _TOP_U), _step_table(chain))
+    assert step.tolist() == [1, 2, 2]
+
+
+def test_walks_never_step_past_a_short_row(monkeypatch):
+    # both path simulators step from state 0 to state 1 on the largest
+    # uniform, never to state 2 (probability zero) or to state 3
+    import cutofflab.oracle as oracle
+    import cutofflab.sbd as sbd
+
+    chain = load_chain(_SHORT_ROW)
+
+    def top(seed, offset, shape):
+        return np.full(shape, _TOP_U)
+
+    monkeypatch.setattr(oracle, "uniform_block", top)
+    monkeypatch.setattr(sbd, "uniform_block", top)
+    assert simulate_hitting(chain, 0, [2], 1, paths=1_000, seed=0).value == 1.0
+    times = sbd._staged_times(chain, 0, [np.array([False, True, False])],
+                              paths=4, seed=0, t_cap=10)
+    assert times.tolist() == [[1]] * 4
 
 
 def test_simulate_hitting_is_reproducible(k2):

@@ -1,5 +1,6 @@
 """Package layout: lazy exports, what a run imports, where the killed-kernel
-solves live, and where the worst-set candidate targets are enumerated."""
+solves live, where the worst-set candidate targets are enumerated, and
+where the command-line output is written."""
 
 import ast
 import os
@@ -186,6 +187,26 @@ def test_indented_json_is_written_by_one_emitter():
     # every JSON file and echo is chain.json_text; an indented json.dumps
     # elsewhere would be a second writer, on the pure-Python encoder
     assert _sites(_IndentedJsonSites) == []
+
+
+class _EchoSites(_Sites):
+    """Every ``click.echo``/``click.secho`` call."""
+
+    def visit_Call(self, node):
+        f = node.func
+        if (isinstance(f, ast.Attribute) and f.attr in ("echo", "secho")
+                and getattr(f.value, "id", None) == "click"):
+            self._site(node)
+        self.generic_visit(node)
+
+
+def test_command_output_goes_through_one_uncached_stream():
+    # a bare click.echo caches a wrapper per sys.stdout object, which keeps
+    # every redirected stream of an in-process run alive; cli._echo looks
+    # the stream up on each call
+    sites = [s for s in _sites(_EchoSites) if s[0] == "cli"]
+    assert sites
+    assert [scope for _, scope, _ in sites] == ["_echo"] * len(sites)
 
 
 def test_one_exact_threshold():

@@ -332,9 +332,16 @@ def test_cutoff_scan_row_contents():
         assert row["hit"] is not None
 
 
-def test_run_suites_shares_fingerprint(k2):
-    reports = run_suites(k2, ["relaxation", "escape"])
-    assert reports[0].chain_fingerprint == reports[1].chain_fingerprint
+def test_run_suites_shares_fingerprint(k2, monkeypatch):
+    # P is hashed once per call, whatever the number of reports
+    import cutofflab.verify as verify_mod
+
+    calls = []
+    monkeypatch.setattr(verify_mod, "fingerprint",
+                        lambda P: calls.append(P) or "0123456789abcdef")
+    reports = run_suites(k2, ["relaxation", "escape", "return-time"])
+    assert [r.chain_fingerprint for r in reports] == ["0123456789abcdef"] * 3
+    assert len(calls) == 1
 
 
 def test_tv_hit_accepts_levels_from_one_half(k2):
