@@ -41,6 +41,36 @@ def _echo(message=None, err: bool = False) -> None:
     click.echo(message, file=click.get_text_stream("stderr" if err else "stdout"))
 
 
+def _show_help(ctx: click.Context, param, value: bool) -> None:
+    """Callback of every ``-h/--help``: click's own, printing through
+    :func:`_echo` instead of click's per-stream cache."""
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _HelpThroughEcho:
+    """Gives a command's ``-h/--help`` the callback :func:`_show_help`."""
+
+    def get_help_option(self, ctx: click.Context):
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Command(_HelpThroughEcho, click.Command):
+    """A command whose help text goes through :func:`_echo`."""
+
+
+class _Group(_HelpThroughEcho, click.Group):
+    """A group whose help text, and that of every command and subgroup
+    declared on it, goes through :func:`_echo`."""
+
+    command_class = _Command
+    group_class = type
+
+
 def _parse_ints(text: str, what: str) -> list[int]:
     """A comma-separated list of integers; ``what`` names it in errors."""
     try:
@@ -148,7 +178,7 @@ def _emit_records(records, label: str) -> int:
     return _echo_lines(lines, failures, label)
 
 
-@click.group(context_settings={"help_option_names": ["-h", "--help"]})
+@click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
 @click.option("--threads", type=int, default=None, envvar="CUTOFFLAB_THREADS",
               help="Cap linear-algebra worker threads; falls back to the "
                    "CUTOFFLAB_THREADS environment variable.")
@@ -704,11 +734,11 @@ def simulate(chain_file: str, start: int, set_states: str, t: int,
         raise click.ClickException("target set covers every state")
     if start in ks.A:
         exact = 0.0
+    elif chain.is_reversible:
+        exact = float(ks.tail_state(ks.position(start), [t])[0])
     else:
-        try:
-            exact = float(ks.tail_state(ks.position(start), [t])[0])
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
+        # the killed eigensystem needs reversibility; P_B^t 1 does not
+        exact = ks.scan(start).at(t)
     _echo(f"estimate = {est.value:.6g} +/- {est.standard_error:.3g} "
           f"({paths} paths, seed {seed})")
     _echo(f"exact    = {exact:.10g}")
@@ -726,7 +756,8 @@ def main(argv=None) -> int:
         _echo(f"verification failed: {exc}", err=True)
         return 2
     except click.ClickException as exc:
-        exc.show()
+        # with no file, a group's no-arguments help goes through click's cache
+        exc.show(file=click.get_text_stream("stderr"))
         return 1
     except ValueError as exc:
         # looked up, not imported, to keep numpy out until --threads has

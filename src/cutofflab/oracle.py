@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .chain import Chain
 from .hitting import _target_mask
 
 _CHUNK_PATHS = 16_384
+_BLOCK_DOUBLES = 1 << 20
 MIN_PATHS = 1_000
 
 
@@ -51,11 +53,34 @@ def uniform_block(seed: int, offset: int, shape) -> np.ndarray:
     return gen.random(shape)
 
 
-def _step_table(chain: Chain) -> np.ndarray:
-    """The cumulative transition rows as complex keys: entry (s, j) is
-    s + i*cum[s, j], except that the cells from row s's last positive
-    entry on are s + 2i, above every uniform.  NumPy orders complex numbers
-    by real part, then by imaginary part, so the raveled table is sorted.
+class _StepTable(NamedTuple):
+    """The inverse-CDF step of a chain, on its n x n cumulative cells.
+
+    ``cells`` holds the cumulative transition rows flat, row s at
+    ``s*n .. s*n + n - 1``, except that the cells from row s's last
+    positive entry on read 2.0, above every uniform.  ``skip[k]`` is the
+    flat index of the first later cell of cell k's row with a larger
+    value, so one hop crosses a run of tied cells.  ``guide[s, b]`` is the
+    flat index of the first cell of row s above b/m, where m, the number
+    of buckets per row, is the power of two at or above n: u*m and b/m
+    are then exact doubles, and the bucket floor(u*m) of a uniform u starts
+    at a cell no further right than the answer.
+    """
+
+    cells: np.ndarray
+    skip: np.ndarray
+    guide: np.ndarray
+
+
+def _chunk_paths(t: int) -> int:
+    """Paths simulated together over a horizon of t steps: at most
+    ``_CHUNK_PATHS``, and few enough that their block of uniforms holds at
+    most max(2^20, t) doubles."""
+    return min(_CHUNK_PATHS, max(1, _BLOCK_DOUBLES // max(t, 1)))
+
+
+def _step_table(chain: Chain) -> _StepTable:
+    """The step table of ``chain``.
 
     A row may sum to a little less than 1 in double precision; the mass
     between its rounded total and 1 then goes to the row's last state of
@@ -64,16 +89,35 @@ def _step_table(chain: Chain) -> np.ndarray:
     cum = np.cumsum(chain.P, axis=1)
     last = n - 1 - np.argmax(chain.P[:, ::-1] > 0, axis=1)
     cum[np.arange(n) >= last[:, None]] = 2.0
-    return np.arange(n)[:, None] + 1j * cum
+    offset = n * np.arange(n)[:, None]
+    # cell k ends its run of ties where the next cell differs; the last
+    # cell's run ends the row
+    ends = np.where(np.diff(cum, axis=1, append=np.inf) != 0, np.arange(1, n + 1), n)
+    skip = np.minimum.accumulate(ends[:, ::-1], axis=1)[:, ::-1] + offset
+    # cell c lies at or below b/m exactly for the buckets b >= ceil(c*m)
+    m = 1 << (n - 1).bit_length()
+    first = np.minimum(np.ceil(cum * m), m).astype(np.int64) + (m + 1) * np.arange(n)[:, None]
+    counts = np.bincount(first.ravel(), minlength=n * (m + 1)).reshape(n, m + 1)
+    guide = np.cumsum(counts[:, :m], axis=1) + offset
+    return _StepTable(cum.ravel(), skip.ravel(), guide)
 
 
-def _step_states(states: np.ndarray, u: np.ndarray, table: np.ndarray) -> np.ndarray:
+def _step_states(states: np.ndarray, u: np.ndarray, table: _StepTable) -> np.ndarray:
     # Inverse-CDF step: the next state is the number of cumulative cells of
-    # row s at or below u.  A row is non-decreasing, so that count is the
-    # right insertion index of s + i*u in the table, less the n cells of
-    # each earlier row; both keys are exact, so the step is too.
-    n = table.shape[1]
-    return np.searchsorted(table.ravel(), states + 1j * u, side="right") - states * n
+    # row s at or below u.  The walk starts at the guide of u's bucket,
+    # which counts cells at or below the bucket's floor b/m <= u, and hops
+    # over runs of tied cells while the cell it stands on is <= u; a
+    # bucket holds n/m <= 1 cells on average, so a step costs O(1) expected
+    # comparisons, and every comparison is exact.
+    cells, skip, guide = table
+    n, m = guide.shape
+    # a u at or above 1 (never a uniform) starts in the last bucket
+    k = guide.ravel()[states * m + np.minimum((u * m).astype(np.int64), m - 1)]
+    moving = np.flatnonzero(cells[k] <= u)
+    while moving.size:
+        k[moving] = skip[k[moving]]
+        moving = moving[cells[k[moving]] <= u[moving]]
+    return k - states * n
 
 
 def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
@@ -102,19 +146,21 @@ def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
                           note="T_A >= 1 from any start outside the target set")
 
     table = _step_table(chain)
+    chunk = _chunk_paths(t)
     survived = 0
-    for lo in range(0, paths, _CHUNK_PATHS):
-        hi = min(lo + _CHUNK_PATHS, paths)
+    for lo in range(0, paths, chunk):
+        hi = min(lo + chunk, paths)
         u = uniform_block(seed, lo * t, (hi - lo, t))
+        # the live paths, kept compacted: their rows of u and their states
+        rows = np.arange(hi - lo)
         states = np.full(hi - lo, start, dtype=np.int64)
-        alive = np.ones(hi - lo, dtype=bool)
         for step in range(t):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
+            states = _step_states(states, u[rows, step], table)
+            live = ~members[states]
+            rows, states = rows[live], states[live]
+            if rows.size == 0:
                 break
-            states[idx] = _step_states(states[idx], u[idx, step], table)
-            alive[idx] = ~members[states[idx]]
-        survived += int(alive.sum())
+        survived += rows.size
     p_hat = survived / paths
     se = math.sqrt(p_hat * (1.0 - p_hat) / paths)
     return MCEstimate(value=p_hat, standard_error=se, paths=paths, seed=seed,
@@ -140,9 +186,10 @@ def simulate_tv_proxy(chain: Chain, x: int, t: int, paths: int,
         raise ValueError("start state out of range")
 
     table = _step_table(chain)
+    chunk = _chunk_paths(t)
     counts = np.zeros(chain.n)
-    for lo in range(0, paths, _CHUNK_PATHS):
-        hi = min(lo + _CHUNK_PATHS, paths)
+    for lo in range(0, paths, chunk):
+        hi = min(lo + chunk, paths)
         u = uniform_block(seed, lo * t, (hi - lo, t))
         states = np.full(hi - lo, x, dtype=np.int64)
         for step in range(t):

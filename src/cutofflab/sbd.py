@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import Chain
 from .hitting import DEFAULT_EXACT_THRESHOLD, IdentityCheckError, KilledSystem, _candidate_sets
-from .oracle import MCEstimate, _step_states, _step_table, uniform_block
+from .oracle import MCEstimate, _chunk_paths, _step_states, _step_table, uniform_block
 from .reporting import Record, check_le, report_value, skip
 
 __all__ = [
@@ -312,7 +312,6 @@ def central_block_hit(chain: Chain, dec: BlockDecomposition, x: int | None = Non
 
 
 _ROUND_STEPS = 64
-_CHUNK_PATHS = 8192
 
 
 def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
@@ -340,8 +339,9 @@ def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
                     ptr[sel] += 1
                     moved = True
 
-    for lo in range(0, paths, _CHUNK_PATHS):
-        hi = min(lo + _CHUNK_PATHS, paths)
+    chunk = _chunk_paths(_ROUND_STEPS)
+    for lo in range(0, paths, chunk):
+        hi = min(lo + chunk, paths)
         m = hi - lo
         states = np.full(m, x, dtype=int)
         ptr = np.zeros(m, dtype=np.int64)

@@ -341,6 +341,13 @@ def test_cutoff_scan_csv_file(tmp_path, capsys):
     assert list(csv.DictReader(capsys.readouterr().out.splitlines())) == rows
 
 
+def _simulate_lines(out):
+    lines = {l.split("=")[0].strip(): l.split("=")[1].strip()
+             for l in out.splitlines() if "=" in l}
+    est, se = lines["estimate"].split("(")[0].split("+/-")
+    return float(est), float(se), float(lines["exact"])
+
+
 def test_simulate_agrees_with_exact(tmp_path, capsys):
     chain = tmp_path / "chain.json"
     run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))
@@ -348,13 +355,33 @@ def test_simulate_agrees_with_exact(tmp_path, capsys):
     assert run("simulate", "--chain", str(chain), "--start", "0",
                "--set", "5", "--t", "10", "--paths", "20000",
                "--seed", "17") == 0
-    out = capsys.readouterr().out
-    lines = {l.split("=")[0].strip(): l.split("=")[1].strip()
-             for l in out.splitlines() if "=" in l}
-    est = float(lines["estimate"].split("+/-")[0])
-    exact = float(lines["exact"])
-    se = float(lines["estimate"].split("+/-")[1].split("(")[0])
+    est, se, exact = _simulate_lines(capsys.readouterr().out)
     assert abs(est - exact) <= 4.0 * max(se, 1e-9)
+
+
+def test_simulate_takes_a_non_reversible_chain(tmp_path, capsys):
+    # neither the simulation nor P_B^t 1 needs reversibility: on the lazy
+    # one-way 3-cycle Pr_0[T_{2} > 4] = 5/16
+    path = tmp_path / "cycle.json"
+    path.write_text(json.dumps(CYCLE))
+    assert run("simulate", "--chain", str(path), "--start", "0", "--set", "2",
+               "--t", "4", "--paths", "20000", "--seed", "5") == 0
+    est, se, exact = _simulate_lines(capsys.readouterr().out)
+    assert exact == pytest.approx(5 / 16, abs=1e-15)
+    assert abs(est - exact) <= 4.0 * se
+
+
+def test_simulate_output_is_pinned(tmp_path, capsys):
+    # recorded before the indexed-search step kernel replaced the binary
+    # search: any change to the uniform -> state map changes these digits
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "two-cliques", "--n", "6", "-o", str(chain))
+    capsys.readouterr()
+    assert run("simulate", "--chain", str(chain), "--start", "0", "--set", "11",
+               "--t", "12", "--paths", "20000", "--seed", "4") == 0
+    assert capsys.readouterr().out == ("estimate = 0.9687 +/- 0.00123 (20000 paths, seed 4)\n"
+                                       "exact    = 0.9684321692\n"
+                                       "z        = +0.22\n")
 
 
 def test_simulate_requires_seed(tmp_path):
@@ -467,9 +494,9 @@ def test_threads_rejects_nonpositive():
 
 
 def test_in_process_runs_keep_no_stream_alive(tmp_path):
-    # every write goes through a stream looked up per call, so the streams
-    # a caller redirects to are freed once main returns (a bare click.echo
-    # would keep each one in click's per-stream cache)
+    # every write, help text included, goes through a stream looked up per
+    # call, so the streams a caller redirects to are freed once main returns
+    # (a bare click.echo would keep each one in click's per-stream cache)
     import contextlib
     import gc
     import io
@@ -487,6 +514,10 @@ def test_in_process_runs_keep_no_stream_alive(tmp_path):
         (["cutoff-scan", "--family", "biased-path", "--sizes", "4,5"], 0),
         (["verify", "--chain", far, "--suite", "escape", "--quiet"], 2),
         (["analyze"], 1),
+        (["--help"], 0),
+        (["verify", "--help"], 0),
+        (["tree", "--help"], 0),
+        (["tree"], 1),
     ]
     refs = []
     for argv, code in cases:
@@ -494,9 +525,11 @@ def test_in_process_runs_keep_no_stream_alive(tmp_path):
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 assert main(argv) == code
-            # cutoff-scan's flags line, the failure summary and the usage
-            # error all go to stderr
+            # cutoff-scan's flags line, the failure summary, the usage error
+            # and a group's help when called bare all go to stderr; help
+            # asked for goes to stdout
             assert bool(err.getvalue()) == (argv[0] == "cutoff-scan" or code != 0)
+            assert ("Usage:" in out.getvalue()) == ("--help" in argv)
             refs += [weakref.ref(out), weakref.ref(err)]
             del out, err
     gc.collect()

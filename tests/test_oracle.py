@@ -19,6 +19,12 @@ def test_uniform_block_seeds_differ():
     assert not np.array_equal(a, b)
 
 
+# row 0 sums to 1 - 4e-13, inside load_chain's tolerance, and its last
+# state has probability zero
+_SHORT_ROW = [[0.6, 0.4 - 4e-13, 0.0], [0.3, 0.4, 0.3], [0.0, 0.5, 0.5]]
+_TOP_U = 1.0 - 2.0 ** -53
+
+
 def _gather_step(states, u, P):
     # the inverse-CDF step as a gather: count the row's cells at or below u;
     # the mass at or above the row's rounded total goes to the row's last
@@ -26,6 +32,25 @@ def _gather_step(states, u, P):
     cum = np.cumsum(P, axis=1)
     last = P.shape[1] - 1 - np.argmax(P[:, ::-1] > 0, axis=1)
     return np.minimum((cum[states] <= u[:, None]).sum(axis=1), last[states])
+
+
+def _check_every_start(P, extra=()):
+    # the kernel against the gather formula from every state s, at each
+    # cumulative cell of row s, each bucket edge b/m and the float
+    # neighbours of all of these, at the extra uniforms, and at 0 and the
+    # largest uniform
+    chain = load_chain(P)
+    table = _step_table(chain)
+    m = table.guide.shape[1]
+    cum = np.cumsum(chain.P, axis=1)
+    for s in range(chain.n):
+        edges = np.concatenate([cum[s], np.arange(m + 1) / m])
+        u = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0),
+                            extra, [0.0, _TOP_U]])
+        u = u[(u >= 0.0) & (u < 1.0)]
+        states = np.full(u.size, s)
+        assert np.array_equal(_step_states(states, u, table),
+                              _gather_step(states, u, chain.P))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -51,12 +76,45 @@ def test_step_kernel_matches_the_gather_formula(seed):
     u[n * n:n * n + n] = 0.0
     want = _gather_step(states, u, chain.P)
     assert np.array_equal(_step_states(states, u, _step_table(chain)), want)
+    _check_every_start(P, rng.random(500))
 
 
-# row 0 sums to 1 - 4e-13, inside load_chain's tolerance, and its last
-# state has probability zero
-_SHORT_ROW = [[0.6, 0.4 - 4e-13, 0.0], [0.3, 0.4, 0.3], [0.0, 0.5, 0.5]]
-_TOP_U = 1.0 - 2.0 ** -53
+@pytest.mark.parametrize("n, density", [(2, 1.0), (7, 0.05), (33, 0.3), (120, 1.0), (300, 1.0)])
+def test_step_kernel_is_exact_on_random_chains(n, density):
+    from cutofflab.families import random_reversible
+
+    _check_every_start(random_reversible(n, density=density, seed=n).P)
+
+
+@pytest.mark.parametrize("n", [3, 64, 300])
+def test_step_kernel_is_exact_on_biased_paths(n):
+    from cutofflab.families import biased_path
+
+    _check_every_start(biased_path(n).P)
+
+
+def test_step_kernel_crosses_long_tie_runs():
+    # each row has two positive entries at the ends and n - 2 zeros between
+    # them: one run of n - 1 tied cells
+    n = 40
+    P = np.zeros((n, n))
+    P[:, 0] = 0.25
+    P[:, -1] = 0.75
+    _check_every_start(P)
+
+
+def test_step_kernel_keeps_an_absorbed_probability():
+    # 1e-17 added to 0.5 rounds back to 0.5: state 1 has positive
+    # probability but its cell ties with state 0's, so no uniform reaches it
+    P = np.array([[0.5, 1e-17, 0.5 - 1e-17], [0.3, 0.3, 0.4], [0.5, 0.0, 0.5]])
+    assert np.cumsum(P[0])[1] == 0.5
+    _check_every_start(P, [0.5, np.nextafter(0.5, 0.0)])
+
+
+def test_step_kernel_on_a_short_row():
+    _check_every_start(_SHORT_ROW)
+
+
 
 
 def test_step_sends_the_leftover_mass_to_a_reachable_state():
@@ -130,3 +188,50 @@ def test_tv_proxy_upward_bias_documented(small_corpus):
     assert est.value >= exact - 4.0 * max(est.standard_error, 1e-3)
     d, _ = worst_tv(chain, t)
     assert exact <= d + 1e-12
+
+
+def test_monte_carlo_outputs_are_pinned():
+    # recorded before the indexed-search step kernel replaced the binary
+    # search and sbd's rounds went from 8,192 to 16,384 paths per chunk:
+    # any change to the uniform -> state map or to the sample changes these
+    import cutofflab.sbd as sbd
+    from cutofflab.families import biased_path, two_cliques
+
+    path, cliques = biased_path(12), two_cliques(6)
+    assert simulate_hitting(path, 0, [11], 20, paths=20_000, seed=7).value == 19262 / 20_000
+    assert simulate_hitting(cliques, 0, [13], 15, paths=20_000, seed=7).value == 16531 / 20_000
+    assert simulate_tv_proxy(path, 0, 9, paths=20_000, seed=8).value == 0.9856061794370015
+    assert simulate_tv_proxy(cliques, 0, 7, paths=20_000, seed=8).value == 0.4062823529411765
+    masks = [np.arange(12) == 6, np.arange(12) == 11]
+    times = sbd._staged_times(path, 0, masks, paths=20_000, seed=5, t_cap=10 ** 6)
+    assert times.sum(axis=0).tolist() == [439860, 838282]
+    assert int((times ** 2).sum()) == 52181216
+    assert int((times[:, 0] * times[:, 1]).sum()) == 20781866
+
+
+def test_uniform_blocks_are_bounded_by_the_horizon(monkeypatch):
+    # a block of uniforms holds at most max(2^20, t) doubles, so a long
+    # horizon simulates few paths at a time instead of asking for
+    # 1,000 x 100,000 doubles at once; chunking never changes the sample
+    import cutofflab.oracle as oracle
+    from cutofflab.families import biased_path
+
+    real = oracle.uniform_block
+
+    def capped(seed, offset, shape):
+        if np.prod(shape) > max(oracle._BLOCK_DOUBLES, shape[-1]):
+            raise MemoryError(f"block {shape} above the cap")
+        return real(seed, offset, shape)
+
+    monkeypatch.setattr(oracle, "uniform_block", capped)
+    chain = biased_path(10)
+    wide = simulate_hitting(chain, 0, [5], 100_000, paths=1_000, seed=3)
+    monkeypatch.setattr(oracle, "_BLOCK_DOUBLES", 4_096)
+    narrow = simulate_hitting(chain, 0, [5], 100_000, paths=1_000, seed=3)
+    assert wide.value == narrow.value
+    # 2,000 steps: two chunks of 524 paths under the cap, one of 1,000 above it
+    monkeypatch.setattr(oracle, "_BLOCK_DOUBLES", 1 << 20)
+    two = simulate_tv_proxy(chain, 0, 2_000, paths=1_000, seed=3)
+    monkeypatch.setattr(oracle, "uniform_block", real)
+    monkeypatch.setattr(oracle, "_BLOCK_DOUBLES", 1 << 22)
+    assert simulate_tv_proxy(chain, 0, 2_000, paths=1_000, seed=3).value == two.value
