@@ -145,37 +145,27 @@ def _block_lines(block, rows) -> list[str]:
     return lines
 
 
-def _echo_lines(lines: list[str], failures: int, label: str) -> int:
-    if lines:
-        _echo("\n".join(lines))
-    if failures:
-        _echo(f"{label}: {failures} failing record(s)", err=True)
-    return failures
-
-
 def _emit_blocks(blocks, label: str, failures_only: bool = False) -> int:
     """Print one line per row of the record blocks ``blocks`` (only the
     failing rows with ``failures_only``); return the number of failed
-    assertions."""
+    assertions.  A list of records is grouped into blocks first, in order."""
     import numpy as np
 
+    from .reporting import Record, RecordBlock
+
+    if blocks and isinstance(blocks[0], Record):
+        blocks = RecordBlock.from_records(blocks)
     failures = 0
     lines = []
     for b in blocks:
         rows = np.flatnonzero(~b.passed) if failures_only else np.arange(len(b))
         lines += _block_lines(b, rows)
         failures += int((b.checked[rows] & ~b.passed[rows]).sum())
-    return _echo_lines(lines, failures, label)
-
-
-def _emit_records(records, label: str) -> int:
-    """Print one line per record; return the number of failed assertions."""
-    lines = []
-    for r in records:
-        lines += _lines(r.inequality, r.params, r.kind, [[v] for v in r.params.values()],
-                        [r.lhs], [r.rhs], [r.margin], [r.passed], [r.note])
-    failures = sum(not r.passed for r in records if r.kind not in ("skip", "report"))
-    return _echo_lines(lines, failures, label)
+    if lines:
+        _echo("\n".join(lines))
+    if failures:
+        _echo(f"{label}: {failures} failing record(s)", err=True)
+    return failures
 
 
 @click.group(cls=_Group, context_settings={"help_option_names": ["-h", "--help"]})
@@ -330,6 +320,8 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
     chain = _load_chain(chain_file)
     chain.require(irreducible=True)
     _check_state("--start", start, chain.n)
+    if not all(0 < e < 1 for e in eps_values):
+        raise click.ClickException("eps must be in (0, 1)")
     if set_states is not None:
         states = _parse_ints(set_states, "state")
         try:
@@ -444,7 +436,7 @@ def tree_window(tree_file: str, eps: float) -> None:
     if tc.n < 3:
         raise click.ClickException("window check needs at least 3 vertices")
     records = window_rows(tc, tc.t_rel, cache(lambda e: mixing_time(tc.chain, e)), [eps])
-    if _emit_records(records, "window-check"):
+    if _emit_blocks(records, "window-check"):
         raise VerificationFailure("window-check failed")
 
 
@@ -466,7 +458,7 @@ def tree_tails(tree_file: str, x: int, y, c_grid) -> None:
         records = tail_bound_check(tc, x, y, c_grid=c_grid)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc
-    if _emit_records(records, "tails"):
+    if _emit_blocks(records, "tails"):
         raise VerificationFailure("tail bounds failed")
 
 
@@ -573,7 +565,7 @@ def sbd_hit_stats(chain_file: str, start) -> None:
     _echo(f"variance = {cbh.variance:.12g}")
     for level, t in sorted(cbh.tau_profile.items()):
         _echo(f"tau({level:g}) = {t}")
-    if _emit_records(cbh.records, "hit-stats"):
+    if _emit_blocks(cbh.records, "hit-stats"):
         raise VerificationFailure("hit-stats failed")
 
 
@@ -606,7 +598,7 @@ def sbd_corr(chain_file: str, start: int, block_i: int, block_j: int,
           f"(se {mc.estimate.standard_error:.3g}, {paths} paths)")
     _echo(f"mean_i * mean_j = {mc.mean_i * mc.mean_j:.6g}")
     _echo(f"bound           = {mc.bound:.6g} (gap {mc.gap})")
-    if _emit_records([mc.record], "corr"):
+    if _emit_blocks([mc.record], "corr"):
         raise VerificationFailure("correlation bound failed")
 
 

@@ -4,14 +4,17 @@ Margins are recorded relative to ``max(1, |lhs|, |rhs|)`` so the single
 pass tolerance stays meaningful whether the record compares probabilities
 or second moments of hitting times.
 
-A :class:`Report` stores its rows column by column, one
-:class:`RecordBlock` per run of rows of one inequality.  The suites that
-sweep every target set build each block as arrays, and ``Report.records``
-is a view of :class:`Record` objects built from the blocks on first use.
-:func:`check_le` and :func:`check_identity` certify one row; a block
-certifies all of its rows with the same IEEE operations.  A report's JSON
-text is written from the columns too, one template per block, with the
-bytes ``json.dumps(report.to_dict(), indent=1)`` would give.
+A :class:`Report` takes its rows as blocks only, stored column by column,
+one :class:`RecordBlock` per run of rows of one inequality.  The suites
+that sweep every target set build each block as arrays; the rows of the
+other suites are :class:`Record` objects, which the ``SUITES`` entries of
+:mod:`cutofflab.verify` sort and group with :meth:`RecordBlock.from_records`.
+``Report.records`` is a view of :class:`Record` objects built from the
+blocks on first use.  :func:`check_le` and :func:`check_identity` certify
+one row; a block certifies all of its rows with the same IEEE operations.
+A report's JSON text is written from the columns too, one template per
+block, with the bytes ``json.dumps(report.to_dict(), indent=1)`` would
+give.
 """
 
 from __future__ import annotations
@@ -83,21 +86,21 @@ def _plain(v):
 
 
 def check_le(inequality: str, lhs: float, rhs: float, params: dict | None = None,
-             tol: float = MARGIN_TOL, note: str = "") -> Record:
-    """Assert lhs <= rhs up to a relative tolerance."""
+             note: str = "") -> Record:
+    """Assert lhs <= rhs up to the relative tolerance ``MARGIN_TOL``."""
     lhs, rhs = float(lhs), float(rhs)
     margin = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
     return Record(inequality, params or {}, lhs, rhs, margin, "inequality",
-                  bool(margin >= -tol), note)
+                  bool(margin >= -MARGIN_TOL), note)
 
 
 def check_identity(inequality: str, lhs: float, rhs: float, params: dict | None = None,
-                   tol: float = MARGIN_TOL, note: str = "") -> Record:
-    """Assert lhs == rhs up to a relative tolerance."""
+                   note: str = "") -> Record:
+    """Assert lhs == rhs up to the relative tolerance ``MARGIN_TOL``."""
     lhs, rhs = float(lhs), float(rhs)
     margin = (rhs - lhs) / max(1.0, abs(lhs), abs(rhs))
     return Record(inequality, params or {}, lhs, rhs, margin, "identity",
-                  bool(abs(margin) <= tol), note)
+                  bool(abs(margin) <= MARGIN_TOL), note)
 
 
 def report_value(name: str, value: float, params: dict | None = None, note: str = "") -> Record:
@@ -214,19 +217,18 @@ class RecordBlock:
     ``params`` maps each parameter name, in record order, to an object
     array of Python values, one per row.
 
-    Unless ``margin`` and ``passed`` are given, one numpy pass computes
-    them with the operations of :func:`check_le` and
-    :func:`check_identity`: ``margin = (rhs - lhs) / max(1, |lhs|, |rhs|)``,
-    where the max skips a NaN side as Python's ``max`` does, and a check
-    passes when ``margin >= -MARGIN_TOL`` (inequality) or
-    ``|margin| <= MARGIN_TOL`` (identity).  Report and skip rows get
-    margin 0 and pass.
+    One numpy pass computes ``margin`` and ``passed`` with the operations
+    of :func:`check_le` and :func:`check_identity`:
+    ``margin = (rhs - lhs) / max(1, |lhs|, |rhs|)``, where the max skips a
+    NaN side as Python's ``max`` does, and a check passes when
+    ``margin >= -MARGIN_TOL`` (inequality) or ``|margin| <= MARGIN_TOL``
+    (identity).  Report and skip rows get margin 0 and pass.
     """
 
     __slots__ = ("inequality", "params", "lhs", "rhs", "margin", "kind", "passed", "note")
 
     def __init__(self, inequality: str, lhs, rhs, kind, params: dict | None = None,
-                 note="", margin=None, passed=None):
+                 note=""):
         lhs, rhs = np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float)
         if lhs.shape != rhs.shape:
             lhs, rhs = np.broadcast_arrays(lhs, rhs)
@@ -236,11 +238,7 @@ class RecordBlock:
         self.kind = _labels(kind, n)
         self.note = _labels(note, n)
         self.params = {k: _objects(v, n) for k, v in (params or {}).items()}
-        if margin is None:
-            self.margin, self.passed = self._certify()
-        else:
-            self.margin = np.asarray(margin, dtype=float).reshape(n)
-            self.passed = np.asarray(passed, dtype=bool).reshape(n)
+        self.margin, self.passed = self._certify()
 
     def __len__(self) -> int:
         return self.lhs.size
@@ -264,18 +262,19 @@ class RecordBlock:
     @classmethod
     def from_records(cls, records) -> list[RecordBlock]:
         """Blocks holding ``records`` in order, one per run of records with
-        the same inequality and parameter names; margins and flags are kept
-        as the records carry them."""
+        the same inequality and parameter names.  The blocks certify the
+        rows again, so rows made by :func:`check_le`, :func:`check_identity`,
+        :func:`report_value` and :func:`skip` keep their margins and flags
+        bit for bit."""
         blocks = []
         for (name, keys), group in groupby(records, key=lambda r: (r.inequality,
                                                                    tuple(r.params))):
             rows = list(group)
-            lhs, rhs, margin = np.array([(r.lhs, r.rhs, r.margin) for r in rows],
-                                        dtype=float).T
+            lhs, rhs = np.array([(r.lhs, r.rhs) for r in rows], dtype=float).T
             blocks.append(cls(
                 name, lhs, rhs, [r.kind for r in rows],
                 {k: [r.params[k] for r in rows] for k in keys},
-                [r.note for r in rows], margin, [r.passed for r in rows]))
+                [r.note for r in rows]))
         return blocks
 
     def _fields(self, rows, plain: bool):
@@ -334,22 +333,19 @@ class Report:
     """Outcome of one verification suite on one chain.
 
     The rows live in ``blocks``, one :class:`RecordBlock` per run of one
-    inequality; ``Report(records=[...])`` splits the records into blocks.
-    ``passed``, ``counts``, ``failures`` and ``worst_margin`` read the
-    columns.  ``records`` builds the :class:`Record` objects once, on first
-    access, in block order (the ``_record_key`` order for the reports of
-    :func:`~cutofflab.verify.run_suites`); treat it as a read-only view.
+    inequality, as the suite returned them (in ``_record_key`` order for
+    the reports of :func:`~cutofflab.verify.run_suites`).  ``passed``,
+    ``counts``, ``failures`` and ``worst_margin`` read the columns.
+    ``records`` builds the :class:`Record` objects once, on first access,
+    in block order; treat it as a read-only view.
     """
 
-    def __init__(self, suite: str, chain_fingerprint: str, records=(),
-                 params: dict | None = None, *, blocks=None):
-        if blocks is not None and records:
-            raise ValueError("give a report records or blocks, not both")
+    def __init__(self, suite: str, chain_fingerprint: str, blocks=(),
+                 params: dict | None = None):
         self.suite = suite
         self.chain_fingerprint = chain_fingerprint
         self.params = {} if params is None else params
-        self.blocks = (list(blocks) if blocks is not None
-                       else RecordBlock.from_records(records))
+        self.blocks = list(blocks)
         self._records = None
 
     @property

@@ -391,9 +391,12 @@ def block_correlation_mc(chain: Chain, dec: BlockDecomposition, x: int,
     tau_b is the time to go from first entering block b to first entering
     its parent.  The exact means come from linear solves; only the
     product moment is simulated, and the test passes when the lower
-    ``z_score``-confidence end of the estimate respects the bound.
+    ``z_score``-confidence end of the estimate respects the bound.  A
+    standard error needs ``paths`` >= 2; fewer raise ``ValueError``.
     """
     chain.require(reversible=True, lazy=True)
+    if paths < 2:
+        raise ValueError("paths must be at least 2")
     if paths < 10_000:
         warnings.warn("fewer than 10^4 paths: the confidence interval on the "
                       "product moment may be too wide to be informative",

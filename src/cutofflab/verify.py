@@ -29,16 +29,20 @@ Suite ids (see ``SUITES``):
 - ``banded``              banded-chain block decomposition comparisons
 - ``block-moments``       measured block-crossing constants (reported only)
 
-``run_suite``/``run_suites`` evaluate suites on a chain and return sorted
-:class:`~cutofflab.reporting.Report` objects (the set-sweeping suites fill
-them with columnar :class:`~cutofflab.reporting.RecordBlock` rows);
-``cutoff_scan`` tabulates mixing windows and ratios across growing sizes of
-one family.
+Each ``SUITES`` entry drives its suite: it checks the gates stated beside
+it in the table (lazy, exact, tree, banded) in order and returns the
+suite's one skip row when a gate fails; otherwise ``SUITES[sid](ctx,
+params)`` returns the suite's rows as
+:class:`~cutofflab.reporting.RecordBlock` objects in key order.
+``run_suite``/``run_suites`` wrap those blocks in
+:class:`~cutofflab.reporting.Report` objects; ``cutoff_scan`` tabulates
+mixing windows and ratios across growing sizes of one family.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, partial
 from itertools import islice
@@ -295,19 +299,13 @@ class _Ctx:
             hi[int(np.argmax(self.chain.pi))] = True
             masks.extend([lo, hi, ~hi])
             draws = 0
-            while sum(1 for _ in masks) < 11 and draws < 200:
+            while len(masks) < 11 and draws < 200:
                 draws += 1
                 m = rng.random(n) < rng.uniform(0.15, 0.85)
                 if m.any() and not m.all():
                     masks.append(m)
-            seen = set()
-            uniq = []
-            for m in masks:
-                key = m.tobytes()
-                if key not in seen:
-                    seen.add(key)
-                    uniq.append(m)
-            uniq.sort(key=lambda m: (int(m.sum()), m.tobytes()))
+            uniq = sorted({m.tobytes(): m for m in masks}.values(),  # equal masks count once
+                          key=lambda m: (int(m.sum()), m.tobytes()))
             out = _Targets.of(np.array(uniq))
         self._targets[mode] = out
         return out
@@ -398,10 +396,6 @@ def _sweep_block(inequality: str, kind, lhs, rhs, members: np.ndarray,
     return RecordBlock(inequality, rows(lhs), rows(rhs), rows(kind), params, rows(note))
 
 
-def _inexact(ctx: _Ctx, name: str) -> Record:
-    return skip(name, f"needs exact hitting profiles (n > {ctx.exact_threshold})")
-
-
 # ---------------------------------------------------------------------------
 # comparisons stated in both time models: each row function serves the
 # discrete suite and continuous-time alike, through ``_Ctx.clock``
@@ -483,8 +477,6 @@ def _hit_mass_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
 
 def _suite_relaxation(ctx: _Ctx, params: dict) -> list[Record]:
     """t_rel controls the mixing time from both sides (lazy chains)."""
-    if not ctx.lazy:
-        return [skip("relaxation", "requires a lazy chain (diagonal >= 1/2)")]
     return _relaxation_rows(ctx, ctx.clock(False), params)
 
 
@@ -494,10 +486,6 @@ def _suite_relaxation(ctx: _Ctx, params: dict) -> list[Record]:
 
 def _suite_tv_hit(ctx: _Ctx, params: dict) -> list[Record]:
     """Worst-case TV mixing is equivalent to hitting times of large sets."""
-    if not ctx.lazy:
-        return [skip("tv-hit", "requires a lazy chain (diagonal >= 1/2)")]
-    if not ctx.exact:
-        return [_inexact(ctx, "tv-hit")]
     records = _tv_hit_rows(ctx, ctx.clock(False), params)
     t_rel = ctx.t_rel
     for eps in _grid(params, "eps_grid", EPS_GRID):
@@ -529,10 +517,6 @@ def _suite_tv_hit(ctx: _Ctx, params: dict) -> list[Record]:
 
 def _suite_set_probability(ctx: _Ctx, params: dict) -> list[Record]:
     """Once large sets are hit, set probabilities obey a spectral floor."""
-    if not ctx.lazy:
-        return [skip("set-probability", "requires a lazy chain")]
-    if not ctx.exact:
-        return [_inexact(ctx, "set-probability")]
     records = []
     t_rel = ctx.t_rel
     F = ctx.spectrum.eigenfunctions
@@ -587,7 +571,7 @@ def _suite_submult(ctx: _Ctx, params: dict) -> list[Record]:
                         seq.at(t + s), seq.at(t) * seq.at(s),
                         {"alpha": alpha, "t": t, "s": s}))
     else:
-        records.append(_inexact(ctx, "hit-submultiplicative"))
+        records.append(skip("hit-submultiplicative", _GATES["exact"](ctx)))
     for k in (2, 3):
         for t in sorted({ctx.tmix(0.25), ctx.tmix(1 / 8)}):
             records.append(check_le(
@@ -602,8 +586,6 @@ def _suite_submult(ctx: _Ctx, params: dict) -> list[Record]:
 
 def _suite_hit_levels(ctx: _Ctx, params: dict) -> list[Record]:
     """Hitting times at different mass thresholds control each other."""
-    if not ctx.exact:
-        return [_inexact(ctx, "hit-levels")]
     records = _hit_mass_rows(ctx, ctx.clock(False), params)
     eps0 = 1 / 16
     for alpha, beta in _level_pairs(params):
@@ -766,8 +748,6 @@ def _suite_maximal(ctx: _Ctx, params: dict) -> list[Record]:
 
 def _suite_good_set(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     """Most starts track pi(A) within m sigma_s from every time >= s."""
-    if not ctx.lazy:
-        return RecordBlock.from_records([skip("good-set", "requires a lazy chain")])
     t_rel, pi = ctx.t_rel, ctx.chain.pi
     F = ctx.spectrum.eigenfunctions
     lam = ctx.spectrum.eigenvalues
@@ -906,13 +886,7 @@ def _suite_return_mgf(ctx: _Ctx, params: dict) -> list[Record]:
         small.append((int(order[1]),))
         small.append((int(order[2]),))
         small.append(tuple(sorted((int(order[0]), int(order[1])))))
-    complements = []
-    seen = set()
-    for b in small:
-        if b not in seen:
-            seen.add(b)
-            complements.append(b)
-    for b_states in complements:
+    for b_states in dict.fromkeys(small):
         mask = np.ones(n, dtype=bool)
         mask[list(b_states)] = False  # A = everything except the slow core
         ks = ctx.killed(mask)
@@ -952,10 +926,6 @@ def _suite_return_mgf(ctx: _Ctx, params: dict) -> list[Record]:
 def _suite_mix_hit(ctx: _Ctx, params: dict) -> list[Record]:
     """A closed loop of eight comparisons tying hit times at any threshold
     to the quarter-level mixing time."""
-    if not ctx.lazy:
-        return [skip("mix-hit", "requires a lazy chain")]
-    if not ctx.exact:
-        return [_inexact(ctx, "mix-hit")]
     records = []
     t_rel = ctx.t_rel
     tq = ctx.tmix(0.25)
@@ -998,10 +968,6 @@ def _suite_mix_hit(ctx: _Ctx, params: dict) -> list[Record]:
 
 def _suite_lazy_floor(ctx: _Ctx, params: dict) -> list[Record]:
     """Holding probability 1/2 caps how fast tails and distances can drop."""
-    if not ctx.lazy:
-        return [skip("lazy-floor", "requires a lazy chain")]
-    if not ctx.exact:
-        return [_inexact(ctx, "lazy-floor")]
     records = []
     tq = ctx.tmix(0.25)
     for alpha in _grid(params, "alpha_grid", ALPHA_GRID):
@@ -1041,7 +1007,7 @@ def _suite_continuous_time(ctx: _Ctx, params: dict) -> list[Record]:
     if ctx.exact:
         records += _tv_hit_rows(ctx, clock, params) + _hit_mass_rows(ctx, clock, params)
     else:
-        records.append(_inexact(ctx, "tv-hit" + clock.suffix))
+        records.append(skip("tv-hit" + clock.suffix, _GATES["exact"](ctx)))
     t_rel = ctx.t_rel
     lam = ctx.spectrum.eigenvalues
     F = ctx.spectrum.eigenfunctions
@@ -1077,9 +1043,7 @@ def _tree_pairs(tc) -> list[tuple[int, int]]:
 def _suite_tree_window(ctx: _Ctx, params: dict) -> list[Record]:
     """On trees, crossing moments concentrate the root passage time and
     force a sqrt-size mixing window."""
-    tc, reason = ctx.tree()
-    if tc is None:
-        return [skip("tree-window", f"not a tree walk: {reason}")]
+    tc = ctx.tree()[0]
     records = []
     t_rel = ctx.t_rel
     # 12 crossings spread over the depths (every one on smaller trees)
@@ -1117,19 +1081,14 @@ def _suite_tree_window(ctx: _Ctx, params: dict) -> list[Record]:
 def _suite_crossing_tails(ctx: _Ctx, params: dict) -> list[Record]:
     """Passage times to ancestors have sub-gaussian tails on the scale
     sqrt(mean * t_rel), for deviations up to 2.5 sqrt(mean / t_rel)."""
-    tc, reason = ctx.tree()
-    if tc is None:
-        return [skip("crossing-tails", f"not a tree walk: {reason}")]
+    tc = ctx.tree()[0]
     c_grid = _grid(params, "c_grid", (0.5, 1.0, 1.5, 2.0))
     pairs = _tree_pairs(tc)
     path = set(tc.path_to_root(pairs[0][0]))
     off_path = [v for v in range(tc.n) if v not in path and tc.depth[v] >= 2]
     if off_path:
         pairs.append((max(off_path, key=lambda v: (tc.depth[v], v)), tc.root))
-    records = []
-    for x, y in pairs:
-        records.extend(tail_bound_check(tc, x, y, c_grid=c_grid))
-    return records
+    return [r for x, y in pairs for r in tail_bound_check(tc, x, y, c_grid=c_grid)]
 
 
 # ---------------------------------------------------------------------------
@@ -1140,8 +1099,6 @@ def _suite_banded(ctx: _Ctx, params: dict) -> list[Record]:
     """Block decomposition of a banded chain: comparable starts inside an
     interval, central-block mass, and the central hitting statistics."""
     cls = ctx.sbd()
-    if not cls.is_sbd:
-        return [skip("banded", "; ".join(cls.reasons) or "not banded")]
     records = [report_value(
         "banded-parameters", cls.alpha,
         {"r": cls.r, "delta": cls.delta},
@@ -1192,8 +1149,6 @@ def _suite_block_moments(ctx: _Ctx, params: dict) -> list[Record]:
     suite measures how tightly block crossings track the relaxation time.
     """
     cls = ctx.sbd()
-    if not cls.is_sbd:
-        return [skip("block-moments", "; ".join(cls.reasons) or "not banded")]
     dec = blocks(ctx.chain, cls.r, cls.delta)
     pi, P = ctx.chain.pi, ctx.chain.P
     t_rel = ctx.t_rel
@@ -1241,36 +1196,75 @@ def _suite_block_moments(ctx: _Ctx, params: dict) -> list[Record]:
 # registry and drivers
 
 
-SUITES = {
-    "relaxation": _suite_relaxation,
-    "tv-hit": _suite_tv_hit,
-    "set-probability": _suite_set_probability,
-    "submultiplicativity": _suite_submult,
-    "hit-levels": _suite_hit_levels,
-    "escape": _suite_escape,
-    "killed-spectrum": _suite_killed_spectrum,
-    "maximal-function": _suite_maximal,
-    "good-set": _suite_good_set,
-    "martingale-tail": _suite_martingale,
-    "return-time": _suite_return_time,
-    "return-mgf": _suite_return_mgf,
-    "mix-hit": _suite_mix_hit,
-    "lazy-floor": _suite_lazy_floor,
-    "continuous-time": _suite_continuous_time,
-    "tree-window": _suite_tree_window,
-    "crossing-tails": _suite_crossing_tails,
-    "banded": _suite_banded,
-    "block-moments": _suite_block_moments,
+def _record_key(r: Record):
+    return (r.inequality, str(sorted((str(k), str(v))
+                                     for k, v in r.params.items())))
+
+
+# Each gate maps a context to the note of its suite's skip row, or to None
+# when the suite may run.
+_GATES = {
+    "lazy": lambda ctx: None if ctx.lazy else "requires a lazy chain",
+    "lazy-diagonal": lambda ctx: None if ctx.lazy else "requires a lazy chain (diagonal >= 1/2)",
+    "exact": lambda ctx: (None if ctx.exact else
+                          f"needs exact hitting profiles (n > {ctx.exact_threshold})"),
+    "tree": lambda ctx: (None if ctx.tree()[0] is not None else
+                         f"not a tree walk: {ctx.tree()[1]}"),
+    "banded": lambda ctx: (None if ctx.sbd().is_sbd else
+                           "; ".join(ctx.sbd().reasons) or "not banded"),
 }
 
+
+class _Suite(NamedTuple):
+    """A ``SUITES`` entry, the one driver of its suite.
+
+    Called as ``(ctx, params)``, it checks its ``gates`` (``_GATES`` names)
+    in order and gives the suite's one skip row, named ``sid``, at the first
+    that fails.  Otherwise it returns the rows of ``body`` as record blocks
+    in ``_record_key`` order: a body that sweeps target sets builds its
+    blocks in that order, and the ``Record`` rows of any other body are
+    sorted and grouped here.
+    """
+
+    sid: str
+    body: Callable[[_Ctx, dict], list]
+    gates: list[str]
+
+    def __call__(self, ctx: _Ctx, params: dict) -> list[RecordBlock]:
+        for gate in self.gates:
+            note = _GATES[gate](ctx)
+            if note is not None:
+                return RecordBlock.from_records([skip(self.sid, note)])
+        rows = self.body(ctx, params)
+        if rows and isinstance(rows[0], RecordBlock):
+            return rows
+        return RecordBlock.from_records(sorted(rows, key=_record_key))
+
+
+SUITES = {sid: _Suite(sid, body, gates) for sid, body, *gates in (
+    # suite id, body, gates in the order they are checked
+    ("relaxation", _suite_relaxation, "lazy-diagonal"),
+    ("tv-hit", _suite_tv_hit, "lazy-diagonal", "exact"),
+    ("set-probability", _suite_set_probability, "lazy", "exact"),
+    ("submultiplicativity", _suite_submult),
+    ("hit-levels", _suite_hit_levels, "exact"),
+    ("escape", _suite_escape),
+    ("killed-spectrum", _suite_killed_spectrum),
+    ("maximal-function", _suite_maximal),
+    ("good-set", _suite_good_set, "lazy"),
+    ("martingale-tail", _suite_martingale),
+    ("return-time", _suite_return_time),
+    ("return-mgf", _suite_return_mgf),
+    ("mix-hit", _suite_mix_hit, "lazy", "exact"),
+    ("lazy-floor", _suite_lazy_floor, "lazy", "exact"),
+    ("continuous-time", _suite_continuous_time),
+    ("tree-window", _suite_tree_window, "tree"),
+    ("crossing-tails", _suite_crossing_tails, "tree"),
+    ("banded", _suite_banded, "banded"),
+    ("block-moments", _suite_block_moments, "banded"),
+)}
+
 SUITE_IDS = tuple(SUITES)
-
-
-# Suites that sweep target sets: they return one ``RecordBlock`` per
-# inequality, built as arrays, in ``_record_key`` order: by inequality, then
-# by ``str(members)`` of the target set, then by the other parameters in
-# their string order.
-_ORDERED_SUITES = frozenset({"escape", "killed-spectrum", "good-set", "return-time"})
 
 
 # Each parameter grid's range: a test of one value and its wording.
@@ -1284,11 +1278,6 @@ _GRID_RANGES = {
 }
 
 
-def _record_key(r: Record):
-    return (r.inequality, str(sorted((str(k), str(v))
-                                     for k, v in r.params.items())))
-
-
 def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]:
     """Evaluate several suites on one chain, sharing every cached quantity.
 
@@ -1300,12 +1289,10 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
     (``_GRID_RANGES``), ``functions`` below 1 or not an integer and an
     unknown set mode raise ``ValueError`` before any suite runs.
 
-    The records of every report are in ``_record_key`` order: by
-    inequality name, then by the string form of the sorted
-    ``(key, value)`` parameter pairs.  The set-sweeping suites escape,
-    killed-spectrum, good-set and return-time build one columnar block per
-    inequality, its rows already in that order, and certify it in one numpy
-    pass; the records of the other suites are sorted here.
+    Each report holds the blocks ``SUITES[sid](ctx, params)`` returns:
+    the suite's one skip row when a gate stated in ``SUITES`` fails, else
+    its rows in ``_record_key`` order, by inequality name, then by the
+    string form of the sorted ``(key, value)`` parameter pairs.
     """
     params = dict(params or {})
     suites = list(dict.fromkeys(s for sid in suites
@@ -1324,15 +1311,7 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
     _set_mode(params)  # raises on an unknown set mode
     ctx = _Ctx(chain, params)
     chain_id = fingerprint(chain.P)
-    reports = []
-    for sid in suites:
-        rows = SUITES[sid](ctx, params)
-        if sid in _ORDERED_SUITES:
-            report = Report(sid, chain_id, params=params, blocks=rows)
-        else:
-            report = Report(sid, chain_id, sorted(rows, key=_record_key), params)
-        reports.append(report)
-    return reports
+    return [Report(sid, chain_id, SUITES[sid](ctx, params), params) for sid in suites]
 
 
 def run_suite(chain: Chain, suite: str, params: dict | None = None) -> Report:

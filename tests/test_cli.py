@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cutofflab import SUITE_IDS, chain_from_json, run_suites
-from cutofflab.cli import _emit_blocks, _emit_records, main
+from cutofflab.cli import _emit_blocks, main
 from cutofflab.reporting import Record, RecordBlock, Report
 
 
@@ -154,6 +154,20 @@ def test_hit_explicit_set_reports_a_tail_that_never_falls(tmp_path, capsys):
     assert "does not fall to every --eps level" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("eps", ["1.5", "0", "-0.5"])
+@pytest.mark.parametrize("args", [["--set", "0"], []], ids=["set", "worst-set"])
+def test_hit_rejects_eps_outside_unit_interval(tmp_path, capsys, args, eps):
+    # with --set, 1.5 and 0 used to print a crossing time and exit 0, and
+    # -0.5 ended in "does not fall to every --eps level"
+    chain = tmp_path / "c.json"
+    run("gen", "--family", "two-cliques", "--n", "4", "-o", str(chain))
+    capsys.readouterr()
+    assert run("hit", str(chain), *args, "--eps", eps) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "Error: eps must be in (0, 1)" in err
+
+
 @pytest.mark.parametrize("args, message", [
     (["--set=-1"], "out of range"),
     (["--set", "5", "--start", "9"], "not a state"),
@@ -259,7 +273,7 @@ def test_record_lines_of_mixed_and_escaped_blocks(capsys):
         RecordBlock("no-params", [1.0, 0.5], [0.5, 1.0], "identity"),
     ]
     records = [r for b in blocks for r in b.records()]
-    for emit in (lambda: _emit_blocks(blocks, "x"), lambda: _emit_records(records, "x")):
+    for emit in (lambda: _emit_blocks(blocks, "x"), lambda: _emit_blocks(records, "x")):
         assert emit() == 3
         out, err = capsys.readouterr()
         assert out == "\n".join(map(_record_line, records)) + "\n"
@@ -306,13 +320,28 @@ def test_verify_failure_exits_two(tmp_path, monkeypatch):
                      margin=-1.0, kind="inequality", passed=False)
 
     def fake_run_suites(chain_obj, suites, params=None):
-        return [Report(suite=s, chain_fingerprint="stub", records=[failing])
+        return [Report(suite=s, chain_fingerprint="stub",
+                       blocks=RecordBlock.from_records([failing]))
                 for s in suites]
 
     import cutofflab.verify as verify_mod
 
     monkeypatch.setattr(verify_mod, "run_suites", fake_run_suites)
     assert run("verify", "--chain", str(chain), "--suite", "relaxation") == 2
+
+
+@pytest.mark.parametrize("paths", ["1", "0", "-3"])
+def test_sbd_corr_rejects_fewer_than_two_paths(tmp_path, capsys, paths):
+    # 0 and 1 path used to give a NaN standard error and a false FAIL row
+    # (exit 2); -3 warned and then failed in numpy
+    chain = tmp_path / "b.json"
+    run("gen", "--family", "biased-path", "--n", "9", "-o", str(chain))
+    capsys.readouterr()
+    assert run("sbd", "corr", str(chain), "--x", "0", "--block-i", "0", "--block-j", "1",
+               "--seed", "1", "--paths", paths) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "Error: paths must be at least 2\n"
 
 
 def test_cutoff_scan_stdout_csv(capsys):

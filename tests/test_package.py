@@ -209,6 +209,41 @@ def test_command_output_goes_through_one_uncached_stream():
     assert [scope for _, scope, _ in sites] == ["_echo"] * len(sites)
 
 
+class _RecordPathSites(_Sites):
+    """Every use of ``from_records`` (an attribute) and ``_record_key`` (a
+    name), and every ``Report(...)`` call, each with the name it uses."""
+
+    def _use(self, name: str):
+        self.sites.append((name, self.module, ".".join(self.scope)))
+
+    def visit_Attribute(self, node):
+        if node.attr == "from_records":
+            self._use("from_records")
+        self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id == "_record_key":
+            self._use("_record_key")
+
+    def visit_Call(self, node):
+        if "Report" in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            self._use("Report")
+        self.generic_visit(node)
+
+
+def test_records_reach_a_report_by_one_path():
+    # a suite's rows are ordered and grouped into blocks by its SUITES
+    # entry alone, and the command line groups loose records for printing;
+    # every report is built in run_suites
+    driver = ("verify", "_Suite.__call__")
+    assert sorted(set(_sites(_RecordPathSites))) == sorted([
+        ("Report", "verify", "run_suites"),
+        ("_record_key", *driver),
+        ("from_records", "cli", "_emit_blocks"),
+        ("from_records", *driver),
+    ])
+
+
 def test_one_exact_threshold():
     from cutofflab import DEFAULT_EXACT_THRESHOLD, cli, hitting, verify
 

@@ -118,12 +118,14 @@ def _same_records(got: list[Record], want: list[Record]) -> None:
 def test_table_built_and_record_built_reports_agree(source):
     if source == "synthetic":
         tables = [Report("mixed", "fp", params={"sets": "all"}, blocks=_mixed_blocks())]
-        records = [Report("mixed", "fp", _mixed_records(), {"sets": "all"})]
+        records = [Report("mixed", "fp", RecordBlock.from_records(_mixed_records()),
+                          {"sets": "all"})]
     else:
         tables = run_suites(random_reversible(5, seed=11),
                             ["escape", "killed-spectrum", "good-set", "return-time"],
                             {"sets": "all"})
-        records = [Report(r.suite, r.chain_fingerprint, list(r.records), r.params)
+        records = [Report(r.suite, r.chain_fingerprint, RecordBlock.from_records(r.records),
+                          r.params)
                    for r in run_suites(random_reversible(5, seed=11),
                                        ["escape", "killed-spectrum", "good-set",
                                         "return-time"], {"sets": "all"})]
@@ -140,14 +142,13 @@ def test_table_built_and_record_built_reports_agree(source):
         assert t.records is t.records  # built once
         _same_records(t.failures, r.failures)  # now read from the built records
     if source == "synthetic":
+        # grouping the records into blocks keeps their margins and flags
+        _same_records(records[0].records, _mixed_records())
         assert not tables[0].passed and tables[0].counts()["failed"] == 3
         assert math.isnan(tables[0].worst_margin())
 
 
-def test_report_takes_records_or_blocks_not_both():
-    recs = _mixed_records()
-    with pytest.raises(ValueError):
-        Report("s", "fp", recs, blocks=RecordBlock.from_records(recs))
+def test_empty_report_passes_with_no_checks():
     empty = Report("s", "fp")
     assert empty.passed and empty.records == [] and empty.worst_margin() == math.inf
 
@@ -161,13 +162,16 @@ def test_worst_margin_is_nan_when_any_check_margin_is_nan(where):
     recs = good[:pos] + [bad] + good[pos:]
     block = RecordBlock("a", [r.lhs for r in recs], [r.rhs for r in recs], "inequality",
                         {"i": [r.params["i"] for r in recs]})
-    for rep in (Report("s", "fp", recs), Report("s", "fp", blocks=[block])):
+    for rep in (Report("s", "fp", RecordBlock.from_records(recs)),
+                Report("s", "fp", blocks=[block])):
         assert not rep.passed
         assert math.isnan(rep.worst_margin())
     # without the NaN the minimum is the first smallest margin
-    rep = Report("s", "fp", good + [check_le("b", 0.0, -0.0), check_le("c", 0.0, 0.0)])
+    rep = Report("s", "fp", RecordBlock.from_records(
+        good + [check_le("b", 0.0, -0.0), check_le("c", 0.0, 0.0)]))
     assert _bits(rep.worst_margin()) == _bits(-0.0)
-    assert Report("s", "fp", [skip("a", "no")]).worst_margin() == math.inf
+    skipped = Report("s", "fp", RecordBlock.from_records([skip("a", "no")]))
+    assert skipped.worst_margin() == math.inf
 
 
 @pytest.mark.parametrize("name", ["random-6 all sets", "biased-path-34", "two-cliques-4"])
@@ -197,7 +201,7 @@ def test_report_json_of_mixed_and_escaped_blocks():
     reports = [Report("mixed", "fp", params={"sets": "all", "eps_grid": (0.25, 0.5)},
                       blocks=_mixed_blocks() + [odd]),
                Report("empty", "fp", params={}),
-               Report("records", "fp", _mixed_records())]
+               Report("records", "fp", RecordBlock.from_records(_mixed_records()))]
     for r in reports:
         assert r.dumps() == json.dumps(r.to_dict(), indent=1)
     assert json_text(reports) == json.dumps([r.to_dict() for r in reports], indent=1)

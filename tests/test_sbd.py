@@ -128,6 +128,16 @@ def test_block_correlation_bound_holds():
     assert mc.gap == 2
 
 
+@pytest.mark.parametrize("paths", [1, 0, -3])
+def test_block_correlation_needs_two_paths(paths, recwarn):
+    chain = biased_path(9)
+    cls = classify_sbd(chain)
+    dec = blocks(chain, cls.r, cls.delta)
+    with pytest.raises(ValueError, match="paths must be at least 2"):
+        block_correlation_mc(chain, dec, 0, 0, 1, paths=paths, seed=1)
+    assert len(recwarn) == 0
+
+
 def test_block_correlation_requires_path_order():
     chain = biased_path(12)
     cls = classify_sbd(chain)

@@ -88,14 +88,55 @@ IDENTITY_SUITES = ["escape", "good-set", "killed-spectrum", "return-time"]
 
 def test_records_are_sorted_and_unique(k2, p3):
     # the set-sweeping suites build their records in key order instead of
-    # sorting them; every suite must come out as a sort would leave it
+    # sorting them; every suite must come out as a sort would leave it.  A
+    # random tree and a biased path run the tree and banded suites too.
+    tree, banded = build_tree_chain(random_tree(12, seed=3)).chain, biased_path(10)
     reports = (run_suites(k2, list(SUITE_IDS)) + run_suites(p3, list(SUITE_IDS))
                + run_suites(random_reversible(7, seed=1729), IDENTITY_SUITES,
-                            {"sets": "all"}))
+                            {"sets": "all"})
+               + run_suites(tree, list(SUITE_IDS)) + run_suites(banded, list(SUITE_IDS)))
     for rep in reports:
         assert rep.records == sorted(rep.records, key=_record_key), rep.suite
         keys = [_record_key(r) for r in rep.records]
         assert len(keys) == len(set(keys)), rep.suite
+    ran = {rep.suite for rep in reports if any(r.kind != "skip" for r in rep.records)}
+    assert ran == set(SUITE_IDS)
+
+
+_K4 = (np.ones((4, 4)) - np.eye(4)) / 3  # the non-lazy walk on K_4
+_LAZY_NOTE = "requires a lazy chain"
+_DIAGONAL_NOTE = "requires a lazy chain (diagonal >= 1/2)"
+
+
+@pytest.mark.parametrize("sid, chain_id, params, note", [
+    ("relaxation", "k4", {}, _DIAGONAL_NOTE),
+    ("tv-hit", "k4", {"exact_threshold": 3}, _DIAGONAL_NOTE),
+    ("set-probability", "k4", {"exact_threshold": 3}, _LAZY_NOTE),
+    ("good-set", "k4", {}, _LAZY_NOTE),
+    ("mix-hit", "k4", {"exact_threshold": 3}, _LAZY_NOTE),
+    ("lazy-floor", "k4", {"exact_threshold": 3}, _LAZY_NOTE),
+    ("hit-levels", "k4", {"exact_threshold": 3}, "needs exact hitting profiles (n > 3)"),
+    ("tv-hit", "lazy8", {"exact_threshold": 4}, "needs exact hitting profiles (n > 4)"),
+    ("set-probability", "lazy8", {"exact_threshold": 4}, "needs exact hitting profiles (n > 4)"),
+    ("hit-levels", "lazy8", {"exact_threshold": 4}, "needs exact hitting profiles (n > 4)"),
+    ("mix-hit", "lazy8", {"exact_threshold": 4}, "needs exact hitting profiles (n > 4)"),
+    ("lazy-floor", "lazy8", {"exact_threshold": 4}, "needs exact hitting profiles (n > 4)"),
+    ("tree-window", "cliques", {},
+     "not a tree walk: support has 15 undirected edges; a tree needs 9"),
+    ("crossing-tails", "cliques", {},
+     "not a tree walk: support has 15 undirected edges; a tree needs 9"),
+    ("banded", "cliques", {}, "some nearest-neighbor transition has zero probability"),
+    ("block-moments", "cliques", {}, "some nearest-neighbor transition has zero probability"),
+])
+def test_a_failed_gate_gives_the_suite_one_skip_row(sid, chain_id, params, note):
+    # K_4 fails both the lazy and the exact gate at threshold 3, so its
+    # lazy notes show that lazy is checked first
+    chain = {"k4": lambda: load_chain(_K4), "lazy8": lambda: biased_path(8),
+             "cliques": lambda: two_cliques(4)}[chain_id]()
+    direct = [r for b in SUITES[sid](_Ctx(chain, params), params) for r in b.records()]
+    for records in (run_suite(chain, sid, params).records, direct):
+        assert [(r.inequality, r.kind, r.note, r.params) for r in records] == [
+            (sid, "skip", note, {})]
 
 
 def test_escape_slow_start_measure_is_exact_per_target():
