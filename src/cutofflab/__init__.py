@@ -23,13 +23,11 @@ _EXPORTS = {
               "spectral_decomposition", "write_json_atomic"),
     "families": ("FAMILIES", "biased_path", "birth_death", "plateau_chain",
                  "random_corpus", "random_reversible", "random_tree", "two_cliques"),
-    "hitting": ("BlowUpSet", "GoodSet", "HitResult", "KacQuantities", "KilledSystem",
-                "WorstTailProfile", "blow_up_set", "good_set", "hit_time",
-                "hitting_tail", "kac_quantities", "qs_decomposition",
-                "worst_tail_profile"),
+    "hitting": ("HitResult", "KacQuantities", "KilledSystem", "WorstTailProfile",
+                "hit_time", "hitting_tail", "kac_quantities", "worst_tail_profile"),
     "mixing": ("MixingProfile", "maximal_function", "mixing_profile", "mixing_time",
                "worst_tv"),
-    "oracle": ("MCEstimate", "simulate_hitting", "simulate_tv_proxy"),
+    "oracle": ("MCEstimate", "simulate_hitting"),
     "reporting": ("Record", "Report", "check_identity", "check_le", "fingerprint"),
     "sbd": ("BlockDecomposition", "CentralBlockHit", "SBDClassification",
             "block_correlation_mc", "blocks", "central_block_hit", "classify_sbd",

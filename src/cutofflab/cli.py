@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import os
 import sys
+import warnings
 
 import click
 
@@ -471,6 +472,17 @@ def sbd() -> None:
     """Banded-chain (skip-free block) diagnostics."""
 
 
+def _banded_blocks(chain):
+    """The block decomposition of a banded chain; a usage error when the
+    chain is not banded."""
+    from .sbd import blocks, classify_sbd
+
+    cls = classify_sbd(chain)
+    if not cls.is_sbd:
+        raise click.ClickException("chain is not banded: " + "; ".join(cls.reasons))
+    return blocks(chain, cls.r, cls.delta)
+
+
 @sbd.command("classify")
 @click.argument("chain_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--json", "as_json", is_flag=True)
@@ -547,15 +559,11 @@ def sbd_blocks(chain_file: str, r_override, delta_override, output) -> None:
               help="Start state (farthest from the center when omitted).")
 def sbd_hit_stats(chain_file: str, start) -> None:
     """Exact central-block hitting statistics from a far start."""
-    from .sbd import blocks, central_block_hit, classify_sbd
+    from .sbd import central_block_hit
 
     chain = _load_chain(chain_file)
     _check_state("--x", start, chain.n)
-    cls = classify_sbd(chain)
-    if not cls.is_sbd:
-        raise click.ClickException("chain is not banded: "
-                                   + "; ".join(cls.reasons))
-    dec = blocks(chain, cls.r, cls.delta)
+    dec = _banded_blocks(chain)
     try:
         cbh = central_block_hit(chain, dec, x=start)
     except ValueError as exc:
@@ -580,20 +588,21 @@ def sbd_hit_stats(chain_file: str, start) -> None:
 def sbd_corr(chain_file: str, start: int, block_i: int, block_j: int,
              paths: int, seed: int) -> None:
     """Monte-Carlo check of the block crossing-time correlation bound."""
-    from .sbd import block_correlation_mc, blocks, classify_sbd
+    from .sbd import block_correlation_mc
 
     chain = _load_chain(chain_file)
     _check_state("--x", start, chain.n)
-    cls = classify_sbd(chain)
-    if not cls.is_sbd:
-        raise click.ClickException("chain is not banded: "
-                                   + "; ".join(cls.reasons))
-    dec = blocks(chain, cls.r, cls.delta)
-    try:
-        mc = block_correlation_mc(chain, dec, start, block_i, block_j,
-                                  paths=paths, seed=seed)
-    except ValueError as exc:
-        raise click.ClickException(str(exc)) from exc
+    dec = _banded_blocks(chain)
+    # a warning (too few paths) is a plain note, not a source location
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        try:
+            mc = block_correlation_mc(chain, dec, start, block_i, block_j,
+                                      paths=paths, seed=seed)
+        except ValueError as exc:
+            raise click.ClickException(str(exc)) from exc
+    for warning in caught:
+        _echo(f"note: {warning.message}", err=True)
     _echo(f"E[tau_i tau_j]  = {mc.estimate.value:.6g} "
           f"(se {mc.estimate.standard_error:.3g}, {paths} paths)")
     _echo(f"mean_i * mean_j = {mc.mean_i * mc.mean_j:.6g}")

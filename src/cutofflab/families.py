@@ -194,9 +194,9 @@ def random_reversible(n: int, density: float = 0.5, seed: int = 0,
     return load_chain(ChainSpec(P=P, pi=pi))
 
 
-def random_tree(n: int, seed: int = 0,
-                holding_range: tuple[float, float] = (0.5, 0.75)) -> TreeSpec:
-    """Uniform random attachment tree with log-normal edge weights."""
+def random_tree(n: int, seed: int = 0) -> TreeSpec:
+    """Uniform random attachment tree with log-normal edge weights and
+    holdings drawn per vertex from [1/2, 3/4)."""
     if n < 2:
         raise ValueError("need n >= 2")
     rng = np.random.default_rng(seed)
@@ -204,7 +204,7 @@ def random_tree(n: int, seed: int = 0,
     for v in range(1, n):
         u = int(rng.integers(0, v))
         edges.append((u, v, float(rng.lognormal(0.0, 1.0))))
-    holding = rng.uniform(holding_range[0], holding_range[1], size=n)
+    holding = rng.uniform(0.5, 0.75, size=n)
     spec = TreeSpec(n=n, edges=edges, holding=holding)
     spec.validate()
     return spec

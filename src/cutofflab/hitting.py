@@ -21,7 +21,6 @@ results are flagged as certified lower bounds only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property, partial
 from itertools import count, islice
@@ -40,11 +39,6 @@ __all__ = [
     "HitResult",
     "hit_time",
     "KilledSystem",
-    "qs_decomposition",
-    "GoodSet",
-    "good_set",
-    "BlowUpSet",
-    "blow_up_set",
     "KacQuantities",
     "kac_quantities",
     "DEFAULT_EXACT_THRESHOLD",
@@ -53,6 +47,7 @@ __all__ = [
 # the longest worst-set tail scan, in steps
 _HIT_T_MAX = 200_000
 _FEAS_TOL = 1e-12
+_KAC_TOL = 1e-9
 
 
 class IdentityCheckError(RuntimeError):
@@ -359,11 +354,11 @@ class KilledSystem:
         (one target)."""
         return np.clip(self._factors(ts, continuous) @ self.state_weights[pos], 0.0, 1.0)
 
-    def tail_dist(self, dist_B: np.ndarray, ts, continuous: bool = False) -> np.ndarray:
+    def tail_dist(self, dist_B: np.ndarray, ts) -> np.ndarray:
         """Pr[T_A > t] from a start law given in survivor coordinates."""
         _, U, sq, right = self._eigen
         lead = _vm(dist_B / sq, U)
-        return np.clip(_mv(self._factors(ts, continuous), lead * right), 0.0, None)
+        return np.clip(_mv(self._factors(ts, False), lead * right), 0.0, None)
 
     def mean_stationary(self):
         """E[T_A] from pi conditioned on B, from the spectral weights; inf
@@ -418,50 +413,30 @@ class KilledSystem:
 
 @dataclass(eq=False)
 class HittingProfile:
-    """Tail of T_A from a fixed start, with exact first and second moments.
+    """Tail ``tail[t] = Pr[T_A > t]``, t = 0 .. t_max, of T_A from a fixed
+    start, with exact first and second moments."""
 
-    ``tail[t] = Pr[T_A > t]`` for integer t in the discrete case; for the
-    continuized chain ``times`` carries the (real) evaluation grid.  The
-    continuized mean equals the discrete one (unit-rate jumps), while the
-    continuized second moment is ``mean + second_moment`` of the jump count.
-    """
-
-    times: np.ndarray
     tail: np.ndarray
     mean: float
     second_moment: float
-    continuous: bool
 
     @property
     def variance(self) -> float:
         return self.second_moment - self.mean ** 2
 
 
-def hitting_tail(chain: Chain, start, A, t_max: int = 64,
-                 continuous: bool = False, t_grid=None) -> HittingProfile:
-    """Exact tail ``Pr[T_A > t]`` and moments of the hitting time of A.
+def hitting_tail(chain: Chain, start, A, t_max: int = 64) -> HittingProfile:
+    """Exact tail ``Pr[T_A > t]`` for ``t = 0 .. t_max``, by iterating the
+    killed kernel, and moments of the hitting time of A.
 
-    ``start`` may be a state index or a distribution.  Discrete tails are
-    produced for ``t = 0 .. t_max`` by iterating the killed kernel; with
-    ``continuous=True`` the tail is evaluated on ``t_grid`` (default: a
-    uniform grid up to ``t_max``) through the eigen-decomposition of the
-    killed kernel.
+    ``start`` may be a state index or a distribution.
     """
     mu = _start_vector(chain, start)
     ks = KilledSystem(chain, A)
-    mean = float(mu @ ks.mean)
-    second = float(mu @ ks.second_moment)
     muB = mu[ks.B]
-    if not continuous:
-        tail = np.array([muB @ u for u in islice(ks.survival(), t_max + 1)])
-        return HittingProfile(times=np.arange(t_max + 1), tail=tail, mean=mean,
-                              second_moment=second, continuous=False)
-    if t_grid is None:
-        t_grid = np.linspace(0.0, float(t_max), 129)
-    times = np.asarray(t_grid, dtype=float)
-    tail = ks.tail_dist(muB, times, continuous=True)
-    return HittingProfile(times=times, tail=tail, mean=mean, second_moment=mean + second,
-                          continuous=True)
+    tail = np.array([muB @ u for u in islice(ks.survival(), t_max + 1)])
+    return HittingProfile(tail=tail, mean=float(mu @ ks.mean),
+                          second_moment=float(mu @ ks.second_moment))
 
 
 # ---------------------------------------------------------------------------
@@ -646,121 +621,6 @@ def hit_time(chain: Chain, alpha: float, eps: float, x: int | None = None,
 
 
 # ---------------------------------------------------------------------------
-# quasi-stationary structure of the killed kernel
-
-
-def qs_decomposition(chain: Chain, A) -> KilledSystem:
-    """The killed system of A, with its spectral weights checked.
-
-    Requires a reversible chain and a proper nonempty target.  The weights
-    must be nonnegative and add to one, and no eigenvalue may exceed the
-    leading one ``gamma_1`` in modulus, so that
-    ``Pr_{pi_B}[T_A > t] = sum_i weights_i gamma_i^t`` decays at rate
-    ``gamma_1``.  When B splits into several killed-kernel components the
-    spectrum is the union of theirs and each component's weights add to
-    pi(component)/pi(B).
-    """
-    ks = KilledSystem(chain, A)
-    if ks.B.size == 0:
-        raise ValueError("target covers every state; killed kernel is empty")
-    g, w = ks.gammas, ks.weights
-    total = w.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise IdentityCheckError(f"killed-kernel spectral weights sum to {total!r}")
-    if w.min() < -1e-12:
-        raise IdentityCheckError("negative spectral weight in killed kernel decomposition")
-    if np.abs(g).max() > g[0] + 1e-12:
-        raise IdentityCheckError("killed-kernel eigenvalue exceeds the leading one in modulus")
-    return ks
-
-
-# ---------------------------------------------------------------------------
-# good sets and blow-up sets
-
-
-@dataclass(eq=False)
-class GoodSet:
-    """States whose A-occupation stays within ``m sigma_s`` of pi(A) forever
-    past time s, certified by a finite scan plus a spectral tail bound."""
-
-    members: np.ndarray
-    measure: float
-    sigma: float
-    threshold: float
-    horizon: int
-
-
-def good_set(chain: Chain, A, s: int, m: float) -> GoodSet:
-    """Exact membership of the deviation-controlled set at scale m.
-
-    A state y belongs iff ``|Pr_y[X_k in A] - pi(A)| < m sigma_s`` for all
-    k >= s, where ``sigma_s = exp(-s/t_rel) sqrt(pi(A)(1-pi(A)))``.  The
-    scan runs to the first horizon where the spectral envelope
-    ``exp(-k/t_rel) sqrt(pi(A)(1-pi(A))) / sqrt(min pi)`` falls strictly
-    below the threshold, after which no state can violate.
-    """
-    chain.require(reversible=True, lazy=True)
-    mask = _target_mask(chain, A)
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    if m <= 0:
-        raise ValueError("m must be positive")
-    pa = float(chain.pi[mask].sum())
-    if not 0.0 < pa < 1.0:
-        raise ValueError("good set requires a proper nonempty target (0 < pi(A) < 1)")
-    t_rel = chain.spectrum.t_rel
-    rho = math.sqrt(pa * (1.0 - pa))
-    sigma = math.exp(-s / t_rel) * rho
-    threshold = m * sigma
-    log_ratio = -math.log(m) - 0.5 * math.log(chain.pi.min())
-    extra = math.ceil(t_rel * log_ratio) if log_ratio > 0.0 else 0
-    horizon = s + extra + 1
-    g = mask.astype(float)
-    ok = np.ones(chain.n, dtype=bool)
-    for k in range(horizon + 1):
-        if k >= s:
-            ok &= np.abs(g - pa) < threshold
-        g = chain.P @ g
-    return GoodSet(members=ok, measure=float(chain.pi[ok].sum()), sigma=sigma,
-                   threshold=threshold, horizon=horizon)
-
-
-@dataclass(eq=False)
-class BlowUpSet:
-    """Starts that still miss A with probability >= alpha at the blow-up
-    horizon ceil(t_rel * w / pi(A))."""
-
-    t: int
-    members: np.ndarray
-    measure: float
-    ceiling: float
-
-
-def blow_up_set(chain: Chain, A, w: float, alpha: float) -> BlowUpSet:
-    """Identify slow starts at the w-scaled horizon and its measure ceiling.
-
-    The ceiling ``pi(complement A) e^{-w} / alpha`` is returned alongside;
-    callers assert it, keeping computation and certification separate.
-    """
-    if w < 0:
-        raise ValueError("w must be >= 0")
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must be in (0, 1]")
-    ks = KilledSystem(chain, A)
-    pa = float(chain.pi[ks.A].sum())
-    t_rel = chain.spectrum.t_rel
-    if pa <= 0:
-        raise ValueError("target must have positive mass")
-    t = math.ceil(t_rel * w / pa)
-    tails = np.zeros(chain.n)
-    tails[ks.B] = next(islice(ks.survival(), t, None))
-    members = tails >= alpha
-    ceiling = (1.0 - pa) * math.exp(-w) / alpha
-    return BlowUpSet(t=t, members=members, measure=float(chain.pi[members].sum()),
-                     ceiling=ceiling)
-
-
-# ---------------------------------------------------------------------------
 # return-time identities
 
 
@@ -789,17 +649,17 @@ class KacQuantities:
     mean_from_pi_B: float
 
 
-def kac_quantities(chain: Chain, A, check_tol: float = 1e-9) -> KacQuantities:
+def kac_quantities(chain: Chain, A) -> KacQuantities:
     kq = KilledSystem(chain, A).kac()
 
     def _rel(a: float, b: float) -> float:
         return abs(a - b) / max(1.0, abs(a), abs(b))
 
     mean_psi = kq.mean_from_psi
-    if _rel(mean_psi, 1.0 / kq.phi_B) > check_tol:
+    if _rel(mean_psi, 1.0 / kq.phi_B) > _KAC_TOL:
         raise IdentityCheckError(
             f"entry-law mean {mean_psi!r} != 1/phi_B = {1.0 / kq.phi_B!r}")
-    if _rel(kq.second_from_psi, mean_psi * (2.0 * kq.mean_from_pi_B - 1.0)) > check_tol:
+    if _rel(kq.second_from_psi, mean_psi * (2.0 * kq.mean_from_pi_B - 1.0)) > _KAC_TOL:
         raise IdentityCheckError("entry-law second moment identity failed")
     return kq
 

@@ -24,7 +24,6 @@ import numpy as np
 from .chain import Chain, write_csv_atomic
 
 __all__ = [
-    "tv_distance",
     "worst_tv",
     "mixing_profile",
     "mixing_time",
@@ -36,15 +35,6 @@ __all__ = [
 # Spectral reconstruction of P^t amplifies roundoff by up to 1/sqrt(min pi);
 # below this floor mixing times come from iterated products instead.
 _SPECTRAL_SAFE_MIN_PI = 1e-12
-
-
-def tv_distance(mu: np.ndarray, nu: np.ndarray) -> float:
-    """Total variation distance, one half of the L1 difference."""
-    mu = np.asarray(mu, float)
-    nu = np.asarray(nu, float)
-    if mu.shape != nu.shape:
-        raise ValueError("distributions must have equal length")
-    return 0.5 * float(np.abs(mu - nu).sum())
 
 
 def _tv_rows(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -257,7 +247,7 @@ def mixing_time(chain: Chain, eps: float, continuous: bool = False) -> int | flo
 
 @dataclass(eq=False)
 class MaximalFunctionResult:
-    """Running maxima of |P^{2k} f| (and optionally |P^{2k+1} f|).
+    """Running maxima of |P^{2k} f|.
 
     ``values[x]`` is the maximum over even powers up to the truncation
     horizon; the true supremum exceeds it by at most ``2 * tail_bound``.
@@ -266,25 +256,20 @@ class MaximalFunctionResult:
     """
 
     values: np.ndarray
-    odd_values: np.ndarray | None
     truncation_k: int | np.ndarray
     tail_bound: float | np.ndarray
 
 
-def maximal_function(chain: Chain, f: np.ndarray, include_odd: bool = False,
-                     resolution: float = 1e-12, use_absolute_spectrum: bool = False,
-                     max_steps: int = 2_000_000) -> MaximalFunctionResult:
+def maximal_function(chain: Chain, f: np.ndarray,
+                     use_absolute_spectrum: bool = False) -> MaximalFunctionResult:
     """Evaluate f*(x) = sup_k |P^{2k} f(x)| with a certified truncation.
 
     For lazy chains the spectrum is nonnegative and the tail of the
     supremum beyond horizon K is pinned inside
     ``|E_pi f| +/- lambda_2^{2K} ||f - E_pi f||_2 / sqrt(min pi)``;
-    iteration stops once that envelope is below ``resolution``.  Non-lazy
+    iteration stops once that envelope is below 1e-12.  Non-lazy
     chains are accepted only with ``use_absolute_spectrum=True``, which
     replaces lambda_2 by max(lambda_2, |lambda_min|) in the envelope.
-
-    With ``include_odd`` the analogous running maximum over odd powers,
-    i.e. (Pf)* on even times, is tracked as well.
 
     ``f`` may also be a k x n block of functions.  They are iterated as the
     columns of one n x k matrix, and each leaves it at its own certified
@@ -310,21 +295,17 @@ def maximal_function(chain: Chain, f: np.ndarray, include_odd: bool = False,
     scale = 1.0 / math.sqrt(float(pi.min()))
 
     values = np.empty_like(rows)
-    odd_values = np.empty_like(rows) if include_odd else None
     truncation_k = np.zeros(rows.shape[0], dtype=int)
     tail_bound = np.empty(rows.shape[0])
-    # column j of G (and of H, one step ahead) iterates row live[j]; an
-    # n x 1 block multiplies as a vector, with the single-function arithmetic
+    # column j of G iterates row live[j]; an n x 1 block multiplies as a
+    # vector, with the single-function arithmetic
     live = np.arange(rows.shape[0])
     G = rows.T.copy()
     run = np.abs(G)
-    if include_odd:
-        H = P @ G
-        run_odd = np.abs(H)
     k = 0
     while True:
         tail = (rate ** (2 * k)) * norms[live] * scale
-        done = tail <= resolution
+        done = tail <= 1e-12
         if done.any():
             ended = live[done]
             truncation_k[ended] = k
@@ -332,22 +313,15 @@ def maximal_function(chain: Chain, f: np.ndarray, include_odd: bool = False,
             values[ended] = run[:, done].T
             keep = ~done
             live, G, run = live[keep], G[:, keep], run[:, keep]
-            if include_odd:
-                odd_values[ended] = run_odd[:, done].T
-                H, run_odd = H[:, keep], run_odd[:, keep]
         if not live.size:
             break
-        if 2 * k >= max_steps:
-            raise RuntimeError("maximal function iteration exceeded max_steps before certification")
+        if 2 * k >= 2_000_000:
+            raise RuntimeError("maximal function not certified within 2,000,000 steps")
         G = P @ (P @ G)
         k += 1
         np.maximum(run, np.abs(G), out=run)
-        if include_odd:
-            H = P @ (P @ H)
-            np.maximum(run_odd, np.abs(H), out=run_odd)
     if f.ndim == 1:
-        return MaximalFunctionResult(
-            values=values[0], odd_values=None if odd_values is None else odd_values[0],
-            truncation_k=int(truncation_k[0]), tail_bound=float(tail_bound[0]))
-    return MaximalFunctionResult(values=values, odd_values=odd_values,
-                                 truncation_k=truncation_k, tail_bound=tail_bound)
+        return MaximalFunctionResult(values=values[0], truncation_k=int(truncation_k[0]),
+                                     tail_bound=float(tail_bound[0]))
+    return MaximalFunctionResult(values=values, truncation_k=truncation_k,
+                                 tail_bound=tail_bound)

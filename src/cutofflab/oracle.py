@@ -33,10 +33,6 @@ class MCEstimate:
     seed: int
     note: str = ""
 
-    def interval(self, z: float = 4.0) -> tuple[float, float]:
-        half = z * self.standard_error
-        return (self.value - half, self.value + half)
-
 
 def uniform_block(seed: int, offset: int, shape) -> np.ndarray:
     """Uniforms from the Philox stream for ``seed``, starting ``offset`` doubles in.
@@ -166,39 +162,3 @@ def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
     return MCEstimate(value=p_hat, standard_error=se, paths=paths, seed=seed,
                       note="unbiased survival frequency")
 
-
-def simulate_tv_proxy(chain: Chain, x: int, t: int, paths: int,
-                      seed: int) -> MCEstimate:
-    """Plug-in estimate of ``||P^t(x, .) - pi||_TV`` from sampled endpoints.
-
-    The empirical endpoint law is substituted into the TV formula, which
-    biases the value upward by roughly ``sum_y sqrt(pi(y)/paths)``; treat it
-    as a sanity proxy rather than a certified quantity.  The standard error
-    is the delta-method value with the signs of ``nu - pi`` frozen.
-    """
-    if paths < MIN_PATHS:
-        raise ValueError(f"paths must be at least {MIN_PATHS}")
-    t = int(t)
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    x = int(x)
-    if not 0 <= x < chain.n:
-        raise ValueError("start state out of range")
-
-    table = _step_table(chain)
-    chunk = _chunk_paths(t)
-    counts = np.zeros(chain.n)
-    for lo in range(0, paths, chunk):
-        hi = min(lo + chunk, paths)
-        u = uniform_block(seed, lo * t, (hi - lo, t))
-        states = np.full(hi - lo, x, dtype=np.int64)
-        for step in range(t):
-            states = _step_states(states, u[:, step], table)
-        counts += np.bincount(states, minlength=chain.n)
-    nu = counts / paths
-    tv = 0.5 * float(np.abs(nu - chain.pi).sum())
-    signs = np.sign(nu - chain.pi)
-    var = float((signs ** 2 * nu).sum() - (signs * nu).sum() ** 2)
-    se = 0.5 * math.sqrt(max(var, 0.0) / paths)
-    return MCEstimate(value=tv, standard_error=se, paths=paths, seed=seed,
-                      note="plug-in TV estimate; biased upward at this path count")

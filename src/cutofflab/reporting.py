@@ -277,26 +277,20 @@ class RecordBlock:
                 [r.note for r in rows]))
         return blocks
 
-    def _fields(self, rows, plain: bool):
-        """The fields of the rows ``rows`` (a slice or an index array) after
-        the inequality, as per-row sequences in the order of ``Record``."""
+    def records(self, rows=slice(None)) -> list[Record]:
+        """The rows ``rows`` (all by default, else a slice or an index
+        array) as :class:`Record` objects."""
         lhs = self.lhs[rows]
         n = lhs.size
-        cols = [c[rows].tolist() for c in self.params.values()]
-        if plain:
-            cols = list(map(_plain_column, cols))
-        params = _dicts(tuple(self.params), cols, n)
+        params = _dicts(tuple(self.params), [c[rows].tolist() for c in self.params.values()], n)
         kind = repeat(self.kind, n) if isinstance(self.kind, str) else self.kind[rows].tolist()
         note = repeat(self.note, n) if isinstance(self.note, str) else self.note[rows].tolist()
-        return (params, lhs.tolist(), self.rhs[rows].tolist(),
-                self.margin[rows].tolist(), kind, self.passed[rows].tolist(), note)
-
-    def records(self, rows=slice(None)) -> list[Record]:
-        """The rows ``rows`` (all by default) as :class:`Record` objects."""
-        return list(map(Record, repeat(self.inequality), *self._fields(rows, False)))
+        return list(map(Record, repeat(self.inequality), params, lhs.tolist(),
+                        self.rhs[rows].tolist(), self.margin[rows].tolist(), kind,
+                        self.passed[rows].tolist(), note))
 
     def json_rows(self, level: int) -> list[str]:
-        """Every row as the JSON text of its :meth:`dicts` entry at nesting
+        """Every row as the JSON text of its :meth:`Record.to_dict` at nesting
         ``level``, from one ``%`` template filled from the columns."""
         cols = []
 
@@ -320,13 +314,6 @@ class RecordBlock:
                               f'"margin": {floats[2]}', f'"kind": {kind}',
                               f'"passed": {passed}', f'"note": {note}'], level, "{}")
         return list(map(template.__mod__, zip(*cols)))
-
-    def dicts(self) -> list[dict]:
-        """Every row in the JSON layout of :meth:`Record.to_dict`."""
-        name = self.inequality
-        return [{"inequality": name, "params": p, "lhs": a, "rhs": b, "margin": m,
-                 "kind": k, "passed": ok, "note": t}
-                for p, a, b, m, k, ok, t in zip(*self._fields(slice(None), True))]
 
 
 class Report:
@@ -401,7 +388,7 @@ class Report:
     def to_dict(self) -> dict:
         """The JSON payload of this report."""
         with _bulk():
-            rows = [d for b in self.blocks for d in b.dicts()]
+            rows = [r.to_dict() for r in self.records]
         return {
             "suite": self.suite,
             "chain": self.chain_fingerprint,

@@ -46,10 +46,10 @@ class SBDClassification:
     reasons: tuple[str, ...] = ()
 
 
-def classify_sbd(chain: Chain, tol: float = 0.0) -> SBDClassification:
+def classify_sbd(chain: Chain) -> SBDClassification:
     """Classify a chain as (delta, r)-banded in its given state order.
 
-    r is the widest jump with probability above ``tol``; delta is the
+    r is the widest jump of positive probability; delta is the
     smallest nearest-neighbor probability.  Qualification additionally
     requires reversibility, laziness, and delta > 0.
     """
@@ -57,7 +57,7 @@ def classify_sbd(chain: Chain, tol: float = 0.0) -> SBDClassification:
     n = chain.n
     idx = np.arange(n)
     off = np.abs(idx[:, None] - idx[None, :])
-    support = P > tol
+    support = P > 0
     np.fill_diagonal(support, False)
     if not support.any():
         return SBDClassification(False, 0, 0.0, None, ("no off-diagonal transitions",))
@@ -69,7 +69,7 @@ def classify_sbd(chain: Chain, tol: float = 0.0) -> SBDClassification:
         reasons.append("not reversible")
     if not chain.is_lazy:
         reasons.append("not lazy")
-    if delta <= tol:
+    if delta <= 0:
         reasons.append("some nearest-neighbor transition has zero probability")
     if reasons:
         return SBDClassification(False, r, delta, None, tuple(reasons))
@@ -112,7 +112,7 @@ class BlockDecomposition:
         return path
 
 
-def blocks(chain: Chain, r: int, delta: float | None = None) -> BlockDecomposition:
+def blocks(chain: Chain, r: int, delta: float) -> BlockDecomposition:
     """Partition 0..n-1 into consecutive blocks of size r.
 
     The central state is the smallest i whose strictly-left and
@@ -134,9 +134,6 @@ def blocks(chain: Chain, r: int, delta: float | None = None) -> BlockDecompositi
     block_of = np.repeat(np.arange(len(parts)), [p.size for p in parts])
     central_block = int(block_of[central_state])
     central_mass = float(pi[parts[central_block]].sum())
-    if delta is None:
-        cls = classify_sbd(chain)
-        delta = cls.delta if cls.is_sbd else 0.0
     bound = None
     if delta > 0:
         bound = r / (r + delta ** r)
@@ -152,8 +149,8 @@ def blocks(chain: Chain, r: int, delta: float | None = None) -> BlockDecompositi
                               block_of=block_of)
 
 
-def comparable_start_bound(chain: Chain, interval, target, r: int | None = None,
-                           delta: float | None = None) -> list[Record]:
+def comparable_start_bound(chain: Chain, interval, target, r: int,
+                           delta: float) -> list[Record]:
     """Hitting times of a fixed target from anywhere in a short interval
     agree up to a factor delta^(-r).
 
@@ -163,13 +160,6 @@ def comparable_start_bound(chain: Chain, interval, target, r: int | None = None,
     in-interval start is bounded by delta^(-r) times the mean hitting
     time under the stationary law restricted to the interval's side.
     """
-    if r is None or delta is None:
-        cls = classify_sbd(chain)
-        if not cls.is_sbd:
-            return [skip("interval-comparable-hitting",
-                         "chain is not banded: " + "; ".join(cls.reasons))]
-        r = r if r is not None else cls.r
-        delta = delta if delta is not None else cls.delta
     lo, hi = int(interval[0]), int(interval[1])
     if not (0 <= lo <= hi < chain.n) or hi - lo + 1 > r:
         raise ValueError("interval must be inclusive (lo, hi) with length <= r")
@@ -351,7 +341,7 @@ def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
         rnd = 0
         while (ptr < n_stages).any():
             if t >= t_cap:
-                raise RuntimeError("simulation cap reached; raise t_cap")
+                raise RuntimeError(f"simulation cap of {t_cap} steps reached")
             u = uniform_block(seed, (rnd * paths + lo) * _ROUND_STEPS,
                               (m, _ROUND_STEPS))
             for h in range(_ROUND_STEPS):
@@ -383,16 +373,15 @@ class BlockCorrelationMC:
 
 
 def block_correlation_mc(chain: Chain, dec: BlockDecomposition, x: int,
-                         block_i: int, block_j: int, paths: int, seed: int,
-                         t_cap: int | None = None,
-                         z_score: float = 1.96) -> BlockCorrelationMC:
+                         block_i: int, block_j: int, paths: int,
+                         seed: int) -> BlockCorrelationMC:
     """Simulate E[tau_i tau_j] for two crossings on the path from x.
 
     tau_b is the time to go from first entering block b to first entering
     its parent.  The exact means come from linear solves; only the
-    product moment is simulated, and the test passes when the lower
-    ``z_score``-confidence end of the estimate respects the bound.  A
-    standard error needs ``paths`` >= 2; fewer raise ``ValueError``.
+    product moment is simulated, and the test passes when the estimate
+    less 1.96 standard errors respects the bound.  A standard error needs
+    ``paths`` >= 2; fewer raise ``ValueError``.
     """
     chain.require(reversible=True, lazy=True)
     if paths < 2:
@@ -419,9 +408,8 @@ def block_correlation_mc(chain: Chain, dec: BlockDecomposition, x: int,
         stages.append(mask)
 
     h_final = dst_j.mean
-    if t_cap is None:
-        t_cap = int(max(10000, 200 * h_final[x],
-                        50 * chain.spectrum.t_rel * np.log(100.0 * paths)))
+    t_cap = int(max(10000, 200 * h_final[x],
+                    50 * chain.spectrum.t_rel * np.log(100.0 * paths)))
     times = _staged_times(chain, x, stages, paths, seed, t_cap)
     tau_i = (times[:, 1] - times[:, 0]).astype(float)
     tau_j = (times[:, 3] - times[:, 2]).astype(float)
@@ -437,10 +425,10 @@ def block_correlation_mc(chain: Chain, dec: BlockDecomposition, x: int,
     dr = dec.delta ** dec.r
     bound = mean_i * mean_j * (1.0 + (1.0 - dr) ** gap / dr)
     record = check_le("block-correlation-ci",
-                      est - z_score * se, bound,
+                      est - 1.96 * se, bound,
                       params={"x": x, "block_i": block_i, "block_j": block_j,
                               "paths": paths, "seed": seed, "gap": gap,
-                              "z": z_score},
+                              "z": 1.96},
                       note="lower confidence end of the simulated product moment")
     return BlockCorrelationMC(estimate=estimate, mean_i=mean_i, mean_j=mean_j,
                               bound=bound, gap=gap, passed=record.passed,

@@ -334,14 +334,13 @@ class PathVariance:
     tail_records: list[Record]
 
 
-def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
-                  c_grid=(1.0, 2.0, 3.0)) -> PathVariance:
+def path_variance(tc: RootedTreeChain, x: int, y: int | None = None) -> PathVariance:
     """Variance of T_y from x as a sum of independent crossing variances.
 
     Asserts agreement with the direct second-moment solve, the ceiling
     ``Var <= sigma^2 = 4 E_x[T_y] t_rel``, and the one-sided Chebyshev
     consequences ``Pr[T >= mean + c sigma] <= 1/(1+c^2)`` (and the mirrored
-    lower tail) against exact tail evaluations for each c in ``c_grid``.
+    lower tail) against exact tail evaluations for c = 1, 2, 3.
     """
     path = _ancestor_path(tc, x, y)
     y = path[-1]
@@ -365,7 +364,7 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
 
     sigma = math.sqrt(sigma_sq)
     records = []
-    for c in c_grid:
+    for c in (1.0, 2.0, 3.0):
         bound = 1.0 / (1.0 + c * c)
         p_hi, p_lo = _two_sided_tails(tc, x, y, mean, c, sigma)
         records.append(check_le("one-sided-upper-tail", p_hi, bound,
@@ -383,22 +382,20 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None,
 # root hitting and windows
 
 
-def tau_root(tc: RootedTreeChain, eps: float, t_max: int = 1_000_000) -> int:
+def tau_root(tc: RootedTreeChain, eps: float) -> int:
     """Smallest t with ``max_x Pr_x[T_root > t] <= eps``; every level reads
     the root's one max-tail scan."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    return tc.killed([tc.root]).scan().first_below(eps, t_max)
+    return tc.killed([tc.root]).scan().first_below(eps, 1_000_000)
 
 
-def tau_sandwich_check(tc: RootedTreeChain, eps: float, hit,
-                       delta: float | None = None) -> list[Record]:
+def tau_sandwich_check(tc: RootedTreeChain, eps: float, hit) -> list[Record]:
     """Worst-set sandwich: tau(eps) <= hit_{1/2}(eps) <= tau(eps - delta) + s_delta
-    with ``s_delta = ceil(4 t_rel |ln(4 delta / 9)|)``, for the exact worst-set
-    hitting times ``hit(eps)`` at mass 1/2 its caller holds."""
-    delta = eps / 2.0 if delta is None else delta
-    if not 0 < delta < eps:
-        raise ValueError("need 0 < delta < eps")
+    with ``delta = eps / 2`` and ``s_delta = ceil(4 t_rel |ln(4 delta / 9)|)``,
+    for the exact worst-set hitting times ``hit(eps)`` at mass 1/2 its
+    caller holds."""
+    delta = eps / 2.0
     hit = float(hit(eps))
     lo = tau_root(tc, eps)
     s_delta = math.ceil(4.0 * tc.t_rel * abs(math.log(4.0 * delta / 9.0)))

@@ -344,6 +344,21 @@ def test_sbd_corr_rejects_fewer_than_two_paths(tmp_path, capsys, paths):
     assert err == "Error: paths must be at least 2\n"
 
 
+def test_sbd_corr_notes_a_small_run_in_one_plain_line(tmp_path, capsys):
+    # fewer than 10^4 paths used to print a raw UserWarning naming the
+    # installed cli.py and a line number; every run prints the note
+    chain = tmp_path / "b.json"
+    run("gen", "--family", "biased-path", "--n", "9", "-o", str(chain))
+    capsys.readouterr()
+    for _ in range(2):
+        assert run("sbd", "corr", str(chain), "--x", "0", "--block-i", "0", "--block-j", "1",
+                   "--seed", "1", "--paths", "2000") == 0
+        err = capsys.readouterr().err
+        assert err == ("note: fewer than 10^4 paths: the confidence interval on the "
+                       "product moment may be too wide to be informative\n")
+        assert ".py" not in err
+
+
 def test_cutoff_scan_stdout_csv(capsys):
     capsys.readouterr()
     assert run("cutoff-scan", "--family", "biased-path",

@@ -11,15 +11,12 @@ from cutofflab import (
     KilledSystem,
     biased_path,
     birth_death,
-    blow_up_set,
     build_tree_chain,
     chain_to_json,
-    good_set,
     hit_time,
     hitting_tail,
     kac_quantities,
     load_chain,
-    qs_decomposition,
     random_reversible,
     random_tree,
     run_suite,
@@ -99,7 +96,7 @@ def test_k2_hitting_tail_closed_form(k2):
 
 
 def test_k2_qs_decomposition_equality_case(k2):
-    qs = qs_decomposition(k2, [0])
+    qs = KilledSystem(k2, [0])
     # single surviving state: gamma_1 = holding = 3/4 = 1 - pi(A)/t_rel
     assert qs.gammas[0] == pytest.approx(0.75, abs=1e-14)
     assert qs.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -107,20 +104,13 @@ def test_k2_qs_decomposition_equality_case(k2):
     assert qs.gammas[0] <= 1.0 - 0.5 / t_rel + 1e-14
 
 
-def test_k2_good_set_extremes(k2):
+def test_k2_good_set_extremes(k2, good_set):
     all_states = good_set(k2, [0], s=1, m=3.0)
     assert all_states.members.all()
     assert all_states.measure == pytest.approx(1.0, abs=1e-14)
     none = good_set(k2, [0], s=1, m=0.1)
     assert not none.members.any()
     assert none.measure == 0.0
-
-
-def test_k2_blow_up_set(k2):
-    res = blow_up_set(k2, [0], w=2.0, alpha=0.5)
-    assert res.t == 8  # ceil(t_rel * w / pi(A)) = ceil(2 * 2 / 0.5)
-    assert not res.members.any()  # (3/4)^8 ~ 0.100 < 1/2
-    assert res.measure <= res.ceiling + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +145,7 @@ def test_qs_tail_reconstruction(small_corpus):
     # the eigenweight expansion sum_i a_i gamma_i^t must reproduce the
     # directly iterated tail from the stationarity-restricted start
     for chain in small_corpus[:3]:
-        qs = qs_decomposition(chain, [1])
+        qs = KilledSystem(chain, [1])
         ts = np.arange(25)
         recon = qs.tail_stationary(ts)
         direct = hitting_tail(chain, _pi_b_vector(chain, [1]), [1],
@@ -170,9 +160,9 @@ def test_killed_system_routes_agree(case, k2):
     # "split": the complement of the middle state of a 5-path is two
     # separate killed components, diagonalized together in one eigh
     if case == "k2":
-        ks = qs_decomposition(k2, [0])
+        ks = KilledSystem(k2, [0])
     else:
-        ks = qs_decomposition(biased_path(5), [2])
+        ks = KilledSystem(biased_path(5), [2])
         assert ks.B.tolist() == [0, 1, 3, 4]
     start = ks.chain.pi[ks.B] / ks.pi_B
     T = 4000
@@ -208,17 +198,8 @@ def test_hit_time_monotone_in_eps(small_corpus):
 
 
 @settings(max_examples=15, deadline=None)
-@given(seed=st.integers(0, 4_000), w=st.floats(0.0, 3.0),
-       alpha=st.floats(0.1, 1.0))
-def test_blow_up_ceiling_holds(seed, w, alpha):
-    chain = random_reversible(6, seed=seed)
-    res = blow_up_set(chain, [0, 1], w=w, alpha=alpha)
-    assert res.measure <= res.ceiling + 1e-9
-
-
-@settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 4_000), s=st.integers(0, 8))
-def test_good_set_measure_floor(seed, s):
+def test_good_set_measure_floor(good_set, seed, s):
     chain = random_reversible(5, seed=seed)
     m = 3.0
     res = good_set(chain, [0], s=s, m=m)

@@ -183,27 +183,22 @@ def test_maximal_function_dominates_every_even_power(small_corpus):
 def test_block_maximal_function_rows_match_single_calls(small_corpus):
     # a random walk on K5 is not lazy: lambda_min = -1/4
     non_lazy = load_chain((np.ones((5, 5)) - np.eye(5)) / 4.0)
-    cases = ([(chain, False, False) for chain in small_corpus]
-             + [(non_lazy, True, False), (small_corpus[2], False, True), (non_lazy, True, True)])
+    cases = [(chain, False) for chain in small_corpus] + [(non_lazy, True)]
     rng = np.random.default_rng(5)
-    for chain, absolute, odd in cases:
+    for chain, absolute in cases:
         # rows of very different size and a constant row leave the block at
         # different horizons, the constant one at k = 0
         F = rng.standard_normal((6, chain.n)) * np.array([[1.0], [1e-6], [1e3], [1.0], [1.0], [0.0]])
         F[5] += 2.0
-        block = maximal_function(chain, F, include_odd=odd, use_absolute_spectrum=absolute)
+        block = maximal_function(chain, F, use_absolute_spectrum=absolute)
         assert block.values.shape == F.shape
-        assert (block.odd_values is not None) == odd
         assert len(set(block.truncation_k.tolist())) > 1
         for i, f in enumerate(F):
-            one = maximal_function(chain, f, include_odd=odd, use_absolute_spectrum=absolute)
+            one = maximal_function(chain, f, use_absolute_spectrum=absolute)
             assert isinstance(one.truncation_k, int) and isinstance(one.tail_bound, float)
             assert block.truncation_k[i] == one.truncation_k
             assert block.tail_bound[i] == one.tail_bound
             np.testing.assert_allclose(block.values[i], one.values, rtol=1e-13, atol=1e-13)
-            if odd:
-                np.testing.assert_allclose(block.odd_values[i], one.odd_values,
-                                           rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError, match="state function"):
         maximal_function(small_corpus[0], np.ones((2, small_corpus[0].n + 1)))
 

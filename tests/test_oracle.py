@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cutofflab import load_chain, simulate_hitting, simulate_tv_proxy
+from cutofflab import load_chain, simulate_hitting
 from cutofflab.oracle import _step_states, _step_table, uniform_block
 
 
@@ -169,27 +169,6 @@ def test_simulate_hitting_rejects_tiny_runs(k2):
         simulate_hitting(k2, 0, [1], 3, paths=10, seed=1)
 
 
-def test_tv_proxy_at_time_zero(small_corpus):
-    # at t = 0 the plug-in estimator sees the point mass at the start:
-    # TV(delta_x, pi) = 1 - pi(x), and the plug-in bias vanishes
-    chain = small_corpus[0]
-    est = simulate_tv_proxy(chain, 0, 0, paths=5_000, seed=3)
-    assert est.value == pytest.approx(1.0 - chain.pi[0], abs=1e-12)
-
-
-def test_tv_proxy_upward_bias_documented(small_corpus):
-    from cutofflab.mixing import worst_tv
-
-    chain = small_corpus[0]
-    t = 6
-    est = simulate_tv_proxy(chain, 0, t, paths=40_000, seed=9)
-    exact = np.abs(np.linalg.matrix_power(chain.P, t)[0] - chain.pi).sum() / 2
-    # plug-in TV estimates sit above the truth (Jensen), modulo noise
-    assert est.value >= exact - 4.0 * max(est.standard_error, 1e-3)
-    d, _ = worst_tv(chain, t)
-    assert exact <= d + 1e-12
-
-
 def test_monte_carlo_outputs_are_pinned():
     # recorded before the indexed-search step kernel replaced the binary
     # search and sbd's rounds went from 8,192 to 16,384 paths per chunk:
@@ -200,8 +179,6 @@ def test_monte_carlo_outputs_are_pinned():
     path, cliques = biased_path(12), two_cliques(6)
     assert simulate_hitting(path, 0, [11], 20, paths=20_000, seed=7).value == 19262 / 20_000
     assert simulate_hitting(cliques, 0, [13], 15, paths=20_000, seed=7).value == 16531 / 20_000
-    assert simulate_tv_proxy(path, 0, 9, paths=20_000, seed=8).value == 0.9856061794370015
-    assert simulate_tv_proxy(cliques, 0, 7, paths=20_000, seed=8).value == 0.4062823529411765
     masks = [np.arange(12) == 6, np.arange(12) == 11]
     times = sbd._staged_times(path, 0, masks, paths=20_000, seed=5, t_cap=10 ** 6)
     assert times.sum(axis=0).tolist() == [439860, 838282]
@@ -229,9 +206,3 @@ def test_uniform_blocks_are_bounded_by_the_horizon(monkeypatch):
     monkeypatch.setattr(oracle, "_BLOCK_DOUBLES", 4_096)
     narrow = simulate_hitting(chain, 0, [5], 100_000, paths=1_000, seed=3)
     assert wide.value == narrow.value
-    # 2,000 steps: two chunks of 524 paths under the cap, one of 1,000 above it
-    monkeypatch.setattr(oracle, "_BLOCK_DOUBLES", 1 << 20)
-    two = simulate_tv_proxy(chain, 0, 2_000, paths=1_000, seed=3)
-    monkeypatch.setattr(oracle, "uniform_block", real)
-    monkeypatch.setattr(oracle, "_BLOCK_DOUBLES", 1 << 22)
-    assert simulate_tv_proxy(chain, 0, 2_000, paths=1_000, seed=3).value == two.value

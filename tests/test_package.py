@@ -59,7 +59,8 @@ def test_every_export_resolves():
     namespace: dict = {}
     exec("from cutofflab import *", namespace)
     assert set(cutofflab.__all__) <= set(namespace)
-    for gone in ("TargetSet", "mgf"):
+    for gone in ("TargetSet", "mgf", "BlowUpSet", "GoodSet", "blow_up_set", "good_set",
+                 "qs_decomposition", "simulate_tv_proxy"):
         assert gone not in cutofflab.__all__
         assert not hasattr(cutofflab, gone)
 

@@ -36,7 +36,8 @@ def test_plateau_chain_is_not_banded():
 
 def test_blocks_structure():
     chain = biased_path(10)
-    dec = blocks(chain, 1)
+    cls = classify_sbd(chain)
+    dec = blocks(chain, cls.r, cls.delta)
     assert dec.n_blocks == 10
     assert dec.central_mass <= dec.central_mass_bound + 1e-12
     # blocks tile the state line in order
@@ -53,10 +54,11 @@ def test_blocks_structure():
 
 def test_blocks_rejects_degenerate_width():
     chain = biased_path(6)
+    delta = classify_sbd(chain).delta
     with pytest.raises(ValueError):
-        blocks(chain, 6)
+        blocks(chain, 6, delta)
     with pytest.raises(ValueError):
-        blocks(chain, 0)
+        blocks(chain, 0, delta)
 
 
 def test_comparable_starts_against_direct_solves():
@@ -69,7 +71,7 @@ def test_comparable_starts_against_direct_solves():
     means = [hitting_tail(chain, x, target, t_max=4).mean
              for x in range(interval[0], interval[1] + 1)]
     assert max(means) <= (cls.delta ** -cls.r) * min(means) + 1e-9
-    for rec in comparable_start_bound(chain, interval, target):
+    for rec in comparable_start_bound(chain, interval, target, cls.r, cls.delta):
         assert rec.passed, rec
 
 

@@ -10,8 +10,6 @@ from cutofflab import (
     biased_path,
     build_tree_chain,
     cutoff_scan,
-    good_set,
-    kac_quantities,
     load_chain,
     random_reversible,
     random_tree,
@@ -198,7 +196,7 @@ def test_return_mgf_builds_one_system_per_complement(monkeypatch):
         A = np.flatnonzero(mask)
         p_rate = 1.0 - float(chain.pi[mask].sum()) / t_rel
         z = 1.0 + r.params["theta"] * (1.0 - p_rate) / (2.0 * p_rate)
-        kq = kac_quantities(chain, A, check_tol=math.inf)
+        kq = KilledSystem(chain, A).kac()
         a = kq.mean_from_psi
         if r.inequality == "return-mgf-upper-deviation":
             lhs = math.log(KilledSystem(chain, A).mgf(kq.psi, z)) - a * math.log(z)
@@ -221,7 +219,7 @@ def test_k2_escape_equality_record(k2):
         assert r.rhs == pytest.approx(r.lhs, abs=1e-14)
 
 
-def test_good_set_suite_matches_direct_evaluation(small_corpus):
+def test_good_set_suite_matches_direct_evaluation(small_corpus, good_set):
     # the suite batches membership spectrally; good_set() iterates — the
     # two routes must agree exactly on membership and measure
     chain = small_corpus[2]
