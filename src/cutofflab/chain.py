@@ -369,8 +369,9 @@ def json_text(obj, level: int = 0) -> str:
     """``obj`` as the text of ``json.dumps(obj, indent=1)``, byte for byte.
 
     ``level`` is the nesting depth the text sits at.  A NumPy array is
-    written as its ``tolist()``, and an object with an ``encode_json(level)``
-    method (a :class:`~cutofflab.reporting.Report`) writes itself.
+    written as its ``tolist()``, and an object with a ``json_pieces(level)``
+    method (a :class:`~cutofflab.reporting.Report`) is the join of the
+    pieces it yields.
     """
     if isinstance(obj, (list, tuple)):
         if obj and set(map(type, obj)) <= _SCALARS:
@@ -383,9 +384,9 @@ def json_text(obj, level: int = 0) -> str:
                           for k, v in obj.items()], level, "{}")
     if isinstance(obj, np.ndarray):
         return _array_text(obj, level)
-    encode = getattr(obj, "encode_json", None)
-    if encode is not None:
-        return encode(level)
+    pieces = getattr(obj, "json_pieces", None)
+    if pieces is not None:
+        return "".join(pieces(level))
     return _flat_encoder(level)(obj)
 
 
@@ -412,11 +413,33 @@ def _atomic_file(path: str):
         raise
 
 
+def _json_pieces(obj, level: int = 0):
+    """:func:`json_text` of ``obj`` in pieces that join to it.  An object
+    with a ``json_pieces(level)`` method (a report) yields its own pieces,
+    a list of such objects is bracketed around theirs, and any other value
+    is one piece."""
+    pieces = getattr(obj, "json_pieces", None)
+    if pieces is not None:
+        yield from pieces(level)
+    elif isinstance(obj, (list, tuple)) and obj and all(hasattr(v, "json_pieces") for v in obj):
+        inner = "\n" + " " * (level + 1)
+        separator = "[" + inner
+        for v in obj:
+            yield separator
+            yield from v.json_pieces(level + 1)
+            separator = "," + inner
+        yield "\n" + " " * level + "]"
+    else:
+        yield json_text(obj, level)
+
+
 def write_json_atomic(path: str, payload) -> None:
-    """Write ``payload`` as :func:`json_text` plus a newline, atomically."""
-    text = json_text(payload)
+    """Write ``payload`` as :func:`json_text` plus a newline, atomically.
+    A report, or a list of reports, is written piece by piece, one record
+    block at a time, so the whole text is never held at once."""
     with _atomic_file(path) as fh:
-        fh.write(text + "\n")
+        fh.writelines(_json_pieces(payload))
+        fh.write("\n")
 
 
 def write_csv_atomic(path: str, header: list[str], rows) -> None:

@@ -9,12 +9,14 @@ one :class:`RecordBlock` per run of rows of one inequality.  The suites
 that sweep every target set build each block as arrays; the rows of the
 other suites are :class:`Record` objects, which the ``SUITES`` entries of
 :mod:`cutofflab.verify` sort and group with :meth:`RecordBlock.from_records`.
-``Report.records`` is a view of :class:`Record` objects built from the
-blocks on first use.  :func:`check_le` and :func:`check_identity` certify
-one row; a block certifies all of its rows with the same IEEE operations.
-A report's JSON text is written from the columns too, one template per
-block, with the bytes ``json.dumps(report.to_dict(), indent=1)`` would
-give.
+``Report.records`` builds :class:`Record` objects from the blocks afresh
+on each access; nothing keeps a second copy of the rows.
+:func:`check_le` and :func:`check_identity` certify one row; a block
+certifies all of its rows with the same IEEE operations.  A report's JSON
+text is written from the columns too, one template per block, with the
+bytes ``json.dumps(report.to_dict(), indent=1)`` would give, and comes in
+pieces, one block's rows at a time, so a file can be written without
+holding the whole text.
 """
 
 from __future__ import annotations
@@ -277,17 +279,32 @@ class RecordBlock:
                 [r.note for r in rows]))
         return blocks
 
+    def _fields(self, rows, plain: bool) -> tuple:
+        """The fields after ``inequality`` of the rows ``rows``, in
+        :class:`Record` order, one iterable each; ``plain`` turns the
+        parameter values into what :meth:`Record.to_dict` writes."""
+        lhs = self.lhs[rows]
+        n = lhs.size
+        cols = [c[rows].tolist() for c in self.params.values()]
+        if plain:
+            cols = list(map(_plain_column, cols))
+        kind = repeat(self.kind, n) if isinstance(self.kind, str) else self.kind[rows].tolist()
+        note = repeat(self.note, n) if isinstance(self.note, str) else self.note[rows].tolist()
+        return (_dicts(tuple(self.params), cols, n), lhs.tolist(), self.rhs[rows].tolist(),
+                self.margin[rows].tolist(), kind, self.passed[rows].tolist(), note)
+
     def records(self, rows=slice(None)) -> list[Record]:
         """The rows ``rows`` (all by default, else a slice or an index
         array) as :class:`Record` objects."""
-        lhs = self.lhs[rows]
-        n = lhs.size
-        params = _dicts(tuple(self.params), [c[rows].tolist() for c in self.params.values()], n)
-        kind = repeat(self.kind, n) if isinstance(self.kind, str) else self.kind[rows].tolist()
-        note = repeat(self.note, n) if isinstance(self.note, str) else self.note[rows].tolist()
-        return list(map(Record, repeat(self.inequality), params, lhs.tolist(),
-                        self.rhs[rows].tolist(), self.margin[rows].tolist(), kind,
-                        self.passed[rows].tolist(), note))
+        return list(map(Record, repeat(self.inequality), *self._fields(rows, False)))
+
+    def dicts(self) -> list[dict]:
+        """Every row as its :meth:`Record.to_dict`, built from the columns."""
+        name = self.inequality
+        return [{"inequality": name, "params": p, "lhs": lhs, "rhs": rhs, "margin": margin,
+                 "kind": kind, "passed": passed, "note": note}
+                for p, lhs, rhs, margin, kind, passed, note
+                in zip(*self._fields(slice(None), True))]
 
     def json_rows(self, level: int) -> list[str]:
         """Every row as the JSON text of its :meth:`Record.to_dict` at nesting
@@ -323,8 +340,8 @@ class Report:
     inequality, as the suite returned them (in ``_record_key`` order for
     the reports of :func:`~cutofflab.verify.run_suites`).  ``passed``,
     ``counts``, ``failures`` and ``worst_margin`` read the columns.
-    ``records`` builds the :class:`Record` objects once, on first access,
-    in block order; treat it as a read-only view.
+    ``records`` builds a fresh list of :class:`Record` objects, in block
+    order, on every access: hold the list to read it more than once.
     """
 
     def __init__(self, suite: str, chain_fingerprint: str, blocks=(),
@@ -333,14 +350,11 @@ class Report:
         self.chain_fingerprint = chain_fingerprint
         self.params = {} if params is None else params
         self.blocks = list(blocks)
-        self._records = None
 
     @property
     def records(self) -> list[Record]:
-        if self._records is None:
-            with _bulk():
-                self._records = [r for b in self.blocks for r in b.records()]
-        return self._records
+        with _bulk():
+            return [r for b in self.blocks for r in b.records()]
 
     @property
     def passed(self) -> bool:
@@ -348,8 +362,6 @@ class Report:
 
     @property
     def failures(self) -> list[Record]:
-        if self._records is not None:
-            return [r for r in self._records if not r.passed]
         return [r for b in self.blocks if not b.passed.all()
                 for r in b.records(np.flatnonzero(~b.passed))]
 
@@ -388,25 +400,33 @@ class Report:
     def to_dict(self) -> dict:
         """The JSON payload of this report."""
         with _bulk():
-            rows = [r.to_dict() for r in self.records]
-        return {
-            "suite": self.suite,
-            "chain": self.chain_fingerprint,
-            "params": {k: _plain(v) for k, v in self.params.items()},
-            "passed": self.passed,
-            "records": rows,
-        }
+            rows = [d for b in self.blocks for d in b.dicts()]
+        return {**self._head(), "records": rows}
 
-    def encode_json(self, level: int = 0) -> str:
-        """The JSON text of :meth:`to_dict` at nesting ``level``, written
-        from the columns without building the row dicts."""
-        head = {"suite": self.suite, "chain": self.chain_fingerprint,
+    def _head(self) -> dict:
+        return {"suite": self.suite, "chain": self.chain_fingerprint,
                 "params": {k: _plain(v) for k, v in self.params.items()},
                 "passed": self.passed}
-        rows = [t for b in self.blocks for t in b.json_rows(level + 2)]
-        return json_join([_key_text(k) + ": " + json_text(v, level + 1)
-                          for k, v in head.items()]
-                         + ['"records": ' + json_join(rows, level + 1)], level, "{}")
+
+    def json_pieces(self, level: int = 0):
+        """The JSON text of :meth:`to_dict` at nesting ``level``, in pieces:
+        the head up to the records array, then the rows of one block at a
+        time, each block filling its template from the columns, then the
+        closing brackets."""
+        inner, row = "\n" + " " * (level + 1), "\n" + " " * (level + 2)
+        head = "{" + inner + ("," + inner).join(
+            [_key_text(k) + ": " + json_text(v, level + 1) for k, v in self._head().items()]
+            + ['"records": ['])
+        blocks = [b for b in self.blocks if len(b)]
+        if not blocks:
+            yield head + "]\n" + " " * level + "}"
+            return
+        yield head
+        separator = row
+        for b in blocks:
+            yield separator + ("," + row).join(b.json_rows(level + 2))
+            separator = "," + row
+        yield inner + "]\n" + " " * level + "}"
 
     def to_json(self, path: str) -> None:
         write_json_atomic(path, self)

@@ -609,16 +609,62 @@ def _suite_hit_levels(ctx: _Ctx, params: dict) -> list[Record]:
 # escape tails from stationarity
 
 
+def _pairwise_sums(x: np.ndarray) -> np.ndarray:
+    """``row.sum()`` of every row of the 2-D array ``x``, bit for bit, in the
+    order numpy's pairwise summation adds a row of c entries: in order for
+    c < 8; for 8 <= c <= 128, eight lanes that take each later full block
+    of 8 lane-wise, then ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
+    leftover entries in order; above 128, two halves split at a multiple
+    of 8.  The sum starts from 0."""
+    c = x.shape[1]
+    if c > 128:
+        half = c // 2 - c // 2 % 8
+        return _pairwise_sums(x[:, :half]) + _pairwise_sums(x[:, half:])
+    out = np.zeros(x.shape[0])
+    if c < 8:
+        for i in range(c):
+            out += x[:, i]
+        return out
+    full = c - c % 8
+    r = x[:, :8].copy()
+    for i in range(8, full, 8):
+        r += x[:, i:i + 8]
+    r0, r1, r2, r3, r4, r5, r6, r7 = r.T
+    out += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+    for i in range(full, c):
+        out += x[:, i]
+    return out
+
+
 def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """``values[i][sel[i]].sum()`` for every row i, bit for bit.
+    """``values[i][sel[i]].sum()`` for every row i, bit for bit, over the
+    last axis of ``sel``, with ``values`` broadcast against it.
 
     numpy adds fewer than 8 entries in order, so zeros in place of the
-    unselected entries change nothing; longer rows are summed pairwise, in
-    blocks that the zeros would shift, so those rows are summed one by one.
+    unselected entries change nothing.  Longer rows are summed pairwise, in
+    blocks that the zeros would shift, so the selected entries are packed
+    to the front first.  Trailing zeros then fall among the leftover
+    entries a row adds in order, which leaves the sum alone; the rows whose
+    counts share the number of full blocks of 8 are summed together over
+    the same width (up to 127 entries, where numpy stops splitting rows).
+    Below 32 rows, packing costs more than summing each row on its own.
     """
-    if sel.shape[-1] < 8:
+    m = sel.shape[-1]
+    if m < 8:
         return np.where(sel, values, 0.0).sum(axis=-1)
-    return np.array([v[s].sum() for v, s in zip(values, sel)])
+    if sel.size < 32 * m:
+        values = np.broadcast_to(values, sel.shape).reshape(-1, m)
+        sums = [v[s].sum() for v, s in zip(values, sel.reshape(-1, m))]
+        return np.array(sums).reshape(sel.shape[:-1])
+    packed = np.take_along_axis(np.where(sel, values, 0.0),
+                                np.argsort(~sel, axis=-1, kind="stable"), axis=-1)
+    counts = sel.sum(axis=-1)
+    widths = np.where(counts < 128, np.minimum(counts | 7, m), counts)
+    out = np.empty(counts.shape)
+    for w in np.unique(widths).tolist():
+        rows = widths == w
+        out[rows] = _pairwise_sums(packed[rows, :w])
+    return out
 
 
 def _suite_escape(ctx: _Ctx, params: dict) -> list[RecordBlock]:
@@ -638,9 +684,9 @@ def _suite_escape(ctx: _Ctx, params: dict) -> list[RecordBlock]:
             if bad.any():  # raise as the integer ceiling of one target does
                 _ceil(t_rel * w / float(ks.pi_A[np.argmax(bad)]))
             rows = ks.tail_rows(np.ceil(t_w))
-            slow.append([_row_sums(pi[ks.B], rows >= alpha) for alpha in alphas])
+            slow.append([rows >= alpha for alpha in alphas])
         return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
-                ks.mean_stationary(), np.moveaxis(np.array(slow), -1, 0))
+                ks.mean_stationary(), np.moveaxis(_row_sums(pi[ks.B], np.array(slow)), -1, 0))
 
     pa, pb, tails, means, slow = _per_set(ctx.stack(mode), ctx.targets(mode).order, per_stack)
     members = ctx.targets(mode).members
@@ -1287,13 +1333,19 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
     ("sampled" or "all"), ``seed``, ``exact_threshold``, ``functions``,
     and per-suite grids.  Unknown suite ids, a grid value out of its range
     (``_GRID_RANGES``), ``functions`` below 1 or not an integer and an
-    unknown set mode raise ``ValueError`` before any suite runs.
+    unknown set mode raise ``ValueError`` before any suite runs; a
+    ``chain`` that is not a :class:`~cutofflab.chain.Chain` raises
+    ``TypeError``.
 
     Each report holds the blocks ``SUITES[sid](ctx, params)`` returns:
     the suite's one skip row when a gate stated in ``SUITES`` fails, else
     its rows in ``_record_key`` order, by inequality name, then by the
     string form of the sorted ``(key, value)`` parameter pairs.
     """
+    if not isinstance(chain, Chain):
+        raise TypeError(f"run_suites needs a Chain, not {type(chain).__name__}: build one "
+                        "with load_chain (a matrix or ChainSpec) or "
+                        "build_tree_chain(spec).chain (a TreeSpec)")
     params = dict(params or {})
     suites = list(dict.fromkeys(s for sid in suites
                                 for s in (SUITE_IDS if sid == "all" else (sid,))))

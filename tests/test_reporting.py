@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cutofflab import biased_path, random_reversible, run_suites, two_cliques
-from cutofflab.chain import json_text
+from cutofflab.chain import json_text, write_json_atomic
 from cutofflab.reporting import (
     MARGIN_TOL,
     Record,
@@ -137,10 +138,16 @@ def test_table_built_and_record_built_reports_agree(source):
         assert t.summary() == r.summary()
         assert json.dumps(t.to_dict()) == json.dumps(r.to_dict())
         assert json.dumps(t.to_dict()["records"]) == json.dumps([x.to_dict() for x in r.records])
+        # the row dicts built from the columns hold the same plain values
+        assert [repr(d) for d in t.to_dict()["records"]] == [repr(x.to_dict()) for x in r.records]
         assert t.dumps() == r.dumps()
         _same_records(t.records, r.records)
-        assert t.records is t.records  # built once
-        _same_records(t.failures, r.failures)  # now read from the built records
+        # records is rebuilt on every read: two reads are distinct lists
+        # of the same rows
+        first, second = t.records, t.records
+        assert first is not second
+        _same_records(first, second)
+        _same_records(t.failures, r.failures)
     if source == "synthetic":
         # grouping the records into blocks keeps their margins and flags
         _same_records(records[0].records, _mixed_records())
@@ -205,3 +212,49 @@ def test_report_json_of_mixed_and_escaped_blocks():
     for r in reports:
         assert r.dumps() == json.dumps(r.to_dict(), indent=1)
     assert json_text(reports) == json.dumps([r.to_dict() for r in reports], indent=1)
+
+
+def _streamed_payloads() -> dict:
+    skip_only = Report("gated", "fp", params={"sets": "all"}, blocks=[RecordBlock(
+        "gated", math.nan, math.nan, "skip",
+        note='needs a "lazy" chain: d\u00e9j\u00e0 50% \\ %s\n')])
+    mixed = Report("mixed", "fp", params={"eps_grid": (0.25, 0.5)}, blocks=_mixed_blocks())
+    suites = run_suites(random_reversible(5, seed=11), ["escape", "relaxation"],
+                        {"sets": "all"})
+    return {"one report": suites[0], "list of reports": suites + [mixed],
+            "empty report": Report("empty", "fp"), "skip-only block": skip_only,
+            "list with empty and skip-only": [Report("empty", "fp"), skip_only, mixed],
+            "empty block": Report("s", "fp", [RecordBlock("x", [], [], "inequality")])}
+
+
+@pytest.mark.parametrize("name", ["one report", "list of reports", "empty report",
+                                  "skip-only block", "list with empty and skip-only",
+                                  "empty block"])
+def test_streamed_report_file_is_json_text(tmp_path, name):
+    # write_json_atomic writes reports one block at a time; the bytes are
+    # those of the whole text
+    payload = _streamed_payloads()[name]
+    path = tmp_path / "report.json"
+    write_json_atomic(str(path), payload)
+    text = json_text(payload)
+    assert path.read_bytes() == (text + "\n").encode()
+    dicts = [r.to_dict() for r in payload] if isinstance(payload, list) else payload.to_dict()
+    assert text == json.dumps(dicts, indent=1)
+
+
+def test_writing_an_all_sets_report_holds_less_than_the_file(tmp_path):
+    # the reports' rows are never held as one text: the memory traced while
+    # writing stays below the size of the file written
+    reports = run_suites(random_reversible(9, seed=3),
+                         ["escape", "killed-spectrum", "good-set", "return-time"],
+                         {"sets": "all"})
+    path = tmp_path / "reports.json"
+    tracemalloc.start()
+    try:
+        write_json_atomic(str(path), reports)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size > 5_000_000
+    assert peak < size, f"traced peak {peak} B for a {size} B file"

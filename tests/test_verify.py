@@ -19,7 +19,15 @@ from cutofflab import (
 )
 from cutofflab.hitting import _hit_ct_interval
 from cutofflab.mixing import _ceiling, _mixing_time_ct_interval
-from cutofflab.verify import ALPHA_GRID, EPS_GRID, SUITES, _all_targets, _Ctx, _record_key
+from cutofflab.verify import (
+    ALPHA_GRID,
+    EPS_GRID,
+    SUITES,
+    _all_targets,
+    _Ctx,
+    _record_key,
+    _row_sums,
+)
 
 
 def test_suite_registry_is_complete():
@@ -94,8 +102,9 @@ def test_records_are_sorted_and_unique(k2, p3):
                             {"sets": "all"})
                + run_suites(tree, list(SUITE_IDS)) + run_suites(banded, list(SUITE_IDS)))
     for rep in reports:
-        assert rep.records == sorted(rep.records, key=_record_key), rep.suite
-        keys = [_record_key(r) for r in rep.records]
+        records = rep.records
+        assert records == sorted(records, key=_record_key), rep.suite
+        keys = [_record_key(r) for r in records]
         assert len(keys) == len(set(keys)), rep.suite
     ran = {rep.suite for rep in reports if any(r.kind != "skip" for r in rep.records)}
     assert ran == set(SUITE_IDS)
@@ -151,6 +160,46 @@ def test_escape_slow_start_measure_is_exact_per_target():
         t_w = math.ceil(chain.spectrum.t_rel * r.params["w"] / ks.pi_A)
         slow = ks.tail_rows(t_w) >= r.params["alpha"]
         assert r.lhs == float(chain.pi[ks.B[slow]].sum())
+
+
+@pytest.mark.parametrize("m, reps", [(m, 200) for m in range(8, 14)] + [(136, 8), (300, 2)])
+def test_row_sums_match_numpy_bit_for_bit(m, reps):
+    # every count of selected entries from 0 to m, at every position, with
+    # signs and magnitudes that make the order of the additions show; past
+    # 128 entries numpy splits a row in halves
+    rng = np.random.default_rng(m)
+    rows = reps * (m + 1)
+    values = rng.standard_normal((rows, m)) * 10.0 ** rng.integers(-6, 7, (rows, m))
+    counts = np.arange(rows) % (m + 1)
+    sel = np.argsort(rng.random((rows, m)), axis=1) < counts[:, None]
+    want = np.array([v[s].sum() for v, s in zip(values, sel)])
+    got = _row_sums(values, sel)
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("k", [1, 2, 40])
+def test_row_sums_broadcast_values_over_leading_axes(k):
+    # escape sums one (k, m) table of pi under a (works, alphas, k, m)
+    # stack of masks, few rows summed one by one and many packed
+    rng = np.random.default_rng(k)
+    values = rng.random((k, 11))
+    sel = rng.random((3, 2, k, 11)) < 0.7
+    got = _row_sums(values, sel)
+    assert got.shape == (3, 2, k)
+    want = [[[values[i][sel[a, b, i]].sum() for i in range(k)] for b in range(2)]
+            for a in range(3)]
+    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("build", [lambda: random_tree(6, seed=1),
+                                   lambda: random_reversible(6, seed=1).P],
+                         ids=["tree-spec", "ndarray"])
+def test_run_suites_rejects_what_is_not_a_chain(build, monkeypatch):
+    ran = []
+    monkeypatch.setitem(SUITES, "escape", lambda ctx, params: ran.append(1))
+    with pytest.raises(TypeError, match="load_chain.*build_tree_chain"):
+        run_suites(build(), ["escape"])
+    assert not ran
 
 
 def test_block_moments_solves_each_system_once(monkeypatch):
