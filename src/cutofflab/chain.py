@@ -315,12 +315,33 @@ def _flat_encoder(level: int):
 
 def json_join(items: list[str], level: int, brackets: str = "[]") -> str:
     """Encoded items in one JSON array (or object, with ``brackets="{}"``)
-    that sits at nesting ``level``, indented as ``json.dumps(indent=1)``."""
+    that sits at nesting ``level``, indented as ``json.dumps(indent=1)``.
+    :func:`json_join_pieces` writes the same layout in pieces."""
     if not items:
         return brackets
     inner = " " * (level + 1)
     return (brackets[0] + "\n" + inner + (",\n" + inner).join(items)
             + "\n" + " " * level + brackets[1])
+
+
+def json_join_pieces(items, level: int, brackets: str = "[]"):
+    """:func:`json_join` in pieces, for a text too large to hold at once.
+
+    ``items`` is an iterable of items, each its encoded text or an
+    iterable of the pieces of that text; the pieces yielded join to
+    :func:`json_join` of the item texts.  ``json_join`` stays the
+    one-string form for the many small containers of a report's rows.
+    """
+    indent = " " * (level + 1)
+    separator = brackets[0] + "\n" + indent
+    for item in items:
+        if isinstance(item, str):
+            yield separator + item
+        else:
+            yield separator
+            yield from item
+        separator = ",\n" + indent
+    yield brackets if separator[0] != "," else "\n" + " " * level + brackets[1]
 
 
 def scalar_texts(values: list) -> list[str]:
@@ -416,19 +437,13 @@ def _atomic_file(path: str):
 def _json_pieces(obj, level: int = 0):
     """:func:`json_text` of ``obj`` in pieces that join to it.  An object
     with a ``json_pieces(level)`` method (a report) yields its own pieces,
-    a list of such objects is bracketed around theirs, and any other value
-    is one piece."""
+    a non-empty list or tuple is bracketed around the pieces of its items,
+    and any other value is one piece."""
     pieces = getattr(obj, "json_pieces", None)
     if pieces is not None:
         yield from pieces(level)
-    elif isinstance(obj, (list, tuple)) and obj and all(hasattr(v, "json_pieces") for v in obj):
-        inner = "\n" + " " * (level + 1)
-        separator = "[" + inner
-        for v in obj:
-            yield separator
-            yield from v.json_pieces(level + 1)
-            separator = "," + inner
-        yield "\n" + " " * level + "]"
+    elif isinstance(obj, (list, tuple)) and obj:
+        yield from json_join_pieces((_json_pieces(v, level + 1) for v in obj), level)
     else:
         yield json_text(obj, level)
 

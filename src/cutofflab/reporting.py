@@ -36,6 +36,7 @@ from .chain import (
     _key_text,
     float_texts,
     json_join,
+    json_join_pieces,
     json_text,
     scalar_texts,
     write_json_atomic,
@@ -279,32 +280,17 @@ class RecordBlock:
                 [r.note for r in rows]))
         return blocks
 
-    def _fields(self, rows, plain: bool) -> tuple:
-        """The fields after ``inequality`` of the rows ``rows``, in
-        :class:`Record` order, one iterable each; ``plain`` turns the
-        parameter values into what :meth:`Record.to_dict` writes."""
-        lhs = self.lhs[rows]
-        n = lhs.size
-        cols = [c[rows].tolist() for c in self.params.values()]
-        if plain:
-            cols = list(map(_plain_column, cols))
-        kind = repeat(self.kind, n) if isinstance(self.kind, str) else self.kind[rows].tolist()
-        note = repeat(self.note, n) if isinstance(self.note, str) else self.note[rows].tolist()
-        return (_dicts(tuple(self.params), cols, n), lhs.tolist(), self.rhs[rows].tolist(),
-                self.margin[rows].tolist(), kind, self.passed[rows].tolist(), note)
-
     def records(self, rows=slice(None)) -> list[Record]:
         """The rows ``rows`` (all by default, else a slice or an index
         array) as :class:`Record` objects."""
-        return list(map(Record, repeat(self.inequality), *self._fields(rows, False)))
-
-    def dicts(self) -> list[dict]:
-        """Every row as its :meth:`Record.to_dict`, built from the columns."""
-        name = self.inequality
-        return [{"inequality": name, "params": p, "lhs": lhs, "rhs": rhs, "margin": margin,
-                 "kind": kind, "passed": passed, "note": note}
-                for p, lhs, rhs, margin, kind, passed, note
-                in zip(*self._fields(slice(None), True))]
+        lhs = self.lhs[rows]
+        n = lhs.size
+        params = _dicts(tuple(self.params), [c[rows].tolist() for c in self.params.values()], n)
+        kind = repeat(self.kind, n) if isinstance(self.kind, str) else self.kind[rows].tolist()
+        note = repeat(self.note, n) if isinstance(self.note, str) else self.note[rows].tolist()
+        return list(map(Record, repeat(self.inequality), params, lhs.tolist(),
+                        self.rhs[rows].tolist(), self.margin[rows].tolist(), kind,
+                        self.passed[rows].tolist(), note))
 
     def json_rows(self, level: int) -> list[str]:
         """Every row as the JSON text of its :meth:`Record.to_dict` at nesting
@@ -398,9 +384,10 @@ class Report:
                 f"skips={c['skip']} failures={c['failed']}")
 
     def to_dict(self) -> dict:
-        """The JSON payload of this report."""
+        """The JSON payload of this report.  The rows are built one block's
+        :class:`Record` objects at a time."""
         with _bulk():
-            rows = [d for b in self.blocks for d in b.dicts()]
+            rows = [r.to_dict() for b in self.blocks for r in b.records()]
         return {**self._head(), "records": rows}
 
     def _head(self) -> dict:
@@ -410,23 +397,15 @@ class Report:
 
     def json_pieces(self, level: int = 0):
         """The JSON text of :meth:`to_dict` at nesting ``level``, in pieces:
-        the head up to the records array, then the rows of one block at a
-        time, each block filling its template from the columns, then the
-        closing brackets."""
-        inner, row = "\n" + " " * (level + 1), "\n" + " " * (level + 2)
-        head = "{" + inner + ("," + inner).join(
-            [_key_text(k) + ": " + json_text(v, level + 1) for k, v in self._head().items()]
-            + ['"records": ['])
-        blocks = [b for b in self.blocks if len(b)]
-        if not blocks:
-            yield head + "]\n" + " " * level + "}"
-            return
-        yield head
-        separator = row
-        for b in blocks:
-            yield separator + ("," + row).join(b.json_rows(level + 2))
-            separator = "," + row
-        yield inner + "]\n" + " " * level + "}"
+        the head, then one row at a time, each block filling its template
+        from the columns, so only one block's row texts are held at once."""
+        def records():
+            yield '"records": '
+            yield from json_join_pieces((t for b in self.blocks
+                                         for t in b.json_rows(level + 2)), level + 1)
+
+        head = [_key_text(k) + ": " + json_text(v, level + 1) for k, v in self._head().items()]
+        return json_join_pieces(head + [records()], level, "{}")
 
     def to_json(self, path: str) -> None:
         write_json_atomic(path, self)

@@ -615,7 +615,9 @@ def _pairwise_sums(x: np.ndarray) -> np.ndarray:
     c < 8; for 8 <= c <= 128, eight lanes that take each later full block
     of 8 lane-wise, then ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
     leftover entries in order; above 128, two halves split at a multiple
-    of 8.  The sum starts from 0."""
+    of 8.  The sum starts from 0.  numpy does not document this order; it
+    was checked against numpy 2.4.6, and
+    ``test_row_sums_match_numpy_bit_for_bit`` fails if a release changes it."""
     c = x.shape[1]
     if c > 128:
         half = c // 2 - c // 2 % 8
@@ -646,8 +648,11 @@ def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
     to the front first.  Trailing zeros then fall among the leftover
     entries a row adds in order, which leaves the sum alone; the rows whose
     counts share the number of full blocks of 8 are summed together over
-    the same width (up to 127 entries, where numpy stops splitting rows).
-    Below 32 rows, packing costs more than summing each row on its own.
+    one width, the count padded up to the next multiple of 8 less one (at
+    most m).  numpy sums up to 128 entries without splitting; padding a
+    count of 128 or more would push it past 128 or move the split point
+    of its halves, so such a row is summed at its own count.  Below 32 rows, packing costs
+    more than summing each row on its own.
     """
     m = sel.shape[-1]
     if m < 8:

@@ -138,8 +138,6 @@ def test_table_built_and_record_built_reports_agree(source):
         assert t.summary() == r.summary()
         assert json.dumps(t.to_dict()) == json.dumps(r.to_dict())
         assert json.dumps(t.to_dict()["records"]) == json.dumps([x.to_dict() for x in r.records])
-        # the row dicts built from the columns hold the same plain values
-        assert [repr(d) for d in t.to_dict()["records"]] == [repr(x.to_dict()) for x in r.records]
         assert t.dumps() == r.dumps()
         _same_records(t.records, r.records)
         # records is rebuilt on every read: two reads are distinct lists
@@ -224,12 +222,28 @@ def _streamed_payloads() -> dict:
     return {"one report": suites[0], "list of reports": suites + [mixed],
             "empty report": Report("empty", "fp"), "skip-only block": skip_only,
             "list with empty and skip-only": [Report("empty", "fp"), skip_only, mixed],
-            "empty block": Report("s", "fp", [RecordBlock("x", [], [], "inequality")])}
+            "empty block": Report("s", "fp", [RecordBlock("x", [], [], "inequality")]),
+            "plain values": [[1, 2.5, None], {"a": [math.nan, "\u00e9"]}, [], "x",
+                             np.arange(3.0), ([],)],
+            "report among plain values": [suites[0], {"k": (1, 2)}, [[skip_only]]]}
+
+
+def _payload_dicts(payload):
+    if isinstance(payload, Report):
+        return payload.to_dict()
+    if isinstance(payload, (list, tuple)):
+        return [_payload_dicts(v) for v in payload]
+    if isinstance(payload, dict):
+        return {k: _payload_dicts(v) for k, v in payload.items()}
+    if isinstance(payload, np.ndarray):
+        return payload.tolist()
+    return payload
 
 
 @pytest.mark.parametrize("name", ["one report", "list of reports", "empty report",
                                   "skip-only block", "list with empty and skip-only",
-                                  "empty block"])
+                                  "empty block", "plain values",
+                                  "report among plain values"])
 def test_streamed_report_file_is_json_text(tmp_path, name):
     # write_json_atomic writes reports one block at a time; the bytes are
     # those of the whole text
@@ -238,8 +252,7 @@ def test_streamed_report_file_is_json_text(tmp_path, name):
     write_json_atomic(str(path), payload)
     text = json_text(payload)
     assert path.read_bytes() == (text + "\n").encode()
-    dicts = [r.to_dict() for r in payload] if isinstance(payload, list) else payload.to_dict()
-    assert text == json.dumps(dicts, indent=1)
+    assert text == json.dumps(_payload_dicts(payload), indent=1)
 
 
 def test_writing_an_all_sets_report_holds_less_than_the_file(tmp_path):
