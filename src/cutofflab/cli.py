@@ -148,8 +148,9 @@ def _block_lines(block, rows) -> list[str]:
 
 def _emit_blocks(blocks, label: str, failures_only: bool = False) -> int:
     """Print one line per row of the record blocks ``blocks`` (only the
-    failing rows with ``failures_only``); return the number of failed
-    assertions.  A list of records is grouped into blocks first, in order."""
+    failing rows with ``failures_only``), each block's lines echoed as soon
+    as they are formatted; return the number of failed assertions.  A list
+    of records is grouped into blocks first, in order."""
     import numpy as np
 
     from .reporting import Record, RecordBlock
@@ -157,13 +158,11 @@ def _emit_blocks(blocks, label: str, failures_only: bool = False) -> int:
     if blocks and isinstance(blocks[0], Record):
         blocks = RecordBlock.from_records(blocks)
     failures = 0
-    lines = []
     for b in blocks:
         rows = np.flatnonzero(~b.passed) if failures_only else np.arange(len(b))
-        lines += _block_lines(b, rows)
+        if rows.size:
+            _echo("\n".join(_block_lines(b, rows)))
         failures += int((b.checked[rows] & ~b.passed[rows]).sum())
-    if lines:
-        _echo("\n".join(lines))
     if failures:
         _echo(f"{label}: {failures} failing record(s)", err=True)
     return failures

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import DEFAULT_EXACT_THRESHOLD
 from .chain import Chain
-from .mixing import _bisect_monotone
+from .mixing import _bisect_monotone, _TailScan
 
 __all__ = [
     "HittingProfile",
@@ -106,27 +106,6 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _scalar(x):
     """A Python float for a single target, the array for a stack."""
     return float(x) if np.ndim(x) == 0 else x
-
-
-class _TailScan:
-    """One tail sequence, t = 0, 1, ..., drawn from its iterator only as far
-    as a caller has asked, each step taken once and kept."""
-
-    def __init__(self, steps):
-        self._steps = steps
-        self.values: list[float] = []
-
-    def at(self, t: int) -> float:
-        while len(self.values) <= t:
-            self.values.append(next(self._steps))
-        return self.values[t]
-
-    def first_below(self, eps: float, t_max: int) -> int:
-        """Smallest t with tail <= eps (to 1e-12); raises past ``t_max``."""
-        for t in range(t_max + 1):
-            if self.at(t) <= eps + 1e-12:
-                return t
-        raise RuntimeError(f"tail scan stayed above {eps} through t = {t_max}")
 
 
 class KilledSystem:

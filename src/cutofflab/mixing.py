@@ -3,7 +3,8 @@
 The worst-case distance ``d(t) = max_x ||P^t(x,.) - pi||_TV`` is computed
 from dense powers of the kernel; the continuized analogue replaces ``P^t``
 with ``exp(-t (I - P))``.  Every discrete mixing time comes from one rule,
-``mixing_times``: one on-demand dense scan of d(t) serves all levels when
+``mixing_times``: one on-demand dense scan of d(t) (a ``_TailScan``, the
+first-passage scan that also steps hitting tails) serves all levels when
 min pi is below ``_SPECTRAL_SAFE_MIN_PI``, and otherwise each level gets
 one integer search on the spectral evaluation of d.  Both are bounded by
 the certified ceiling ``t_rel* (-log eps - log min pi)`` (Levin-Peres-Wilmer,
@@ -47,13 +48,10 @@ def worst_tv(chain: Chain, t, continuous: bool = False) -> tuple[float, int]:
     Ties go to the lowest state index.  With ``continuous=True``, ``t`` may
     be any nonnegative real and the continuized kernel is used.
     """
-    if continuous:
-        M = chain.spectrum.heat_matrix(float(t))
-    else:
-        t = int(t)
-        if t < 0:
-            raise ValueError("t must be >= 0")
-        M = np.linalg.matrix_power(chain.P, t)
+    t = float(t) if continuous else int(t)
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    M = chain.spectrum.heat_matrix(t) if continuous else np.linalg.matrix_power(chain.P, t)
     tv = _tv_rows(M, chain.pi)
     x = int(np.argmax(tv))
     return float(tv[x]), x
@@ -80,38 +78,34 @@ class MixingProfile:
                           for t, d, x in zip(self.times, self.d, self.argmax_state)))
 
 
-class _DistanceScan:
-    """d(t) for t = 0, 1, ... from iterated dense products ``M <- M P``,
-    taken only as far as a caller has asked, each step taken once and kept
-    with its worst start (ties to the lowest index)."""
+class _TailScan:
+    """One non-increasing sequence, t = 0, 1, ..., drawn from its iterator
+    only as far as a caller has asked, each step taken once and kept."""
 
-    def __init__(self, chain: Chain):
-        self._chain = chain
-        self._M: np.ndarray | None = None
-        self.d: list[float] = []
-        self.argmax: list[int] = []
-
-    def _step(self) -> None:
-        self._M = np.eye(self._chain.n) if self._M is None else self._M @ self._chain.P
-        tv = _tv_rows(self._M, self._chain.pi)
-        x = int(np.argmax(tv))
-        self.d.append(float(tv[x]))
-        self.argmax.append(x)
+    def __init__(self, steps):
+        self._steps = steps
+        self.values: list[float] = []
 
     def at(self, t: int) -> float:
-        while len(self.d) <= t:
-            self._step()
-        return self.d[t]
+        while len(self.values) <= t:
+            self.values.append(next(self._steps))
+        return self.values[t]
 
     def first_below(self, eps: float, t_max: int) -> int:
-        """Smallest t with d(t) <= eps (to 1e-12); raises past ``t_max``."""
-        level = eps + 1e-12
+        """Smallest t with value <= eps (to 1e-12); raises past ``t_max``."""
         for t in range(t_max + 1):
-            if t == len(self.d):
-                self._step()
-            if self.d[t] <= level:
+            if self.at(t) <= eps + 1e-12:
                 return t
-        raise RuntimeError("mixing scan ended above its certified ceiling")
+        raise RuntimeError(f"scan stayed above {eps} through t = {t_max}")
+
+
+def _tv_steps(chain: Chain):
+    """Yield the per-start TV distances of ``P^t`` for t = 0, 1, ..., from
+    iterated dense products ``M <- M P``."""
+    M = np.eye(chain.n)
+    while True:
+        yield _tv_rows(M, chain.pi)
+        M = M @ chain.P
 
 
 def mixing_profile(chain: Chain, t_max: int | None = None,
@@ -121,21 +115,19 @@ def mixing_profile(chain: Chain, t_max: int | None = None,
     Stops at ``t_max`` if given, otherwise once d drops to ``eps_floor``
     (default 1/1024).  d(t) is non-increasing, so the scan is safe to cut.
     """
+    if t_max is not None and t_max < 0:
+        raise ValueError("t_max must be >= 0")
     if t_max is None and eps_floor is None:
         eps_floor = 1.0 / 1024.0
-    scan = _DistanceScan(chain)
-    t = 0
-    while True:
-        d = scan.at(t)
-        if t_max is not None and t >= t_max:
-            break
-        if eps_floor is not None and d <= eps_floor:
+    d, argmax = [], []
+    for t, tv in enumerate(_tv_steps(chain)):
+        argmax.append(int(np.argmax(tv)))
+        d.append(float(tv[argmax[-1]]))
+        if (t_max is not None and t >= t_max) or (eps_floor is not None and d[-1] <= eps_floor):
             break
         if t > 10_000_000:
             raise RuntimeError("mixing profile scan failed to terminate")
-        t += 1
-    return MixingProfile(times=np.arange(t + 1), d=np.array(scan.d),
-                         argmax_state=np.array(scan.argmax))
+    return MixingProfile(times=np.arange(len(d)), d=np.array(d), argmax_state=np.array(argmax))
 
 
 def _d_spectral(chain: Chain, t: int) -> float:
@@ -208,12 +200,13 @@ def _mixing_time_ct_interval(chain: Chain, eps: float) -> tuple[float, float]:
     return _bisect_monotone(lambda t: _d_continuous(chain, t), eps, 0.0, hi0, tol)
 
 
-def mixing_times(chain: Chain, levels, scan: _DistanceScan | None = None) -> list[int]:
+def mixing_times(chain: Chain, levels, scan: _TailScan | None = None) -> list[int]:
     """Smallest t with d(t) <= eps + 1e-12 for each eps in ``levels``.
 
     Levels must lie in (0, 1).  With min pi below ``_SPECTRAL_SAFE_MIN_PI``
-    every level reads one dense :class:`_DistanceScan` (``scan``, when the
-    caller keeps one for the chain), each up to its own certified ceiling;
+    every level reads one dense :class:`_TailScan` of d over
+    :func:`_tv_steps` (``scan``, when the caller keeps one for the chain),
+    each up to its own certified ceiling;
     otherwise each level gets one integer search on the spectral d,
     bracketed from its ceiling.
     """
@@ -222,7 +215,7 @@ def mixing_times(chain: Chain, levels, scan: _DistanceScan | None = None) -> lis
     ceilings = [math.ceil(_ceiling(chain, e)) for e in levels]
     if chain.pi.min() < _SPECTRAL_SAFE_MIN_PI:
         if scan is None:
-            scan = _DistanceScan(chain)
+            scan = _TailScan(float(tv.max()) for tv in _tv_steps(chain))
         return [scan.first_below(e, t_max) for e, t_max in zip(levels, ceilings)]
     return [_first_integer(lambda t: _d_spectral(chain, t) <= e + 1e-12, max(1, t_max))
             for e, t_max in zip(levels, ceilings)]

@@ -1,10 +1,15 @@
 """Monte Carlo cross-checks for the exact solvers.
 
 All sampling is driven by a counter-based bit generator (Philox), with one
-64-bit word consumed per uniform.  Path ``p`` of a run with horizon ``t``
-reads exactly the doubles ``[p*t, (p+1)*t)`` of the stream keyed by
-``seed``, so results are reproducible bit for bit from ``(seed, paths)``
-alone and chunked evaluation matches a single monolithic draw.
+64-bit word consumed per uniform, and every walk reads it in one layout:
+rounds of R = min(64, t) steps for a horizon t (R = 64 for walks without
+one), path ``p`` of a run of ``paths`` reading round ``r`` as the doubles
+``[(r*paths + p)*R, (r*paths + p + 1)*R)`` of the stream keyed by ``seed``.
+Results are therefore reproducible bit for bit from ``(seed, paths)``
+alone, and chunked evaluation matches a single monolithic draw.  Paths are
+simulated ``_CHUNK_PATHS`` at a time, so no block holds more than 2^20
+doubles whatever the horizon, and a chunk draws no further round once all
+its paths are absorbed.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .chain import Chain
 from .hitting import _target_mask
 
 _CHUNK_PATHS = 16_384
-_BLOCK_DOUBLES = 1 << 20
+_ROUND_STEPS = 64
 MIN_PATHS = 1_000
 
 
@@ -49,6 +54,13 @@ def uniform_block(seed: int, offset: int, shape) -> np.ndarray:
     return gen.random(shape)
 
 
+def _round_block(seed: int, paths: int, lo: int, hi: int, rnd: int, steps: int) -> np.ndarray:
+    """The uniforms of round ``rnd`` for paths ``lo .. hi-1`` of a run of
+    ``paths``, one row of ``steps`` doubles per path: path p reads
+    ``[(rnd*paths + p)*steps, (rnd*paths + p + 1)*steps)``."""
+    return uniform_block(seed, (rnd * paths + lo) * steps, (hi - lo, steps))
+
+
 class _StepTable(NamedTuple):
     """The inverse-CDF step of a chain, on its n x n cumulative cells.
 
@@ -66,13 +78,6 @@ class _StepTable(NamedTuple):
     cells: np.ndarray
     skip: np.ndarray
     guide: np.ndarray
-
-
-def _chunk_paths(t: int) -> int:
-    """Paths simulated together over a horizon of t steps: at most
-    ``_CHUNK_PATHS``, and few enough that their block of uniforms holds at
-    most max(2^20, t) doubles."""
-    return min(_CHUNK_PATHS, max(1, _BLOCK_DOUBLES // max(t, 1)))
 
 
 def _step_table(chain: Chain) -> _StepTable:
@@ -142,16 +147,19 @@ def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
                           note="T_A >= 1 from any start outside the target set")
 
     table = _step_table(chain)
-    chunk = _chunk_paths(t)
+    steps = min(_ROUND_STEPS, t)
     survived = 0
-    for lo in range(0, paths, chunk):
-        hi = min(lo + chunk, paths)
-        u = uniform_block(seed, lo * t, (hi - lo, t))
-        # the live paths, kept compacted: their rows of u and their states
+    for lo in range(0, paths, _CHUNK_PATHS):
+        hi = min(lo + _CHUNK_PATHS, paths)
+        # the live paths, kept compacted: their rows of the round's block
+        # and their states
         rows = np.arange(hi - lo)
         states = np.full(hi - lo, start, dtype=np.int64)
         for step in range(t):
-            states = _step_states(states, u[rows, step], table)
+            rnd, h = divmod(step, steps)
+            if not h:
+                u = _round_block(seed, paths, lo, hi, rnd, steps)
+            states = _step_states(states, u[rows, h], table)
             live = ~members[states]
             rows, states = rows[live], states[live]
             if rows.size == 0:

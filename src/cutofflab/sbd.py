@@ -17,7 +17,7 @@ import numpy as np
 
 from .chain import Chain
 from .hitting import DEFAULT_EXACT_THRESHOLD, IdentityCheckError, KilledSystem, _candidate_sets
-from .oracle import MCEstimate, _chunk_paths, _step_states, _step_table, uniform_block
+from .oracle import _CHUNK_PATHS, _ROUND_STEPS, MCEstimate, _round_block, _step_states, _step_table
 from .reporting import Record, check_le, report_value, skip
 
 __all__ = [
@@ -301,9 +301,6 @@ def central_block_hit(chain: Chain, dec: BlockDecomposition, x: int | None = Non
 # Monte Carlo check of the block-crossing correlation bound
 
 
-_ROUND_STEPS = 64
-
-
 def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
                   paths: int, seed: int, t_cap: int) -> np.ndarray:
     """First-passage times through an ordered list of target sets.
@@ -311,8 +308,8 @@ def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
     Returns an array (paths, len(stage_masks)); stage s is timed from the
     walk's start, advancing to stage s+1 the moment stage s's set is hit
     (several stages can fire on the same step if their sets coincide).
-    Uniform draws are indexed by (round, path) so chunking never changes
-    the sample.
+    Uniform draws are indexed by (round, path), in the layout of
+    ``oracle._round_block``, so chunking never changes the sample.
     """
     n_stages = len(stage_masks)
     table = _step_table(chain)
@@ -329,9 +326,8 @@ def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
                     ptr[sel] += 1
                     moved = True
 
-    chunk = _chunk_paths(_ROUND_STEPS)
-    for lo in range(0, paths, chunk):
-        hi = min(lo + chunk, paths)
+    for lo in range(0, paths, _CHUNK_PATHS):
+        hi = min(lo + _CHUNK_PATHS, paths)
         m = hi - lo
         states = np.full(m, x, dtype=int)
         ptr = np.zeros(m, dtype=np.int64)
@@ -342,8 +338,7 @@ def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
         while (ptr < n_stages).any():
             if t >= t_cap:
                 raise RuntimeError(f"simulation cap of {t_cap} steps reached")
-            u = uniform_block(seed, (rnd * paths + lo) * _ROUND_STEPS,
-                              (m, _ROUND_STEPS))
+            u = _round_block(seed, paths, lo, hi, rnd, _ROUND_STEPS)
             for h in range(_ROUND_STEPS):
                 active = ptr < n_stages
                 if not active.any():

@@ -63,8 +63,9 @@ from .hitting import (
 )
 from .mixing import (
     _ceiling,
-    _DistanceScan,
     _mixing_time_ct_interval,
+    _TailScan,
+    _tv_steps,
     maximal_function,
     mixing_times,
     worst_tv,
@@ -213,7 +214,7 @@ class _Ctx:
         self.lazy = bool(chain.is_lazy)
         self.exact = chain.n <= self.exact_threshold
         self._tmix: dict[float, int] = {}
-        self._d_scan = _DistanceScan(chain)
+        self._d_scan = _TailScan(float(tv.max()) for tv in _tv_steps(chain))
         self._tmix_ct: dict[float, tuple[float, float]] = {}
         self._profiles: dict[float, WorstTailProfile] = {}
         self._hits: dict[tuple, int] = {}

@@ -15,7 +15,13 @@ from cutofflab import (
     worst_tv,
 )
 from cutofflab.families import random_tree
-from cutofflab.mixing import _ceiling, _DistanceScan, _mixing_time_ct_interval, mixing_times
+from cutofflab.mixing import (
+    _ceiling,
+    _mixing_time_ct_interval,
+    _TailScan,
+    _tv_steps,
+    mixing_times,
+)
 from cutofflab.trees import build_tree_chain
 from cutofflab.verify import _Ctx
 
@@ -32,6 +38,17 @@ def test_k2_mixing_time(k2):
     assert mixing_time(k2, 0.25) == 1
     assert mixing_time(k2, 0.125) == 2
     assert mixing_time(k2, 0.12) == 3
+
+
+def test_continuized_distance_rejects_negative_times():
+    # exp(3 (I - P)) is no kernel: its rows gave "distances" above 1
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        worst_tv(biased_path(6), -3, continuous=True)
+
+
+def test_profile_rejects_a_negative_horizon(k2):
+    with pytest.raises(ValueError, match="t_max must be >= 0"):
+        mixing_profile(k2, t_max=-1)
 
 
 def test_worst_tv_matches_profile(small_corpus):
@@ -80,22 +97,24 @@ def test_one_distance_scan_serves_every_level():
     assert chain.pi.min() < 1e-12
     levels = (1 / 16, 1 / 8, 1 / 4, 15 / 16, 7 / 8, 3 / 4)
     want = [mixing_profile(chain, eps_floor=e).hit_level(e) for e in levels]
-    scan = _DistanceScan(chain)
+    scan = _TailScan(float(tv.max()) for tv in _tv_steps(chain))
     assert [mixing_times(chain, (e,), scan)[0] for e in reversed(levels)] == want[::-1]
-    assert len(scan.d) == max(want) + 1
+    assert len(scan.values) == max(want) + 1
     assert mixing_times(chain, levels) == want
     ctx = _Ctx(chain, {})
     assert [ctx.tmix(e) for e in levels] == want
-    assert len(ctx._d_scan.d) == max(want) + 1
+    assert len(ctx._d_scan.values) == max(want) + 1
     prof = mixing_profile(chain, t_max=max(want))
-    assert prof.d.tolist() == scan.d and prof.argmax_state.tolist() == scan.argmax
+    assert prof.d.tolist() == scan.values
+    assert prof.argmax_state.tolist() == [
+        int(np.argmax(tv)) for _, tv in zip(range(max(want) + 1), _tv_steps(chain))]
 
 
 def test_distance_scan_raises_past_each_level_ceiling():
     chain = biased_path(34)
-    scan = _DistanceScan(chain)
+    scan = _TailScan(float(tv.max()) for tv in _tv_steps(chain))
     t = scan.first_below(0.25, 10_000)
-    with pytest.raises(RuntimeError, match="certified ceiling"):
+    with pytest.raises(RuntimeError, match="stayed above 0.25 through t"):
         scan.first_below(0.25, t - 1)
     with pytest.raises(ValueError):
         mixing_times(chain, (0.25, 0.0), scan)

@@ -135,7 +135,6 @@ def test_walks_never_step_past_a_short_row(monkeypatch):
         return np.full(shape, _TOP_U)
 
     monkeypatch.setattr(oracle, "uniform_block", top)
-    monkeypatch.setattr(sbd, "uniform_block", top)
     assert simulate_hitting(chain, 0, [2], 1, paths=1_000, seed=0).value == 1.0
     times = sbd._staged_times(chain, 0, [np.array([False, True, False])],
                               paths=4, seed=0, t_cap=10)
@@ -187,22 +186,54 @@ def test_monte_carlo_outputs_are_pinned():
 
 
 def test_uniform_blocks_are_bounded_by_the_horizon(monkeypatch):
-    # a block of uniforms holds at most max(2^20, t) doubles, so a long
-    # horizon simulates few paths at a time instead of asking for
-    # 1,000 x 100,000 doubles at once; chunking never changes the sample
+    # a block of uniforms holds at most 2^20 doubles, so a long horizon
+    # never asks for 1,000 x 100,000 doubles at once; chunking never
+    # changes the sample
     import cutofflab.oracle as oracle
     from cutofflab.families import biased_path
 
     real = oracle.uniform_block
 
     def capped(seed, offset, shape):
-        if np.prod(shape) > max(oracle._BLOCK_DOUBLES, shape[-1]):
+        if np.prod(shape) > 1 << 20:
             raise MemoryError(f"block {shape} above the cap")
         return real(seed, offset, shape)
 
     monkeypatch.setattr(oracle, "uniform_block", capped)
     chain = biased_path(10)
     wide = simulate_hitting(chain, 0, [5], 100_000, paths=1_000, seed=3)
-    monkeypatch.setattr(oracle, "_BLOCK_DOUBLES", 4_096)
+    monkeypatch.setattr(oracle, "_CHUNK_PATHS", 300)
     narrow = simulate_hitting(chain, 0, [5], 100_000, paths=1_000, seed=3)
     assert wide.value == narrow.value
+
+
+def test_long_horizon_sample_is_pinned(monkeypatch):
+    # recorded when walks past 64 steps moved to rounds of 64 uniforms per
+    # path: any change to that layout changes this, and chunks of 3,000
+    # paths (a chunk boundary inside every round) read the same sample
+    import cutofflab.oracle as oracle
+    from cutofflab.families import biased_path
+
+    path = biased_path(12)
+    assert simulate_hitting(path, 0, [11], 100, paths=20_000, seed=7).value == 116 / 20_000
+    monkeypatch.setattr(oracle, "_CHUNK_PATHS", 3_000)
+    assert simulate_hitting(path, 0, [11], 100, paths=20_000, seed=7).value == 116 / 20_000
+
+
+def test_absorbed_chunks_draw_no_further_rounds(monkeypatch):
+    # every path of biased_path(10) reaches state 5 within two rounds of 64
+    # steps, so the 100,000-step horizon draws 2 x 1,000 x 64 doubles
+    import cutofflab.oracle as oracle
+    from cutofflab.families import biased_path
+
+    real = oracle.uniform_block
+    drawn = []
+
+    def counting(seed, offset, shape):
+        drawn.append(int(np.prod(shape)))
+        return real(seed, offset, shape)
+
+    monkeypatch.setattr(oracle, "uniform_block", counting)
+    est = simulate_hitting(biased_path(10), 0, [5], 100_000, paths=1_000, seed=3)
+    assert est.value == 0.0
+    assert drawn == [1_000 * 64] * 2

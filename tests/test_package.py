@@ -1,6 +1,7 @@
 """Package layout: lazy exports, what a run imports, where the killed-kernel
-solves live, where the worst-set candidate targets are enumerated, and
-where the command-line output is written."""
+solves live, where the worst-set candidate targets are enumerated, where
+first passages are searched and Monte Carlo uniforms drawn, and where the
+command-line output is written."""
 
 import ast
 import os
@@ -168,6 +169,40 @@ def test_candidate_targets_are_enumerated_in_the_worst_set_object():
     sites = _sites(_CandidateSites)
     assert sorted((module, scope) for module, scope, _ in sites) == [
         ("hitting", "WorstTailProfile.__init__"), ("sbd", "central_block_hit")]
+
+
+class _FirstBelowSites(_Sites):
+    """Every definition of a function or method named ``first_below``."""
+
+    def visit_FunctionDef(self, node):
+        if node.name == "first_below":
+            self._site(node)
+        self._scoped(node)
+
+
+def test_first_passages_are_searched_by_one_scan():
+    # d(t), killed tails and worst-set tails are all non-increasing
+    # sequences read by one on-demand scan, so a faster first-passage
+    # search is a change to one class
+    sites = _sites(_FirstBelowSites)
+    assert [(module, scope) for module, scope, _ in sites] == [("mixing", "_TailScan")]
+
+
+class _UniformBlockSites(_Sites):
+    """Every call of ``uniform_block``, by name or as an attribute."""
+
+    def visit_Call(self, node):
+        f = node.func
+        if "uniform_block" in (getattr(f, "id", None), getattr(f, "attr", None)):
+            self._site(node)
+        self.generic_visit(node)
+
+
+def test_monte_carlo_uniforms_are_drawn_in_one_layout():
+    # every walk reads the stream in rounds through one helper, so the two
+    # path simulators cannot drift to different layouts
+    sites = _sites(_UniformBlockSites)
+    assert [(module, scope) for module, scope, _ in sites] == [("oracle", "_round_block")]
 
 
 class _IndentedJsonSites(_Sites):
