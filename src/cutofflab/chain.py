@@ -140,7 +140,9 @@ def _solve_stationary(P: np.ndarray) -> np.ndarray:
 class Chain:
     """A validated chain: matrix, stationary law, and structural flags.
 
-    Treat instances as immutable; spectral results are cached on first use.
+    Treat instances as immutable; spectral results are cached on first use,
+    and so is the :class:`~cutofflab.hitting.KilledSystem` of each target,
+    which ``KilledSystem.of`` keeps in ``killed`` by its membership mask.
     """
 
     spec: ChainSpec
@@ -148,6 +150,7 @@ class Chain:
     is_reversible: bool
     is_lazy: bool
     is_irreducible: bool
+    killed: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def P(self) -> np.ndarray:

@@ -325,7 +325,7 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
     if set_states is not None:
         states = _parse_ints(set_states, "state")
         try:
-            ks = KilledSystem(chain, states)
+            ks = KilledSystem.of(chain, states)
         except ValueError as exc:
             raise click.ClickException(f"--set {set_states}: {exc}") from exc
         if ks.B.size == 0:
@@ -726,7 +726,7 @@ def simulate(chain_file: str, start: int, set_states: str, t: int,
     chain = _load_chain(chain_file)
     states = _parse_ints(set_states, "state")
     try:
-        ks = KilledSystem(chain, states)
+        ks = KilledSystem.of(chain, states)
         est = simulate_hitting(chain, start, ks.A, t, paths=paths, seed=seed)
     except ValueError as exc:
         raise click.ClickException(str(exc)) from exc

@@ -9,8 +9,9 @@ from ``(I - P_B) Y = P[B, A]`` and ``(I - z P_B) phi = z P(., A)``, and the
 eigen-decomposition of ``P_B`` in the pi-weighted inner product yields the
 exact mixture-of-geometrics form of the tail together with its decay
 radius.  A ``KilledSystem`` is the one object for a target set, and every
-solve with ``I - P_B`` is one of its methods; ``KilledSystem.stack``
-serves many targets with equal |B| in batched calls.
+solve with ``I - P_B`` is one of its methods; ``KilledSystem.of`` builds it
+once per chain and target, and ``KilledSystem.stack`` serves many targets
+with equal |B| in batched calls.
 
 The worst-set quantity ``p_x(alpha, t) = max { Pr_x[T_A > t] :
 pi(A) >= alpha }`` is computed exactly by enumerating inclusion-minimal
@@ -112,8 +113,9 @@ class KilledSystem:
     """The chain killed on entering a target set A.
 
     Built from the target states, which must be nonempty and in 0..n-1
-    (duplicates are dropped).  Holds the target members ``A`` and the
-    survivor states ``B = complement(A)``, both in ascending order, the
+    (duplicates are dropped); :meth:`of` returns the chain's one system
+    for a target, built on first use.  Holds the target members ``A`` and
+    the survivor states ``B = complement(A)``, both in ascending order, the
     killed kernel ``PB = P[B, B]``, ``pi_B = pi(B)`` and
     ``pi_A = 1 - pi_B``.  The rest is computed on first use and kept:
 
@@ -149,6 +151,18 @@ class KilledSystem:
 
     def __init__(self, chain: Chain, A):
         self._setup(chain, ~_target_mask(chain, A))
+
+    @classmethod
+    def of(cls, chain: Chain, states) -> "KilledSystem":
+        """The system of ``chain`` killed on the target ``states``, kept in
+        ``chain.killed`` so that every reader of a target shares its solves,
+        eigensystem and tail scans."""
+        mask = _target_mask(chain, states)
+        key = mask.tobytes()
+        if key not in chain.killed:
+            ks = chain.killed[key] = cls.__new__(cls)
+            ks._setup(chain, ~mask)
+        return chain.killed[key]
 
     @classmethod
     def stack(cls, chain: Chain, masks) -> "KilledSystem":

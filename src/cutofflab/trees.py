@@ -133,10 +133,9 @@ class RootedTreeChain:
     ``depth[u]`` its edge count to the root, ``children[u]`` its child
     list, ``subtree_mass[u]`` the stationary mass of u's subtree, and
     ``mu[u]`` the one-step probability of moving from u to its parent.
-    The object keeps what the tree checks share: one
-    :class:`KilledSystem` per target (``killed``), whose tail scans every
-    reader extends, and one :class:`CrossingTime` per vertex
-    (``crossing_time``).
+    The tree checks share the chain's one :class:`KilledSystem` per target
+    (``KilledSystem.of``), whose tail scans every reader extends, and the
+    object keeps one :class:`CrossingTime` per vertex (``crossing_time``).
     """
 
     spec: TreeSpec
@@ -149,7 +148,6 @@ class RootedTreeChain:
     mu: np.ndarray
 
     def __post_init__(self) -> None:
-        self._killed: dict[tuple[int, ...], KilledSystem] = {}
         self._crossings: dict[int, CrossingTime] = {}
 
     @property
@@ -179,17 +177,10 @@ class RootedTreeChain:
             stack.extend(self.children[v])
         return np.array(sorted(members))
 
-    def killed(self, target) -> KilledSystem:
-        """The walk killed on the sorted target states, built once per target."""
-        key = tuple(int(v) for v in target)
-        if key not in self._killed:
-            self._killed[key] = KilledSystem(self.chain, key)
-        return self._killed[key]
-
     @property
     def mean_to_root(self) -> np.ndarray:
         """E_x[T_root] for every x, from the root's killed system."""
-        return self.killed([self.root]).mean
+        return KilledSystem.of(self.chain, [self.root]).mean
 
 
 def build_tree_chain(spec: TreeSpec) -> RootedTreeChain:
@@ -284,7 +275,7 @@ def crossing_time(tc: RootedTreeChain, u: int) -> CrossingTime:
     pi = tc.pi
     t_u = tc.subtree_mass[u] / (pi[u] * tc.mu[u])
     members = tc.subtree(u)
-    ks = tc.killed(np.setdiff1d(np.arange(tc.n), members))
+    ks = KilledSystem.of(tc.chain, np.setdiff1d(np.arange(tc.n), members))
     t_u_solve = float(ks.mean[u])
     if abs(t_u - t_u_solve) > 1e-9 * max(1.0, abs(t_u)):
         raise IdentityCheckError(f"crossing mean mismatch: formula {t_u}, solve {t_u_solve}")
@@ -319,7 +310,7 @@ def _two_sided_tails(tc: RootedTreeChain, x: int, y: int, mean: float, c: float,
     read off the one tail scan from x to y."""
     if c <= 0:
         raise ValueError("c must be positive")
-    scan = tc.killed([y]).scan(x)
+    scan = KilledSystem.of(tc.chain, [y]).scan(x)
     hi, lo = mean + c * scale, mean - c * scale
     return scan.at(math.ceil(hi) - 1), 0.0 if lo <= 0 else 1.0 - scan.at(math.floor(lo))
 
@@ -353,7 +344,7 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None) -> PathVari
         mean += ct.mean
         var += ct.variance
     # independence of increments: compare with a direct solve to the target
-    ks = tc.killed([y])
+    ks = KilledSystem.of(tc.chain, [y])
     mean_solve, second_solve = float(ks.mean[x]), float(ks.second_moment[x])
     if abs(mean - mean_solve) > 1e-9 * max(1.0, abs(mean)):
         raise IdentityCheckError("path mean disagrees with direct solve")
@@ -389,7 +380,7 @@ def tau_root(tc: RootedTreeChain, eps: float) -> int:
     the root's one max-tail scan."""
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    return tc.killed([tc.root]).scan().first_below(eps, 1_000_000)
+    return KilledSystem.of(tc.chain, [tc.root]).scan().first_below(eps, 1_000_000)
 
 
 def tau_sandwich_check(tc: RootedTreeChain, eps: float, hit) -> list[Record]:
@@ -452,7 +443,7 @@ def tail_bound_check(tc: RootedTreeChain, x: int, y: int | None = None,
     Inadmissible c values are recorded as skips; c must be positive.
     """
     y = _ancestor_path(tc, x, y)[-1]
-    t_xy = float(tc.killed([y]).mean[x])
+    t_xy = float(KilledSystem.of(tc.chain, [y]).mean[x])
     b = math.sqrt(t_xy * tc.t_rel)
     c_max = 2.5 * math.sqrt(t_xy / tc.t_rel)
     admissible = [c for c in c_grid if c <= c_max]

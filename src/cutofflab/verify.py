@@ -199,8 +199,9 @@ def _all_targets(n: int) -> _Targets:
 
 
 class _Ctx:
-    """Caches spectra, profiles, mixing times, and killed systems so a
-    batch of suites on one chain never recomputes a shared quantity."""
+    """Caches spectra, profiles, mixing times, and target stacks so a
+    batch of suites on one chain never recomputes a shared quantity; the
+    single-target killed systems are kept on the chain itself."""
 
     def __init__(self, chain: Chain, params: dict):
         chain.require(reversible=True, irreducible=True)
@@ -219,7 +220,6 @@ class _Ctx:
         self._profiles: dict[float, WorstTailProfile] = {}
         self._hits: dict[tuple, int] = {}
         self._hit_ct: dict[tuple, tuple[float, float, bool]] = {}
-        self._killed: dict[bytes, KilledSystem] = {}
         self._targets: dict[str, _Targets] = {}
         self._stacks: dict[str, list] = {}
         self._functions: np.ndarray | None = None
@@ -275,12 +275,6 @@ class _Ctx:
         return _Clock(self, continuous)
 
     # -- shared objects ------------------------------------------------------
-
-    def killed(self, mask: np.ndarray) -> KilledSystem:
-        key = mask.tobytes()
-        if key not in self._killed:
-            self._killed[key] = KilledSystem(self.chain, np.flatnonzero(mask))
-        return self._killed[key]
 
     def targets(self, mode: str) -> _Targets:
         """The target sets of ``mode``: every set ("all", n <= 14, and
@@ -610,50 +604,23 @@ def _suite_hit_levels(ctx: _Ctx, params: dict) -> list[Record]:
 # escape tails from stationarity
 
 
-def _pairwise_sums(x: np.ndarray) -> np.ndarray:
-    """``row.sum()`` of every row of the 2-D array ``x``, bit for bit, in the
-    order numpy's pairwise summation adds a row of c entries: in order for
-    c < 8; for 8 <= c <= 128, eight lanes that take each later full block
-    of 8 lane-wise, then ``((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7))``, then the
-    leftover entries in order; above 128, two halves split at a multiple
-    of 8.  The sum starts from 0.  numpy does not document this order; it
-    was checked against numpy 2.4.6, and
-    ``test_row_sums_match_numpy_bit_for_bit`` fails if a release changes it."""
-    c = x.shape[1]
-    if c > 128:
-        half = c // 2 - c // 2 % 8
-        return _pairwise_sums(x[:, :half]) + _pairwise_sums(x[:, half:])
-    out = np.zeros(x.shape[0])
-    if c < 8:
-        for i in range(c):
-            out += x[:, i]
-        return out
-    full = c - c % 8
-    r = x[:, :8].copy()
-    for i in range(8, full, 8):
-        r += x[:, i:i + 8]
-    r0, r1, r2, r3, r4, r5, r6, r7 = r.T
-    out += ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
-    for i in range(full, c):
-        out += x[:, i]
-    return out
-
-
 def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
     """``values[i][sel[i]].sum()`` for every row i, bit for bit, over the
     last axis of ``sel``, with ``values`` broadcast against it.
 
     numpy adds fewer than 8 entries in order, so zeros in place of the
     unselected entries change nothing.  Longer rows are summed pairwise, in
-    blocks that the zeros would shift, so the selected entries are packed
-    to the front first.  Trailing zeros then fall among the leftover
+    blocks of 8 that the zeros would shift, so the selected entries are
+    packed to the front first.  Trailing zeros then fall among the leftover
     entries a row adds in order, which leaves the sum alone; the rows whose
     counts share the number of full blocks of 8 are summed together over
     one width, the count padded up to the next multiple of 8 less one (at
-    most m).  numpy sums up to 128 entries without splitting; padding a
-    count of 128 or more would push it past 128 or move the split point
-    of its halves, so such a row is summed at its own count.  Below 32 rows, packing costs
-    more than summing each row on its own.
+    most m), by numpy's own sum along the last axis, which adds each row
+    as it adds one 1-D array.  numpy sums up to 128 entries without
+    splitting; padding a count of 128 or more would push it past 128 or
+    move the split point of its halves, so such a row is summed at its own
+    count.  Below 32 rows, packing costs more than summing each row on its
+    own.
     """
     m = sel.shape[-1]
     if m < 8:
@@ -669,7 +636,7 @@ def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
     out = np.empty(counts.shape)
     for w in np.unique(widths).tolist():
         rows = widths == w
-        out[rows] = _pairwise_sums(packed[rows, :w])
+        out[rows] = packed[rows, :w].sum(axis=-1)
     return out
 
 
@@ -857,7 +824,7 @@ def _suite_martingale(ctx: _Ctx, params: dict) -> list[Record]:
     if mask[x]:
         return [skip("martingale-tail", "eigenfunction has no positive part")]
     records = [check_le("negative-part-mass", 0.5, pa)]
-    ks = ctx.killed(mask)
+    ks = KilledSystem.of(ctx.chain, np.flatnonzero(mask))
     pos = ks.position(x)
     K = _ceil(5.0 * ctx.t_rel)
     ts = np.arange(K + 1)
@@ -941,7 +908,7 @@ def _suite_return_mgf(ctx: _Ctx, params: dict) -> list[Record]:
     for b_states in dict.fromkeys(small):
         mask = np.ones(n, dtype=bool)
         mask[list(b_states)] = False  # A = everything except the slow core
-        ks = ctx.killed(mask)
+        ks = KilledSystem.of(ctx.chain, np.flatnonzero(mask))
         kq = ks.kac()
         pa = float(pi[mask].sum())
         p_rate = 1.0 - pa / t_rel
@@ -1205,11 +1172,6 @@ def _suite_block_moments(ctx: _Ctx, params: dict) -> list[Record]:
     pi, P = ctx.chain.pi, ctx.chain.P
     t_rel = ctx.t_rel
 
-    def killed(states) -> KilledSystem:
-        mask = np.zeros(ctx.chain.n, dtype=bool)
-        mask[states] = True
-        return ctx.killed(mask)
-
     records = []
     for j in range(dec.n_blocks):
         if j == dec.central_block:
@@ -1229,9 +1191,9 @@ def _suite_block_moments(ctx: _Ctx, params: dict) -> list[Record]:
         records.append(report_value(
             "block-exit-flow", phi, {"block": j, "side": side}))
         x_far = int(far.min()) if left_side else int(far.max())
-        dst = killed(dec.blocks[parent])
+        dst = KilledSystem.of(ctx.chain, dec.blocks[parent])
         for label, states in (("entry-law", dec.blocks[j]), ("far-end", [x_far])):
-            e1, e2 = _crossing_moments(x_far, killed(states), dst)
+            e1, e2 = _crossing_moments(x_far, KilledSystem.of(ctx.chain, states), dst)
             p = {"block": j, "start": label}
             records.append(report_value(
                 "block-second-moment-per-mean", e2 / (t_rel * max(e1, 1e-300)),

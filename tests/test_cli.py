@@ -7,7 +7,9 @@ import re
 import numpy as np
 import pytest
 
-from cutofflab import SUITE_IDS, chain_from_json, run_suites
+from cutofflab import (SUITE_IDS, build_tree_chain, chain_from_json, chain_to_json,
+                       random_reversible, run_suites)
+from cutofflab.trees import crossing_time, tree_from_json
 from cutofflab.cli import _emit_blocks, main
 from cutofflab.reporting import Record, RecordBlock, Report
 
@@ -78,6 +80,21 @@ def test_analyze_json_output(tmp_path, capsys):
     assert payload["t_rel"] > 1.0
 
 
+def test_analyze_text_output_matches_json(tmp_path, capsys):
+    out = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "6", "-o", str(out))
+    capsys.readouterr()
+    assert run("analyze", str(out), "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert run("analyze", str(out)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == ["n        = 6",
+                         "flags    = reversible=True lazy=True irreducible=True"]
+    assert f"t_mix(0.25) = {payload['t_mix']}" in lines
+    t_rel = next(line for line in lines if line.startswith("t_rel    = "))
+    assert float(t_rel.split("= ")[1]) == pytest.approx(payload["t_rel"], rel=1e-11)
+
+
 @pytest.mark.parametrize("eps", ["0", "1.5"])
 def test_analyze_rejects_eps_outside_unit_interval(tmp_path, capsys, eps):
     out = tmp_path / "chain.json"
@@ -123,6 +140,14 @@ def test_hit_explicit_set(tmp_path, capsys):
     assert run("hit", str(chain), "--set", "5", "--start", "0",
                "--eps", "0.25") == 0
     assert "tail <= 0.25" in capsys.readouterr().out
+
+
+def test_hit_explicit_set_continuous(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    chain_to_json(random_reversible(7, seed=3), str(chain))
+    capsys.readouterr()
+    assert run("hit", str(chain), "--set", "2,5", "--continuous", "--eps", "0.25") == 0
+    assert "tail <= 0.25 first at t = " in capsys.readouterr().out
 
 
 def test_hit_explicit_set_finds_late_crossings(tmp_path, capsys):
@@ -474,6 +499,20 @@ def test_tree_subcommands(tmp_path, capsys):
     assert run("tree", "tails", str(tree), "--x", "0") in (0, 1)
 
 
+def test_tree_crossing_prints_the_exact_moments(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    run("gen", "--family", "random-tree", "--n", "12", "--seed", "8", "-o", str(tree))
+    tc = build_tree_chain(tree_from_json(str(tree)))
+    u = next(v for v in range(tc.n) if v != tc.root)
+    capsys.readouterr()
+    assert run("tree", "crossing", str(tree), "-u", str(u)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"crossing {u} -> {int(tc.parent[u])}"
+    assert lines[1] == f"mean          = {crossing_time(tc, u).mean:.12g}"
+    assert [line.split(" = ")[0].rstrip() for line in lines[2:]] == [
+        "second moment", "variance"]
+
+
 def test_tree_window_check_prints_the_suite_rows(tmp_path, capsys):
     tree = tmp_path / "tree.json"
     run("gen", "--family", "random-tree", "--n", "20", "--seed", "2", "-o", str(tree))
@@ -519,6 +558,17 @@ def test_sbd_subcommands(tmp_path, capsys):
     with open(blocks_csv, newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert len(rows) == 8  # r = 1 for the biased path
+    capsys.readouterr()
+    assert run("sbd", "blocks", str(chain)) == 0
+    lines = capsys.readouterr().out.splitlines()
+    central = [row for row in rows if row["central"] == "True"]
+    assert len(central) == 1
+    assert lines[0].startswith(f"r=1 delta=0.125 central block={central[0]['block']} (mass ")
+    assert len(lines) == 9
+    for line, row in zip(lines[1:], rows):
+        mark = " *" if row["central"] == "True" else ""
+        assert line == (f"block {row['block']}: [{row['lo']}, {row['hi']}] size=1 "
+                        f"mass={float(row['mass']):.6g}{mark}")
     assert run("sbd", "hit-stats", str(chain)) == 0
 
 

@@ -333,6 +333,52 @@ def test_killed_system_sorts_and_deduplicates_target():
     assert ks.B.tolist() == [1, 3, 4]
 
 
+def test_killed_system_of_is_one_system_per_chain_and_target():
+    chain = biased_path(5)
+    ks = KilledSystem.of(chain, [2, 0, 2])
+    assert KilledSystem.of(chain, np.array([0, 2])) is ks
+    assert ks.A.tolist() == [0, 2]
+    assert ks.B.tolist() == [1, 3, 4]
+    assert list(chain.killed.values()) == [ks]
+    assert KilledSystem.of(biased_path(5), [0, 2]) is not ks
+    assert np.array_equal(ks.mean, KilledSystem(chain, [0, 2]).mean)
+    with pytest.raises(ValueError, match="target state out of range"):
+        KilledSystem.of(chain, [5])
+
+
+def test_run_suites_builds_each_single_target_once(monkeypatch):
+    # the single-target systems of martingale, return-mgf, the banded and
+    # tree suites live on their chains, so no reader rebuilds one
+    builds = []
+    setup = KilledSystem._setup
+
+    def counted(self, chain, keep):
+        if keep.ndim == 1:
+            builds.append((id(chain), keep.tobytes()))
+        setup(self, chain, keep)
+
+    monkeypatch.setattr(KilledSystem, "_setup", counted)
+    run_suites(biased_path(20), ["all"])
+    assert len(builds) == len(set(builds)) == 46
+
+
+def test_continuized_killed_tails_match_the_matrix_exponential():
+    # Pr_x[T_A > t] for the continuized walk is (exp(-t (I - P_B)) 1)(x)
+    from scipy.linalg import expm
+
+    chain = random_reversible(7, seed=3)
+    ks = KilledSystem(chain, [2, 5])
+    ts = [0.0, 0.7, 3.0, 11.5]
+    gen = np.eye(ks.B.size) - ks.PB
+    tails = np.array([expm(-t * gen) @ np.ones(ks.B.size) for t in ts])
+    pos = ks.position(1)
+    assert np.allclose(ks.tail_state(pos, ts, continuous=True), tails[:, pos],
+                       rtol=0.0, atol=1e-14)
+    pi_B = chain.pi[ks.B] / ks.pi_B
+    assert np.allclose(ks.tail_stationary(ts, continuous=True), tails @ pi_B,
+                       rtol=0.0, atol=1e-14)
+
+
 @pytest.mark.parametrize("case", ["biased-path", "birth-death"])
 def test_exit_law_is_the_killed_series(case):
     # row x of the exit law is sum_t P_B^t P[B, A] from x, summed here by

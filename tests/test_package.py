@@ -1,7 +1,7 @@
 """Package layout: lazy exports, what a run imports, where the killed-kernel
-solves live, where the worst-set candidate targets are enumerated, where
-first passages are searched and Monte Carlo uniforms drawn, and where the
-command-line output is written."""
+solves live and how killed systems are built, where the worst-set candidate
+targets are enumerated, where first passages are searched and Monte Carlo
+uniforms drawn, and where the command-line output is written."""
 
 import ast
 import os
@@ -120,6 +120,30 @@ def test_linear_solves_live_in_killed_system():
                if (s[0], s[1]) == ("chain", "_solve_stationary")
                or (s[0] == "hitting" and s[1].startswith("KilledSystem."))]
     assert sites == allowed
+
+
+class _KilledBuildSites(_Sites):
+    """Every call of ``KilledSystem`` itself or of one of its class
+    methods, each with the name it calls."""
+
+    def visit_Call(self, node):
+        f = node.func
+        if "KilledSystem" in (getattr(f, "id", None), getattr(f, "attr", None)):
+            self.sites.append((self.module, "KilledSystem", node.lineno))
+        elif isinstance(f, ast.Attribute) and "KilledSystem" in (
+                getattr(f.value, "id", None), getattr(f.value, "attr", None)):
+            self.sites.append((self.module, f.attr, node.lineno))
+        self.generic_visit(node)
+
+
+def test_killed_systems_are_built_once_per_chain_and_target():
+    # outside hitting.py a single target's system comes from KilledSystem.of,
+    # which keeps one per chain and target, and a batch from stack/stacks, so
+    # no module holds a second copy of a target's solves
+    uses = [s for s in _sites(_KilledBuildSites) if s[0] != "hitting"]
+    names = {name for _, name, _ in uses}
+    assert "of" in names
+    assert names <= {"of", "stack", "stacks"}, uses
 
 
 class _ScipyImportSites(_Sites):

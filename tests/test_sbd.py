@@ -10,7 +10,7 @@ from cutofflab import (
     plateau_chain,
 )
 from cutofflab.hitting import hitting_tail
-from cutofflab.sbd import block_correlation_mc
+from cutofflab.sbd import _staged_times, block_correlation_mc
 
 
 def test_biased_path_classification():
@@ -148,3 +148,18 @@ def test_block_correlation_requires_path_order():
     with pytest.raises(ValueError):
         block_correlation_mc(chain, dec, 0, path[3], path[0],
                              paths=10_000, seed=1)
+
+
+def test_staged_times_stop_at_the_step_cap():
+    # the cap holds per step, not per round of 64 steps: from 0 most walks
+    # need more than 5 steps to reach 3
+    with pytest.raises(RuntimeError, match="simulation cap of 5 steps reached"):
+        _staged_times(biased_path(4), 0, [np.arange(4) == 3], paths=1000, seed=1, t_cap=5)
+    # a cap the walks stay within leaves the sample alone; one step less raises
+    stages = [np.arange(6) == 2, np.arange(6) == 5]
+    times = _staged_times(biased_path(6), 0, stages, paths=300, seed=4, t_cap=10 ** 6)
+    last = int(times.max())
+    assert np.array_equal(
+        _staged_times(biased_path(6), 0, stages, paths=300, seed=4, t_cap=last), times)
+    with pytest.raises(RuntimeError, match=f"simulation cap of {last - 1} steps reached"):
+        _staged_times(biased_path(6), 0, stages, paths=300, seed=4, t_cap=last - 1)
