@@ -203,6 +203,10 @@ def load_chain(spec: ChainSpec | np.ndarray, pi: np.ndarray | None = None,
             resid = np.max(np.abs(pi_vec @ P - pi_vec))
             if resid > STATIONARY_TOL:
                 raise ChainValidationError(f"stationary solve residual too large ({resid:.3e})")
+            if pi_vec.min() <= 0.0:  # the solve rounded a tiny mass to zero or below
+                x = int(np.argmax(pi_vec <= 0.0))
+                raise ChainValidationError(f"solved stationary probability of state {x} is "
+                                           f"{pi_vec[x]:.3e}, not positive; supply pi")
 
     flows = pi_vec[:, None] * P
     reversible = bool(np.max(np.abs(flows - flows.T)) <= DETAILED_BALANCE_TOL)

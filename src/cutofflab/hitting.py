@@ -23,7 +23,7 @@ results are flagged as certified lower bounds only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import count, islice
 
 import numpy as np
@@ -109,6 +109,17 @@ def _scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _survival(P: np.ndarray, keep: np.ndarray):
+    """Yield for t = 0, 1, ... the n x k matrix of ``Pr_x[T_{A_j} > t]`` (column
+    j, zero on A_j) for the complements B_j marked by the columns of ``keep``:
+    each step multiplies by P and re-kills the targets, in one product."""
+    V = keep.astype(float)
+    while True:
+        yield V
+        V = P @ V
+        V *= keep
+
+
 class KilledSystem:
     """The chain killed on entering a target set A.
 
@@ -129,7 +140,7 @@ class KilledSystem:
     - ``survival()``, the sequence ``P_B^t 1`` for t = 0, 1, ... in
       survivor coordinates (entry i belongs to state ``B[i]``), and
       ``scan(x)``, the one scalar tail sequence read from it per start
-      (one target);
+      (one target; many targets step together in :func:`_survival`);
     - the eigensystem of the symmetrized killed kernel
       ``diag(sqrt pi_B) P_B diag(1/sqrt pi_B)``: a real spectrum
       ``gammas`` in descending order, and ``weights`` such that the tail
@@ -144,9 +155,9 @@ class KilledSystem:
     the same size m.  Every array and result then carries a leading target
     axis of length k (``B`` is k x m, ``PB`` k x m x m, ``pi_B`` has
     length k, ``A`` is k x |A|, ``mean`` is k x n), and each eigensystem,
-    moment solve and survival step is one batched call over the stack.  A
-    system built from one target is the one-element case without that
-    axis, with Python floats for its scalars.
+    moment solve and tail evaluation is one batched call over the stack,
+    which has no ``survival``.  A system built from one target is the
+    one-element case without that axis, with Python floats for its scalars.
     """
 
     def __init__(self, chain: Chain, A):
@@ -167,7 +178,7 @@ class KilledSystem:
     @classmethod
     def stack(cls, chain: Chain, masks) -> "KilledSystem":
         """One system for the targets given as the rows of a boolean k x n
-        array; every row must leave the same number of survivors."""
+        array, each leaving the same number of survivors; no ``survival``."""
         keep = ~np.asarray(masks, dtype=bool)
         if keep.ndim != 2 or keep.shape[0] == 0 or keep.shape[1] != chain.n:
             raise ValueError("masks must be a nonempty k x n boolean array")
@@ -230,8 +241,12 @@ class KilledSystem:
         return self._full(self._mean_B)
 
     @cached_property
+    def _second_B(self) -> np.ndarray:
+        return self._solve(2.0 * self._mean_B - 1.0)
+
+    @cached_property
     def second_moment(self) -> np.ndarray:
-        return self._full(self._solve(2.0 * self._mean_B - 1.0))
+        return self._full(self._second_B)
 
     @cached_property
     def exit_law(self) -> np.ndarray:
@@ -266,13 +281,12 @@ class KilledSystem:
     # -- iterated tails ------------------------------------------------------
 
     def survival(self):
-        """Yield ``Pr_x[T_A > t]`` for the survivors x, for t = 0, 1, ..."""
-        # one target takes the bare product: tree scans run 1e5 steps
-        step = self.PB.__matmul__ if self.B.ndim == 1 else partial(_mv, self.PB)
+        """Yield ``Pr_x[T_A > t]`` for the survivors x, t = 0, 1, ... (one target)."""
+        # the bare gathered product: tree scans run 1e5 steps
         u = np.ones(self.B.shape)
         while True:
             yield u
-            u = step(u)
+            u = self.PB @ u
 
     def scan(self, x: int | None = None) -> _TailScan:
         """The tail ``Pr_x[T_A > t]``, or its maximum over the survivors when
@@ -293,12 +307,9 @@ class KilledSystem:
         S = (sq[..., :, None] * self.PB) / sq[..., None, :]
         S = 0.5 * (S + np.swapaxes(S, -1, -2))
         g, U = np.linalg.eigh(S)
-        order = np.argsort(g, axis=-1)[..., ::-1]
-        g = np.take_along_axis(g, order, axis=-1)
-        # permute the rows of U^T so that U keeps the column-major layout
-        # eigh returns: BLAS then runs the same kernels as for one matrix
-        Ut = np.take_along_axis(np.swapaxes(U, -1, -2), order[..., :, None], axis=-2)
-        return g, np.swapaxes(Ut, -1, -2), sq, _mv(Ut, sq)
+        # eigh sorts ascending; a reversed copy of U^T keeps U column-major for BLAS
+        Ut = np.swapaxes(U, -1, -2)[..., ::-1, :].copy()
+        return g[..., ::-1], np.swapaxes(Ut, -1, -2), sq, _mv(Ut, sq)
 
     @cached_property
     def gammas(self) -> np.ndarray:
@@ -319,16 +330,14 @@ class KilledSystem:
 
         ``ts`` is one grid for every target, or one row per target."""
         g = self.gammas
-        ts = np.asarray(ts, dtype=float)
-        ts = ts.reshape(ts.shape or (1,))
+        ts = np.asarray(ts, dtype=float).reshape(np.shape(ts) or (1,))
         if continuous:
             return np.exp(-(ts[..., :, None] * (1.0 - g)[..., None, :]))
         mag = np.abs(g)[..., None, :] ** ts[..., :, None]
         neg = g < 0.0
         if neg.any():
             odd = (ts.astype(np.int64) % 2) == 1
-            sign = np.where(neg[..., None, :] & odd[..., :, None], -1.0, 1.0)
-            mag = mag * sign
+            mag = mag * np.where(neg[..., None, :] & odd[..., :, None], -1.0, 1.0)
         return mag
 
     def tail_stationary(self, ts, continuous: bool = False) -> np.ndarray:
@@ -336,11 +345,14 @@ class KilledSystem:
         return np.clip(_mv(self._factors(ts, continuous), self.weights), 0.0, None)
 
     def tail_rows(self, t) -> np.ndarray:
-        """Pr_x[T_A > t] for every survivor x at one t (possibly huge), which
-        a stack may give per target."""
+        """Pr_x[T_A > t] for every survivor x (the last axis) at one t (possibly
+        huge), one per target of a stack, or a block of times on a new axis."""
         _, U, sq, right = self._eigen
-        coef = self._factors(np.asarray(t, dtype=float)[..., None], False)[..., 0, :] * right
-        return np.clip(_mv(U, coef) / sq, 0.0, 1.0)
+        one = np.ndim(t) < self.B.ndim
+        coef = self._factors(np.expand_dims(t, -1) if one else t, False) * right[..., None, :]
+        # one matrix-vector product per time, so a block gives each t's bits
+        rows = np.clip(_mv(U[..., None, :, :], coef) / sq[..., None, :], 0.0, 1.0)
+        return rows[..., 0, :] if one else rows
 
     def tail_state(self, pos: int, ts, continuous: bool = False) -> np.ndarray:
         """Pr_x[T_A > t] for the survivor at position ``pos``, for each t
@@ -388,16 +400,14 @@ class KilledSystem:
         if np.any(flow_AB <= 0):
             raise ValueError("complement of the target is unreachable in one step; "
                              "entry law undefined")
-        psi = self._full(_vm(pi[A] / pa[..., None], P_AB) / phi_A[..., None])
-        pi_cond = self._full(pi[B])
-        pi_cond = pi_cond / pi_cond.sum(axis=-1)[..., None]
-        h = self.mean
+        psi_B = _vm(pi[A] / pa[..., None], P_AB) / phi_A[..., None]  # on B, as the moments
         return KacQuantities(
             flow_AB=_scalar(flow_AB), flow_BA=_scalar(flow_BA),
-            phi_A=_scalar(phi_A), phi_B=_scalar(phi_B), psi=psi,
-            mean_from_psi=_scalar(_dot(psi, h)),
-            second_from_psi=_scalar(_dot(psi, self.second_moment)),
-            mean_from_pi_B=_scalar(_dot(pi_cond, h)))
+            phi_A=_scalar(phi_A), phi_B=_scalar(phi_B),
+            psi=self._full(psi_B), psi_B=psi_B,
+            mean_from_psi=_scalar(_dot(psi_B, self._mean_B)),
+            second_from_psi=_scalar(_dot(psi_B, self._second_B)),
+            mean_from_pi_B=_scalar(_dot(pi[B] / np.asarray(self.pi_B)[..., None], self._mean_B)))
 
 
 # ---------------------------------------------------------------------------
@@ -510,29 +520,21 @@ class WorstTailProfile:
     The candidate targets are enumerated once: every inclusion-minimal set
     of mass >= alpha up to ``exact_threshold`` states (``exact``), a greedy
     family above (lower bounds).  ``scan(x)`` is p_x(alpha, t), or its max
-    over the starts when x is None, stepped on demand; ``tails[t, x]`` are
-    the rows stepped so far.  ``ct_terms`` holds the continuized tails, one
-    pair (rates, W) per |B| with ``Pr_{B[i]}[T_A > t] = (W @ exp(-rates
-    t))[i]``; the full state space, dead past t = 0, is dropped.
+    over the starts when x is None, all candidates stepped on demand by
+    :func:`_survival`; ``tails[t, x]`` are the rows stepped so far.
+    ``ct_terms`` holds the continuized tails, one pair (rates, W) per |B|
+    with ``Pr_{B[i]}[T_A > t] = (W @ exp(-rates t))[i]``; the full state
+    space, dead past t = 0, is dropped.
     """
 
     def __init__(self, chain: Chain, alpha: float, exact_threshold: int = DEFAULT_EXACT_THRESHOLD):
         self.chain = chain
         self.alpha = alpha
         self.sets, self.exact = _candidate_sets(chain, alpha, exact_threshold)
-        self._rows = _TailScan(self._steps())
+        self._rows = _TailScan(V.max(axis=1)
+                               for V in _survival(chain.P, ~np.stack(self.sets, axis=1)))
         self._rows.at(0)
         self._scans: dict[int | None, _TailScan] = {}
-
-    def _steps(self):
-        # column j of V holds Pr_x[T_{A_j} > t] for every x (zero on A_j): one
-        # step multiplies by P and re-kills the target rows
-        keep = ~np.stack(self.sets, axis=1)
-        V = keep.astype(float)
-        while True:
-            yield V.max(axis=1)
-            V = self.chain.P @ V
-            V *= keep
 
     @property
     def tails(self) -> np.ndarray:
@@ -623,9 +625,9 @@ class KacQuantities:
 
     ``flow_AB`` and ``flow_BA`` are the stationary flows across the cut,
     ``phi_A`` is the one-step escape probability of A under pi conditioned
-    on A, ``psi`` the entry law into B = complement(A); the moments are
-    exact solves.  From :meth:`KilledSystem.kac` of a stack every field is
-    an array with the target axis.
+    on A, ``psi`` the entry law into B = complement(A) (``psi_B`` on B
+    alone); the moments are exact solves.  From :meth:`KilledSystem.kac` of
+    a stack every field is an array with the target axis.
     :func:`kac_quantities` enforces the flow symmetry
     ``pi(A) phi_A = pi(B) phi_B`` and the two entry-law identities
     ``E_psi[T_A] = 1/phi_B`` and
@@ -637,6 +639,7 @@ class KacQuantities:
     phi_A: float
     phi_B: float
     psi: np.ndarray
+    psi_B: np.ndarray
     mean_from_psi: float
     second_from_psi: float
     mean_from_pi_B: float

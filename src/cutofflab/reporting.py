@@ -168,11 +168,15 @@ def _plain_column(values: list) -> list:
 
 
 def _value_texts(column: np.ndarray, level: int) -> list[str]:
-    """The JSON text of each value of a parameter column at ``level``."""
+    """The JSON text of each value of a parameter column at ``level``; each
+    distinct container (rows repeat a few target sets) is encoded once, keyed
+    by its repr, which tells 1, 1.0 and True apart at any depth."""
     values = _plain_column(column.tolist())
     if set(map(type, values)) <= _SCALARS:
         return scalar_texts(values)
-    return [json_text(v, level) for v in values]
+    texts: dict[str, str] = {}
+    return [texts[k] if k in texts else texts.setdefault(k, json_text(v, level))
+            for k, v in zip(map(repr, values), values)]
 
 
 def _label_texts(values) -> str | list[str]:

@@ -57,8 +57,8 @@ from .hitting import (
     IdentityCheckError,
     KilledSystem,
     WorstTailProfile,
-    _dot,
     _hit_ct_interval,
+    _survival,
     worst_tail_profile,
 )
 from .mixing import (
@@ -164,15 +164,15 @@ class _Targets(NamedTuple):
     ``masks`` holds one boolean row per set and ``pairs`` the (mask row,
     members) pairs in the same order.  That order is kept: good-set
     evaluates all sets in one matrix product, whose last bits depend on the
-    column order.  ``order`` lists the positions by ``str(members)``, the
-    order of the record keys (no tuple repr is a prefix of another), and
-    ``members`` the member tuples in that order as an object array, the
-    ``A`` column of the set-sweeping suites.
+    column order.  ``order`` is the index array of the positions sorted by
+    ``str(members)``, the order of the record keys (no tuple repr is a
+    prefix of another), and ``members`` the member tuples in that order as
+    an object array, the ``A`` column of the set-sweeping suites.
     """
 
     masks: np.ndarray
     pairs: list[tuple[np.ndarray, tuple[int, ...]]]
-    order: list[int]
+    order: np.ndarray
     members: np.ndarray
 
     @classmethod
@@ -182,8 +182,9 @@ class _Targets(NamedTuple):
         ends = np.cumsum(masks.sum(axis=1)).tolist()
         pairs = [(mask, tuple(flat[start:end]))
                  for mask, start, end in zip(masks, [0] + ends[:-1], ends)]
-        order = sorted(range(len(pairs)), key=lambda j: str(pairs[j][1]))
+        order = np.array(sorted(range(len(pairs)), key=lambda j: str(pairs[j][1])), dtype=np.intp)
         members = np.fromiter((pairs[j][1] for j in order), dtype=object, count=len(pairs))
+        order.setflags(write=False)
         members.setflags(write=False)
         return cls(masks, pairs, order, members)
 
@@ -343,19 +344,12 @@ def _set_mode(params: dict) -> str:
     return mode
 
 
-def _per_set(stacks, order: list[int], fn) -> list[np.ndarray]:
-    """Evaluate ``fn`` on every stack of ``_Ctx.stack`` and put the rows of
-    each array it returns at the positions of their targets.  Returns one
-    array per output, its rows in the order ``order`` of the targets
-    (``_Targets.order``)."""
-    cols = None
-    for idx, ks in stacks:
-        vals = [np.asarray(v) for v in fn(ks)]
-        if cols is None:
-            cols = [np.empty((len(order),) + v.shape[1:]) for v in vals]
-        for col, v in zip(cols, vals):
-            col[idx] = v
-    return [col[order] for col in cols]
+def _per_set(ctx: _Ctx, mode: str, fn) -> list[np.ndarray]:
+    """Evaluate ``fn`` on every stack of ``ctx.stack(mode)``; returns one
+    array per output, one row per target in key order (``_Targets.order``)."""
+    idx, vals = zip(*[(idx, fn(ks)) for idx, ks in ctx.stack(mode)])
+    rows = np.argsort(np.concatenate(idx))[ctx.targets(mode).order]
+    return [np.concatenate(col)[rows] for col in zip(*vals)]
 
 
 def _pointwise(fn, *args) -> np.ndarray:
@@ -649,19 +643,18 @@ def _suite_escape(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     alphas = (0.25, 0.5)
 
     def per_stack(ks: KilledSystem):
-        slow = []
-        for w in works:
-            with np.errstate(all="ignore"):
-                t_w = t_rel * w / ks.pi_A
-            bad = (ks.pi_A == 0.0) | ~np.isfinite(t_w)
-            if bad.any():  # raise as the integer ceiling of one target does
-                _ceil(t_rel * w / float(ks.pi_A[np.argmax(bad)]))
-            rows = ks.tail_rows(np.ceil(t_w))
-            slow.append([rows >= alpha for alpha in alphas])
+        with np.errstate(all="ignore"):
+            t_w = t_rel * np.array(works) / ks.pi_A[:, None]
+        bad = ~np.isfinite(t_w)  # pi(A) = 0 among them
+        if bad.any():  # raise as one target's integer ceiling does, in work order
+            w, j = np.argwhere(bad.T)[0]
+            _ceil(t_rel * works[w] / float(ks.pi_A[j]))
+        # rows[j, w, a, i]: survivor i of target j is slow at work w and level a
+        rows = ks.tail_rows(np.ceil(t_w))[:, :, None, :] >= np.array(alphas)[:, None]
         return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
-                ks.mean_stationary(), np.moveaxis(_row_sums(pi[ks.B], np.array(slow)), -1, 0))
+                ks.mean_stationary(), _row_sums(pi[ks.B][:, None, None, :], rows))
 
-    pa, pb, tails, means, slow = _per_set(ctx.stack(mode), ctx.targets(mode).order, per_stack)
+    pa, pb, tails, means, slow = _per_set(ctx, mode, per_stack)
     members = ctx.targets(mode).members
     t_idx, ts = map(list, zip(*_str_order(TAIL_T_GRID)))
     base = 1.0 - pa / t_rel
@@ -696,22 +689,19 @@ def _suite_escape(ctx: _Ctx, params: dict) -> list[RecordBlock]:
 def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     """The killed kernel's spectral mixture has the promised shape."""
     t_rel = ctx.t_rel
-    pi = ctx.chain.pi
     mode = _set_mode(params)
     marks = (1, 5, 20)
 
     def per_stack(ks: KilledSystem):
-        # reconstruction against direct killed-kernel iteration
-        v = pi[ks.B] / ks.pi_B[:, None]
-        direct = [_dot(v, u) for t, u in enumerate(islice(ks.survival(), marks[-1] + 1))
-                  if t in marks]
-        return (ks.pi_A, ks.weights.min(axis=-1), ks.weights.sum(axis=-1),
-                ks.gammas[:, 0], ks.gammas[:, -1], np.stack(direct, axis=-1),
-                ks.tail_stationary(marks))
+        return (ks.pi_A, ks.pi_B, ks.weights.min(axis=-1), ks.weights.sum(axis=-1),
+                ks.gammas[:, 0], ks.gammas[:, -1], ks.tail_stationary(marks))
 
-    pa, w_min, w_sum, g_top, g_bottom, direct, recon = _per_set(
-        ctx.stack(mode), ctx.targets(mode).order, per_stack)
-    members = ctx.targets(mode).members
+    targets = ctx.targets(mode)
+    pa, pb, w_min, w_sum, g_top, g_bottom, recon = _per_set(ctx, mode, per_stack)
+    # reconstruction against direct killed-kernel iteration, every target in one pass
+    steps = islice(_survival(ctx.chain.P, ~targets.masks.T), marks[-1] + 1)
+    direct = np.stack([ctx.chain.pi @ V for t, V in enumerate(steps) if t in marks], axis=-1)
+    members = targets.members
     m_idx, ts = map(list, zip(*_str_order(marks)))
     return [
         _sweep_block("killed-spectrum-ceiling", "inequality", g_top, 1.0 - pa / t_rel,
@@ -719,7 +709,7 @@ def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[RecordBlock]:
         _sweep_block("killed-spectrum-symmetric-floor", "inequality", -g_top, g_bottom,
                      members),
         _sweep_block("killed-tail-reconstruction", "identity", recon[:, m_idx],
-                     direct[:, m_idx], members, {"t": ts}),
+                     direct[targets.order][:, m_idx] / pb[:, None], members, {"t": ts}),
         _sweep_block("killed-weights-nonnegative", "inequality", 0.0, w_min, members),
         _sweep_block("killed-weights-normalized", "identity", w_sum, 1.0, members),
     ]
@@ -864,14 +854,13 @@ def _suite_return_time(ctx: _Ctx, params: dict) -> list[RecordBlock]:
 
     def per_stack(ks: KilledSystem):
         kq = ks.kac()
-        psi_B = np.take_along_axis(kq.psi, ks.B, axis=-1)
         return (kq.flow_AB, kq.flow_BA, kq.phi_B, kq.mean_from_psi,
                 kq.second_from_psi, kq.mean_from_pi_B, ks.pi_A,
                 ks.tail_stationary(stat_ts),
-                ks.tail_dist(psi_B, [t - 1 for t in t_marks]))
+                ks.tail_dist(kq.psi_B, [t - 1 for t in t_marks]))
 
     (flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat,
-     entry) = _per_set(ctx.stack(mode), ctx.targets(mode).order, per_stack)
+     entry) = _per_set(ctx, mode, per_stack)
     if (phi_B == 0.0).any() or (pa == 0.0).any():
         raise ZeroDivisionError("float division by zero")
     members = ctx.targets(mode).members

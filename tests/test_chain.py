@@ -56,6 +56,19 @@ def test_supplied_stationary_law_is_checked():
         load_chain(ChainSpec(P=P, pi=np.array([0.9, 0.1])))
 
 
+def test_solved_stationary_law_must_be_positive_on_irreducible_chains():
+    # the dense solve rounds pi(1) of biased_path(40), about 1.6e-19, to
+    # -1.5e-17; given its own pi the chain loads
+    chain = biased_path(40)
+    with pytest.raises(ChainValidationError, match="state 1 is .*not positive; supply pi"):
+        load_chain(chain.P)
+    assert load_chain(chain.P, pi=chain.pi).pi.min() > 0.0
+    # a reducible chain keeps the zeros of its stationary law
+    absorbing = load_chain(np.array([[1.0, 0.0], [0.5, 0.5]]))
+    assert not absorbing.is_irreducible
+    assert absorbing.pi.tolist() == [1.0, 0.0]
+
+
 def test_require_raises_on_missing_property():
     P = np.array([[0.0, 1.0], [1.0, 0.0]])  # periodic, not lazy
     chain = load_chain(P)

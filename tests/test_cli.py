@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from cutofflab import (SUITE_IDS, build_tree_chain, chain_from_json, chain_to_json,
-                       random_reversible, run_suites)
+from cutofflab import (SUITE_IDS, biased_path, build_tree_chain, chain_from_json,
+                       chain_to_json, random_reversible, run_suites)
 from cutofflab.trees import crossing_time, tree_from_json
 from cutofflab.cli import _emit_blocks, main
 from cutofflab.reporting import Record, RecordBlock, Report
@@ -24,6 +24,19 @@ def test_gen_analyze_round_trip(tmp_path):
                "-o", str(out)) == 0
     chain = chain_from_json(str(out))
     assert chain.n == 8
+
+
+@pytest.mark.parametrize("argv", [["analyze", "{path}"],
+                                  ["verify", "--chain", "{path}", "--suite", "all"]])
+def test_chain_file_without_pi_and_a_nonpositive_solve_is_rejected(tmp_path, capsys, argv):
+    # a P-only biased_path(40) solves to a negative pi(1): one typed error,
+    # not a math domain error from analyze or a NaN cast from verify
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"P": biased_path(40).P.tolist()}))
+    assert run(*[a.format(path=path) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"Error: {path}: solved stationary probability of state 1 ")
+    assert "supply pi" in err
 
 
 def test_gen_requires_seed_for_random(tmp_path):

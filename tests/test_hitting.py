@@ -30,6 +30,7 @@ from cutofflab.hitting import (
     DEFAULT_EXACT_THRESHOLD,
     _candidate_sets,
     _hit_ct_interval,
+    _survival,
 )
 from cutofflab.mixing import _bisect_monotone
 from cutofflab.verify import ALPHA_GRID, EPS_GRID, _Ctx
@@ -234,7 +235,7 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
     for idx, st in stacks:
         t_rows = np.arange(len(idx)) % 4 + 1
         stat, rows = st.tail_stationary(ts), st.tail_rows(t_rows)
-        survival = [u for _, u in zip(ts, st.survival())]
+        survival = [V for _, V in zip(ts, _survival(chain.P, ~ctx.targets(mode).masks[idx].T))]
         kq = st.kac()
         for r, j in enumerate(idx):
             mask, members = sets[j]
@@ -256,7 +257,8 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
             start = chain.pi[B] / chain.pi[B].sum()
             u = np.ones(B.size)
             for t in ts:
-                np.testing.assert_allclose(survival[t][r], u, **close)
+                np.testing.assert_allclose(survival[t][B, r], u, **close)
+                assert not survival[t][mask, r].any()
                 np.testing.assert_allclose(stat[r][t], start @ u, **close)
                 if t == t_rows[r]:
                     np.testing.assert_allclose(rows[r], u, **close)
@@ -266,6 +268,22 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
             np.testing.assert_allclose(st.mean[r][B], h, **close)
             np.testing.assert_allclose(st.second_moment[r][B], m2, **close)
             np.testing.assert_allclose(st.mean[r][mask], 0.0, atol=0.0)
+
+
+@pytest.mark.parametrize("chain", [random_reversible(7, seed=3), biased_path(8),
+                                   two_cliques(4)], ids=["random7", "biased8", "cliques4"])
+def test_masked_survival_matches_each_gathered_target(chain):
+    # the masked n x k stepping against each target's own P_B^t 1 iteration,
+    # the route single-target scans keep, for every target set
+    n = chain.n
+    bits = np.arange(1, (1 << n) - 1)
+    masks = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
+    steps = list(islice(_survival(chain.P, ~masks.T), 41))
+    for j, mask in enumerate(masks):
+        ks = KilledSystem(chain, np.flatnonzero(mask))
+        for V, u in zip(steps, islice(ks.survival(), 41)):
+            np.testing.assert_allclose(V[ks.B, j], u, rtol=1e-12, atol=0.0)
+            assert not V[mask, j].any()
 
 
 def _hit_ct_per_set(chain, alpha, eps):

@@ -1,7 +1,8 @@
 """Package layout: lazy exports, what a run imports, where the killed-kernel
 solves live and how killed systems are built, where the worst-set candidate
-targets are enumerated, where first passages are searched and Monte Carlo
-uniforms drawn, and where the command-line output is written."""
+targets are enumerated, where first passages are searched, where many
+targets' killed tails are stepped and Monte Carlo uniforms drawn, and where
+the command-line output is written."""
 
 import ast
 import os
@@ -210,6 +211,45 @@ def test_first_passages_are_searched_by_one_scan():
     # search is a change to one class
     sites = _sites(_FirstBelowSites)
     assert [(module, scope) for module, scope, _ in sites] == [("mixing", "_TailScan")]
+
+
+def _is_step(node) -> bool:
+    """Whether ``node`` is a product ``P @ ...``, P a name or an attribute."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+            and "P" in (getattr(node.left, "id", None), getattr(node.left, "attr", None)))
+
+
+class _MaskedStepSites(_Sites):
+    """Every masked step: ``V = P @ V`` followed at once by ``V *= ...``,
+    or a product ``(P @ V) * ...`` in one expression."""
+
+    def generic_visit(self, node):
+        for stmts in (getattr(node, "body", None), getattr(node, "orelse", None)):
+            if isinstance(stmts, list):
+                for a, b in zip(stmts, stmts[1:]):
+                    if (isinstance(a, ast.Assign) and _is_step(a.value)
+                            and isinstance(b, ast.AugAssign) and isinstance(b.op, ast.Mult)
+                            and ast.dump(b.target) in map(ast.dump, a.targets)):
+                        self._site(b)
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)
+                and (_is_step(node.left) or _is_step(node.right))):
+            self._site(node)
+        super().generic_visit(node)
+
+
+def test_killed_tails_of_many_targets_step_in_one_engine():
+    # every family of targets steps P_B^t 1 as one masked n x k product, so
+    # worst-set profiles and the set sweeps share one engine; a single
+    # target's scan keeps its gathered P_B product, with no stack branch
+    sites = _sites(_MaskedStepSites)
+    assert [(module, scope) for module, scope, _ in sites] == [("hitting", "_survival")]
+    tree = ast.parse((SRC / "cutofflab" / "hitting.py").read_text())
+    killed = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "KilledSystem")
+    survival = next(n for n in killed.body
+                    if isinstance(n, ast.FunctionDef) and n.name == "survival")
+    nodes = list(ast.walk(survival))
+    assert not any(isinstance(n, (ast.If, ast.IfExp)) for n in nodes)
+    assert not {"_mv", "partial"} & {getattr(n, "id", None) for n in nodes}
 
 
 class _UniformBlockSites(_Sites):

@@ -203,8 +203,11 @@ def test_report_json_of_mixed_and_escaped_blocks():
                       {"a%d": [(0, 1), 'd\u00e9j\u00e0 "vu"', None, [1.5, math.inf], {"k": 1}],
                        "t": np.arange(5)},
                       note=["", "%s", "why \u00e9", "", "back\\slash"])
+    # equal containers of 1, 1.0 and True, repeated, each keep their own text
+    twins = RecordBlock("twins", [1.0] * 6, [1.0] * 6, "identity",
+                        {"v": [(1,), (1.0,), (True,), (1,), (True,), {"k": 1.0}]})
     reports = [Report("mixed", "fp", params={"sets": "all", "eps_grid": (0.25, 0.5)},
-                      blocks=_mixed_blocks() + [odd]),
+                      blocks=_mixed_blocks() + [odd, twins]),
                Report("empty", "fp", params={}),
                Report("records", "fp", RecordBlock.from_records(_mixed_records()))]
     for r in reports:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from cutofflab import biased_path, cli, load_chain, random_reversible, run_suite
-from cutofflab.hitting import KilledSystem, _dot
+from cutofflab.hitting import KilledSystem, _survival
 from cutofflab.reporting import Record, Report, check_identity, check_le, skip
 from cutofflab.verify import (
     DEVIATION_GRID,
@@ -100,15 +100,16 @@ def _killed_spectrum(ctx, params):
     marks = (1, 5, 20)
 
     def per_stack(ks: KilledSystem):
-        v = pi[ks.B] / ks.pi_B[:, None]
-        direct = [_dot(v, u) for t, u in enumerate(islice(ks.survival(), marks[-1] + 1))
-                  if t in marks]
-        return (ks.pi_A, ks.weights.min(axis=-1), ks.weights.sum(axis=-1),
-                ks.gammas[:, 0], ks.gammas[:, -1], np.stack(direct, axis=-1),
-                ks.tail_stationary(marks))
+        return (ks.pi_A, ks.pi_B, ks.weights.min(axis=-1), ks.weights.sum(axis=-1),
+                ks.gammas[:, 0], ks.gammas[:, -1], ks.tail_stationary(marks))
 
-    pa, w_min, w_sum, g_top, g_bottom, direct, recon = _per_set(
+    pa, pb, w_min, w_sum, g_top, g_bottom, recon = _per_set(
         ctx.stack(_set_mode(params)), len(sets), per_stack)
+    # the direct tails step every target at once, as the suite does
+    keep = ~np.stack([m for m, _ in sets], axis=1)
+    steps = list(islice(_survival(ctx.chain.P, keep), marks[-1] + 1))
+    at = [(pi @ steps[t]).tolist() for t in marks]
+    direct = [[at[i][j] / pb[j] for i in range(len(marks))] for j in range(len(sets))]
     mark_order = _str_order(marks)
     by = defaultdict(list)
     for j in ctx.targets(_set_mode(params)).order:
