@@ -72,10 +72,18 @@ def _target_mask(chain: Chain, states) -> np.ndarray:
     return mask
 
 
+def _start_state(chain: Chain, x) -> int:
+    """A start state, checked to lie in 0..n-1."""
+    x = int(x)
+    if not 0 <= x < chain.n:
+        raise ValueError("start state out of range")
+    return x
+
+
 def _start_vector(chain: Chain, start) -> np.ndarray:
     if np.isscalar(start):
         v = np.zeros(chain.n)
-        v[int(start)] = 1.0
+        v[_start_state(chain, start)] = 1.0
         return v
     v = np.asarray(start, dtype=float)
     if v.shape != (chain.n,) or v.min() < -1e-15 or abs(v.sum() - 1.0) > 1e-10:
@@ -211,7 +219,7 @@ class KilledSystem:
 
     def position(self, x: int) -> int:
         """Index of state x in survivor coordinates (one target)."""
-        where = np.flatnonzero(self.B == int(x))
+        where = np.flatnonzero(self.B == _start_state(self.chain, x))
         if where.size == 0:
             raise ValueError(f"state {x} lies in the target")
         return int(where[0])
@@ -503,11 +511,16 @@ def _greedy_candidate_sets(chain: Chain, alpha: float, starts) -> list[np.ndarra
     return out
 
 
+def _exact_hitting(chain: Chain, exact_threshold: int) -> bool:
+    """Whether worst sets are enumerated (exact), not a greedy family."""
+    return chain.n <= exact_threshold
+
+
 def _candidate_sets(chain: Chain, alpha: float, exact_threshold: int,
                     starts=None) -> tuple[list[np.ndarray], bool]:
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    if chain.n <= exact_threshold:
+    if _exact_hitting(chain, exact_threshold):
         return _minimal_feasible_sets(chain.pi, alpha), True
     if starts is None:
         starts = range(min(chain.n, 8))
@@ -542,6 +555,8 @@ class WorstTailProfile:
 
     def scan(self, x: int | None = None) -> _TailScan:
         if x not in self._scans:
+            if x is not None:
+                _start_state(self.chain, x)
             rows = map(self._rows.at, count())
             self._scans[x] = _TailScan(float(r.max() if x is None else r[x]) for r in rows)
         return self._scans[x]

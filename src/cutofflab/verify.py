@@ -31,8 +31,8 @@ Suite ids (see ``SUITES``):
 
 Each ``SUITES`` entry drives its suite: it checks the gates stated beside
 it in the table (lazy, exact, tree, banded) in order and returns the
-suite's one skip row when a gate fails; otherwise ``SUITES[sid](ctx,
-params)`` returns the suite's rows as
+suite's one skip row when a gate fails; otherwise ``SUITES[sid](ctx)``
+returns the suite's rows as
 :class:`~cutofflab.reporting.RecordBlock` objects in key order.
 ``run_suite``/``run_suites`` wrap those blocks in
 :class:`~cutofflab.reporting.Report` objects; ``cutoff_scan`` tabulates
@@ -44,7 +44,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cache, partial
+from functools import cache, cached_property, partial
 from itertools import islice
 from typing import NamedTuple
 
@@ -57,6 +57,7 @@ from .hitting import (
     IdentityCheckError,
     KilledSystem,
     WorstTailProfile,
+    _exact_hitting,
     _hit_ct_interval,
     _survival,
     worst_tail_profile,
@@ -106,10 +107,15 @@ __all__ = [
     "cutoff_scan",
 ]
 
-EPS_GRID = (1 / 16, 1 / 8, 1 / 4)
+EPS_GRID = (1 / 16, 1 / 8, 1 / 4)  # the defaults of a run's two grids
 ALPHA_GRID = (1 / 4, 1 / 2, 3 / 4)
+# fixed: L^p exponents, good-set multiples m, escape works w, crossing-tail
+# scales c, and the seeded test functions (continuous-time reads 5)
+P_GRID = (1.5, 2.0, 3.0)
 DEVIATION_GRID = (3.0, 4.0, 6.0)
 WORK_GRID = (0.5, 1.0, 2.0)
+C_GRID = (0.5, 1.0, 1.5, 2.0)
+FUNCTIONS = 20
 TAIL_T_GRID = (0, 1, 2, 5, 10, 20, 30)
 
 
@@ -199,22 +205,37 @@ def _all_targets(n: int) -> _Targets:
     return _Targets.of(((bits[:, None] >> np.arange(n)) & 1).astype(bool))
 
 
+def _level_grid(key: str, values) -> tuple[float, ...]:
+    """The grid ``values`` as floats, each checked to lie in (0, 1)."""
+    values = list(values)
+    bad = [v for v in values if not 0 < float(v) < 1]
+    if bad:
+        raise ValueError(f"{key} values must lie in (0, 1); got {bad}")
+    return tuple(float(v) for v in values)
+
+
 class _Ctx:
-    """Caches spectra, profiles, mixing times, and target stacks so a
-    batch of suites on one chain never recomputes a shared quantity; the
-    single-target killed systems are kept on the chain itself."""
+    """A run's parameters, parsed from ``params`` here alone and before the
+    chain is checked (see :func:`run_suites`), and caches of spectra,
+    profiles, mixing times, and target stacks so a batch of suites on one
+    chain never recomputes a shared quantity; the single-target killed
+    systems are kept on the chain itself."""
 
     def __init__(self, chain: Chain, params: dict):
-        chain.require(reversible=True, irreducible=True)
-        self.chain = chain
-        self.params = params
+        self.eps_grid = _level_grid("eps_grid", params.get("eps_grid", EPS_GRID))
+        self.alpha_grid = _level_grid("alpha_grid", params.get("alpha_grid", ALPHA_GRID))
+        self.sets = str(params.get("sets", "sampled"))
+        if self.sets not in ("sampled", "all"):
+            raise ValueError(f"unknown set mode {self.sets!r}; use 'sampled' or 'all'")
         self.exact_threshold = int(params.get("exact_threshold", DEFAULT_EXACT_THRESHOLD))
         self.seed = int(params.get("seed", 7))
+        chain.require(reversible=True, irreducible=True)
+        self.chain = chain
         self.spectrum = chain.spectrum
         self.t_rel = float(self.spectrum.t_rel)
         self.min_pi = float(chain.pi.min())
         self.lazy = bool(chain.is_lazy)
-        self.exact = chain.n <= self.exact_threshold
+        self.exact = _exact_hitting(chain, self.exact_threshold)
         self._tmix: dict[float, int] = {}
         self._d_scan = _TailScan(float(tv.max()) for tv in _tv_steps(chain))
         self._tmix_ct: dict[float, tuple[float, float]] = {}
@@ -222,10 +243,6 @@ class _Ctx:
         self._hits: dict[tuple, int] = {}
         self._hit_ct: dict[tuple, tuple[float, float, bool]] = {}
         self._targets: dict[str, _Targets] = {}
-        self._stacks: dict[str, list] = {}
-        self._functions: np.ndarray | None = None
-        self._tree = None
-        self._sbd = None
 
     # -- mixing ------------------------------------------------------------
 
@@ -286,7 +303,7 @@ class _Ctx:
         n = self.chain.n
         if mode == "all" or (n <= 14 and (1 << n) - 2 <= 11):
             out = _all_targets(n)
-        else:  # "sampled", the one other mode _set_mode lets through
+        else:  # "sampled", the one other mode a run accepts
             rng = np.random.Generator(np.random.Philox(key=self.seed))
             masks = []
             lo = np.zeros(n, dtype=bool)
@@ -306,49 +323,35 @@ class _Ctx:
         self._targets[mode] = out
         return out
 
-    def stack(self, mode: str) -> list[tuple[np.ndarray, KilledSystem]]:
-        """The killed systems of ``targets(mode)``, one stack per |B|, each
-        with the positions of its targets in ``targets(mode).pairs``."""
-        if mode not in self._stacks:
-            self._stacks[mode] = KilledSystem.stacks(self.chain, self.targets(mode).masks)
-        return self._stacks[mode]
+    @cached_property
+    def stack(self) -> list[tuple[np.ndarray, KilledSystem]]:
+        """The killed systems of ``targets(sets)``, one stack per |B|, each
+        with the positions of its targets in ``targets(sets).pairs``."""
+        return KilledSystem.stacks(self.chain, self.targets(self.sets).masks)
 
-    def functions(self, count: int) -> np.ndarray:
-        if self._functions is None or self._functions.shape[0] < count:
-            rng = np.random.Generator(np.random.Philox(key=self.seed ^ 0x5EED))
-            self._functions = rng.standard_normal((max(count, 4), self.chain.n))
-        return self._functions[:count]
+    @cached_property
+    def functions(self) -> np.ndarray:
+        """``FUNCTIONS`` seeded test functions, one row each."""
+        rng = np.random.Generator(np.random.Philox(key=self.seed ^ 0x5EED))
+        return rng.standard_normal((FUNCTIONS, self.chain.n))
 
+    @cached_property
     def tree(self):
-        if self._tree is None:
-            try:
-                self._tree = (tree_from_chain(self.chain), "")
-            except (ValueError, RuntimeError) as exc:
-                self._tree = (None, str(exc))
-        return self._tree
+        try:
+            return tree_from_chain(self.chain), ""
+        except (ValueError, RuntimeError) as exc:
+            return None, str(exc)
 
+    @cached_property
     def sbd(self):
-        if self._sbd is None:
-            self._sbd = classify_sbd(self.chain)
-        return self._sbd
+        return classify_sbd(self.chain)
 
 
-def _grid(params: dict, key: str, default) -> tuple[float, ...]:
-    return tuple(float(v) for v in params.get(key, default))
-
-
-def _set_mode(params: dict) -> str:
-    mode = str(params.get("sets", "sampled"))
-    if mode not in ("sampled", "all"):
-        raise ValueError(f"unknown set mode {mode!r}; use 'sampled' or 'all'")
-    return mode
-
-
-def _per_set(ctx: _Ctx, mode: str, fn) -> list[np.ndarray]:
-    """Evaluate ``fn`` on every stack of ``ctx.stack(mode)``; returns one
-    array per output, one row per target in key order (``_Targets.order``)."""
-    idx, vals = zip(*[(idx, fn(ks)) for idx, ks in ctx.stack(mode)])
-    rows = np.argsort(np.concatenate(idx))[ctx.targets(mode).order]
+def _per_set(ctx: _Ctx, fn) -> list[np.ndarray]:
+    """Evaluate ``fn`` on every stack of ``ctx.stack``; returns one array
+    per output, one row per target in key order (``_Targets.order``)."""
+    idx, vals = zip(*[(idx, fn(ks)) for idx, ks in ctx.stack])
+    rows = np.argsort(np.concatenate(idx))[ctx.targets(ctx.sets).order]
     return [np.concatenate(col)[rows] for col in zip(*vals)]
 
 
@@ -376,13 +379,13 @@ def _sweep_block(inequality: str, kind, lhs, rhs, members: np.ndarray,
     grid = grid or {}
     points = len(next(iter(grid.values()))) if grid else 1
     shape = (len(members), points) if grid else (len(members),)
-    params = {"A": np.repeat(members, points)}
+    cols = {"A": np.repeat(members, points)}
     for key, values in grid.items():
-        params[key] = np.tile(np.fromiter(values, dtype=object, count=points), len(members))
+        cols[key] = np.tile(np.fromiter(values, dtype=object, count=points), len(members))
 
     def rows(v):
         return v if isinstance(v, str) else np.broadcast_to(v, shape).ravel()
-    return RecordBlock(inequality, rows(lhs), rows(rhs), rows(kind), params, rows(note))
+    return RecordBlock(inequality, rows(lhs), rows(rhs), rows(kind), cols, rows(note))
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +393,12 @@ def _sweep_block(inequality: str, kind, lhs, rhs, members: np.ndarray,
 # discrete suite and continuous-time alike, through ``_Ctx.clock``
 
 
-def _relaxation_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
+def _relaxation_rows(ctx: _Ctx, clock: _Clock) -> list[Record]:
     """t_rel controls the mixing time from both sides."""
     records = []
     # the discrete lower bound is (t_rel - 1) log(1 / (2 eps))
     rel = ctx.t_rel if clock.continuous else ctx.t_rel - 1.0
-    for eps in _grid(params, "eps_grid", EPS_GRID):
+    for eps in ctx.eps_grid:
         lo, hi = clock.mix(eps)
         if eps < 0.5:
             records.append(check_le(
@@ -408,12 +411,12 @@ def _relaxation_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
     return records
 
 
-def _tv_hit_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
+def _tv_hit_rows(ctx: _Ctx, clock: _Clock) -> list[Record]:
     """Worst-case TV mixing is equivalent to hitting times of large sets."""
     records = []
     t_rel = ctx.t_rel
     hit, shift = clock.hit, clock.shift
-    for eps in _grid(params, "eps_grid", EPS_GRID):
+    for eps in ctx.eps_grid:
         if eps > 0.25 + 1e-12:
             records.append(skip("tv-hit" + clock.suffix, "level must lie in (0, 1/4]",
                                 {"eps": eps}))
@@ -436,17 +439,16 @@ def _tv_hit_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
     return records
 
 
-def _level_pairs(params: dict):
+def _level_pairs(ctx: _Ctx):
     """Threshold pairs alpha <= beta of the alpha grid."""
-    alph = _grid(params, "alpha_grid", ALPHA_GRID)
-    return [(alpha, beta) for alpha in alph for beta in alph if alpha <= beta]
+    return [(a, b) for a in ctx.alpha_grid for b in ctx.alpha_grid if a <= b]
 
 
-def _hit_mass_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
+def _hit_mass_rows(ctx: _Ctx, clock: _Clock) -> list[Record]:
     """Hitting times at different mass thresholds control each other."""
     records = []
     hit = clock.hit
-    for alpha, beta in _level_pairs(params):
+    for alpha, beta in _level_pairs(ctx):
         for delta in (0.25, 0.5):
             p = {"alpha": alpha, "beta": beta, "delta": delta}
             records.append(check_le(
@@ -464,28 +466,28 @@ def _hit_mass_rows(ctx: _Ctx, clock: _Clock, params: dict) -> list[Record]:
 # relaxation-time sandwich
 
 
-def _suite_relaxation(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_relaxation(ctx: _Ctx) -> list[Record]:
     """t_rel controls the mixing time from both sides (lazy chains)."""
-    return _relaxation_rows(ctx, ctx.clock(False), params)
+    return _relaxation_rows(ctx, ctx.clock(False))
 
 
 # ---------------------------------------------------------------------------
 # TV mixing vs hitting times of large sets
 
 
-def _suite_tv_hit(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_tv_hit(ctx: _Ctx) -> list[Record]:
     """Worst-case TV mixing is equivalent to hitting times of large sets."""
-    records = _tv_hit_rows(ctx, ctx.clock(False), params)
+    records = _tv_hit_rows(ctx, ctx.clock(False))
     t_rel = ctx.t_rel
-    for eps in _grid(params, "eps_grid", EPS_GRID):
+    for eps in ctx.eps_grid:
         if eps <= 0.25 + 1e-12:
             records.append(check_le(
                 "tv-relaxation-floor",
                 (t_rel - 1.0) * abs(math.log(2.0 * eps)), float(ctx.tmix(eps)),
                 {"eps": eps}))
     # general-threshold equivalences: both directions at every alpha
-    for alpha in _grid(params, "alpha_grid", ALPHA_GRID):
-        for eps in _grid(params, "eps_grid", EPS_GRID):
+    for alpha in ctx.alpha_grid:
+        for eps in ctx.eps_grid:
             p = {"alpha": alpha, "eps": eps}
             records.append(check_le(
                 "set-hit-below-mix",
@@ -504,7 +506,7 @@ def _suite_tv_hit(ctx: _Ctx, params: dict) -> list[Record]:
 # set-probability floors after a per-start hitting time
 
 
-def _suite_set_probability(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_set_probability(ctx: _Ctx) -> list[Record]:
     """Once large sets are hit, set probabilities obey a spectral floor."""
     records = []
     t_rel = ctx.t_rel
@@ -519,7 +521,7 @@ def _suite_set_probability(ctx: _Ctx, params: dict) -> list[Record]:
         for x in starts:
             for alpha in (0.25, 0.5):
                 prof_level = 1.0 - alpha
-                for delta in _grid(params, "eps_grid", EPS_GRID):
+                for delta in ctx.eps_grid:
                     t = ctx.hit(prof_level, delta, x=x)
                     for s in s_grid:
                         prob = float(F[x] @ (lam ** (t + s) * coef))
@@ -537,13 +539,12 @@ def _suite_set_probability(ctx: _Ctx, params: dict) -> list[Record]:
 # submultiplicativity of tails and distances
 
 
-def _suite_submult(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_submult(ctx: _Ctx) -> list[Record]:
     """Hitting tails multiply over time splits; TV distance powers up."""
     records = []
-    eps_grid = _grid(params, "eps_grid", EPS_GRID)
-    alph = _grid(params, "alpha_grid", ALPHA_GRID)
+    eps_grid = ctx.eps_grid
     if ctx.exact:
-        for alpha in alph:
+        for alpha in ctx.alpha_grid:
             for i, e1 in enumerate(eps_grid):
                 for e2 in eps_grid[i:]:
                     records.append(check_le(
@@ -573,11 +574,11 @@ def _suite_submult(ctx: _Ctx, params: dict) -> list[Record]:
 # transfer between hitting thresholds
 
 
-def _suite_hit_levels(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_hit_levels(ctx: _Ctx) -> list[Record]:
     """Hitting times at different mass thresholds control each other."""
-    records = _hit_mass_rows(ctx, ctx.clock(False), params)
+    records = _hit_mass_rows(ctx, ctx.clock(False))
     eps0 = 1 / 16
-    for alpha, beta in _level_pairs(params):
+    for alpha, beta in _level_pairs(ctx):
         if alpha == beta:
             continue
         s_n = _ceil(ctx.t_rel / alpha * math.log(
@@ -634,28 +635,26 @@ def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
     return out
 
 
-def _suite_escape(ctx: _Ctx, params: dict) -> list[RecordBlock]:
+def _suite_escape(ctx: _Ctx) -> list[RecordBlock]:
     """Stationary escape tails decay geometrically with rate pi(A)/t_rel."""
     t_rel = ctx.t_rel
     pi = ctx.chain.pi
-    mode = _set_mode(params)
-    works = _grid(params, "work_grid", WORK_GRID)
     alphas = (0.25, 0.5)
 
     def per_stack(ks: KilledSystem):
         with np.errstate(all="ignore"):
-            t_w = t_rel * np.array(works) / ks.pi_A[:, None]
+            t_w = t_rel * np.array(WORK_GRID) / ks.pi_A[:, None]
         bad = ~np.isfinite(t_w)  # pi(A) = 0 among them
         if bad.any():  # raise as one target's integer ceiling does, in work order
             w, j = np.argwhere(bad.T)[0]
-            _ceil(t_rel * works[w] / float(ks.pi_A[j]))
+            _ceil(t_rel * WORK_GRID[w] / float(ks.pi_A[j]))
         # rows[j, w, a, i]: survivor i of target j is slow at work w and level a
         rows = ks.tail_rows(np.ceil(t_w))[:, :, None, :] >= np.array(alphas)[:, None]
         return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
                 ks.mean_stationary(), _row_sums(pi[ks.B][:, None, None, :], rows))
 
-    pa, pb, tails, means, slow = _per_set(ctx, mode, per_stack)
-    members = ctx.targets(mode).members
+    pa, pb, tails, means, slow = _per_set(ctx, per_stack)
+    members = ctx.targets(ctx.sets).members
     t_idx, ts = map(list, zip(*_str_order(TAIL_T_GRID)))
     base = 1.0 - pa / t_rel
     # powers and exponentials stay Python float arithmetic, bit for bit
@@ -663,7 +662,7 @@ def _suite_escape(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     exponential = pb[:, None] * _pointwise(math.exp, -np.array(ts) * pa[:, None] / t_rel)
     defined = (base >= 0.0)[:, None]
     slow_order = [(a, alpha, i, w) for a, alpha in _str_order(alphas)
-                  for i, w in _str_order(works)]
+                  for i, w in _str_order(WORK_GRID)]
     a_idx, slow_alphas, w_idx, slow_works = map(list, zip(*slow_order))
     decay = np.array([math.exp(-w) for w in slow_works])
     return [
@@ -686,18 +685,17 @@ def _suite_escape(ctx: _Ctx, params: dict) -> list[RecordBlock]:
 # killed-kernel spectrum
 
 
-def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[RecordBlock]:
+def _suite_killed_spectrum(ctx: _Ctx) -> list[RecordBlock]:
     """The killed kernel's spectral mixture has the promised shape."""
     t_rel = ctx.t_rel
-    mode = _set_mode(params)
     marks = (1, 5, 20)
 
     def per_stack(ks: KilledSystem):
         return (ks.pi_A, ks.pi_B, ks.weights.min(axis=-1), ks.weights.sum(axis=-1),
                 ks.gammas[:, 0], ks.gammas[:, -1], ks.tail_stationary(marks))
 
-    targets = ctx.targets(mode)
-    pa, pb, w_min, w_sum, g_top, g_bottom, recon = _per_set(ctx, mode, per_stack)
+    targets = ctx.targets(ctx.sets)
+    pa, pb, w_min, w_sum, g_top, g_bottom, recon = _per_set(ctx, per_stack)
     # reconstruction against direct killed-kernel iteration, every target in one pass
     steps = islice(_survival(ctx.chain.P, ~targets.masks.T), marks[-1] + 1)
     direct = np.stack([ctx.chain.pi @ V for t, V in enumerate(steps) if t in marks], axis=-1)
@@ -719,17 +717,15 @@ def _suite_killed_spectrum(ctx: _Ctx, params: dict) -> list[RecordBlock]:
 # even-time maximal function and variance contraction
 
 
-def _suite_maximal(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_maximal(ctx: _Ctx) -> list[Record]:
     """sup over even times of |P^t f| is Lp-bounded by p/(p-1) ||f||_p."""
     records = []
     pi = ctx.chain.pi
-    n_funcs = int(params.get("functions", 20))
-    p_grid = _grid(params, "p_grid", (1.5, 2.0, 3.0))
-    funcs = ctx.functions(n_funcs)
+    funcs = ctx.functions
     res = maximal_function(ctx.chain, funcs, use_absolute_spectrum=True)
     upper = res.values + 2.0 * res.tail_bound[:, None]
     for i, f in enumerate(funcs):
-        for p in p_grid:
+        for p in P_GRID:
             lhs = float((pi @ upper[i] ** p) ** (1.0 / p))
             rhs = p / (p - 1.0) * float((pi @ np.abs(f) ** p) ** (1.0 / p))
             records.append(check_le(
@@ -755,21 +751,20 @@ def _suite_maximal(ctx: _Ctx, params: dict) -> list[Record]:
 # good starting sets (uniformly small deviations after time s)
 
 
-def _suite_good_set(ctx: _Ctx, params: dict) -> list[RecordBlock]:
+def _suite_good_set(ctx: _Ctx) -> list[RecordBlock]:
     """Most starts track pi(A) within m sigma_s from every time >= s."""
     t_rel, pi = ctx.t_rel, ctx.chain.pi
     F = ctx.spectrum.eigenfunctions
     lam = ctx.spectrum.eigenvalues
-    targets = ctx.targets(_set_mode(params))
+    targets = ctx.targets(ctx.sets)
     ind = targets.masks.astype(float)
     pa = ind @ pi
     rho = np.sqrt(pa * (1.0 - pa))
-    m_grid = _grid(params, "m_grid", DEVIATION_GRID)
     s_grid = sorted({0, _ceil(t_rel), _ceil(3.0 * t_rel)})
     # Beyond K the deviation envelope e^{-k/t_rel} rho / sqrt(min pi) is
     # already below every threshold m e^{-s/t_rel} rho, so the suffix max
     # over [s, K] decides membership for all k >= s.
-    log_ratio = -math.log(min(m_grid)) - 0.5 * math.log(ctx.min_pi)
+    log_ratio = -math.log(min(DEVIATION_GRID)) - 0.5 * math.log(ctx.min_pi)
     extra = _ceil(t_rel * log_ratio) if log_ratio > 0.0 else 0
     K = max(s_grid) + extra + 1
     C = F.T @ (pi[:, None] * ind.T)
@@ -785,10 +780,10 @@ def _suite_good_set(ctx: _Ctx, params: dict) -> list[RecordBlock]:
     for s in s_grid:
         worst = snapshots[s]
         decay = math.exp(-s / t_rel)
-        for m in m_grid:
+        for m in DEVIATION_GRID:
             member = (worst < m * decay * rho[None, :]).astype(float)
             measures[s, m] = pi @ member
-    grid_order = [(m, s) for _, m in _str_order(m_grid) for _, s in _str_order(s_grid)]
+    grid_order = [(m, s) for _, m in _str_order(DEVIATION_GRID) for _, s in _str_order(s_grid)]
     return [_sweep_block(
         "good-set-measure", "inequality", np.array([1.0 - 8.0 / m ** 2 for m, _ in grid_order]),
         np.stack([measures[s, m] for m, s in grid_order], axis=-1)[targets.order],
@@ -799,7 +794,7 @@ def _suite_good_set(ctx: _Ctx, params: dict) -> list[RecordBlock]:
 # eigenfunction martingale tails
 
 
-def _suite_martingale(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_martingale(ctx: _Ctx) -> list[Record]:
     """From the top of the second eigenfunction, escape tails beat lambda_2^k."""
     lam2 = float(ctx.spectrum.lambda_2)
     if lam2 <= 1e-12:
@@ -845,10 +840,9 @@ def _suite_martingale(ctx: _Ctx, params: dict) -> list[Record]:
 # return-time identities
 
 
-def _suite_return_time(ctx: _Ctx, params: dict) -> list[RecordBlock]:
+def _suite_return_time(ctx: _Ctx) -> list[RecordBlock]:
     """Flow symmetry and the return-time mean/second-moment identities."""
     t_rel = ctx.t_rel
-    mode = _set_mode(params)
     t_marks = (1, 2, 5, 10)
     stat_ts = sorted({t - 1 for t in t_marks} | set(t_marks))
 
@@ -860,10 +854,10 @@ def _suite_return_time(ctx: _Ctx, params: dict) -> list[RecordBlock]:
                 ks.tail_dist(kq.psi_B, [t - 1 for t in t_marks]))
 
     (flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat,
-     entry) = _per_set(ctx, mode, per_stack)
+     entry) = _per_set(ctx, per_stack)
     if (phi_B == 0.0).any() or (pa == 0.0).any():
         raise ZeroDivisionError("float division by zero")
-    members = ctx.targets(mode).members
+    members = ctx.targets(ctx.sets).members
     m_idx, ts = map(list, zip(*_str_order(t_marks)))
     before = stat[:, [stat_ts.index(t - 1) for t in ts]]
     after = stat[:, [stat_ts.index(t) for t in ts]]
@@ -883,7 +877,7 @@ def _suite_return_time(ctx: _Ctx, params: dict) -> list[RecordBlock]:
 # exponential moments of return times
 
 
-def _suite_return_mgf(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_return_mgf(ctx: _Ctx) -> list[Record]:
     """Two-sided exponential concentration of the return time to a big set."""
     records = []
     n, pi = ctx.chain.n, ctx.chain.pi
@@ -931,13 +925,13 @@ def _suite_return_mgf(ctx: _Ctx, params: dict) -> list[Record]:
 # chained mixing/hitting comparisons
 
 
-def _suite_mix_hit(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_mix_hit(ctx: _Ctx) -> list[Record]:
     """A closed loop of eight comparisons tying hit times at any threshold
     to the quarter-level mixing time."""
     records = []
     t_rel = ctx.t_rel
     tq = ctx.tmix(0.25)
-    for alpha in _grid(params, "alpha_grid", ALPHA_GRID):
+    for alpha in ctx.alpha_grid:
         p = {"alpha": alpha}
         level = 1.0 - 0.75 * alpha
         k = _ceil(4.0 / alpha - 1.0)
@@ -974,14 +968,14 @@ def _suite_mix_hit(ctx: _Ctx, params: dict) -> list[Record]:
 # floors forced by laziness
 
 
-def _suite_lazy_floor(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_lazy_floor(ctx: _Ctx) -> list[Record]:
     """Holding probability 1/2 caps how fast tails and distances can drop."""
     records = []
     tq = ctx.tmix(0.25)
-    for alpha in _grid(params, "alpha_grid", ALPHA_GRID):
+    for alpha in ctx.alpha_grid:
         p = {"alpha": alpha}
         if alpha <= 0.5:
-            for eps in _grid(params, "eps_grid", EPS_GRID):
+            for eps in ctx.eps_grid:
                 records.append(check_le(
                     "lazy-hit-floor", abs(math.log2(eps)),
                     float(ctx.hit(alpha, eps / 2)), {**p, "eps": eps}))
@@ -1004,23 +998,23 @@ def _suite_lazy_floor(ctx: _Ctx, params: dict) -> list[Record]:
 # continuous-time analogues
 
 
-def _suite_continuous_time(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_continuous_time(ctx: _Ctx) -> list[Record]:
     """Heat-kernel versions of the sandwiches, with ceilings dropped.
 
     Continuous times are only located inside tight brackets, so every
     comparison uses the conservative ends (see :class:`_Clock`).
     """
     clock = ctx.clock(True)
-    records = _relaxation_rows(ctx, clock, params)
+    records = _relaxation_rows(ctx, clock)
     if ctx.exact:
-        records += _tv_hit_rows(ctx, clock, params) + _hit_mass_rows(ctx, clock, params)
+        records += _tv_hit_rows(ctx, clock) + _hit_mass_rows(ctx, clock)
     else:
         records.append(skip("tv-hit" + clock.suffix, _GATES["exact"](ctx)))
     t_rel = ctx.t_rel
     lam = ctx.spectrum.eigenvalues
     F = ctx.spectrum.eigenfunctions
     pi = ctx.chain.pi
-    for i, f in enumerate(ctx.functions(5)):
+    for i, f in enumerate(ctx.functions[:5]):
         c = F.T @ (pi * f)
         var0 = float(np.sum(c[1:] ** 2))
         for mult in (0.5, 1.0, 3.0):
@@ -1048,10 +1042,10 @@ def _tree_pairs(tc) -> list[tuple[int, int]]:
     return pairs
 
 
-def _suite_tree_window(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_tree_window(ctx: _Ctx) -> list[Record]:
     """On trees, crossing moments concentrate the root passage time and
     force a sqrt-size mixing window."""
-    tc = ctx.tree()[0]
+    tc = ctx.tree[0]
     records = []
     t_rel = ctx.t_rel
     # 12 crossings spread over the depths (every one on smaller trees)
@@ -1073,7 +1067,7 @@ def _suite_tree_window(ctx: _Ctx, params: dict) -> list[Record]:
     if tc.n < 3:
         records.append(skip("mixing-window-sqrt", "needs at least 3 states"))
         return records
-    eps_grid = _grid(params, "eps_grid", EPS_GRID)
+    eps_grid = ctx.eps_grid
     records.extend(window_rows(tc, t_rel, ctx.tmix, eps_grid))
     for eps in (e for e in eps_grid if e <= 0.25 + 1e-12):
         records.extend(
@@ -1086,27 +1080,26 @@ def _suite_tree_window(ctx: _Ctx, params: dict) -> list[Record]:
 # sub-gaussian crossing tails
 
 
-def _suite_crossing_tails(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_crossing_tails(ctx: _Ctx) -> list[Record]:
     """Passage times to ancestors have sub-gaussian tails on the scale
     sqrt(mean * t_rel), for deviations up to 2.5 sqrt(mean / t_rel)."""
-    tc = ctx.tree()[0]
-    c_grid = _grid(params, "c_grid", (0.5, 1.0, 1.5, 2.0))
+    tc = ctx.tree[0]
     pairs = _tree_pairs(tc)
     path = set(tc.path_to_root(pairs[0][0]))
     off_path = [v for v in range(tc.n) if v not in path and tc.depth[v] >= 2]
     if off_path:
         pairs.append((max(off_path, key=lambda v: (tc.depth[v], v)), tc.root))
-    return [r for x, y in pairs for r in tail_bound_check(tc, x, y, c_grid=c_grid)]
+    return [r for x, y in pairs for r in tail_bound_check(tc, x, y, c_grid=C_GRID)]
 
 
 # ---------------------------------------------------------------------------
 # banded chains
 
 
-def _suite_banded(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_banded(ctx: _Ctx) -> list[Record]:
     """Block decomposition of a banded chain: comparable starts inside an
     interval, central-block mass, and the central hitting statistics."""
-    cls = ctx.sbd()
+    cls = ctx.sbd
     records = [report_value(
         "banded-parameters", cls.alpha,
         {"r": cls.r, "delta": cls.delta},
@@ -1136,7 +1129,7 @@ def _suite_banded(ctx: _Ctx, params: dict) -> list[Record]:
     if ctx.chain.is_lazy:
         try:
             cbh = central_block_hit(ctx.chain, dec,
-                                    eps_grid=_grid(params, "eps_grid", EPS_GRID),
+                                    eps_grid=ctx.eps_grid,
                                     exact_threshold=ctx.exact_threshold)
             records.extend(cbh.records)
         except ValueError as exc:
@@ -1150,13 +1143,13 @@ def _suite_banded(ctx: _Ctx, params: dict) -> list[Record]:
 # measured block-crossing constants
 
 
-def _suite_block_moments(ctx: _Ctx, params: dict) -> list[Record]:
+def _suite_block_moments(ctx: _Ctx) -> list[Record]:
     """Per-block crossing moments against t_rel and the exit flow.
 
     These proportionality constants are reported, never asserted: the
     suite measures how tightly block crossings track the relaxation time.
     """
-    cls = ctx.sbd()
+    cls = ctx.sbd
     dec = blocks(ctx.chain, cls.r, cls.delta)
     pi, P = ctx.chain.pi, ctx.chain.P
     t_rel = ctx.t_rel
@@ -1211,17 +1204,17 @@ _GATES = {
     "lazy-diagonal": lambda ctx: None if ctx.lazy else "requires a lazy chain (diagonal >= 1/2)",
     "exact": lambda ctx: (None if ctx.exact else
                           f"needs exact hitting profiles (n > {ctx.exact_threshold})"),
-    "tree": lambda ctx: (None if ctx.tree()[0] is not None else
-                         f"not a tree walk: {ctx.tree()[1]}"),
-    "banded": lambda ctx: (None if ctx.sbd().is_sbd else
-                           "; ".join(ctx.sbd().reasons) or "not banded"),
+    "tree": lambda ctx: (None if ctx.tree[0] is not None else
+                         f"not a tree walk: {ctx.tree[1]}"),
+    "banded": lambda ctx: (None if ctx.sbd.is_sbd else
+                           "; ".join(ctx.sbd.reasons) or "not banded"),
 }
 
 
 class _Suite(NamedTuple):
     """A ``SUITES`` entry, the one driver of its suite.
 
-    Called as ``(ctx, params)``, it checks its ``gates`` (``_GATES`` names)
+    Called on a run's context, it checks its ``gates`` (``_GATES`` names)
     in order and gives the suite's one skip row, named ``sid``, at the first
     that fails.  Otherwise it returns the rows of ``body`` as record blocks
     in ``_record_key`` order: a body that sweeps target sets builds its
@@ -1230,15 +1223,15 @@ class _Suite(NamedTuple):
     """
 
     sid: str
-    body: Callable[[_Ctx, dict], list]
+    body: Callable[[_Ctx], list]
     gates: list[str]
 
-    def __call__(self, ctx: _Ctx, params: dict) -> list[RecordBlock]:
+    def __call__(self, ctx: _Ctx) -> list[RecordBlock]:
         for gate in self.gates:
             note = _GATES[gate](ctx)
             if note is not None:
                 return RecordBlock.from_records([skip(self.sid, note)])
-        rows = self.body(ctx, params)
+        rows = self.body(ctx)
         if rows and isinstance(rows[0], RecordBlock):
             return rows
         return RecordBlock.from_records(sorted(rows, key=_record_key))
@@ -1270,31 +1263,24 @@ SUITES = {sid: _Suite(sid, body, gates) for sid, body, *gates in (
 SUITE_IDS = tuple(SUITES)
 
 
-# Each parameter grid's range: a test of one value and its wording.
-_GRID_RANGES = {
-    "eps_grid": (lambda v: 0 < v < 1, "lie in (0, 1)"),
-    "alpha_grid": (lambda v: 0 < v < 1, "lie in (0, 1)"),
-    "p_grid": (lambda v: v > 1, "be > 1"),
-    "m_grid": (lambda v: v > 0, "be > 0"),
-    "work_grid": (lambda v: v >= 0, "be >= 0"),
-    "c_grid": (lambda v: v > 0, "be > 0"),
-}
-
-
 def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]:
     """Evaluate several suites on one chain, sharing every cached quantity.
 
     ``suites`` lists suite ids; "all" stands for every suite in
     ``SUITE_IDS`` order, and a suite named twice runs once, where it first
-    appears.  ``params`` may override ``eps_grid``, ``alpha_grid``, ``sets``
-    ("sampled" or "all"), ``seed``, ``exact_threshold``, ``functions``,
-    and per-suite grids.  Unknown suite ids, a grid value out of its range
-    (``_GRID_RANGES``), ``functions`` below 1 or not an integer and an
-    unknown set mode raise ``ValueError`` before any suite runs; a
-    ``chain`` that is not a :class:`~cutofflab.chain.Chain` raises
-    ``TypeError``.
+    appears.  A run reads five keys of ``params``: ``eps_grid`` and
+    ``alpha_grid`` (default ``EPS_GRID`` and ``ALPHA_GRID``), ``sets``
+    ("sampled", the default, or "all"), ``seed`` (7) and
+    ``exact_threshold``; other keys are ignored, and each report echoes
+    ``params`` as given.  The other grids are fixed: ``P_GRID``,
+    ``DEVIATION_GRID``, ``WORK_GRID``, ``C_GRID`` and ``FUNCTIONS`` seeded
+    test functions.  A ``chain`` that is not a
+    :class:`~cutofflab.chain.Chain` raises ``TypeError``; unknown suite
+    ids, an eps or alpha value outside (0, 1) and an unknown set mode raise
+    ``ValueError``, in that order and before any suite runs.
 
-    Each report holds the blocks ``SUITES[sid](ctx, params)`` returns:
+    ``params`` is parsed once, into the ``_Ctx`` every suite shares, and
+    each report holds the blocks ``SUITES[sid](ctx)`` returns:
     the suite's one skip row when a gate stated in ``SUITES`` fails, else
     its rows in ``_record_key`` order, by inequality name, then by the
     string form of the sorted ``(key, value)`` parameter pairs.
@@ -1310,17 +1296,9 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
         if sid not in SUITES:
             known = ", ".join(SUITE_IDS)
             raise ValueError(f"unknown suite id {sid!r}; known suites: {known}")
-    for key, (ok, wording) in _GRID_RANGES.items():
-        bad = [v for v in params.get(key, ()) if not ok(float(v))]
-        if bad:
-            raise ValueError(f"{key} values must {wording}; got {bad}")
-    functions = params.get("functions", 20)
-    if (type(functions) is not int and not isinstance(functions, np.integer)) or functions < 1:
-        raise ValueError(f"functions must be an integer >= 1; got {functions!r}")
-    _set_mode(params)  # raises on an unknown set mode
     ctx = _Ctx(chain, params)
     chain_id = fingerprint(chain.P)
-    return [Report(sid, chain_id, SUITES[sid](ctx, params), params) for sid in suites]
+    return [Report(sid, chain_id, SUITES[sid](ctx), params) for sid in suites]
 
 
 def run_suite(chain: Chain, suite: str, params: dict | None = None) -> Report:
@@ -1427,7 +1405,7 @@ def cutoff_scan(family, sizes, eps_grid=(0.1,), alpha: float = 0.5,
         levels = sorted({*eps_grid, *(1.0 - e for e in eps_grid), 0.25})
         t_at = dict(zip(levels, mixing_times(chain, levels)))
         hit = {e: None for e in eps_grid}
-        if chain.n <= exact_threshold:
+        if _exact_hitting(chain, exact_threshold):
             hp = worst_tail_profile(chain, alpha, exact_threshold=exact_threshold)
             hit = {e: int(hp.hit(e)) for e in eps_grid}
         t_mix = {e: t_at[e] for e in eps_grid}

@@ -224,7 +224,7 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
              "n7": random_reversible(7, seed=1729)}[case]
     ctx = _Ctx(chain, {"sets": mode})
     sets = ctx.targets(mode).pairs
-    stacks = ctx.stack(mode)
+    stacks = ctx.stack
     assert sorted(j for idx, _ in stacks for j in idx) == list(range(len(sets)))
     if case == "non-lazy":
         assert min(ks.gammas.min() for _, ks in stacks) < 0.0
@@ -343,6 +343,30 @@ def test_continuous_suite_makes_one_eigh_per_alpha_and_size(monkeypatch):
 def test_killed_system_validates_target(states, message):
     with pytest.raises(ValueError, match=message):
         KilledSystem(biased_path(5), states)
+
+
+def _ks6() -> KilledSystem:
+    return KilledSystem.of(biased_path(6), [0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: hit_time(biased_path(6), 0.5, 0.25, x=-1),
+    lambda: hit_time(biased_path(6), 0.5, 0.25, x=6),
+    lambda: worst_tail_profile(biased_path(6), 0.5).scan(-1),
+    lambda: hitting_tail(biased_path(6), -1, [0]),
+    lambda: hitting_tail(biased_path(6), 6, [0]),
+    lambda: _ks6().mgf(-1, 1.01),
+    lambda: _ks6().mgf(6, 1.01),
+    lambda: _ks6().position(7),
+    lambda: _ks6().position(-1),
+    lambda: _ks6().scan(6),
+], ids=["hit-x-neg", "hit-x-n", "profile-scan-neg", "tail-neg", "tail-n", "mgf-neg",
+        "mgf-n", "position-past-n", "position-neg", "killed-scan-n"])
+def test_out_of_range_start_state_raises(call):
+    # a negative start must not wrap to the last state, nor one past n
+    # escape as a bare IndexError or pass for a member of the target
+    with pytest.raises(ValueError, match="^start state out of range$"):
+        call()
 
 
 def test_killed_system_sorts_and_deduplicates_target():

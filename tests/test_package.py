@@ -1,10 +1,12 @@
 """Package layout: lazy exports, what a run imports, where the killed-kernel
 solves live and how killed systems are built, where the worst-set candidate
-targets are enumerated, where first passages are searched, where many
+targets are enumerated and whether hitting is exact, where a run's
+parameters are parsed, where first passages are searched, where many
 targets' killed tails are stepped and Monte Carlo uniforms drawn, and where
 the command-line output is written."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
@@ -342,6 +344,48 @@ def test_records_reach_a_report_by_one_path():
         ("from_records", "cli", "_emit_blocks"),
         ("from_records", *driver),
     ])
+
+
+class _ParamsSites(_Sites):
+    """Every name ``params``: read, bound, or a function's parameter."""
+
+    def visit_Name(self, node):
+        if node.id == "params":
+            self._site(node)
+
+    def visit_arg(self, node):
+        if node.arg == "params":
+            self._site(node)
+
+
+def test_run_parameters_are_parsed_in_one_place():
+    # a run's params dict is parsed once, by _Ctx, and run_suites echoes it
+    # into each report (run_suite only hands it on), so every suite body
+    # and row function reads the parsed context alone
+    from cutofflab.verify import SUITES, _Suite
+
+    sites = [s for s in _sites(_ParamsSites) if s[0] == "verify"]
+    assert {scope for _, scope, _ in sites} == {"_Ctx.__init__", "run_suites", "run_suite"}
+    assert list(inspect.signature(_Suite.__call__).parameters) == ["self", "ctx"]
+    for sid, suite in SUITES.items():
+        assert list(inspect.signature(suite.body).parameters) == ["ctx"], sid
+
+
+class _ThresholdSites(_Sites):
+    """Every comparison that reads a name or attribute ``exact_threshold``."""
+
+    def visit_Compare(self, node):
+        if "exact_threshold" in {getattr(n, "id", None) or getattr(n, "attr", None)
+                                 for n in ast.walk(node)}:
+            self._site(node)
+        self.generic_visit(node)
+
+
+def test_exact_hitting_is_decided_in_one_place():
+    # the worst-set candidates, the suites' exact gate and cutoff-scan's hit
+    # column all read one predicate, so a new exact route changes one function
+    assert [(module, scope) for module, scope, _ in _sites(_ThresholdSites)] == [
+        ("hitting", "_exact_hitting")]
 
 
 def test_one_exact_threshold():

@@ -24,9 +24,7 @@ from cutofflab.verify import (
     WORK_GRID,
     _ceil,
     _Ctx,
-    _grid,
     _row_sums,
-    _set_mode,
     _str_order,
 )
 
@@ -46,11 +44,11 @@ def _by_inequality(by: dict[str, list[Record]]) -> list[Record]:
     return [r for name in sorted(by) for r in by[name]]
 
 
-def _escape(ctx, params):
+def _escape(ctx):
     t_rel = ctx.t_rel
     pi = ctx.chain.pi
-    sets = ctx.targets(_set_mode(params)).pairs
-    works = _grid(params, "work_grid", WORK_GRID)
+    sets = ctx.targets(ctx.sets).pairs
+    works = WORK_GRID
     alphas = (0.25, 0.5)
 
     def per_stack(ks: KilledSystem):
@@ -62,12 +60,12 @@ def _escape(ctx, params):
         return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
                 ks.mean_stationary(), np.moveaxis(np.array(slow), -1, 0))
 
-    pa, pb, tails, means, slow = _per_set(ctx.stack(_set_mode(params)), len(sets), per_stack)
+    pa, pb, tails, means, slow = _per_set(ctx.stack, len(sets), per_stack)
     t_order = _str_order(TAIL_T_GRID)
     slow_order = [(a, alpha, i, w) for a, alpha in _str_order(alphas)
                   for i, w in _str_order(works)]
     by = defaultdict(list)
-    for j in ctx.targets(_set_mode(params)).order:
+    for j in ctx.targets(ctx.sets).order:
         members = sets[j][1]
         base = 1.0 - pa[j] / t_rel
         for i, t in t_order:
@@ -93,10 +91,10 @@ def _escape(ctx, params):
     return _by_inequality(by)
 
 
-def _killed_spectrum(ctx, params):
+def _killed_spectrum(ctx):
     t_rel = ctx.t_rel
     pi = ctx.chain.pi
-    sets = ctx.targets(_set_mode(params)).pairs
+    sets = ctx.targets(ctx.sets).pairs
     marks = (1, 5, 20)
 
     def per_stack(ks: KilledSystem):
@@ -104,7 +102,7 @@ def _killed_spectrum(ctx, params):
                 ks.gammas[:, 0], ks.gammas[:, -1], ks.tail_stationary(marks))
 
     pa, pb, w_min, w_sum, g_top, g_bottom, recon = _per_set(
-        ctx.stack(_set_mode(params)), len(sets), per_stack)
+        ctx.stack, len(sets), per_stack)
     # the direct tails step every target at once, as the suite does
     keep = ~np.stack([m for m, _ in sets], axis=1)
     steps = list(islice(_survival(ctx.chain.P, keep), marks[-1] + 1))
@@ -112,7 +110,7 @@ def _killed_spectrum(ctx, params):
     direct = [[at[i][j] / pb[j] for i in range(len(marks))] for j in range(len(sets))]
     mark_order = _str_order(marks)
     by = defaultdict(list)
-    for j in ctx.targets(_set_mode(params)).order:
+    for j in ctx.targets(ctx.sets).order:
         p = {"A": sets[j][1]}
         by["killed-weights-nonnegative"].append(check_le(
             "killed-weights-nonnegative", 0.0, w_min[j], p))
@@ -129,18 +127,18 @@ def _killed_spectrum(ctx, params):
     return _by_inequality(by)
 
 
-def _good_set(ctx, params):
+def _good_set(ctx):
     if not ctx.lazy:
         return [skip("good-set", "requires a lazy chain")]
     records = []
     t_rel, pi = ctx.t_rel, ctx.chain.pi
     F = ctx.spectrum.eigenfunctions
     lam = ctx.spectrum.eigenvalues
-    pairs = ctx.targets(_set_mode(params)).pairs
+    pairs = ctx.targets(ctx.sets).pairs
     ind = np.stack([m for m, _ in pairs]).astype(float)
     pa = ind @ pi
     rho = np.sqrt(pa * (1.0 - pa))
-    m_grid = _grid(params, "m_grid", DEVIATION_GRID)
+    m_grid = DEVIATION_GRID
     s_grid = sorted({0, _ceil(t_rel), _ceil(3.0 * t_rel)})
     log_ratio = -math.log(min(m_grid)) - 0.5 * math.log(ctx.min_pi)
     extra = _ceil(t_rel * log_ratio) if log_ratio > 0.0 else 0
@@ -162,7 +160,7 @@ def _good_set(ctx, params):
             member = (worst < m * decay * rho[None, :]).astype(float)
             measures[s, m] = (pi @ member).tolist()
     grid_order = [(m, s) for _, m in _str_order(m_grid) for _, s in _str_order(s_grid)]
-    for j in ctx.targets(_set_mode(params)).order:
+    for j in ctx.targets(ctx.sets).order:
         for m, s in grid_order:
             records.append(check_le(
                 "good-set-measure", 1.0 - 8.0 / m ** 2, measures[s, m][j],
@@ -170,9 +168,9 @@ def _good_set(ctx, params):
     return records
 
 
-def _return_time(ctx, params):
+def _return_time(ctx):
     t_rel = ctx.t_rel
-    sets = ctx.targets(_set_mode(params)).pairs
+    sets = ctx.targets(ctx.sets).pairs
     t_marks = (1, 2, 5, 10)
     stat_ts = sorted({t - 1 for t in t_marks} | set(t_marks))
 
@@ -185,10 +183,10 @@ def _return_time(ctx, params):
                 ks.tail_dist(psi_B, [t - 1 for t in t_marks]))
 
     (flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat,
-     entry) = _per_set(ctx.stack(_set_mode(params)), len(sets), per_stack)
+     entry) = _per_set(ctx.stack, len(sets), per_stack)
     mark_order = _str_order(t_marks)
     by = defaultdict(list)
-    for j in ctx.targets(_set_mode(params)).order:
+    for j in ctx.targets(ctx.sets).order:
         members = sets[j][1]
         p = {"A": members}
         by["interface-flow-symmetry"].append(check_identity(
@@ -241,8 +239,8 @@ def _complete_graph(n: int):
 def _check(ctx: _Ctx, params: dict) -> int:
     skips = 0
     for sid, reference in REFERENCE.items():
-        want = reference(ctx, params)
-        got = Report(sid, "fp", params=params, blocks=SUITES[sid](ctx, params)).records
+        want = reference(ctx)
+        got = Report(sid, "fp", params=params, blocks=SUITES[sid](ctx)).records
         _assert_same(got, want)
         skips += sum(r.kind == "skip" for r in got)
     return skips

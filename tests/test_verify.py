@@ -140,7 +140,7 @@ def test_a_failed_gate_gives_the_suite_one_skip_row(sid, chain_id, params, note)
     # lazy notes show that lazy is checked first
     chain = {"k4": lambda: load_chain(_K4), "lazy8": lambda: biased_path(8),
              "cliques": lambda: two_cliques(4)}[chain_id]()
-    direct = [r for b in SUITES[sid](_Ctx(chain, params), params) for r in b.records()]
+    direct = [r for b in SUITES[sid](_Ctx(chain, params)) for r in b.records()]
     for records in (run_suite(chain, sid, params).records, direct):
         assert [(r.inequality, r.kind, r.note, r.params) for r in records] == [
             (sid, "skip", note, {})]
@@ -196,7 +196,7 @@ def test_row_sums_broadcast_values_over_leading_axes(k):
                          ids=["tree-spec", "ndarray"])
 def test_run_suites_rejects_what_is_not_a_chain(build, monkeypatch):
     ran = []
-    monkeypatch.setitem(SUITES, "escape", lambda ctx, params: ran.append(1))
+    monkeypatch.setitem(SUITES, "escape", lambda ctx: ran.append(1))
     with pytest.raises(TypeError, match="load_chain.*build_tree_chain"):
         run_suites(build(), ["escape"])
     assert not ran
@@ -325,6 +325,17 @@ def test_report_json_round_trip(tmp_path, k2):
     assert payload["suite"] == "relaxation"
     assert payload["passed"] is True
     assert len(payload["records"]) == len(rep.records)
+
+
+def test_seeded_functions_do_not_depend_on_the_suites_run(p3, small_corpus):
+    # continuous-time reads the first 5 of the seeded functions that
+    # maximal-function reads all of, so neither report changes with the other
+    pair = ("maximal-function", "continuous-time")
+    for chain in [p3, *small_corpus[:3]]:
+        alone = {sid: run_suite(chain, sid, {"seed": 11}).dumps() for sid in pair}
+        for order in (pair, pair[::-1]):
+            together = run_suites(chain, list(order), {"seed": 11})
+            assert [r.dumps() for r in together] == [alone[sid] for sid in order]
 
 
 def test_continuous_suite_passes_on_corpus(small_corpus):
@@ -460,18 +471,19 @@ def test_relaxation_upper_bounds_are_the_certified_ceiling(k2, small_corpus):
 
 
 @pytest.mark.parametrize("suite, params, message", [
-    ("maximal-function", {"p_grid": (1.0,)}, "p_grid values must be > 1"),
-    ("maximal-function", {"p_grid": (0.5,)}, "p_grid values must be > 1"),
-    ("good-set", {"m_grid": (0.0,)}, "m_grid values must be > 0"),
-    ("escape", {"work_grid": (-2.0,)}, "work_grid values must be >= 0"),
-    ("crossing-tails", {"c_grid": (0.0,)}, "c_grid values must be > 0"),
-    ("maximal-function", {"functions": -1}, "functions must be an integer >= 1"),
-    ("maximal-function", {"functions": 2.5}, "functions must be an integer >= 1"),
+    # eps is checked before alpha, and both before the set mode
+    ("relaxation", {"eps_grid": (0.0,)}, r"eps_grid values must lie in \(0, 1\); got \[0.0\]"),
+    ("relaxation", {"eps_grid": (0.5, 1)}, r"eps_grid values must lie in \(0, 1\); got \[1\]"),
+    ("tv-hit", {"alpha_grid": (-0.25,)}, r"alpha_grid values must lie in \(0, 1\)"),
+    ("tv-hit", {"alpha_grid": (1.0,)}, r"alpha_grid values must lie in \(0, 1\)"),
+    ("tv-hit", {"alpha_grid": (2.0,), "eps_grid": (1.5,)}, "eps_grid values"),
+    ("escape", {"alpha_grid": (0.0,), "sets": "bogus"}, "alpha_grid values"),
+    ("escape", {"eps_grid": (1.0,), "sets": "bogus"}, "eps_grid values"),
     ("escape", {"sets": "bogus"}, "unknown set mode"),
 ])
 def test_run_suites_rejects_parameters_out_of_range(k2, monkeypatch, suite, params, message):
     ran = []
-    monkeypatch.setitem(SUITES, suite, lambda ctx, p: ran.append(suite) or [])
+    monkeypatch.setitem(SUITES, suite, lambda ctx: ran.append(suite) or [])
     for chain in (k2, random_reversible(5, seed=3)):
         with pytest.raises(ValueError, match=message):
             run_suites(chain, [suite], params)
