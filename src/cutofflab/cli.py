@@ -107,14 +107,21 @@ def _load_tree(path: str):
         raise click.ClickException(f"{path}: malformed tree file ({exc})") from exc
 
 
+def _reprs(values: list, memo: dict) -> list[str]:
+    """The repr of each value; each object is formatted once per ``memo``,
+    keyed by identity, for the values held by a block's columns."""
+    return [memo[k] if k in memo else memo.setdefault(k, repr(v))
+            for k, v in zip(map(id, values), values)]
+
+
 def _lines(inequality: str, keys, kind: str, params: list, lhs: list, rhs: list,
            margin: list, passed: list, note: list) -> list[str]:
     """The lines of rows of one inequality and kind, from one ``%``
-    template.  ``params`` holds a list of values per key of ``keys``, and
-    each other argument a list with one entry per row.  The parameters
-    print as a record's params dict does, through the repr of each value."""
+    template.  ``params`` holds a list of repr texts per key of ``keys``,
+    and each other argument a list with one entry per row, so the
+    parameters print as a record's params dict does."""
     head = (inequality.replace("%", "%%") + " {"
-            + ", ".join(repr(k).replace("%", "%%") + ": %r" for k in keys) + "}: ")
+            + ", ".join(repr(k).replace("%", "%%") + ": %s" for k in keys) + "}: ")
     if kind == "skip":
         template, cols = "  skip  " + head + "%s", [*params, note]
     elif kind == "report":
@@ -133,11 +140,12 @@ def _block_lines(block, rows) -> list[str]:
     kinds = np.broadcast_to(block.kind, block.lhs.shape)[rows]
     notes = np.broadcast_to(block.note, block.lhs.shape)
     lines = [""] * rows.size
+    memo: dict[int, str] = {}
     for kind in dict.fromkeys(kinds.tolist()):
         at = np.flatnonzero(kinds == kind)
         sel = rows[at]
         got = _lines(block.inequality, block.params, kind,
-                     [c[sel].tolist() for c in block.params.values()],
+                     [_reprs(c[sel].tolist(), memo) for c in block.params.values()],
                      block.lhs[sel].tolist(), block.rhs[sel].tolist(),
                      block.margin[sel].tolist(), block.passed[sel].tolist(),
                      notes[sel].tolist())

@@ -11,7 +11,8 @@ exact mixture-of-geometrics form of the tail together with its decay
 radius.  A ``KilledSystem`` is the one object for a target set, and every
 solve with ``I - P_B`` is one of its methods; ``KilledSystem.of`` builds it
 once per chain and target, and ``KilledSystem.stack`` serves many targets
-with equal |B| in batched calls.
+with equal |B| in batched calls, from index arrays that :func:`_partition`
+makes once per table of targets.
 
 The worst-set quantity ``p_x(alpha, t) = max { Pr_x[T_A > t] :
 pi(A) >= alpha }`` is computed exactly by enumerating inclusion-minimal
@@ -128,6 +129,21 @@ def _survival(P: np.ndarray, keep: np.ndarray):
         V *= keep
 
 
+def _partition(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The targets given as the rows of a boolean k x n array, split by
+    complement size m in ascending order: for each m, the row positions of
+    its targets and their member and survivor index arrays, one ascending
+    row per target (the arguments of :meth:`KilledSystem.stack`)."""
+    survivors = (~masks).sum(axis=1)
+    parts = []
+    for m in np.unique(survivors).tolist():
+        idx = np.flatnonzero(survivors == m)
+        rows = masks[idx]
+        parts.append((idx, np.nonzero(rows)[1].reshape(idx.size, -1),
+                      np.nonzero(~rows)[1].reshape(idx.size, -1)))
+    return parts
+
+
 class KilledSystem:
     """The chain killed on entering a target set A.
 
@@ -169,7 +185,8 @@ class KilledSystem:
     """
 
     def __init__(self, chain: Chain, A):
-        self._setup(chain, ~_target_mask(chain, A))
+        mask = _target_mask(chain, A)
+        self._setup(chain, np.flatnonzero(mask), np.flatnonzero(~mask))
 
     @classmethod
     def of(cls, chain: Chain, states) -> "KilledSystem":
@@ -180,21 +197,16 @@ class KilledSystem:
         key = mask.tobytes()
         if key not in chain.killed:
             ks = chain.killed[key] = cls.__new__(cls)
-            ks._setup(chain, ~mask)
+            ks._setup(chain, np.flatnonzero(mask), np.flatnonzero(~mask))
         return chain.killed[key]
 
     @classmethod
-    def stack(cls, chain: Chain, masks) -> "KilledSystem":
-        """One system for the targets given as the rows of a boolean k x n
-        array, each leaving the same number of survivors; no ``survival``."""
-        keep = ~np.asarray(masks, dtype=bool)
-        if keep.ndim != 2 or keep.shape[0] == 0 or keep.shape[1] != chain.n:
-            raise ValueError("masks must be a nonempty k x n boolean array")
-        sizes = keep.sum(axis=1)
-        if np.any(sizes != sizes[0]):
-            raise ValueError("stacked targets must have complements of equal size")
+    def stack(cls, chain: Chain, A: np.ndarray, B: np.ndarray) -> "KilledSystem":
+        """One system for k targets given by their member and survivor index
+        arrays, k x |A| and k x m, one ascending row per target, as
+        :func:`_partition` makes them; no ``survival``."""
         ks = cls.__new__(cls)
-        ks._setup(chain, keep)
+        ks._setup(chain, A, B)
         return ks
 
     @classmethod
@@ -202,18 +214,14 @@ class KilledSystem:
         """One :meth:`stack` per complement size for the targets given as the
         rows of a boolean k x n array, each with the row positions of its
         targets, in ascending order of |B|."""
-        masks = np.asarray(masks, dtype=bool).reshape(-1, chain.n)
-        survivors = (~masks).sum(axis=1)
-        return [(idx, cls.stack(chain, masks[idx]))
-                for idx in (np.flatnonzero(survivors == m) for m in np.unique(survivors))]
+        parts = _partition(np.asarray(masks, dtype=bool).reshape(-1, chain.n))
+        return [(idx, cls.stack(chain, A, B)) for idx, A, B in parts]
 
-    def _setup(self, chain: Chain, keep: np.ndarray) -> None:
+    def _setup(self, chain: Chain, A: np.ndarray, B: np.ndarray) -> None:
         self.chain = chain
-        lead = keep.shape[:-1]
-        self.A = np.nonzero(~keep)[-1].reshape(lead + (-1,))
-        self.B = np.nonzero(keep)[-1].reshape(lead + (-1,))
-        self.PB = chain.P[self.B[..., :, None], self.B[..., None, :]]
-        self.pi_B = _scalar(chain.pi[self.B].sum(axis=-1))
+        self.A, self.B = A, B
+        self.PB = chain.P[B[..., :, None], B[..., None, :]]
+        self.pi_B = _scalar(chain.pi[B].sum(axis=-1))
         self.pi_A = 1.0 - self.pi_B
         self._scans: dict[int | None, _TailScan] = {}
 
@@ -227,7 +235,10 @@ class KilledSystem:
     def _full(self, v_B: np.ndarray) -> np.ndarray:
         """Full-space array equal to ``v_B`` on B and zero on A."""
         out = np.zeros(self.B.shape[:-1] + (self.chain.n,))
-        np.put_along_axis(out, self.B, v_B, axis=-1)
+        if self.B.ndim == 1:
+            out[self.B] = v_B
+        else:
+            out[np.arange(len(self.B))[:, None], self.B] = v_B
         return out
 
     # -- moments -------------------------------------------------------------
@@ -235,10 +246,15 @@ class KilledSystem:
     def _solve(self, rhs: np.ndarray, z: float = 1.0) -> np.ndarray:
         """Solve ``(I - z P_B) y = rhs`` for one right-hand side per target,
         or for a matrix of them when ``rhs`` has one axis more than ``B``."""
-        M = np.eye(self.B.shape[-1]) - z * self.PB
+        M = self._I_minus_PB if z == 1.0 else np.eye(self.B.shape[-1]) - z * self.PB
         if rhs.ndim == 1 or rhs.ndim > self.B.ndim:
             return np.linalg.solve(M, rhs)
         return np.linalg.solve(M, rhs[..., None])[..., 0]
+
+    @cached_property
+    def _I_minus_PB(self) -> np.ndarray:
+        """``I - P_B``, formed once for every solve at z = 1."""
+        return np.eye(self.B.shape[-1]) - self.PB
 
     @cached_property
     def _mean_B(self) -> np.ndarray:
@@ -350,7 +366,12 @@ class KilledSystem:
 
     def tail_stationary(self, ts, continuous: bool = False) -> np.ndarray:
         """Pr[T_A > t] from pi conditioned on B, for each t in ts."""
-        return np.clip(_mv(self._factors(ts, continuous), self.weights), 0.0, None)
+        return self._stationary_of(self._factors(ts, continuous))
+
+    def _stationary_of(self, factors: np.ndarray) -> np.ndarray:
+        """:meth:`tail_stationary` at the times of the rows of ``factors``, a
+        table of :meth:`_factors` or a row selection of one."""
+        return np.clip(_mv(factors, self.weights), 0.0, None)
 
     def tail_rows(self, t) -> np.ndarray:
         """Pr_x[T_A > t] for every survivor x (the last axis) at one t (possibly
@@ -369,9 +390,13 @@ class KilledSystem:
 
     def tail_dist(self, dist_B: np.ndarray, ts) -> np.ndarray:
         """Pr[T_A > t] from a start law given in survivor coordinates."""
+        return self._dist_of(dist_B, self._factors(ts, False))
+
+    def _dist_of(self, dist_B: np.ndarray, factors: np.ndarray) -> np.ndarray:
+        """:meth:`tail_dist` at the times of the rows of ``factors``."""
         _, U, sq, right = self._eigen
         lead = _vm(dist_B / sq, U)
-        return np.clip(_mv(self._factors(ts, False), lead * right), 0.0, None)
+        return np.clip(_mv(factors, lead * right), 0.0, None)
 
     def mean_stationary(self):
         """E[T_A] from pi conditioned on B, from the spectral weights; inf

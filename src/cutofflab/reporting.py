@@ -167,16 +167,18 @@ def _plain_column(values: list) -> list:
     return list(map(_plain, values))
 
 
-def _value_texts(column: np.ndarray, level: int) -> list[str]:
-    """The JSON text of each value of a parameter column at ``level``; each
-    distinct container (rows repeat a few target sets) is encoded once, keyed
-    by its repr, which tells 1, 1.0 and True apart at any depth."""
-    values = _plain_column(column.tolist())
+def _value_texts(column: np.ndarray, level: int, memo: dict | None = None) -> list[str]:
+    """The JSON text of each value of a parameter column at ``level``.  A
+    column of containers (rows repeat a few target sets) encodes each
+    object it holds once, keyed by identity in ``memo``: one memo serves
+    every column of one level whose objects stay alive while it is used."""
+    objects = column.tolist()
+    values = _plain_column(objects)
     if set(map(type, values)) <= _SCALARS:
         return scalar_texts(values)
-    texts: dict[str, str] = {}
-    return [texts[k] if k in texts else texts.setdefault(k, json_text(v, level))
-            for k, v in zip(map(repr, values), values)]
+    memo = {} if memo is None else memo
+    return [memo[k] if k in memo else memo.setdefault(k, json_text(v, level))
+            for k, v in zip(map(id, objects), values)]
 
 
 def _label_texts(values) -> str | list[str]:
@@ -247,6 +249,19 @@ class RecordBlock:
         self.params = {k: _objects(v, n) for k, v in (params or {}).items()}
         self.margin, self.passed = self._certify()
 
+    @classmethod
+    def of_columns(cls, inequality: str, lhs: np.ndarray, rhs: np.ndarray, kind, params: dict,
+                   note) -> RecordBlock:
+        """A block from ready columns, taken as they are: ``lhs`` and ``rhs``
+        1-D float64 arrays of one length, ``params`` object arrays of that
+        length, ``kind`` and ``note`` one string or a string array each
+        (an array holding more than one value)."""
+        block = cls.__new__(cls)
+        block.inequality, block.lhs, block.rhs = inequality, lhs, rhs
+        block.kind, block.note, block.params = kind, note, params
+        block.margin, block.passed = block._certify()
+        return block
+
     def __len__(self) -> int:
         return self.lhs.size
 
@@ -258,10 +273,16 @@ class RecordBlock:
         return (self.kind == "inequality") | (self.kind == "identity")
 
     def _certify(self) -> tuple[np.ndarray, np.ndarray]:
-        lhs, rhs = self.lhs, self.rhs
+        lhs, rhs, kind = self.lhs, self.rhs, self.kind
+        single = isinstance(kind, str)
+        if single and kind not in ("inequality", "identity"):
+            return np.zeros(len(self)), np.ones(len(self), dtype=bool)
         with np.errstate(all="ignore"):
             margin = (rhs - lhs) / np.fmax(np.fmax(1.0, np.abs(lhs)), np.abs(rhs))
-        passed = np.where(self.kind == "identity", np.abs(margin) <= MARGIN_TOL,
+        if single:  # one kind of check: no per-row kind selection
+            return margin, (np.abs(margin) <= MARGIN_TOL if kind == "identity"
+                            else margin >= -MARGIN_TOL)
+        passed = np.where(kind == "identity", np.abs(margin) <= MARGIN_TOL,
                           margin >= -MARGIN_TOL)
         checked = self.checked
         return np.where(checked, margin, 0.0), passed | ~checked
@@ -296,9 +317,11 @@ class RecordBlock:
                         self.rhs[rows].tolist(), self.margin[rows].tolist(), kind,
                         self.passed[rows].tolist(), note))
 
-    def json_rows(self, level: int) -> list[str]:
+    def json_rows(self, level: int, memo: dict | None = None) -> list[str]:
         """Every row as the JSON text of its :meth:`Record.to_dict` at nesting
-        ``level``, from one ``%`` template filled from the columns."""
+        ``level``, from one ``%`` template filled from the columns; ``memo``
+        keeps the texts of parameter containers across blocks (see
+        :func:`_value_texts`)."""
         cols = []
 
         def field(text):
@@ -310,7 +333,7 @@ class RecordBlock:
 
         name = field(encode_basestring_ascii(self.inequality))
         params = json_join([field(_key_text(k)) + ": "
-                            + field(_value_texts(c, level + 2))
+                            + field(_value_texts(c, level + 2, memo))
                             for k, c in self.params.items()], level + 1, "{}")
         floats = [field(float_texts(a)) for a in (self.lhs, self.rhs, self.margin)]
         kind = field(_label_texts(self.kind))
@@ -402,11 +425,13 @@ class Report:
     def json_pieces(self, level: int = 0):
         """The JSON text of :meth:`to_dict` at nesting ``level``, in pieces:
         the head, then one row at a time, each block filling its template
-        from the columns, so only one block's row texts are held at once."""
+        from the columns, so only one block's row texts are held at once.
+        Each parameter container the blocks hold is encoded once."""
         def records():
+            memo: dict[int, str] = {}
             yield '"records": '
             yield from json_join_pieces((t for b in self.blocks
-                                         for t in b.json_rows(level + 2)), level + 1)
+                                         for t in b.json_rows(level + 2, memo)), level + 1)
 
         head = [_key_text(k) + ": " + json_text(v, level + 1) for k, v in self._head().items()]
         return json_join_pieces(head + [records()], level, "{}")

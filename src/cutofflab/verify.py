@@ -37,11 +37,23 @@ returns the suite's rows as
 ``run_suite``/``run_suites`` wrap those blocks in
 :class:`~cutofflab.reporting.Report` objects; ``cutoff_scan`` tabulates
 mixing windows and ratios across growing sizes of one family.
+
+The identity suites (escape, killed-spectrum, return-time, good-set) sweep
+every target set of a table.  What does not depend on the chain is built
+once per table (``_Targets``; for ``sets="all"`` once per n in a process):
+the split of the sets into one stack per |B| with each stack's member and
+survivor index arrays, the permutation into record-key order, and the
+parameter columns of the blocks.  Per chain, ``_Ctx.sweep`` walks the
+stacks once for escape and killed-spectrum and ``_Ctx.returns`` once more,
+when first read, for return-time's Kac quantities and entry-law tails;
+each stack takes its powers gamma^t once over the union of the suites'
+time grids.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
@@ -59,6 +71,7 @@ from .hitting import (
     WorstTailProfile,
     _exact_hitting,
     _hit_ct_interval,
+    _partition,
     _survival,
     worst_tail_profile,
 )
@@ -116,7 +129,20 @@ DEVIATION_GRID = (3.0, 4.0, 6.0)
 WORK_GRID = (0.5, 1.0, 2.0)
 C_GRID = (0.5, 1.0, 1.5, 2.0)
 FUNCTIONS = 20
+# the integer times of the stationary and entry-law tails the identity
+# suites read: escape, killed-spectrum and return-time (which also reads
+# each t - 1); every stack takes its powers gamma^t once over their union
 TAIL_T_GRID = (0, 1, 2, 5, 10, 20, 30)
+KILLED_T_GRID = (1, 5, 20)
+RETURN_T_GRID = (1, 2, 5, 10)
+_RETURN_STAT_TS = tuple(sorted({t - 1 for t in RETURN_T_GRID} | set(RETURN_T_GRID)))
+_SWEEP_TS = tuple(sorted({*TAIL_T_GRID, *KILLED_T_GRID, *_RETURN_STAT_TS}))
+_SLOW_ALPHAS = (0.25, 0.5)  # escape's slow-start levels
+
+
+def _sweep_rows(ts) -> list[int]:
+    """The rows of the times ``ts`` in a power table over ``_SWEEP_TS``."""
+    return [_SWEEP_TS.index(t) for t in ts]
 
 
 def _ceil(x: float) -> int:
@@ -164,8 +190,10 @@ class _Clock:
         return x if self.continuous else _ceil(x)
 
 
-class _Targets(NamedTuple):
-    """The nonempty proper target sets of one sweep, read-only.
+@dataclass(frozen=True, eq=False)
+class _Targets:
+    """The nonempty proper target sets of one sweep and the chain-free half
+    of sweeping them, read-only.
 
     ``masks`` holds one boolean row per set and ``pairs`` the (mask row,
     members) pairs in the same order.  That order is kept: good-set
@@ -173,26 +201,62 @@ class _Targets(NamedTuple):
     column order.  ``order`` is the index array of the positions sorted by
     ``str(members)``, the order of the record keys (no tuple repr is a
     prefix of another), and ``members`` the member tuples in that order as
-    an object array, the ``A`` column of the set-sweeping suites.
+    an object array.
+
+    ``parts`` splits the sets by |B| as :func:`~cutofflab.hitting._partition`
+    does, with the member and survivor index arrays every chain's stacked
+    killed systems take as they are, and ``rows`` reorders the stacks'
+    concatenated rows into key order.  :meth:`repeated` and :meth:`tiled`
+    give the parameter columns of a sweep over (set x grid point), each
+    built once and shared by every block and report that reads it.
     """
 
     masks: np.ndarray
     pairs: list[tuple[np.ndarray, tuple[int, ...]]]
     order: np.ndarray
     members: np.ndarray
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
+    rows: np.ndarray
+    _columns: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def of(cls, masks: np.ndarray) -> "_Targets":
-        masks.setflags(write=False)
+        masks.setflags(write=False)  # before the rows of pairs view it
         flat = np.nonzero(masks)[1].tolist()
         ends = np.cumsum(masks.sum(axis=1)).tolist()
         pairs = [(mask, tuple(flat[start:end]))
                  for mask, start, end in zip(masks, [0] + ends[:-1], ends)]
         order = np.array(sorted(range(len(pairs)), key=lambda j: str(pairs[j][1])), dtype=np.intp)
         members = np.fromiter((pairs[j][1] for j in order), dtype=object, count=len(pairs))
-        order.setflags(write=False)
-        members.setflags(write=False)
-        return cls(masks, pairs, order, members)
+        parts = _partition(masks)
+        rows = np.argsort(np.concatenate([idx for idx, _, _ in parts]))[order]
+        for a in (order, members, rows, *(a for part in parts for a in part)):
+            a.setflags(write=False)
+        return cls(masks, pairs, order, members, parts, rows)
+
+    def _column(self, key, build) -> np.ndarray:
+        column = self._columns.get(key)
+        if column is None:
+            column = build()
+            column.setflags(write=False)
+            column = self._columns.setdefault(key, column)
+        return column
+
+    def repeated(self, points: int) -> np.ndarray:
+        """The ``A`` column: each member tuple ``points`` times, in key order."""
+        return self._column(points, lambda: np.repeat(self.members, points))
+
+    def tiled(self, values: tuple) -> np.ndarray:
+        """A grid column: the point values ``values`` once per set.  Kept per
+        grid (told apart by type, so 1 and 1.0 differ), so callers pass the
+        fixed grids only."""
+        return self._column(tuple((type(v), v) for v in values),
+                            lambda: _tile(values, len(self.members)))
+
+
+def _tile(values, count: int) -> np.ndarray:
+    """``values`` as an object array, repeated ``count`` times."""
+    return np.tile(np.fromiter(values, dtype=object, count=len(values)), count)
 
 
 @cache
@@ -206,12 +270,23 @@ def _all_targets(n: int) -> _Targets:
 
 
 def _level_grid(key: str, values) -> tuple[float, ...]:
-    """The grid ``values`` as floats, each checked to lie in (0, 1)."""
+    """The grid ``values`` as floats, nonempty and each in (0, 1)."""
     values = list(values)
+    if not values:
+        raise ValueError(f"{key} must hold at least one value")
     bad = [v for v in values if not 0 < float(v) < 1]
     if bad:
         raise ValueError(f"{key} values must lie in (0, 1); got {bad}")
     return tuple(float(v) for v in values)
+
+
+def _integer(key: str, value) -> int:
+    """The parameter ``key`` as an int: an integral value only, numpy
+    integers included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{key} must be an integer; got {value!r}") from None
 
 
 class _Ctx:
@@ -227,8 +302,9 @@ class _Ctx:
         self.sets = str(params.get("sets", "sampled"))
         if self.sets not in ("sampled", "all"):
             raise ValueError(f"unknown set mode {self.sets!r}; use 'sampled' or 'all'")
-        self.exact_threshold = int(params.get("exact_threshold", DEFAULT_EXACT_THRESHOLD))
-        self.seed = int(params.get("seed", 7))
+        self.exact_threshold = _integer(
+            "exact_threshold", params.get("exact_threshold", DEFAULT_EXACT_THRESHOLD))
+        self.seed = _integer("seed", params.get("seed", 7))
         chain.require(reversible=True, irreducible=True)
         self.chain = chain
         self.spectrum = chain.spectrum
@@ -327,7 +403,73 @@ class _Ctx:
     def stack(self) -> list[tuple[np.ndarray, KilledSystem]]:
         """The killed systems of ``targets(sets)``, one stack per |B|, each
         with the positions of its targets in ``targets(sets).pairs``."""
-        return KilledSystem.stacks(self.chain, self.targets(self.sets).masks)
+        return [(idx, KilledSystem.stack(self.chain, A, B))
+                for idx, A, B in self.targets(self.sets).parts]
+
+    @cached_property
+    def _powers(self) -> list[np.ndarray]:
+        """Each stack's table of gamma^t over ``_SWEEP_TS``, which every
+        stationary and entry-law tail of the identity suites slices."""
+        return [ks._factors(_SWEEP_TS, False) for _, ks in self.stack]
+
+    def _walk(self, per_stack) -> dict[str, np.ndarray]:
+        """``per_stack(ks, powers)`` on every stack of ``stack``, a dict of
+        arrays with one row per target; each as one array in key order."""
+        vals = [per_stack(ks, powers) for (_, ks), powers in zip(self.stack, self._powers)]
+        rows = self.targets(self.sets).rows
+        return {key: np.concatenate([v[key] for v in vals])[rows] for key in vals[0]}
+
+    @cached_property
+    def sweep(self) -> dict[str, np.ndarray]:
+        """The columns escape and killed-spectrum read, from one walk over
+        the stacks.
+
+        A stack holding a target of pi(A) = 0 has no slow-start times: its
+        ``slow`` rows stay NaN, and the first such (work index, pi(A)) in
+        stack and work order is kept as ``escape_fault``, which escape
+        raises from when it reads these columns."""
+        t_rel, pi = self.t_rel, self.chain.pi
+        tail_rows, mark_rows = _sweep_rows(TAIL_T_GRID), _sweep_rows(KILLED_T_GRID)
+        self.escape_fault = None
+
+        def per_stack(ks: KilledSystem, powers: np.ndarray) -> dict:
+            with np.errstate(all="ignore"):
+                t_w = t_rel * np.array(WORK_GRID) / ks.pi_A[:, None]
+            bad = ~np.isfinite(t_w)
+            if bad.any():
+                slow = np.full((len(t_w), len(WORK_GRID), len(_SLOW_ALPHAS)), math.nan)
+                if self.escape_fault is None:
+                    w, j = np.argwhere(bad.T)[0]
+                    self.escape_fault = (int(w), float(ks.pi_A[j]))
+            else:
+                # rows[j, w, a, i]: survivor i of target j is slow at work w and level a
+                rows = ks.tail_rows(np.ceil(t_w))[:, :, None, :] >= np.array(_SLOW_ALPHAS)[:, None]
+                slow = _row_sums(pi[ks.B][:, None, None, :], rows)
+            weights = ks.weights
+            return {"pa": ks.pi_A, "pb": ks.pi_B, "means": ks.mean_stationary(), "slow": slow,
+                    "tails": ks._stationary_of(powers[:, tail_rows]),
+                    "recon": ks._stationary_of(powers[:, mark_rows]),
+                    "w_min": weights.min(axis=-1), "w_sum": weights.sum(axis=-1),
+                    "g_top": ks.gammas[:, 0], "g_bottom": ks.gammas[:, -1]}
+
+        return self._walk(per_stack)
+
+    @cached_property
+    def returns(self) -> dict[str, np.ndarray]:
+        """The columns return-time reads: each stack's Kac quantities and
+        entry-law tails, from a second walk over the stacks."""
+        stat_rows = _sweep_rows(_RETURN_STAT_TS)
+        entry_rows = _sweep_rows([t - 1 for t in RETURN_T_GRID])
+
+        def per_stack(ks: KilledSystem, powers: np.ndarray) -> dict:
+            kq = ks.kac()
+            return {"flow_out": kq.flow_AB, "flow_in": kq.flow_BA, "phi_B": kq.phi_B,
+                    "mean_psi": kq.mean_from_psi, "second_psi": kq.second_from_psi,
+                    "mean_pi_B": kq.mean_from_pi_B, "pa": ks.pi_A,
+                    "stat": ks._stationary_of(powers[:, stat_rows]),
+                    "entry": ks._dist_of(kq.psi_B, powers[:, entry_rows])}
+
+        return self._walk(per_stack)
 
     @cached_property
     def functions(self) -> np.ndarray:
@@ -347,19 +489,14 @@ class _Ctx:
         return classify_sbd(self.chain)
 
 
-def _per_set(ctx: _Ctx, fn) -> list[np.ndarray]:
-    """Evaluate ``fn`` on every stack of ``ctx.stack``; returns one array
-    per output, one row per target in key order (``_Targets.order``)."""
-    idx, vals = zip(*[(idx, fn(ks)) for idx, ks in ctx.stack])
-    rows = np.argsort(np.concatenate(idx))[ctx.targets(ctx.sets).order]
-    return [np.concatenate(col)[rows] for col in zip(*vals)]
-
-
 def _pointwise(fn, *args) -> np.ndarray:
     """``fn`` on Python floats (and ints), element by element with
-    broadcasting: numpy's ``exp`` and ``power`` differ from ``math.exp``
-    and float ``**`` in the last bit on some inputs."""
-    return np.frompyfunc(fn, len(args), 1)(*args).astype(float)
+    broadcasting, mapped over flat lists: numpy's ``exp`` and ``power``
+    differ from ``math.exp`` and float ``**`` in the last bit on some
+    inputs."""
+    args = np.broadcast_arrays(*args)
+    flat = [a.ravel().tolist() for a in args]
+    return np.fromiter(map(fn, *flat), dtype=float, count=args[0].size).reshape(args[0].shape)
 
 
 def _str_order(values) -> list[tuple[int, object]]:
@@ -368,24 +505,37 @@ def _str_order(values) -> list[tuple[int, object]]:
     return sorted(enumerate(values), key=lambda iv: str(iv[1]))
 
 
-def _sweep_block(inequality: str, kind, lhs, rhs, members: np.ndarray,
+def _sweep_block(inequality: str, kind, lhs, rhs, targets: _Targets,
                  grid: dict | None = None, note="") -> RecordBlock:
-    """The rows of one inequality over every target set (in ``_Targets.order``;
-    ``members`` fills the ``A`` column) times the points of ``grid``
-    (parameter name -> one value per point, in key order).
+    """The rows of one inequality over every target set (in key order)
+    times the points of ``grid`` (parameter name -> one value per point,
+    in key order).  A grid given as a tuple or list is a fixed one, whose
+    column ``targets`` keeps; one given as an object array is the ready
+    column (good-set's s grid, which depends on t_rel), beside at least
+    one fixed grid.
 
     ``lhs``, ``rhs`` and the ``kind`` and ``note`` arrays broadcast to the
     shape (sets, points), or (sets,) without a grid."""
     grid = grid or {}
-    points = len(next(iter(grid.values()))) if grid else 1
-    shape = (len(members), points) if grid else (len(members),)
-    cols = {"A": np.repeat(members, points)}
+    points = next((len(v) for v in grid.values() if not isinstance(v, np.ndarray)), 1)
+    shape = (len(targets.members), points) if grid else (len(targets.members),)
+    cols = {"A": targets.repeated(points)}
     for key, values in grid.items():
-        cols[key] = np.tile(np.fromiter(values, dtype=object, count=points), len(members))
+        cols[key] = values if isinstance(values, np.ndarray) else targets.tiled(values)
 
-    def rows(v):
-        return v if isinstance(v, str) else np.broadcast_to(v, shape).ravel()
-    return RecordBlock(inequality, rows(lhs), rows(rhs), rows(kind), cols, rows(note))
+    def floats(v) -> np.ndarray:
+        v = np.asarray(v, dtype=float)
+        if v.shape != shape:
+            v = np.broadcast_to(v, shape)
+        return v.ravel()
+
+    def labels(v):
+        if isinstance(v, str):
+            return v
+        v = np.broadcast_to(v, shape).ravel()
+        return str(v[0]) if (v == v[0]).all() else v
+    return RecordBlock.of_columns(inequality, floats(lhs), floats(rhs), labels(kind), cols,
+                                  labels(note))
 
 
 # ---------------------------------------------------------------------------
@@ -638,30 +788,19 @@ def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
 def _suite_escape(ctx: _Ctx) -> list[RecordBlock]:
     """Stationary escape tails decay geometrically with rate pi(A)/t_rel."""
     t_rel = ctx.t_rel
-    pi = ctx.chain.pi
-    alphas = (0.25, 0.5)
-
-    def per_stack(ks: KilledSystem):
-        with np.errstate(all="ignore"):
-            t_w = t_rel * np.array(WORK_GRID) / ks.pi_A[:, None]
-        bad = ~np.isfinite(t_w)  # pi(A) = 0 among them
-        if bad.any():  # raise as one target's integer ceiling does, in work order
-            w, j = np.argwhere(bad.T)[0]
-            _ceil(t_rel * WORK_GRID[w] / float(ks.pi_A[j]))
-        # rows[j, w, a, i]: survivor i of target j is slow at work w and level a
-        rows = ks.tail_rows(np.ceil(t_w))[:, :, None, :] >= np.array(alphas)[:, None]
-        return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
-                ks.mean_stationary(), _row_sums(pi[ks.B][:, None, None, :], rows))
-
-    pa, pb, tails, means, slow = _per_set(ctx, per_stack)
-    members = ctx.targets(ctx.sets).members
+    cols = ctx.sweep
+    if ctx.escape_fault is not None:  # raise as that target's integer ceiling does
+        w, pa_j = ctx.escape_fault
+        _ceil(t_rel * WORK_GRID[w] / pa_j)
+    pa, pb, tails, means, slow = (cols[k] for k in ("pa", "pb", "tails", "means", "slow"))
+    targets = ctx.targets(ctx.sets)
     t_idx, ts = map(list, zip(*_str_order(TAIL_T_GRID)))
     base = 1.0 - pa / t_rel
     # powers and exponentials stay Python float arithmetic, bit for bit
     geometric = pb[:, None] * _pointwise(pow, base[:, None], np.array(ts))
     exponential = pb[:, None] * _pointwise(math.exp, -np.array(ts) * pa[:, None] / t_rel)
     defined = (base >= 0.0)[:, None]
-    slow_order = [(a, alpha, i, w) for a, alpha in _str_order(alphas)
+    slow_order = [(a, alpha, i, w) for a, alpha in _str_order(_SLOW_ALPHAS)
                   for i, w in _str_order(WORK_GRID)]
     a_idx, slow_alphas, w_idx, slow_works = map(list, zip(*slow_order))
     decay = np.array([math.exp(-w) for w in slow_works])
@@ -669,15 +808,15 @@ def _suite_escape(ctx: _Ctx) -> list[RecordBlock]:
         _sweep_block("escape-tail-exponential",
                      np.where(defined, "inequality", "skip"),
                      np.where(defined, geometric, math.nan),
-                     np.where(defined, exponential, math.nan), members, {"t": ts},
+                     np.where(defined, exponential, math.nan), targets, {"t": ts},
                      np.where(defined, "", "geometric base is negative (t_rel < pi(A))")),
         _sweep_block("slow-start-measure", "inequality", slow[:, w_idx, a_idx],
-                     pb[:, None] * decay / np.array(slow_alphas), members,
+                     pb[:, None] * decay / np.array(slow_alphas), targets,
                      {"w": slow_works, "alpha": slow_alphas}),
         _sweep_block("stationary-escape-tail", "inequality", pb[:, None] * tails[:, t_idx],
-                     geometric, members, {"t": ts}),
+                     geometric, targets, {"t": ts}),
         _sweep_block("stationary-mean-hitting", "inequality", pa * pb * means, t_rel * pb,
-                     members),
+                     targets),
     ]
 
 
@@ -688,28 +827,24 @@ def _suite_escape(ctx: _Ctx) -> list[RecordBlock]:
 def _suite_killed_spectrum(ctx: _Ctx) -> list[RecordBlock]:
     """The killed kernel's spectral mixture has the promised shape."""
     t_rel = ctx.t_rel
-    marks = (1, 5, 20)
-
-    def per_stack(ks: KilledSystem):
-        return (ks.pi_A, ks.pi_B, ks.weights.min(axis=-1), ks.weights.sum(axis=-1),
-                ks.gammas[:, 0], ks.gammas[:, -1], ks.tail_stationary(marks))
-
+    cols = ctx.sweep
+    pa, pb, w_min, w_sum, g_top, g_bottom, recon = (
+        cols[k] for k in ("pa", "pb", "w_min", "w_sum", "g_top", "g_bottom", "recon"))
     targets = ctx.targets(ctx.sets)
-    pa, pb, w_min, w_sum, g_top, g_bottom, recon = _per_set(ctx, per_stack)
     # reconstruction against direct killed-kernel iteration, every target in one pass
+    marks = KILLED_T_GRID
     steps = islice(_survival(ctx.chain.P, ~targets.masks.T), marks[-1] + 1)
     direct = np.stack([ctx.chain.pi @ V for t, V in enumerate(steps) if t in marks], axis=-1)
-    members = targets.members
     m_idx, ts = map(list, zip(*_str_order(marks)))
     return [
         _sweep_block("killed-spectrum-ceiling", "inequality", g_top, 1.0 - pa / t_rel,
-                     members),
+                     targets),
         _sweep_block("killed-spectrum-symmetric-floor", "inequality", -g_top, g_bottom,
-                     members),
+                     targets),
         _sweep_block("killed-tail-reconstruction", "identity", recon[:, m_idx],
-                     direct[targets.order][:, m_idx] / pb[:, None], members, {"t": ts}),
-        _sweep_block("killed-weights-nonnegative", "inequality", 0.0, w_min, members),
-        _sweep_block("killed-weights-normalized", "identity", w_sum, 1.0, members),
+                     direct[targets.order][:, m_idx] / pb[:, None], targets, {"t": ts}),
+        _sweep_block("killed-weights-nonnegative", "inequality", 0.0, w_min, targets),
+        _sweep_block("killed-weights-normalized", "identity", w_sum, 1.0, targets),
     ]
 
 
@@ -786,8 +921,9 @@ def _suite_good_set(ctx: _Ctx) -> list[RecordBlock]:
     grid_order = [(m, s) for _, m in _str_order(DEVIATION_GRID) for _, s in _str_order(s_grid)]
     return [_sweep_block(
         "good-set-measure", "inequality", np.array([1.0 - 8.0 / m ** 2 for m, _ in grid_order]),
-        np.stack([measures[s, m] for m, s in grid_order], axis=-1)[targets.order],
-        targets.members, {"s": [s for _, s in grid_order], "m": [m for m, _ in grid_order]})]
+        np.stack([measures[s, m] for m, s in grid_order], axis=-1)[targets.order], targets,
+        {"s": _tile([s for _, s in grid_order], len(targets.members)),
+         "m": [m for m, _ in grid_order]})]
 
 
 # ---------------------------------------------------------------------------
@@ -843,33 +979,25 @@ def _suite_martingale(ctx: _Ctx) -> list[Record]:
 def _suite_return_time(ctx: _Ctx) -> list[RecordBlock]:
     """Flow symmetry and the return-time mean/second-moment identities."""
     t_rel = ctx.t_rel
-    t_marks = (1, 2, 5, 10)
-    stat_ts = sorted({t - 1 for t in t_marks} | set(t_marks))
-
-    def per_stack(ks: KilledSystem):
-        kq = ks.kac()
-        return (kq.flow_AB, kq.flow_BA, kq.phi_B, kq.mean_from_psi,
-                kq.second_from_psi, kq.mean_from_pi_B, ks.pi_A,
-                ks.tail_stationary(stat_ts),
-                ks.tail_dist(kq.psi_B, [t - 1 for t in t_marks]))
-
-    (flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat,
-     entry) = _per_set(ctx, per_stack)
+    cols = ctx.returns
+    flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat, entry = (
+        cols[k] for k in ("flow_out", "flow_in", "phi_B", "mean_psi", "second_psi",
+                          "mean_pi_B", "pa", "stat", "entry"))
     if (phi_B == 0.0).any() or (pa == 0.0).any():
         raise ZeroDivisionError("float division by zero")
-    members = ctx.targets(ctx.sets).members
-    m_idx, ts = map(list, zip(*_str_order(t_marks)))
-    before = stat[:, [stat_ts.index(t - 1) for t in ts]]
-    after = stat[:, [stat_ts.index(t) for t in ts]]
+    targets = ctx.targets(ctx.sets)
+    m_idx, ts = map(list, zip(*_str_order(RETURN_T_GRID)))
+    before = stat[:, [_RETURN_STAT_TS.index(t - 1) for t in ts]]
+    after = stat[:, [_RETURN_STAT_TS.index(t) for t in ts]]
     return [
-        _sweep_block("interface-flow-symmetry", "identity", flow_out, flow_in, members),
+        _sweep_block("interface-flow-symmetry", "identity", flow_out, flow_in, targets),
         _sweep_block("return-law-identity", "identity", (before - after) / phi_B[:, None],
-                     entry[:, m_idx], members, {"t": ts}),
-        _sweep_block("return-mean-identity", "identity", mean_psi, 1.0 / phi_B, members),
+                     entry[:, m_idx], targets, {"t": ts}),
+        _sweep_block("return-mean-identity", "identity", mean_psi, 1.0 / phi_B, targets),
         _sweep_block("return-second-moment-bound", "inequality", second_psi,
-                     2.0 * mean_psi * t_rel / pa, members),
+                     2.0 * mean_psi * t_rel / pa, targets),
         _sweep_block("return-second-moment-identity", "identity", second_psi,
-                     mean_psi * (2.0 * mean_pi_B - 1.0), members),
+                     mean_psi * (2.0 * mean_pi_B - 1.0), targets),
     ]
 
 
@@ -1270,14 +1398,15 @@ def run_suites(chain: Chain, suites, params: dict | None = None) -> list[Report]
     ``SUITE_IDS`` order, and a suite named twice runs once, where it first
     appears.  A run reads five keys of ``params``: ``eps_grid`` and
     ``alpha_grid`` (default ``EPS_GRID`` and ``ALPHA_GRID``), ``sets``
-    ("sampled", the default, or "all"), ``seed`` (7) and
-    ``exact_threshold``; other keys are ignored, and each report echoes
-    ``params`` as given.  The other grids are fixed: ``P_GRID``,
-    ``DEVIATION_GRID``, ``WORK_GRID``, ``C_GRID`` and ``FUNCTIONS`` seeded
-    test functions.  A ``chain`` that is not a
+    ("sampled", the default, or "all"), and the integers ``seed`` (7) and
+    ``exact_threshold`` (numpy integers too); other keys are ignored, and
+    each report echoes ``params`` as given.  The other grids are fixed:
+    ``P_GRID``, ``DEVIATION_GRID``, ``WORK_GRID``, ``C_GRID`` and
+    ``FUNCTIONS`` seeded test functions.  A ``chain`` that is not a
     :class:`~cutofflab.chain.Chain` raises ``TypeError``; unknown suite
-    ids, an eps or alpha value outside (0, 1) and an unknown set mode raise
-    ``ValueError``, in that order and before any suite runs.
+    ids, an empty eps or alpha grid or a value outside (0, 1), an unknown
+    set mode and an ``exact_threshold`` or ``seed`` that is not an integer
+    raise ``ValueError``, in that order and before any suite runs.
 
     ``params`` is parsed once, into the ``_Ctx`` every suite shares, and
     each report holds the blocks ``SUITES[sid](ctx)`` returns:

@@ -394,10 +394,10 @@ def test_run_suites_builds_each_single_target_once(monkeypatch):
     builds = []
     setup = KilledSystem._setup
 
-    def counted(self, chain, keep):
-        if keep.ndim == 1:
-            builds.append((id(chain), keep.tobytes()))
-        setup(self, chain, keep)
+    def counted(self, chain, A, B):
+        if B.ndim == 1:
+            builds.append((id(chain), A.tobytes()))
+        setup(self, chain, A, B)
 
     monkeypatch.setattr(KilledSystem, "_setup", counted)
     run_suites(biased_path(20), ["all"])

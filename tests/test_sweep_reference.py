@@ -14,7 +14,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from cutofflab import biased_path, cli, load_chain, random_reversible, run_suite
+from cutofflab import biased_path, cli, load_chain, random_reversible, run_suite, run_suites
 from cutofflab.hitting import KilledSystem, _survival
 from cutofflab.reporting import Record, Report, check_identity, check_le, skip
 from cutofflab.verify import (
@@ -246,15 +246,18 @@ def _check(ctx: _Ctx, params: dict) -> int:
     return skips
 
 
-@pytest.mark.parametrize("chain_id", ["k2", "p3", "k4", "k3", "k6", "random7"])
+@pytest.mark.parametrize("chain_id", ["k2", "p3", "k4", "k3", "k6", "random7", "random9"])
 @pytest.mark.parametrize("mode", ["sampled", "all"])
 def test_sweeping_suites_match_per_record_reference(chain_id, mode, request):
+    # from 9 states on, some stacks hold more targets and states than the
+    # small cases: one product over more times would move the last bits
     chain = {"k2": lambda: request.getfixturevalue("k2"),
              "p3": lambda: request.getfixturevalue("p3"),
              "k3": lambda: _complete_graph(3),
              "k4": lambda: _complete_graph(4),
              "k6": lambda: _complete_graph(6),
-             "random7": lambda: random_reversible(7, seed=1729)}[chain_id]()
+             "random7": lambda: random_reversible(7, seed=1729),
+             "random9": lambda: random_reversible(9, seed=1729)}[chain_id]()
     params = {"sets": mode}
     _check(_Ctx(chain, params), params)
 
@@ -268,10 +271,46 @@ def test_escape_skip_rows_match_reference():
     assert _check(ctx, params) > 0
 
 
+@pytest.mark.parametrize("mode", ["sampled", "all"])
+def test_identity_suites_walk_each_stack_once(mode, monkeypatch):
+    # one run of the four identity suites takes one eigensystem per stack
+    # (plus the chain's spectrum) and solves I - P_B twice per stack
+    chain = random_reversible(9, seed=5)
+    calls = []
+
+    def counting(name):
+        real = getattr(np.linalg, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("eigh", "solve"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
+    reports = run_suites(chain, ["escape", "killed-spectrum", "return-time", "good-set"],
+                         {"sets": mode})
+    monkeypatch.undo()
+    assert all(r.passed for r in reports)
+    stacks = len(_Ctx(chain, {"sets": mode}).stack)
+    assert stacks == (8 if mode == "all" else 5)
+    assert calls.count("eigh") == stacks + 1
+    assert calls.count("solve") == 2 * stacks
+
+
 def test_zero_mass_target_still_raises_zero_division(tmp_path):
-    # pi(A) = 1 - pi(B) rounds to 0 on biased_path(50); escape divides by it
+    # pi(A) = 1 - pi(B) rounds to 0 on biased_path(50); escape divides by
+    # it when it reads the columns it shares with killed-spectrum, which
+    # still passes alone, and return-time's solve is singular
+    chain = biased_path(50)
     with pytest.raises(ZeroDivisionError):
-        run_suite(biased_path(50), "escape")
+        run_suite(chain, "escape")
+    killed = run_suite(chain, "killed-spectrum")
+    assert killed.passed and killed.counts()["identity"] + killed.counts()["inequality"] == 77
+    with pytest.raises(np.linalg.LinAlgError):
+        run_suite(chain, "return-time")
+    with pytest.raises(ZeroDivisionError):
+        run_suites(chain, ["killed-spectrum", "escape"])
     chain = tmp_path / "chain.json"
     assert cli.main(["gen", "--family", "biased-path", "--n", "50", "-o", str(chain)]) == 0
     with pytest.raises(ZeroDivisionError):

@@ -123,9 +123,9 @@ def test_tree_suites_build_each_system_and_scan_each_tail_once(monkeypatch):
     built, scans = [], []
     setup, survival = KilledSystem._setup, KilledSystem.survival
 
-    def counting_setup(self, chain, keep):
-        built.append(tuple(np.flatnonzero(~keep)))
-        setup(self, chain, keep)
+    def counting_setup(self, chain, A, B):
+        built.append((A.shape, A.tobytes()))
+        setup(self, chain, A, B)
 
     def counting_survival(self):
         scans.append(tuple(self.A))

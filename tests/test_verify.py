@@ -56,6 +56,15 @@ def test_all_sets_tables_are_built_once_per_size():
     assert not any(mask.flags.writeable for mask, _ in table.pairs)
     with pytest.raises(ValueError):
         table.masks[0, 0] = True
+    # the sweep plan rides on the table: every chain's stacks take its index
+    # arrays as they are, and the blocks of two chains share its columns
+    ctxs = [_Ctx(chain, {"sets": "all"}) for chain in (a.chain, b.chain)]
+    for (idx, A, B), *stacks in zip(table.parts, *(ctx.stack for ctx in ctxs)):
+        assert not (idx.flags.writeable or A.flags.writeable or B.flags.writeable)
+        assert all(i is idx and ks.A is A and ks.B is B for i, ks in stacks)
+    blocks = [SUITES["escape"](ctx) for ctx in ctxs]
+    assert all(x.params[k] is y.params[k] and not x.params[k].flags.writeable
+               for x, y in zip(*blocks) for k in x.params)
     built = _all_targets.cache_info().currsize
     for n in (4, 13, 20):
         sampled = _Ctx(random_reversible(n, seed=n), {}).targets("sampled")
@@ -480,6 +489,19 @@ def test_relaxation_upper_bounds_are_the_certified_ceiling(k2, small_corpus):
     ("escape", {"alpha_grid": (0.0,), "sets": "bogus"}, "alpha_grid values"),
     ("escape", {"eps_grid": (1.0,), "sets": "bogus"}, "eps_grid values"),
     ("escape", {"sets": "bogus"}, "unknown set mode"),
+    # an empty grid would leave its suites without a check
+    ("relaxation", {"eps_grid": ()}, "eps_grid must hold at least one value"),
+    ("tv-hit", {"alpha_grid": []}, "alpha_grid must hold at least one value"),
+    ("tv-hit", {"alpha_grid": (), "eps_grid": ()}, "eps_grid must hold"),
+    ("escape", {"alpha_grid": (), "sets": "bogus"}, "alpha_grid must hold"),
+    # seed and exact_threshold are integers, never rounded or parsed; the
+    # threshold is checked first, and both after the set mode
+    ("escape", {"seed": 2.5}, r"seed must be an integer; got 2\.5"),
+    ("escape", {"seed": "7"}, "seed must be an integer; got '7'"),
+    ("escape", {"exact_threshold": "7"}, "exact_threshold must be an integer; got '7'"),
+    ("escape", {"exact_threshold": 8.0}, r"exact_threshold must be an integer; got 8\.0"),
+    ("escape", {"exact_threshold": 2.5, "seed": 2.5}, "exact_threshold must"),
+    ("escape", {"seed": 2.5, "sets": "bogus"}, "unknown set mode"),
 ])
 def test_run_suites_rejects_parameters_out_of_range(k2, monkeypatch, suite, params, message):
     ran = []
@@ -488,6 +510,14 @@ def test_run_suites_rejects_parameters_out_of_range(k2, monkeypatch, suite, para
         with pytest.raises(ValueError, match=message):
             run_suites(chain, [suite], params)
     assert ran == []
+
+
+def test_integer_parameters_accept_numpy_integers(k2):
+    params = {"seed": np.int64(7), "exact_threshold": np.int32(12)}
+    got = run_suites(k2, ["escape", "tv-hit"], params)
+    want = run_suites(k2, ["escape", "tv-hit"], {"seed": 7, "exact_threshold": 12})
+    assert [r.dumps() for r in got] == [r.dumps() for r in want]
+    assert all(r.params is not params and r.params == params for r in got)
 
 
 def test_tree_window_sandwich_reads_the_suite_threshold():
