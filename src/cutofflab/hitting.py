@@ -24,7 +24,7 @@ results are flagged as certified lower bounds only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import count, islice
 
 import numpy as np
@@ -144,6 +144,17 @@ def _partition(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
     return parts
 
 
+@lru_cache(maxsize=64)
+def _table_rows(times: tuple, ts: tuple) -> np.ndarray | None:
+    """The rows of the grid ``ts`` in a power table over ``times``, or None
+    when ``ts`` is one time or holds a time outside the table."""
+    if len(ts) < 2 or not set(ts) <= set(times):
+        return None
+    rows = np.array([times.index(t) for t in ts], dtype=np.intp)
+    rows.setflags(write=False)
+    return rows
+
+
 class KilledSystem:
     """The chain killed on entering a target set A.
 
@@ -201,12 +212,19 @@ class KilledSystem:
         return chain.killed[key]
 
     @classmethod
-    def stack(cls, chain: Chain, A: np.ndarray, B: np.ndarray) -> "KilledSystem":
+    def stack(cls, chain: Chain, A: np.ndarray, B: np.ndarray, times=()) -> "KilledSystem":
         """One system for k targets given by their member and survivor index
         arrays, k x |A| and k x m, one ascending row per target, as
-        :func:`_partition` makes them; no ``survival``."""
+        :func:`_partition` makes them; no ``survival``.
+
+        ``times`` are the integer times its readers ask tails at: their
+        powers gamma^t are taken once, in one table, and
+        :meth:`tail_stationary` and :meth:`tail_dist` at a grid of two or
+        more of them read its rows, which hold the bits a table over that
+        grid alone would."""
         ks = cls.__new__(cls)
         ks._setup(chain, A, B)
+        ks._times = tuple(times)
         return ks
 
     @classmethod
@@ -224,6 +242,7 @@ class KilledSystem:
         self.pi_B = _scalar(chain.pi[B].sum(axis=-1))
         self.pi_A = 1.0 - self.pi_B
         self._scans: dict[int | None, _TailScan] = {}
+        self._times: tuple = ()
 
     def position(self, x: int) -> int:
         """Index of state x in survivor coordinates (one target)."""
@@ -364,13 +383,25 @@ class KilledSystem:
             mag = mag * np.where(neg[..., None, :] & odd[..., :, None], -1.0, 1.0)
         return mag
 
+    @cached_property
+    def _power_table(self) -> np.ndarray:
+        """:meth:`_factors` over the ``times`` given to :meth:`stack`."""
+        return self._factors(self._times, False)
+
+    def _powers(self, ts) -> np.ndarray:
+        """``_factors(ts, False)``, as rows of the power table when ``ts`` is
+        a tuple or list of more than one time, each one of its times.  One
+        time is computed alone: numpy then runs its power over a stack in
+        one loop, whose last bits can differ from the table's."""
+        rows = (_table_rows(self._times, tuple(ts))
+                if self._times and isinstance(ts, (tuple, list)) else None)
+        if rows is None:
+            return self._factors(ts, False)
+        return self._power_table.take(rows, axis=-2)
+
     def tail_stationary(self, ts, continuous: bool = False) -> np.ndarray:
         """Pr[T_A > t] from pi conditioned on B, for each t in ts."""
-        return self._stationary_of(self._factors(ts, continuous))
-
-    def _stationary_of(self, factors: np.ndarray) -> np.ndarray:
-        """:meth:`tail_stationary` at the times of the rows of ``factors``, a
-        table of :meth:`_factors` or a row selection of one."""
+        factors = self._factors(ts, True) if continuous else self._powers(ts)
         return np.clip(_mv(factors, self.weights), 0.0, None)
 
     def tail_rows(self, t) -> np.ndarray:
@@ -390,13 +421,9 @@ class KilledSystem:
 
     def tail_dist(self, dist_B: np.ndarray, ts) -> np.ndarray:
         """Pr[T_A > t] from a start law given in survivor coordinates."""
-        return self._dist_of(dist_B, self._factors(ts, False))
-
-    def _dist_of(self, dist_B: np.ndarray, factors: np.ndarray) -> np.ndarray:
-        """:meth:`tail_dist` at the times of the rows of ``factors``."""
         _, U, sq, right = self._eigen
         lead = _vm(dist_B / sq, U)
-        return np.clip(_mv(factors, lead * right), 0.0, None)
+        return np.clip(_mv(self._powers(ts), lead * right), 0.0, None)
 
     def mean_stationary(self):
         """E[T_A] from pi conditioned on B, from the spectral weights; inf

@@ -249,19 +249,6 @@ class RecordBlock:
         self.params = {k: _objects(v, n) for k, v in (params or {}).items()}
         self.margin, self.passed = self._certify()
 
-    @classmethod
-    def of_columns(cls, inequality: str, lhs: np.ndarray, rhs: np.ndarray, kind, params: dict,
-                   note) -> RecordBlock:
-        """A block from ready columns, taken as they are: ``lhs`` and ``rhs``
-        1-D float64 arrays of one length, ``params`` object arrays of that
-        length, ``kind`` and ``note`` one string or a string array each
-        (an array holding more than one value)."""
-        block = cls.__new__(cls)
-        block.inequality, block.lhs, block.rhs = inequality, lhs, rhs
-        block.kind, block.note, block.params = kind, note, params
-        block.margin, block.passed = block._certify()
-        return block
-
     def __len__(self) -> int:
         return self.lhs.size
 

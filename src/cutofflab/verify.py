@@ -42,11 +42,11 @@ The identity suites (escape, killed-spectrum, return-time, good-set) sweep
 every target set of a table.  What does not depend on the chain is built
 once per table (``_Targets``; for ``sets="all"`` once per n in a process):
 the split of the sets into one stack per |B| with each stack's member and
-survivor index arrays, the permutation into record-key order, and the
-parameter columns of the blocks.  Per chain, ``_Ctx.sweep`` walks the
-stacks once for escape and killed-spectrum and ``_Ctx.returns`` once more,
-when first read, for return-time's Kac quantities and entry-law tails;
-each stack takes its powers gamma^t once over the union of the suites'
+survivor index arrays, and the permutation from the stacks' rows into
+record-key order.  Per chain, ``_Ctx.stack`` builds the stacked killed
+systems once, and each suite walks them once (``_per_set``), reading the
+eigensystems, solves and tables of powers gamma^t the systems keep: each
+stack takes its powers once over ``_SWEEP_TS``, the union of the suites'
 time grids.
 """
 
@@ -137,12 +137,6 @@ KILLED_T_GRID = (1, 5, 20)
 RETURN_T_GRID = (1, 2, 5, 10)
 _RETURN_STAT_TS = tuple(sorted({t - 1 for t in RETURN_T_GRID} | set(RETURN_T_GRID)))
 _SWEEP_TS = tuple(sorted({*TAIL_T_GRID, *KILLED_T_GRID, *_RETURN_STAT_TS}))
-_SLOW_ALPHAS = (0.25, 0.5)  # escape's slow-start levels
-
-
-def _sweep_rows(ts) -> list[int]:
-    """The rows of the times ``ts`` in a power table over ``_SWEEP_TS``."""
-    return [_SWEEP_TS.index(t) for t in ts]
 
 
 def _ceil(x: float) -> int:
@@ -190,8 +184,7 @@ class _Clock:
         return x if self.continuous else _ceil(x)
 
 
-@dataclass(frozen=True, eq=False)
-class _Targets:
+class _Targets(NamedTuple):
     """The nonempty proper target sets of one sweep and the chain-free half
     of sweeping them, read-only.
 
@@ -201,14 +194,12 @@ class _Targets:
     column order.  ``order`` is the index array of the positions sorted by
     ``str(members)``, the order of the record keys (no tuple repr is a
     prefix of another), and ``members`` the member tuples in that order as
-    an object array.
+    an object array, the ``A`` column of the set-sweeping suites.
 
     ``parts`` splits the sets by |B| as :func:`~cutofflab.hitting._partition`
     does, with the member and survivor index arrays every chain's stacked
     killed systems take as they are, and ``rows`` reorders the stacks'
-    concatenated rows into key order.  :meth:`repeated` and :meth:`tiled`
-    give the parameter columns of a sweep over (set x grid point), each
-    built once and shared by every block and report that reads it.
+    concatenated rows into key order.
     """
 
     masks: np.ndarray
@@ -217,7 +208,6 @@ class _Targets:
     members: np.ndarray
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     rows: np.ndarray
-    _columns: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def of(cls, masks: np.ndarray) -> "_Targets":
@@ -233,30 +223,6 @@ class _Targets:
         for a in (order, members, rows, *(a for part in parts for a in part)):
             a.setflags(write=False)
         return cls(masks, pairs, order, members, parts, rows)
-
-    def _column(self, key, build) -> np.ndarray:
-        column = self._columns.get(key)
-        if column is None:
-            column = build()
-            column.setflags(write=False)
-            column = self._columns.setdefault(key, column)
-        return column
-
-    def repeated(self, points: int) -> np.ndarray:
-        """The ``A`` column: each member tuple ``points`` times, in key order."""
-        return self._column(points, lambda: np.repeat(self.members, points))
-
-    def tiled(self, values: tuple) -> np.ndarray:
-        """A grid column: the point values ``values`` once per set.  Kept per
-        grid (told apart by type, so 1 and 1.0 differ), so callers pass the
-        fixed grids only."""
-        return self._column(tuple((type(v), v) for v in values),
-                            lambda: _tile(values, len(self.members)))
-
-
-def _tile(values, count: int) -> np.ndarray:
-    """``values`` as an object array, repeated ``count`` times."""
-    return np.tile(np.fromiter(values, dtype=object, count=len(values)), count)
 
 
 @cache
@@ -402,74 +368,10 @@ class _Ctx:
     @cached_property
     def stack(self) -> list[tuple[np.ndarray, KilledSystem]]:
         """The killed systems of ``targets(sets)``, one stack per |B|, each
-        with the positions of its targets in ``targets(sets).pairs``."""
-        return [(idx, KilledSystem.stack(self.chain, A, B))
+        with the positions of its targets in ``targets(sets).pairs``, and
+        its powers gamma^t taken once over ``_SWEEP_TS``."""
+        return [(idx, KilledSystem.stack(self.chain, A, B, _SWEEP_TS))
                 for idx, A, B in self.targets(self.sets).parts]
-
-    @cached_property
-    def _powers(self) -> list[np.ndarray]:
-        """Each stack's table of gamma^t over ``_SWEEP_TS``, which every
-        stationary and entry-law tail of the identity suites slices."""
-        return [ks._factors(_SWEEP_TS, False) for _, ks in self.stack]
-
-    def _walk(self, per_stack) -> dict[str, np.ndarray]:
-        """``per_stack(ks, powers)`` on every stack of ``stack``, a dict of
-        arrays with one row per target; each as one array in key order."""
-        vals = [per_stack(ks, powers) for (_, ks), powers in zip(self.stack, self._powers)]
-        rows = self.targets(self.sets).rows
-        return {key: np.concatenate([v[key] for v in vals])[rows] for key in vals[0]}
-
-    @cached_property
-    def sweep(self) -> dict[str, np.ndarray]:
-        """The columns escape and killed-spectrum read, from one walk over
-        the stacks.
-
-        A stack holding a target of pi(A) = 0 has no slow-start times: its
-        ``slow`` rows stay NaN, and the first such (work index, pi(A)) in
-        stack and work order is kept as ``escape_fault``, which escape
-        raises from when it reads these columns."""
-        t_rel, pi = self.t_rel, self.chain.pi
-        tail_rows, mark_rows = _sweep_rows(TAIL_T_GRID), _sweep_rows(KILLED_T_GRID)
-        self.escape_fault = None
-
-        def per_stack(ks: KilledSystem, powers: np.ndarray) -> dict:
-            with np.errstate(all="ignore"):
-                t_w = t_rel * np.array(WORK_GRID) / ks.pi_A[:, None]
-            bad = ~np.isfinite(t_w)
-            if bad.any():
-                slow = np.full((len(t_w), len(WORK_GRID), len(_SLOW_ALPHAS)), math.nan)
-                if self.escape_fault is None:
-                    w, j = np.argwhere(bad.T)[0]
-                    self.escape_fault = (int(w), float(ks.pi_A[j]))
-            else:
-                # rows[j, w, a, i]: survivor i of target j is slow at work w and level a
-                rows = ks.tail_rows(np.ceil(t_w))[:, :, None, :] >= np.array(_SLOW_ALPHAS)[:, None]
-                slow = _row_sums(pi[ks.B][:, None, None, :], rows)
-            weights = ks.weights
-            return {"pa": ks.pi_A, "pb": ks.pi_B, "means": ks.mean_stationary(), "slow": slow,
-                    "tails": ks._stationary_of(powers[:, tail_rows]),
-                    "recon": ks._stationary_of(powers[:, mark_rows]),
-                    "w_min": weights.min(axis=-1), "w_sum": weights.sum(axis=-1),
-                    "g_top": ks.gammas[:, 0], "g_bottom": ks.gammas[:, -1]}
-
-        return self._walk(per_stack)
-
-    @cached_property
-    def returns(self) -> dict[str, np.ndarray]:
-        """The columns return-time reads: each stack's Kac quantities and
-        entry-law tails, from a second walk over the stacks."""
-        stat_rows = _sweep_rows(_RETURN_STAT_TS)
-        entry_rows = _sweep_rows([t - 1 for t in RETURN_T_GRID])
-
-        def per_stack(ks: KilledSystem, powers: np.ndarray) -> dict:
-            kq = ks.kac()
-            return {"flow_out": kq.flow_AB, "flow_in": kq.flow_BA, "phi_B": kq.phi_B,
-                    "mean_psi": kq.mean_from_psi, "second_psi": kq.second_from_psi,
-                    "mean_pi_B": kq.mean_from_pi_B, "pa": ks.pi_A,
-                    "stat": ks._stationary_of(powers[:, stat_rows]),
-                    "entry": ks._dist_of(kq.psi_B, powers[:, entry_rows])}
-
-        return self._walk(per_stack)
 
     @cached_property
     def functions(self) -> np.ndarray:
@@ -489,6 +391,14 @@ class _Ctx:
         return classify_sbd(self.chain)
 
 
+def _per_set(ctx: _Ctx, fn) -> list[np.ndarray]:
+    """Evaluate ``fn`` on every stack of ``ctx.stack``; returns one array
+    per output, one row per target in key order (``_Targets.rows``)."""
+    vals = [fn(ks) for _, ks in ctx.stack]
+    rows = ctx.targets(ctx.sets).rows
+    return [np.concatenate(col).take(rows, axis=0) for col in zip(*vals)]
+
+
 def _pointwise(fn, *args) -> np.ndarray:
     """``fn`` on Python floats (and ints), element by element with
     broadcasting, mapped over flat lists: numpy's ``exp`` and ``power``
@@ -505,37 +415,28 @@ def _str_order(values) -> list[tuple[int, object]]:
     return sorted(enumerate(values), key=lambda iv: str(iv[1]))
 
 
-def _sweep_block(inequality: str, kind, lhs, rhs, targets: _Targets,
+def _sweep_block(inequality: str, kind, lhs, rhs, members: np.ndarray,
                  grid: dict | None = None, note="") -> RecordBlock:
-    """The rows of one inequality over every target set (in key order)
-    times the points of ``grid`` (parameter name -> one value per point,
-    in key order).  A grid given as a tuple or list is a fixed one, whose
-    column ``targets`` keeps; one given as an object array is the ready
-    column (good-set's s grid, which depends on t_rel), beside at least
-    one fixed grid.
+    """The rows of one inequality over every target set (in ``_Targets.order``;
+    ``members`` fills the ``A`` column) times the points of ``grid``
+    (parameter name -> one value per point, in key order).
 
     ``lhs``, ``rhs`` and the ``kind`` and ``note`` arrays broadcast to the
     shape (sets, points), or (sets,) without a grid."""
     grid = grid or {}
-    points = next((len(v) for v in grid.values() if not isinstance(v, np.ndarray)), 1)
-    shape = (len(targets.members), points) if grid else (len(targets.members),)
-    cols = {"A": targets.repeated(points)}
+    points = len(next(iter(grid.values()))) if grid else 1
+    shape = (len(members), points) if grid else (len(members),)
+    cols = {"A": np.repeat(members, points) if grid else members}
     for key, values in grid.items():
-        cols[key] = values if isinstance(values, np.ndarray) else targets.tiled(values)
+        cols[key] = np.fromiter(list(values) * len(members), dtype=object,
+                                count=len(members) * points)
 
-    def floats(v) -> np.ndarray:
-        v = np.asarray(v, dtype=float)
-        if v.shape != shape:
-            v = np.broadcast_to(v, shape)
-        return v.ravel()
-
-    def labels(v):
+    def rows(v):
         if isinstance(v, str):
             return v
-        v = np.broadcast_to(v, shape).ravel()
-        return str(v[0]) if (v == v[0]).all() else v
-    return RecordBlock.of_columns(inequality, floats(lhs), floats(rhs), labels(kind), cols,
-                                  labels(note))
+        v = np.asarray(v)
+        return (v if v.shape == shape else np.broadcast_to(v, shape)).ravel()
+    return RecordBlock(inequality, rows(lhs), rows(rhs), rows(kind), cols, rows(note))
 
 
 # ---------------------------------------------------------------------------
@@ -788,19 +689,30 @@ def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
 def _suite_escape(ctx: _Ctx) -> list[RecordBlock]:
     """Stationary escape tails decay geometrically with rate pi(A)/t_rel."""
     t_rel = ctx.t_rel
-    cols = ctx.sweep
-    if ctx.escape_fault is not None:  # raise as that target's integer ceiling does
-        w, pa_j = ctx.escape_fault
-        _ceil(t_rel * WORK_GRID[w] / pa_j)
-    pa, pb, tails, means, slow = (cols[k] for k in ("pa", "pb", "tails", "means", "slow"))
-    targets = ctx.targets(ctx.sets)
+    pi = ctx.chain.pi
+    alphas = (0.25, 0.5)
+
+    def per_stack(ks: KilledSystem):
+        with np.errstate(all="ignore"):
+            t_w = t_rel * np.array(WORK_GRID) / ks.pi_A[:, None]
+        bad = ~np.isfinite(t_w)  # pi(A) = 0 among them
+        if bad.any():  # raise as one target's integer ceiling does, in work order
+            w, j = np.argwhere(bad.T)[0]
+            _ceil(t_rel * WORK_GRID[w] / float(ks.pi_A[j]))
+        # rows[j, w, a, i]: survivor i of target j is slow at work w and level a
+        rows = ks.tail_rows(np.ceil(t_w))[:, :, None, :] >= np.array(alphas)[:, None]
+        return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
+                ks.mean_stationary(), _row_sums(pi[ks.B][:, None, None, :], rows))
+
+    pa, pb, tails, means, slow = _per_set(ctx, per_stack)
+    members = ctx.targets(ctx.sets).members
     t_idx, ts = map(list, zip(*_str_order(TAIL_T_GRID)))
     base = 1.0 - pa / t_rel
     # powers and exponentials stay Python float arithmetic, bit for bit
     geometric = pb[:, None] * _pointwise(pow, base[:, None], np.array(ts))
     exponential = pb[:, None] * _pointwise(math.exp, -np.array(ts) * pa[:, None] / t_rel)
     defined = (base >= 0.0)[:, None]
-    slow_order = [(a, alpha, i, w) for a, alpha in _str_order(_SLOW_ALPHAS)
+    slow_order = [(a, alpha, i, w) for a, alpha in _str_order(alphas)
                   for i, w in _str_order(WORK_GRID)]
     a_idx, slow_alphas, w_idx, slow_works = map(list, zip(*slow_order))
     decay = np.array([math.exp(-w) for w in slow_works])
@@ -808,15 +720,15 @@ def _suite_escape(ctx: _Ctx) -> list[RecordBlock]:
         _sweep_block("escape-tail-exponential",
                      np.where(defined, "inequality", "skip"),
                      np.where(defined, geometric, math.nan),
-                     np.where(defined, exponential, math.nan), targets, {"t": ts},
+                     np.where(defined, exponential, math.nan), members, {"t": ts},
                      np.where(defined, "", "geometric base is negative (t_rel < pi(A))")),
         _sweep_block("slow-start-measure", "inequality", slow[:, w_idx, a_idx],
-                     pb[:, None] * decay / np.array(slow_alphas), targets,
+                     pb[:, None] * decay / np.array(slow_alphas), members,
                      {"w": slow_works, "alpha": slow_alphas}),
         _sweep_block("stationary-escape-tail", "inequality", pb[:, None] * tails[:, t_idx],
-                     geometric, targets, {"t": ts}),
+                     geometric, members, {"t": ts}),
         _sweep_block("stationary-mean-hitting", "inequality", pa * pb * means, t_rel * pb,
-                     targets),
+                     members),
     ]
 
 
@@ -827,24 +739,28 @@ def _suite_escape(ctx: _Ctx) -> list[RecordBlock]:
 def _suite_killed_spectrum(ctx: _Ctx) -> list[RecordBlock]:
     """The killed kernel's spectral mixture has the promised shape."""
     t_rel = ctx.t_rel
-    cols = ctx.sweep
-    pa, pb, w_min, w_sum, g_top, g_bottom, recon = (
-        cols[k] for k in ("pa", "pb", "w_min", "w_sum", "g_top", "g_bottom", "recon"))
-    targets = ctx.targets(ctx.sets)
-    # reconstruction against direct killed-kernel iteration, every target in one pass
     marks = KILLED_T_GRID
+
+    def per_stack(ks: KilledSystem):
+        return (ks.pi_A, ks.pi_B, ks.weights.min(axis=-1), ks.weights.sum(axis=-1),
+                ks.gammas[:, 0], ks.gammas[:, -1], ks.tail_stationary(marks))
+
+    targets = ctx.targets(ctx.sets)
+    pa, pb, w_min, w_sum, g_top, g_bottom, recon = _per_set(ctx, per_stack)
+    # reconstruction against direct killed-kernel iteration, every target in one pass
     steps = islice(_survival(ctx.chain.P, ~targets.masks.T), marks[-1] + 1)
     direct = np.stack([ctx.chain.pi @ V for t, V in enumerate(steps) if t in marks], axis=-1)
+    members = targets.members
     m_idx, ts = map(list, zip(*_str_order(marks)))
     return [
         _sweep_block("killed-spectrum-ceiling", "inequality", g_top, 1.0 - pa / t_rel,
-                     targets),
+                     members),
         _sweep_block("killed-spectrum-symmetric-floor", "inequality", -g_top, g_bottom,
-                     targets),
+                     members),
         _sweep_block("killed-tail-reconstruction", "identity", recon[:, m_idx],
-                     direct[targets.order][:, m_idx] / pb[:, None], targets, {"t": ts}),
-        _sweep_block("killed-weights-nonnegative", "inequality", 0.0, w_min, targets),
-        _sweep_block("killed-weights-normalized", "identity", w_sum, 1.0, targets),
+                     direct[targets.order][:, m_idx] / pb[:, None], members, {"t": ts}),
+        _sweep_block("killed-weights-nonnegative", "inequality", 0.0, w_min, members),
+        _sweep_block("killed-weights-normalized", "identity", w_sum, 1.0, members),
     ]
 
 
@@ -921,9 +837,8 @@ def _suite_good_set(ctx: _Ctx) -> list[RecordBlock]:
     grid_order = [(m, s) for _, m in _str_order(DEVIATION_GRID) for _, s in _str_order(s_grid)]
     return [_sweep_block(
         "good-set-measure", "inequality", np.array([1.0 - 8.0 / m ** 2 for m, _ in grid_order]),
-        np.stack([measures[s, m] for m, s in grid_order], axis=-1)[targets.order], targets,
-        {"s": _tile([s for _, s in grid_order], len(targets.members)),
-         "m": [m for m, _ in grid_order]})]
+        np.stack([measures[s, m] for m, s in grid_order], axis=-1)[targets.order],
+        targets.members, {"s": [s for _, s in grid_order], "m": [m for m, _ in grid_order]})]
 
 
 # ---------------------------------------------------------------------------
@@ -979,25 +894,32 @@ def _suite_martingale(ctx: _Ctx) -> list[Record]:
 def _suite_return_time(ctx: _Ctx) -> list[RecordBlock]:
     """Flow symmetry and the return-time mean/second-moment identities."""
     t_rel = ctx.t_rel
-    cols = ctx.returns
-    flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat, entry = (
-        cols[k] for k in ("flow_out", "flow_in", "phi_B", "mean_psi", "second_psi",
-                          "mean_pi_B", "pa", "stat", "entry"))
+    t_marks, stat_ts = RETURN_T_GRID, _RETURN_STAT_TS
+
+    def per_stack(ks: KilledSystem):
+        kq = ks.kac()
+        return (kq.flow_AB, kq.flow_BA, kq.phi_B, kq.mean_from_psi,
+                kq.second_from_psi, kq.mean_from_pi_B, ks.pi_A,
+                ks.tail_stationary(stat_ts),
+                ks.tail_dist(kq.psi_B, [t - 1 for t in t_marks]))
+
+    (flow_out, flow_in, phi_B, mean_psi, second_psi, mean_pi_B, pa, stat,
+     entry) = _per_set(ctx, per_stack)
     if (phi_B == 0.0).any() or (pa == 0.0).any():
         raise ZeroDivisionError("float division by zero")
-    targets = ctx.targets(ctx.sets)
-    m_idx, ts = map(list, zip(*_str_order(RETURN_T_GRID)))
-    before = stat[:, [_RETURN_STAT_TS.index(t - 1) for t in ts]]
-    after = stat[:, [_RETURN_STAT_TS.index(t) for t in ts]]
+    members = ctx.targets(ctx.sets).members
+    m_idx, ts = map(list, zip(*_str_order(t_marks)))
+    before = stat[:, [stat_ts.index(t - 1) for t in ts]]
+    after = stat[:, [stat_ts.index(t) for t in ts]]
     return [
-        _sweep_block("interface-flow-symmetry", "identity", flow_out, flow_in, targets),
+        _sweep_block("interface-flow-symmetry", "identity", flow_out, flow_in, members),
         _sweep_block("return-law-identity", "identity", (before - after) / phi_B[:, None],
-                     entry[:, m_idx], targets, {"t": ts}),
-        _sweep_block("return-mean-identity", "identity", mean_psi, 1.0 / phi_B, targets),
+                     entry[:, m_idx], members, {"t": ts}),
+        _sweep_block("return-mean-identity", "identity", mean_psi, 1.0 / phi_B, members),
         _sweep_block("return-second-moment-bound", "inequality", second_psi,
-                     2.0 * mean_psi * t_rel / pa, targets),
+                     2.0 * mean_psi * t_rel / pa, members),
         _sweep_block("return-second-moment-identity", "identity", second_psi,
-                     mean_psi * (2.0 * mean_pi_B - 1.0), targets),
+                     mean_psi * (2.0 * mean_pi_B - 1.0), members),
     ]
 
 

@@ -274,9 +274,16 @@ def test_escape_skip_rows_match_reference():
 @pytest.mark.parametrize("mode", ["sampled", "all"])
 def test_identity_suites_walk_each_stack_once(mode, monkeypatch):
     # one run of the four identity suites takes one eigensystem per stack
-    # (plus the chain's spectrum) and solves I - P_B twice per stack
+    # (plus the chain's spectrum), solves I - P_B twice per stack, and
+    # takes each stack's powers gamma^t twice: one table for every
+    # stationary and entry-law tail, and escape's slow-start rows
     chain = random_reversible(9, seed=5)
     calls = []
+    factors = KilledSystem._factors
+
+    def counted_factors(self, ts, continuous):
+        calls.append("factors")
+        return factors(self, ts, continuous)
 
     def counting(name):
         real = getattr(np.linalg, name)
@@ -288,6 +295,7 @@ def test_identity_suites_walk_each_stack_once(mode, monkeypatch):
 
     for name in ("eigh", "solve"):
         monkeypatch.setattr(np.linalg, name, counting(name))
+    monkeypatch.setattr(KilledSystem, "_factors", counted_factors)
     reports = run_suites(chain, ["escape", "killed-spectrum", "return-time", "good-set"],
                          {"sets": mode})
     monkeypatch.undo()
@@ -296,12 +304,13 @@ def test_identity_suites_walk_each_stack_once(mode, monkeypatch):
     assert stacks == (8 if mode == "all" else 5)
     assert calls.count("eigh") == stacks + 1
     assert calls.count("solve") == 2 * stacks
+    assert calls.count("factors") == 2 * stacks
 
 
 def test_zero_mass_target_still_raises_zero_division(tmp_path):
     # pi(A) = 1 - pi(B) rounds to 0 on biased_path(50); escape divides by
-    # it when it reads the columns it shares with killed-spectrum, which
-    # still passes alone, and return-time's solve is singular
+    # it, killed-spectrum still passes on the same stacks, and
+    # return-time's solve is singular
     chain = biased_path(50)
     with pytest.raises(ZeroDivisionError):
         run_suite(chain, "escape")

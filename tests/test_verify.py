@@ -57,14 +57,11 @@ def test_all_sets_tables_are_built_once_per_size():
     with pytest.raises(ValueError):
         table.masks[0, 0] = True
     # the sweep plan rides on the table: every chain's stacks take its index
-    # arrays as they are, and the blocks of two chains share its columns
+    # arrays as they are
     ctxs = [_Ctx(chain, {"sets": "all"}) for chain in (a.chain, b.chain)]
     for (idx, A, B), *stacks in zip(table.parts, *(ctx.stack for ctx in ctxs)):
         assert not (idx.flags.writeable or A.flags.writeable or B.flags.writeable)
         assert all(i is idx and ks.A is A and ks.B is B for i, ks in stacks)
-    blocks = [SUITES["escape"](ctx) for ctx in ctxs]
-    assert all(x.params[k] is y.params[k] and not x.params[k].flags.writeable
-               for x, y in zip(*blocks) for k in x.params)
     built = _all_targets.cache_info().currsize
     for n in (4, 13, 20):
         sampled = _Ctx(random_reversible(n, seed=n), {}).targets("sampled")
