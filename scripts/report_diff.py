@@ -4,8 +4,11 @@
 Each side is a report file or a directory of them (`*.json`, matched by
 file name).  The outputs match when both hold the same reports with the
 same sequence of (suite, inequality, params, kind, passed) records, and
-every lhs and rhs agrees to 1e-12 relative to max(1, |x|).  Use it to show
-that a change reproduces the records of a fixed corpus.  Files that hold no
+every lhs and rhs agrees to 1e-12 relative to max(1, |x|).  Two
+directories must also hold the same `*.exit.txt` files, byte for byte (the
+exit codes `scripts/verify_corpus.py` writes).  This is the equivalence
+check for a change that should keep the records of a fixed corpus: last-bit
+moves pass, a changed verdict or outcome does not.  Files that hold no
 report on either side, such as the chain files `verify` read, are skipped
 and named on stderr; a file that holds a report on one side only is a
 difference.
@@ -55,10 +58,17 @@ def _close(a, b) -> bool:
     return abs(a - b) <= TOL * max(1.0, abs(a), abs(b))
 
 
+def _exits(path: Path) -> dict[str, str]:
+    return {f.name: f.read_text() for f in path.glob("*.exit.txt")} if path.is_dir() else {}
+
+
 def compare(a: Path, b: Path) -> list[str]:
     """Differences between two outputs, one line each; empty when they match."""
     left, right = _reports(a), _reports(b)
-    problems = []
+    exits_a, exits_b = _exits(a), _exits(b)
+    problems = [f"{name}: exit {exits_a.get(name)!r} vs {exits_b.get(name)!r}"
+                for name in sorted(exits_a.keys() | exits_b.keys())
+                if exits_a.get(name) != exits_b.get(name)]
     for key in sorted(left.keys() | right.keys()):
         reps_a, reps_b = left.get(key), right.get(key)
         name = key or a.name

@@ -14,15 +14,19 @@ and stores in OUT_DIR:
 The corpus covers every deterministic `gen` family, including the members
 known to fail (biased-path n = 20, 34, 50 and aldous n = 3, 5), a seeded
 birth-death chain and random chains with 6 to 40 states.  Chains with at
-most 10 states are verified over every target set (`--sets all`).  Files
-are written under relative names from inside OUT_DIR, so two output
-directories compare byte for byte.  To show that a change leaves the
-reports alone:
+most 10 states are verified over every target set (`--sets all`).  To
+show that a change keeps the records, gate on `scripts/report_diff.py`: the
+same pass/fail sequence and exit files, every lhs and rhs equal to 1e-12
+(last-bit moves are not differences):
 
     PYTHONPATH=src python3 scripts/verify_corpus.py before/
     ... apply the change ...
     PYTHONPATH=src python3 scripts/verify_corpus.py after/
-    python3 scripts/report_diff.py before/ after/ && diff -r before/ after/
+    python3 scripts/report_diff.py before/ after/
+
+Files are written under relative names from inside OUT_DIR, so two runs of
+one commit compare byte for byte with `diff -r`; that is a determinism
+check, not an equivalence check across commits.
 
 Exit status: 0 when every member ran (failing records and escaped
 exceptions are outcomes, not errors).

@@ -24,7 +24,7 @@ results are flagged as certified lower bounds only.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import count, islice
 
 import numpy as np
@@ -144,17 +144,6 @@ def _partition(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
     return parts
 
 
-@lru_cache(maxsize=64)
-def _table_rows(times: tuple, ts: tuple) -> np.ndarray | None:
-    """The rows of the grid ``ts`` in a power table over ``times``, or None
-    when ``ts`` is one time or holds a time outside the table."""
-    if len(ts) < 2 or not set(ts) <= set(times):
-        return None
-    rows = np.array([times.index(t) for t in ts], dtype=np.intp)
-    rows.setflags(write=False)
-    return rows
-
-
 class KilledSystem:
     """The chain killed on entering a target set A.
 
@@ -212,19 +201,12 @@ class KilledSystem:
         return chain.killed[key]
 
     @classmethod
-    def stack(cls, chain: Chain, A: np.ndarray, B: np.ndarray, times=()) -> "KilledSystem":
+    def stack(cls, chain: Chain, A: np.ndarray, B: np.ndarray) -> "KilledSystem":
         """One system for k targets given by their member and survivor index
         arrays, k x |A| and k x m, one ascending row per target, as
-        :func:`_partition` makes them; no ``survival``.
-
-        ``times`` are the integer times its readers ask tails at: their
-        powers gamma^t are taken once, in one table, and
-        :meth:`tail_stationary` and :meth:`tail_dist` at a grid of two or
-        more of them read its rows, which hold the bits a table over that
-        grid alone would."""
+        :func:`_partition` makes them; no ``survival``."""
         ks = cls.__new__(cls)
         ks._setup(chain, A, B)
-        ks._times = tuple(times)
         return ks
 
     @classmethod
@@ -242,7 +224,6 @@ class KilledSystem:
         self.pi_B = _scalar(chain.pi[B].sum(axis=-1))
         self.pi_A = 1.0 - self.pi_B
         self._scans: dict[int | None, _TailScan] = {}
-        self._times: tuple = ()
 
     def position(self, x: int) -> int:
         """Index of state x in survivor coordinates (one target)."""
@@ -383,26 +364,9 @@ class KilledSystem:
             mag = mag * np.where(neg[..., None, :] & odd[..., :, None], -1.0, 1.0)
         return mag
 
-    @cached_property
-    def _power_table(self) -> np.ndarray:
-        """:meth:`_factors` over the ``times`` given to :meth:`stack`."""
-        return self._factors(self._times, False)
-
-    def _powers(self, ts) -> np.ndarray:
-        """``_factors(ts, False)``, as rows of the power table when ``ts`` is
-        a tuple or list of more than one time, each one of its times.  One
-        time is computed alone: numpy then runs its power over a stack in
-        one loop, whose last bits can differ from the table's."""
-        rows = (_table_rows(self._times, tuple(ts))
-                if self._times and isinstance(ts, (tuple, list)) else None)
-        if rows is None:
-            return self._factors(ts, False)
-        return self._power_table.take(rows, axis=-2)
-
     def tail_stationary(self, ts, continuous: bool = False) -> np.ndarray:
         """Pr[T_A > t] from pi conditioned on B, for each t in ts."""
-        factors = self._factors(ts, True) if continuous else self._powers(ts)
-        return np.clip(_mv(factors, self.weights), 0.0, None)
+        return np.clip(_mv(self._factors(ts, continuous), self.weights), 0.0, None)
 
     def tail_rows(self, t) -> np.ndarray:
         """Pr_x[T_A > t] for every survivor x (the last axis) at one t (possibly
@@ -423,7 +387,7 @@ class KilledSystem:
         """Pr[T_A > t] from a start law given in survivor coordinates."""
         _, U, sq, right = self._eigen
         lead = _vm(dist_B / sq, U)
-        return np.clip(_mv(self._powers(ts), lead * right), 0.0, None)
+        return np.clip(_mv(self._factors(ts, False), lead * right), 0.0, None)
 
     def mean_stationary(self):
         """E[T_A] from pi conditioned on B, from the spectral weights; inf

@@ -46,6 +46,12 @@ class SBDClassification:
     reasons: tuple[str, ...] = ()
 
 
+def _nn_floor(P: np.ndarray) -> float:
+    """The smallest nearest-neighbor transition probability; 0 on one state."""
+    nn = np.concatenate([np.diagonal(P, 1), np.diagonal(P, -1)])
+    return float(nn.min()) if nn.size else 0.0
+
+
 def classify_sbd(chain: Chain) -> SBDClassification:
     """Classify a chain as (delta, r)-banded in its given state order.
 
@@ -62,8 +68,7 @@ def classify_sbd(chain: Chain) -> SBDClassification:
     if not support.any():
         return SBDClassification(False, 0, 0.0, None, ("no off-diagonal transitions",))
     r = int(off[support].max())
-    nn = np.concatenate([np.diagonal(P, 1), np.diagonal(P, -1)])
-    delta = float(nn.min()) if nn.size else 0.0
+    delta = _nn_floor(P)
     reasons = []
     if not chain.is_reversible:
         reasons.append("not reversible")
@@ -118,9 +123,15 @@ def blocks(chain: Chain, r: int, delta: float) -> BlockDecomposition:
     The central state is the smallest i whose strictly-left and
     strictly-right stationary masses are both at most 1/2; for a
     qualified banded chain the central block's mass can be at most
-    r / (r + delta^r), and a violation raises.
+    r / (r + delta^r), and a violation raises.  delta lies between 0,
+    which skips that check, and the chain's smallest nearest-neighbor
+    probability: above it the chain is not (delta, r)-banded.
     """
     n = chain.n
+    floor = _nn_floor(chain.P)
+    if not 0.0 <= delta <= floor:
+        raise ValueError(f"delta {delta} must lie in [0, {floor:.6g}], the chain's "
+                         "smallest nearest-neighbor probability")
     if r < 1:
         raise ValueError("block size must be at least 1")
     if r >= n:

@@ -307,9 +307,7 @@ def _ancestor_path(tc: RootedTreeChain, x: int, y: int | None) -> list[int]:
 def _two_sided_tails(tc: RootedTreeChain, x: int, y: int, mean: float, c: float,
                      scale: float) -> tuple[float, float]:
     """``Pr_x[T_y >= mean + c scale]`` and ``Pr_x[T_y <= mean - c scale]``,
-    read off the one tail scan from x to y."""
-    if c <= 0:
-        raise ValueError("c must be positive")
+    read off the one tail scan from x to y; c is positive."""
     scan = KilledSystem.of(tc.chain, [y]).scan(x)
     hi, lo = mean + c * scale, mean - c * scale
     return scan.at(math.ceil(hi) - 1), 0.0 if lo <= 0 else 1.0 - scan.at(math.floor(lo))
@@ -440,8 +438,12 @@ def tail_bound_check(tc: RootedTreeChain, x: int, y: int | None = None,
     For ``b = sqrt(E_x[T_y] t_rel)`` and admissible
     ``c <= 2.5 sqrt(E_x[T_y] / t_rel)`` the exact tails must satisfy
     ``Pr_x[|T_y - E_x[T_y]| >= c b] <= exp(-c^2 / 20)`` on each side.
-    Inadmissible c values are recorded as skips; c must be positive.
+    Inadmissible c values are recorded as skips; every c must be positive
+    and finite.
     """
+    bad = [c for c in c_grid if not 0.0 < c < math.inf]
+    if bad:
+        raise ValueError(f"c must be positive and finite; got {bad}")
     y = _ancestor_path(tc, x, y)[-1]
     t_xy = float(KilledSystem.of(tc.chain, [y]).mean[x])
     b = math.sqrt(t_xy * tc.t_rel)

@@ -41,13 +41,11 @@ mixing windows and ratios across growing sizes of one family.
 The identity suites (escape, killed-spectrum, return-time, good-set) sweep
 every target set of a table.  What does not depend on the chain is built
 once per table (``_Targets``; for ``sets="all"`` once per n in a process):
-the split of the sets into one stack per |B| with each stack's member and
-survivor index arrays, and the permutation from the stacks' rows into
-record-key order.  Per chain, ``_Ctx.stack`` builds the stacked killed
-systems once, and each suite walks them once (``_per_set``), reading the
-eigensystems, solves and tables of powers gamma^t the systems keep: each
-stack takes its powers once over ``_SWEEP_TS``, the union of the suites'
-time grids.
+the sets in record-key order, their split into one stack per |B| with each
+stack's member and survivor index arrays, and the permutation from the
+stacks' rows back into key order.  Per chain, ``_Ctx.stack`` builds the
+stacked killed systems once, and each suite walks them once
+(``_per_set``), reading the eigensystems and solves the systems keep.
 """
 
 from __future__ import annotations
@@ -131,12 +129,11 @@ C_GRID = (0.5, 1.0, 1.5, 2.0)
 FUNCTIONS = 20
 # the integer times of the stationary and entry-law tails the identity
 # suites read: escape, killed-spectrum and return-time (which also reads
-# each t - 1); every stack takes its powers gamma^t once over their union
+# each t - 1)
 TAIL_T_GRID = (0, 1, 2, 5, 10, 20, 30)
 KILLED_T_GRID = (1, 5, 20)
 RETURN_T_GRID = (1, 2, 5, 10)
 _RETURN_STAT_TS = tuple(sorted({t - 1 for t in RETURN_T_GRID} | set(RETURN_T_GRID)))
-_SWEEP_TS = tuple(sorted({*TAIL_T_GRID, *KILLED_T_GRID, *_RETURN_STAT_TS}))
 
 
 def _ceil(x: float) -> int:
@@ -186,16 +183,11 @@ class _Clock:
 
 class _Targets(NamedTuple):
     """The nonempty proper target sets of one sweep and the chain-free half
-    of sweeping them, read-only.
+    of sweeping them, read-only, in record-key order: sorted by
+    ``str(members)`` (no tuple repr is a prefix of another).
 
-    ``masks`` holds one boolean row per set and ``pairs`` the (mask row,
-    members) pairs in the same order.  That order is kept: good-set
-    evaluates all sets in one matrix product, whose last bits depend on the
-    column order.  ``order`` is the index array of the positions sorted by
-    ``str(members)``, the order of the record keys (no tuple repr is a
-    prefix of another), and ``members`` the member tuples in that order as
-    an object array, the ``A`` column of the set-sweeping suites.
-
+    ``masks`` holds one boolean row per set and ``members`` the member
+    tuples as an object array, the ``A`` column of the set-sweeping suites.
     ``parts`` splits the sets by |B| as :func:`~cutofflab.hitting._partition`
     does, with the member and survivor index arrays every chain's stacked
     killed systems take as they are, and ``rows`` reorders the stacks'
@@ -203,26 +195,24 @@ class _Targets(NamedTuple):
     """
 
     masks: np.ndarray
-    pairs: list[tuple[np.ndarray, tuple[int, ...]]]
-    order: np.ndarray
     members: np.ndarray
     parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]]
     rows: np.ndarray
 
     @classmethod
     def of(cls, masks: np.ndarray) -> "_Targets":
-        masks.setflags(write=False)  # before the rows of pairs view it
+        """The sets given as the rows of a boolean array, in any order."""
         flat = np.nonzero(masks)[1].tolist()
         ends = np.cumsum(masks.sum(axis=1)).tolist()
-        pairs = [(mask, tuple(flat[start:end]))
-                 for mask, start, end in zip(masks, [0] + ends[:-1], ends)]
-        order = np.array(sorted(range(len(pairs)), key=lambda j: str(pairs[j][1])), dtype=np.intp)
-        members = np.fromiter((pairs[j][1] for j in order), dtype=object, count=len(pairs))
+        members = [tuple(flat[start:end]) for start, end in zip([0] + ends[:-1], ends)]
+        order = sorted(range(len(members)), key=lambda j: str(members[j]))
+        masks = masks[order]
+        members = np.fromiter((members[j] for j in order), dtype=object, count=len(order))
         parts = _partition(masks)
-        rows = np.argsort(np.concatenate([idx for idx, _, _ in parts]))[order]
-        for a in (order, members, rows, *(a for part in parts for a in part)):
+        rows = np.argsort(np.concatenate([idx for idx, _, _ in parts]))
+        for a in (masks, members, rows, *(a for part in parts for a in part)):
             a.setflags(write=False)
-        return cls(masks, pairs, order, members, parts, rows)
+        return cls(masks, members, parts, rows)
 
 
 @cache
@@ -359,18 +349,16 @@ class _Ctx:
                 m = rng.random(n) < rng.uniform(0.15, 0.85)
                 if m.any() and not m.all():
                     masks.append(m)
-            uniq = sorted({m.tobytes(): m for m in masks}.values(),  # equal masks count once
-                          key=lambda m: (int(m.sum()), m.tobytes()))
-            out = _Targets.of(np.array(uniq))
+            # equal masks count once
+            out = _Targets.of(np.array(list({m.tobytes(): m for m in masks}.values())))
         self._targets[mode] = out
         return out
 
     @cached_property
     def stack(self) -> list[tuple[np.ndarray, KilledSystem]]:
         """The killed systems of ``targets(sets)``, one stack per |B|, each
-        with the positions of its targets in ``targets(sets).pairs``, and
-        its powers gamma^t taken once over ``_SWEEP_TS``."""
-        return [(idx, KilledSystem.stack(self.chain, A, B, _SWEEP_TS))
+        with the positions of its targets in ``targets(sets)``."""
+        return [(idx, KilledSystem.stack(self.chain, A, B))
                 for idx, A, B in self.targets(self.sets).parts]
 
     @cached_property
@@ -399,16 +387,6 @@ def _per_set(ctx: _Ctx, fn) -> list[np.ndarray]:
     return [np.concatenate(col).take(rows, axis=0) for col in zip(*vals)]
 
 
-def _pointwise(fn, *args) -> np.ndarray:
-    """``fn`` on Python floats (and ints), element by element with
-    broadcasting, mapped over flat lists: numpy's ``exp`` and ``power``
-    differ from ``math.exp`` and float ``**`` in the last bit on some
-    inputs."""
-    args = np.broadcast_arrays(*args)
-    flat = [a.ravel().tolist() for a in args]
-    return np.fromiter(map(fn, *flat), dtype=float, count=args[0].size).reshape(args[0].shape)
-
-
 def _str_order(values) -> list[tuple[int, object]]:
     """(index, value) pairs of a parameter grid in the string order of
     the values, the order record keys sort them in."""
@@ -417,7 +395,7 @@ def _str_order(values) -> list[tuple[int, object]]:
 
 def _sweep_block(inequality: str, kind, lhs, rhs, members: np.ndarray,
                  grid: dict | None = None, note="") -> RecordBlock:
-    """The rows of one inequality over every target set (in ``_Targets.order``;
+    """The rows of one inequality over every target set (in key order;
     ``members`` fills the ``A`` column) times the points of ``grid``
     (parameter name -> one value per point, in key order).
 
@@ -566,7 +544,8 @@ def _suite_set_probability(ctx: _Ctx) -> list[Record]:
     pi = ctx.chain.pi
     starts = sorted({int(np.argmax(pi)), int(np.argmin(pi))})
     s_grid = sorted({0, _ceil(t_rel), _ceil(3.0 * t_rel)})
-    for mask, members in ctx.targets("sampled").pairs:
+    targets = ctx.targets("sampled")
+    for mask, members in zip(targets.masks, targets.members):
         pa = float(pi[mask].sum())
         coef = F.T @ (pi * mask)
         for x in starts:
@@ -650,42 +629,6 @@ def _suite_hit_levels(ctx: _Ctx) -> list[Record]:
 # escape tails from stationarity
 
 
-def _row_sums(values: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """``values[i][sel[i]].sum()`` for every row i, bit for bit, over the
-    last axis of ``sel``, with ``values`` broadcast against it.
-
-    numpy adds fewer than 8 entries in order, so zeros in place of the
-    unselected entries change nothing.  Longer rows are summed pairwise, in
-    blocks of 8 that the zeros would shift, so the selected entries are
-    packed to the front first.  Trailing zeros then fall among the leftover
-    entries a row adds in order, which leaves the sum alone; the rows whose
-    counts share the number of full blocks of 8 are summed together over
-    one width, the count padded up to the next multiple of 8 less one (at
-    most m), by numpy's own sum along the last axis, which adds each row
-    as it adds one 1-D array.  numpy sums up to 128 entries without
-    splitting; padding a count of 128 or more would push it past 128 or
-    move the split point of its halves, so such a row is summed at its own
-    count.  Below 32 rows, packing costs more than summing each row on its
-    own.
-    """
-    m = sel.shape[-1]
-    if m < 8:
-        return np.where(sel, values, 0.0).sum(axis=-1)
-    if sel.size < 32 * m:
-        values = np.broadcast_to(values, sel.shape).reshape(-1, m)
-        sums = [v[s].sum() for v, s in zip(values, sel.reshape(-1, m))]
-        return np.array(sums).reshape(sel.shape[:-1])
-    packed = np.take_along_axis(np.where(sel, values, 0.0),
-                                np.argsort(~sel, axis=-1, kind="stable"), axis=-1)
-    counts = sel.sum(axis=-1)
-    widths = np.where(counts < 128, np.minimum(counts | 7, m), counts)
-    out = np.empty(counts.shape)
-    for w in np.unique(widths).tolist():
-        rows = widths == w
-        out[rows] = packed[rows, :w].sum(axis=-1)
-    return out
-
-
 def _suite_escape(ctx: _Ctx) -> list[RecordBlock]:
     """Stationary escape tails decay geometrically with rate pi(A)/t_rel."""
     t_rel = ctx.t_rel
@@ -701,16 +644,15 @@ def _suite_escape(ctx: _Ctx) -> list[RecordBlock]:
             _ceil(t_rel * WORK_GRID[w] / float(ks.pi_A[j]))
         # rows[j, w, a, i]: survivor i of target j is slow at work w and level a
         rows = ks.tail_rows(np.ceil(t_w))[:, :, None, :] >= np.array(alphas)[:, None]
-        return (ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID),
-                ks.mean_stationary(), _row_sums(pi[ks.B][:, None, None, :], rows))
+        slow = np.where(rows, pi[ks.B][:, None, None, :], 0.0).sum(axis=-1)
+        return ks.pi_A, ks.pi_B, ks.tail_stationary(TAIL_T_GRID), ks.mean_stationary(), slow
 
     pa, pb, tails, means, slow = _per_set(ctx, per_stack)
     members = ctx.targets(ctx.sets).members
     t_idx, ts = map(list, zip(*_str_order(TAIL_T_GRID)))
     base = 1.0 - pa / t_rel
-    # powers and exponentials stay Python float arithmetic, bit for bit
-    geometric = pb[:, None] * _pointwise(pow, base[:, None], np.array(ts))
-    exponential = pb[:, None] * _pointwise(math.exp, -np.array(ts) * pa[:, None] / t_rel)
+    geometric = pb[:, None] * base[:, None] ** ts
+    exponential = pb[:, None] * np.exp(-np.array(ts) * pa[:, None] / t_rel)
     defined = (base >= 0.0)[:, None]
     slow_order = [(a, alpha, i, w) for a, alpha in _str_order(alphas)
                   for i, w in _str_order(WORK_GRID)]
@@ -758,7 +700,7 @@ def _suite_killed_spectrum(ctx: _Ctx) -> list[RecordBlock]:
         _sweep_block("killed-spectrum-symmetric-floor", "inequality", -g_top, g_bottom,
                      members),
         _sweep_block("killed-tail-reconstruction", "identity", recon[:, m_idx],
-                     direct[targets.order][:, m_idx] / pb[:, None], members, {"t": ts}),
+                     direct[:, m_idx] / pb[:, None], members, {"t": ts}),
         _sweep_block("killed-weights-nonnegative", "inequality", 0.0, w_min, members),
         _sweep_block("killed-weights-normalized", "identity", w_sum, 1.0, members),
     ]
@@ -837,7 +779,7 @@ def _suite_good_set(ctx: _Ctx) -> list[RecordBlock]:
     grid_order = [(m, s) for _, m in _str_order(DEVIATION_GRID) for _, s in _str_order(s_grid)]
     return [_sweep_block(
         "good-set-measure", "inequality", np.array([1.0 - 8.0 / m ** 2 for m, _ in grid_order]),
-        np.stack([measures[s, m] for m, s in grid_order], axis=-1)[targets.order],
+        np.stack([measures[s, m] for m, s in grid_order], axis=-1),
         targets.members, {"s": [s for _, s in grid_order], "m": [m for m, _ in grid_order]})]
 
 
@@ -1431,12 +1373,17 @@ def cutoff_scan(family, sizes, eps_grid=(0.1,), alpha: float = 0.5,
     """Tabulate mixing windows and ratios across increasing sizes.
 
     ``family`` is a registered family id (see ``families.FAMILIES``) or a
-    callable mapping a size to a chain.  Sizes must be strictly
-    increasing and every level must lie in (0, 1/2).  Exact hitting
-    times at ``alpha`` are included for members small enough to
-    enumerate; larger members get ``None`` in the hit column.
+    callable mapping a size to a chain.  Sizes must be nonempty and
+    strictly increasing, every level must lie in (0, 1/2), and ``alpha``
+    in (0, 1].  Exact hitting times at ``alpha`` are included for members
+    small enough to enumerate; larger members get ``None`` in the hit
+    column.
     """
     sizes = [int(n) for n in sizes]
+    if not sizes:
+        raise ValueError("sizes must hold at least one size")
+    if not 0.0 < alpha <= 1.0:  # checked here, as no member may enumerate it
+        raise ValueError("alpha must be in (0, 1]")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be strictly increasing")
     eps_grid = tuple(float(e) for e in eps_grid)

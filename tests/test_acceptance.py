@@ -40,8 +40,6 @@ INEQUALITY_SUITES = ("hit-levels", "martingale-tail", "maximal-function",
 GRID_PARAMS = {
     "eps_grid": (1 / 16, 1 / 8, 1 / 4),
     "alpha_grid": (1 / 4, 1 / 2, 3 / 4),
-    "p_grid": (1.5, 2.0, 3.0),
-    "functions": 20,
     "seed": ACCEPTANCE_SEED,
 }
 
@@ -137,8 +135,7 @@ def test_criterion_4_tree_window_sweep():
     seeds = [int(v) for v in rng.integers(1, 2 ** 31, size=50)]
     checked = skipped = 0
     problems = []
-    params = {"eps_grid": (1 / 16, 1 / 8, 1 / 4),
-              "c_grid": (0.5, 1.0, 1.5, 2.0), "seed": ACCEPTANCE_SEED}
+    params = {"eps_grid": (1 / 16, 1 / 8, 1 / 4), "seed": ACCEPTANCE_SEED}
     for n, seed in zip(sizes, seeds):
         tree = build_tree_chain(random_tree(n, seed=seed))
         for rep in run_suites(tree.chain, ["crossing-tails", "tree-window"],

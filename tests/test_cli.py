@@ -408,6 +408,15 @@ def test_cutoff_scan_stdout_csv(capsys):
     assert float(rows[0]["ratio"]) >= 1.0
 
 
+def test_cutoff_scan_rejects_an_empty_size_list(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    capsys.readouterr()
+    assert run("cutoff-scan", "--family", "biased-path", "--sizes", "", "-o", str(out)) == 1
+    captured = capsys.readouterr()
+    assert "Error: sizes must hold at least one size" in captured.err
+    assert "flags:" not in captured.err and not out.exists()
+
+
 def test_cutoff_scan_csv_file(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     argv = ["cutoff-scan", "--family", "biased-path", "--sizes", "6,9",
@@ -560,6 +569,32 @@ def test_tree_tails_rejects_a_root_start(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"Error: x = {root} is the root and has no proper ancestor" in err
     assert "y must be" not in err
+
+
+def test_tree_tails_rejects_a_non_finite_c(tmp_path, capsys):
+    tree = tmp_path / "tree.json"
+    run("gen", "--family", "random-tree", "--n", "8", "--seed", "1", "-o", str(tree))
+    capsys.readouterr()
+    run("tree", "central", str(tree))
+    root = int(re.search(r"root\s+= (\d+)", capsys.readouterr().out).group(1))
+    x = 1 if root == 0 else 0
+    for c in ("nan", "inf"):
+        assert run("tree", "tails", str(tree), "--x", str(x), "--c", "0.5", "--c", c) == 1
+        assert "Error: c must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("delta", ["0.5", "nan", "inf", "-0.1"])
+def test_sbd_blocks_rejects_a_delta_override_out_of_range(tmp_path, capsys, delta):
+    # the biased path's smallest nearest-neighbor probability is 0.125
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))
+    capsys.readouterr()
+    assert run("sbd", "blocks", str(chain), "--delta", delta) == 1
+    captured = capsys.readouterr()
+    assert f"Error: delta {float(delta)} must lie in [0, 0.125]" in captured.err
+    assert captured.out == ""
+    assert run("sbd", "blocks", str(chain), "--delta", "0.1") == 0
+    assert capsys.readouterr().out.startswith("r=1 delta=0.1 ")
 
 
 def test_sbd_subcommands(tmp_path, capsys):

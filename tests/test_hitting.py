@@ -30,7 +30,6 @@ from cutofflab.hitting import (
     DEFAULT_EXACT_THRESHOLD,
     _candidate_sets,
     _hit_ct_interval,
-    _partition,
     _survival,
 )
 from cutofflab.mixing import _bisect_monotone
@@ -224,7 +223,8 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
     chain = {"k2": k2, "p3": p3, "non-lazy": _non_lazy_k4(), "split": biased_path(5),
              "n7": random_reversible(7, seed=1729)}[case]
     ctx = _Ctx(chain, {"sets": mode})
-    sets = ctx.targets(mode).pairs
+    targets = ctx.targets(mode)
+    sets = list(zip(targets.masks, targets.members))
     stacks = ctx.stack
     assert sorted(j for idx, _ in stacks for j in idx) == list(range(len(sets)))
     if case == "non-lazy":
@@ -236,7 +236,7 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
     for idx, st in stacks:
         t_rows = np.arange(len(idx)) % 4 + 1
         stat, rows = st.tail_stationary(ts), st.tail_rows(t_rows)
-        survival = [V for _, V in zip(ts, _survival(chain.P, ~ctx.targets(mode).masks[idx].T))]
+        survival = [V for _, V in zip(ts, _survival(chain.P, ~targets.masks[idx].T))]
         kq = st.kac()
         for r, j in enumerate(idx):
             mask, members = sets[j]
@@ -269,25 +269,6 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
             np.testing.assert_allclose(st.mean[r][B], h, **close)
             np.testing.assert_allclose(st.second_moment[r][B], m2, **close)
             np.testing.assert_allclose(st.mean[r][mask], 0.0, atol=0.0)
-
-
-def test_stacked_tails_read_the_power_table_bit_for_bit():
-    # a stack given its tail times reads grids of them from one table of
-    # gamma^t; the tails keep the bits of a stack without one, and a grid
-    # with a time outside the table is computed as before
-    chain = random_reversible(9, seed=2)
-    masks = np.array([[(j >> i) & 1 for i in range(9)] for j in range(1, 2 ** 9 - 1)], dtype=bool)
-    times = (0, 1, 2, 4, 5, 9, 10, 20, 30)
-    for _, A, B in _partition(masks):
-        table, plain = KilledSystem.stack(chain, A, B, times), KilledSystem.stack(chain, A, B)
-        psi_B = plain.kac().psi_B
-        for ts in [(0, 1, 2, 5, 10, 20, 30), (1, 5, 20), (0, 1, 4, 9), (1, 3), [2]]:
-            assert table.tail_stationary(ts).tobytes() == plain.tail_stationary(ts).tobytes()
-            assert (table.tail_dist(psi_B, ts).tobytes()
-                    == plain.tail_dist(psi_B, ts).tobytes())
-        assert table.tail_stationary([1.5, 3.0], True).tobytes() == plain.tail_stationary(
-            [1.5, 3.0], True).tobytes()
-        assert "_power_table" in vars(table) and "_power_table" not in vars(plain)
 
 
 @pytest.mark.parametrize("chain", [random_reversible(7, seed=3), biased_path(8),

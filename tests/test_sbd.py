@@ -59,6 +59,9 @@ def test_blocks_rejects_degenerate_width():
         blocks(chain, 6, delta)
     with pytest.raises(ValueError):
         blocks(chain, 0, delta)
+    for bad in (float("nan"), -0.1, 0.5):  # the floor is 0.125
+        with pytest.raises(ValueError, match=r"must lie in \[0, 0.125\]"):
+            blocks(chain, 2, bad)
 
 
 def test_comparable_starts_against_direct_solves():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -157,8 +159,8 @@ def test_tail_bound_records_pass():
 def test_tail_bound_rejects_nonpositive_c():
     tc = build_tree_chain(random_tree(36, seed=44))
     x = max(range(tc.n), key=lambda v: len(tc.path_to_root(v)))
-    for c in (-1.0, 0.0):
-        with pytest.raises(ValueError, match="c must be positive"):
+    for c in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="c must be positive and finite"):
             tail_bound_check(tc, x, c_grid=(0.5, c))
 
 

@@ -26,7 +26,6 @@ from cutofflab.verify import (
     _all_targets,
     _Ctx,
     _record_key,
-    _row_sums,
 )
 
 
@@ -48,12 +47,11 @@ def test_all_sets_tables_are_built_once_per_size():
     b = _Ctx(biased_path(9), {})
     table = a.targets("all")
     assert b.targets("all") is table and table is _all_targets(9)
-    assert len(table.pairs) == 2 ** 9 - 2 and a.targets("all").pairs is table.pairs
-    assert [str(table.pairs[j][1]) for j in table.order] == sorted(
-        str(members) for _, members in table.pairs)
-    assert list(table.members) == [table.pairs[j][1] for j in table.order]
+    # one row per set, in record-key order
+    assert len(table.masks) == len(table.members) == 2 ** 9 - 2
+    assert [str(m) for m in table.members] == sorted(str(m) for m in table.members)
+    assert [tuple(np.flatnonzero(mask)) for mask in table.masks] == list(table.members)
     assert not table.masks.flags.writeable and not table.members.flags.writeable
-    assert not any(mask.flags.writeable for mask, _ in table.pairs)
     with pytest.raises(ValueError):
         table.masks[0, 0] = True
     # the sweep plan rides on the table: every chain's stacks take its index
@@ -65,7 +63,7 @@ def test_all_sets_tables_are_built_once_per_size():
     built = _all_targets.cache_info().currsize
     for n in (4, 13, 20):
         sampled = _Ctx(random_reversible(n, seed=n), {}).targets("sampled")
-        assert 3 <= len(sampled.pairs) <= 11
+        assert 3 <= len(sampled.members) <= 11
     assert _all_targets.cache_info().currsize == built
     with pytest.raises(ValueError, match="n <= 14"):
         _Ctx(random_reversible(15, seed=1), {}).targets("all")
@@ -153,9 +151,8 @@ def test_a_failed_gate_gives_the_suite_one_skip_row(sid, chain_id, params, note)
 
 
 def test_escape_slow_start_measure_is_exact_per_target():
-    # the stacked suite must give each target's measure bit for bit as one
-    # target's compressed sum does, with 8 survivors (summed pairwise by
-    # numpy) and with 5
+    # the stacked suite must give each target's measure as one target's
+    # compressed sum does, to 1e-12, with 8 survivors and with 5
     chain = random_reversible(9, seed=3)
     rep = run_suite(chain, "escape", {"sets": "all"})
     recs = [r for r in rep.records if r.inequality == "slow-start-measure"
@@ -165,36 +162,7 @@ def test_escape_slow_start_measure_is_exact_per_target():
         ks = KilledSystem(chain, r.params["A"])
         t_w = math.ceil(chain.spectrum.t_rel * r.params["w"] / ks.pi_A)
         slow = ks.tail_rows(t_w) >= r.params["alpha"]
-        assert r.lhs == float(chain.pi[ks.B[slow]].sum())
-
-
-@pytest.mark.parametrize("m, reps", [(m, 200) for m in range(8, 14)] + [(136, 8), (300, 2)])
-def test_row_sums_match_numpy_bit_for_bit(m, reps):
-    # every count of selected entries from 0 to m, at every position, with
-    # signs and magnitudes that make the order of the additions show; past
-    # 128 entries numpy splits a row in halves
-    rng = np.random.default_rng(m)
-    rows = reps * (m + 1)
-    values = rng.standard_normal((rows, m)) * 10.0 ** rng.integers(-6, 7, (rows, m))
-    counts = np.arange(rows) % (m + 1)
-    sel = np.argsort(rng.random((rows, m)), axis=1) < counts[:, None]
-    want = np.array([v[s].sum() for v, s in zip(values, sel)])
-    got = _row_sums(values, sel)
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
-@pytest.mark.parametrize("k", [1, 2, 40])
-def test_row_sums_broadcast_values_over_leading_axes(k):
-    # escape sums one (k, m) table of pi under a (works, alphas, k, m)
-    # stack of masks, few rows summed one by one and many packed
-    rng = np.random.default_rng(k)
-    values = rng.random((k, 11))
-    sel = rng.random((3, 2, k, 11)) < 0.7
-    got = _row_sums(values, sel)
-    assert got.shape == (3, 2, k)
-    want = [[[values[i][sel[a, b, i]].sum() for i in range(k)] for b in range(2)]
-            for a in range(3)]
-    assert got.view(np.int64).tolist() == np.array(want).view(np.int64).tolist()
+        assert r.lhs == pytest.approx(float(chain.pi[ks.B[slow]].sum()), rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("build", [lambda: random_tree(6, seed=1),
@@ -423,6 +391,11 @@ def test_cutoff_scan_validates_input():
         cutoff_scan("biased-path", [10, 20], eps_grid=(0.6,))
     with pytest.raises(ValueError):
         cutoff_scan("no-such-family", [10, 20])
+    with pytest.raises(ValueError, match="at least one size"):
+        cutoff_scan("biased-path", [])
+    # above the exact threshold no member reads alpha, yet every row prints it
+    with pytest.raises(ValueError, match="alpha must be in"):
+        cutoff_scan("biased-path", [20, 30], alpha=math.nan)
 
 
 def test_cutoff_scan_row_contents():
