@@ -142,7 +142,8 @@ class Chain:
 
     Treat instances as immutable; spectral results are cached on first use,
     and so is the :class:`~cutofflab.hitting.KilledSystem` of each target,
-    which ``KilledSystem.of`` keeps in ``killed`` by its membership mask.
+    which ``KilledSystem.of`` keeps in ``killed`` by its membership mask,
+    and so is each square ``P^(2^j)`` that :mod:`cutofflab.mixing` builds.
     """
 
     spec: ChainSpec
@@ -151,6 +152,7 @@ class Chain:
     is_lazy: bool
     is_irreducible: bool
     killed: dict = field(default_factory=dict, init=False, repr=False)
+    squares: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def P(self) -> np.ndarray:
@@ -254,12 +256,6 @@ class Spectrum:
     @property
     def lambda_min(self) -> float:
         return float(self.eigenvalues[-1])
-
-    def transition_power(self, t: int) -> np.ndarray:
-        """Dense P^t from the spectral sum."""
-        lam_t = np.power(self.eigenvalues, t)
-        F = self.eigenfunctions
-        return (F * lam_t) @ (F.T * self.pi)
 
     def heat_matrix(self, t: float) -> np.ndarray:
         """Dense continuized kernel exp(-t (I - P)) from the spectral sum."""

@@ -323,7 +323,7 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
 
     from .chain import write_csv_atomic
     from .hitting import KilledSystem, worst_tail_profile
-    from .mixing import _first_integer
+    from .mixing import _bisect_monotone
 
     chain = _load_chain(chain_file)
     chain.require(irreducible=True)
@@ -349,10 +349,12 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
             return ks.tail_state(pos, ts, continuous)
 
         # both tails are closed-form at any t, so each level's crossing is
-        # one monotone integer search
+        # one monotone search on the tail at ceil(t), whose bracket of width
+        # 1 ends at the first integer time below the level
         first = max(int(np.ceil(chain.spectrum.t_rel)), 1)
         try:
-            when = [_first_integer(lambda t: tails([t])[0] <= e + 1e-12, first)
+            when = [int(np.ceil(_bisect_monotone(lambda t: tails([int(np.ceil(t))])[0],
+                                                 e + 1e-12, 0.0, first, 1.0)[1]))
                     for e in eps_values]
         except ValueError as exc:
             raise click.ClickException(str(exc)) from exc

@@ -2,14 +2,14 @@
 
 The worst-case distance ``d(t) = max_x ||P^t(x,.) - pi||_TV`` is computed
 from dense powers of the kernel; the continuized analogue replaces ``P^t``
-with ``exp(-t (I - P))``.  Every discrete mixing time comes from one rule,
-``mixing_times``: one on-demand dense scan of d(t) (a ``_TailScan``, the
-first-passage scan that also steps hitting tails) serves all levels when
-min pi is below ``_SPECTRAL_SAFE_MIN_PI``, and otherwise each level gets
-one integer search on the spectral evaluation of d.  Both are bounded by
-the certified ceiling ``t_rel* (-log eps - log min pi)`` (Levin-Peres-Wilmer,
-Thm 12.4), where t_rel* is the absolute relaxation time; continuized times
-are bisected from the same ceiling with the relaxation time of ``I - P``.
+with ``exp(-t (I - P))``.  A discrete power is a product of the squares
+``P^(2^j)`` kept in ``chain.squares``, each built once with its rows
+renormalized to sum to 1; only nonnegative matrices are multiplied, so d
+holds at any min pi.  Every discrete mixing time comes from one rule,
+``mixing_times``: a descent over the squares below the certified ceiling
+``t_rel* (-log eps - log min pi)`` (Levin-Peres-Wilmer, Thm 12.4), where
+t_rel* is the absolute relaxation time; continuized times are bisected
+from the same ceiling with the relaxation time of ``I - P``.
 The running-maximum operator along even times,
 ``f*(x) = sup_k |P^{2k} f(x)|``, is evaluated to a certified truncation
 horizon using the spectral tail envelope.
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -33,13 +34,26 @@ __all__ = [
     "MaximalFunctionResult",
 ]
 
-# Spectral reconstruction of P^t amplifies roundoff by up to 1/sqrt(min pi);
-# below this floor mixing times come from iterated products instead.
-_SPECTRAL_SAFE_MIN_PI = 1e-12
-
 
 def _tv_rows(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(M - pi[None, :]).sum(axis=1)
+
+
+def _square(chain: Chain, j: int) -> np.ndarray:
+    """``P^(2^j)``, kept in ``chain.squares`` with every square below it."""
+    squares = chain.squares
+    if not squares:
+        squares.append(np.asarray(chain.P, dtype=float))
+    while len(squares) <= j:
+        S = squares[-1] @ squares[-1]
+        squares.append(S / S.sum(axis=1, keepdims=True))
+    return squares[j]
+
+
+def _power(chain: Chain, t: int) -> np.ndarray:
+    """Dense ``P^t``, the product of the squares of t's bits, low to high."""
+    bits = [_square(chain, j) for j in range(t.bit_length()) if t >> j & 1]
+    return reduce(np.matmul, bits) if bits else np.eye(chain.n)
 
 
 def worst_tv(chain: Chain, t, continuous: bool = False) -> tuple[float, int]:
@@ -51,7 +65,7 @@ def worst_tv(chain: Chain, t, continuous: bool = False) -> tuple[float, int]:
     t = float(t) if continuous else int(t)
     if t < 0:
         raise ValueError("t must be >= 0")
-    M = chain.spectrum.heat_matrix(t) if continuous else np.linalg.matrix_power(chain.P, t)
+    M = chain.spectrum.heat_matrix(t) if continuous else _power(chain, t)
     tv = _tv_rows(M, chain.pi)
     x = int(np.argmax(tv))
     return float(tv[x]), x
@@ -130,11 +144,6 @@ def mixing_profile(chain: Chain, t_max: int | None = None,
     return MixingProfile(times=np.arange(len(d)), d=np.array(d), argmax_state=np.array(argmax))
 
 
-def _d_spectral(chain: Chain, t: int) -> float:
-    M = chain.spectrum.transition_power(t)
-    return float(_tv_rows(M, chain.pi).max())
-
-
 def _d_continuous(chain: Chain, t: float) -> float:
     M = chain.spectrum.heat_matrix(t)
     return float(_tv_rows(M, chain.pi).max())
@@ -150,27 +159,6 @@ def _ceiling(chain: Chain, eps: float, continuous: bool = False) -> float:
     spectrum = chain.spectrum
     t_rel = spectrum.t_rel if continuous else spectrum.t_rel_absolute
     return t_rel * (-math.log(eps) - math.log(chain.pi.min()))
-
-
-def _first_integer(pred, hi: int) -> int:
-    """Smallest integer t >= 0 with ``pred(t)``, for a monotone predicate.
-
-    The bracket starts at ``[0, hi]`` and doubles while ``pred(hi)`` fails.
-    """
-    if pred(0):
-        return 0
-    lo = 0
-    while not pred(hi):
-        lo, hi = hi, 2 * hi
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket monotone crossing")
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def _bisect_monotone(f, level: float, lo: float, hi: float, tol: float) -> tuple[float, float]:
@@ -200,33 +188,37 @@ def _mixing_time_ct_interval(chain: Chain, eps: float) -> tuple[float, float]:
     return _bisect_monotone(lambda t: _d_continuous(chain, t), eps, 0.0, hi0, tol)
 
 
-def mixing_times(chain: Chain, levels, scan: _TailScan | None = None) -> list[int]:
+def mixing_times(chain: Chain, levels) -> list[int]:
     """Smallest t with d(t) <= eps + 1e-12 for each eps in ``levels``.
 
-    Levels must lie in (0, 1).  With min pi below ``_SPECTRAL_SAFE_MIN_PI``
-    every level reads one dense :class:`_TailScan` of d over
-    :func:`_tv_steps` (``scan``, when the caller keeps one for the chain),
-    each up to its own certified ceiling;
-    otherwise each level gets one integer search on the spectral d,
-    bracketed from its ceiling.
+    Levels must lie in (0, 1).  From ``M = P^t``, t = 0, each level walks j
+    down from its highest square and takes ``M <- M P^(2^j)`` while
+    ``t + 2^j`` stays within its certified ceiling and d there stays above
+    the level; a d still above it at the ceiling raises ``RuntimeError``.
+    The squares are kept on the chain, at most ``ceil(log2 ceiling) + 1``.
     """
     if not all(0 < e < 1 for e in levels):
         raise ValueError("eps must be in (0, 1)")
-    ceilings = [math.ceil(_ceiling(chain, e)) for e in levels]
-    if chain.pi.min() < _SPECTRAL_SAFE_MIN_PI:
-        if scan is None:
-            scan = _TailScan(float(tv.max()) for tv in _tv_steps(chain))
-        return [scan.first_below(e, t_max) for e, t_max in zip(levels, ceilings)]
-    return [_first_integer(lambda t: _d_spectral(chain, t) <= e + 1e-12, max(1, t_max))
-            for e, t_max in zip(levels, ceilings)]
+    d0 = 1.0 - float(chain.pi.min())
+    times = []
+    for eps in levels:
+        t_max, t, M = math.ceil(_ceiling(chain, eps)), 0, None  # M = P^t, I as None
+        for j in reversed(range(t_max.bit_length())):
+            if t + (1 << j) <= t_max:
+                step = _square(chain, j) if M is None else M @ _square(chain, j)
+                if _tv_rows(step, chain.pi).max() > eps + 1e-12:
+                    t, M = t + (1 << j), step
+        if t == t_max:
+            raise RuntimeError(f"scan stayed above {eps} through t = {t_max}")
+        times.append(t + 1 if d0 > eps + 1e-12 else 0)
+    return times
 
 
 def mixing_time(chain: Chain, eps: float, continuous: bool = False) -> int | float:
     """Smallest t with d(t) <= eps; real-valued in the continuized case.
 
-    Discrete times come from ``mixing_times``: a dense scan when min pi is
-    below ``_SPECTRAL_SAFE_MIN_PI``, otherwise an integer search on the
-    spectral d, both bounded by the certified ceiling
+    Discrete times come from ``mixing_times``, a descent over the squares
+    ``P^(2^j)`` kept on the chain below the certified ceiling
     ``t_rel_absolute * (-log eps - log min pi)``.  The continuized time is
     bisected from the ceiling with ``t_rel`` to a 1e-3 * t_rel resolution;
     the value returned is the certified upper end of the final bracket.

@@ -76,8 +76,6 @@ from .hitting import (
 from .mixing import (
     _ceiling,
     _mixing_time_ct_interval,
-    _TailScan,
-    _tv_steps,
     maximal_function,
     mixing_times,
     worst_tv,
@@ -269,7 +267,6 @@ class _Ctx:
         self.lazy = bool(chain.is_lazy)
         self.exact = _exact_hitting(chain, self.exact_threshold)
         self._tmix: dict[float, int] = {}
-        self._d_scan = _TailScan(float(tv.max()) for tv in _tv_steps(chain))
         self._tmix_ct: dict[float, tuple[float, float]] = {}
         self._profiles: dict[float, WorstTailProfile] = {}
         self._hits: dict[tuple, int] = {}
@@ -283,7 +280,7 @@ class _Ctx:
             return 0
         key = float(eps)
         if key not in self._tmix:
-            self._tmix[key] = mixing_times(self.chain, (key,), self._d_scan)[0]
+            self._tmix[key] = mixing_times(self.chain, (key,))[0]
         return self._tmix[key]
 
     def tmix_ct(self, eps: float) -> tuple[float, float]:

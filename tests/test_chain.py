@@ -141,22 +141,6 @@ def test_named_support_graphs(case, irreducible, reversible):
             chain.require(irreducible=True)
 
 
-def test_spectral_reconstruction_matches_power(k2):
-    # P^t(x, y) via the eigenbasis must agree with plain matrix powers.
-    for t in (0, 1, 3, 7):
-        direct = np.linalg.matrix_power(k2.P, t)
-        assert np.allclose(k2.spectrum.transition_power(t), direct, atol=1e-12)
-
-
-def test_spectral_rows_match_iterated_steps(small_corpus):
-    chain = small_corpus[0]
-    for t in (0, 1, 5, 17):
-        a = np.linalg.matrix_power(chain.P, t)[0]
-        b = chain.spectrum.transition_power(t)[0]
-        assert np.allclose(a, b, atol=1e-11)
-        assert a.sum() == pytest.approx(1.0, abs=1e-12)
-
-
 def test_heat_kernel_row_matches_expm(k2):
     from scipy.linalg import expm
 

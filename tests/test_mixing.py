@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,12 +16,11 @@ from cutofflab import (
     two_cliques,
     worst_tv,
 )
-from cutofflab.families import random_tree
+from cutofflab import mixing
+from cutofflab.families import plateau_chain, random_tree
 from cutofflab.mixing import (
     _ceiling,
     _mixing_time_ct_interval,
-    _TailScan,
-    _tv_steps,
     mixing_times,
 )
 from cutofflab.trees import build_tree_chain
@@ -75,8 +76,8 @@ def _cycle(n):
 
 
 def test_mixing_time_agrees_with_profile_scan(small_corpus):
-    # the dense scan is the oracle for the spectral search; biased_path(30)
-    # has min pi below the spectral floor and takes the scan side
+    # the dense scan is the oracle for the descent over the squares;
+    # biased_path(30) has min pi below 1e-12
     extra = [
         random_reversible(50, density=0.2, seed=3),
         build_tree_chain(random_tree(40, seed=2)).chain,
@@ -90,34 +91,57 @@ def test_mixing_time_agrees_with_profile_scan(small_corpus):
             assert mixing_time(chain, eps) == prof.hit_level(eps)
 
 
-def test_one_distance_scan_serves_every_level():
-    # below the spectral floor every level reads one on-demand scan of
-    # d(t), the levels in any order, to the same integers as one scan each
-    chain = biased_path(34)
-    assert chain.pi.min() < 1e-12
-    levels = (1 / 16, 1 / 8, 1 / 4, 15 / 16, 7 / 8, 3 / 4)
-    want = [mixing_profile(chain, eps_floor=e).hit_level(e) for e in levels]
-    scan = _TailScan(float(tv.max()) for tv in _tv_steps(chain))
-    assert [mixing_times(chain, (e,), scan)[0] for e in reversed(levels)] == want[::-1]
-    assert len(scan.values) == max(want) + 1
-    assert mixing_times(chain, levels) == want
-    ctx = _Ctx(chain, {})
-    assert [ctx.tmix(e) for e in levels] == want
-    assert len(ctx._d_scan.values) == max(want) + 1
-    prof = mixing_profile(chain, t_max=max(want))
-    assert prof.d.tolist() == scan.values
-    assert prof.argmax_state.tolist() == [
-        int(np.argmax(tv)) for _, tv in zip(range(max(want) + 1), _tv_steps(chain))]
+_LEVELS = (1 / 16, 1 / 8, 1 / 4, 3 / 4, 7 / 8, 15 / 16)
 
 
-def test_distance_scan_raises_past_each_level_ceiling():
-    chain = biased_path(34)
-    scan = _TailScan(float(tv.max()) for tv in _tv_steps(chain))
-    t = scan.first_below(0.25, 10_000)
-    with pytest.raises(RuntimeError, match="stayed above 0.25 through t"):
-        scan.first_below(0.25, t - 1)
+def _descent_chains():
+    return [
+        *(biased_path(n) for n in (12, 34, 50, 200)),
+        *(plateau_chain(m) for m in range(2, 9)),
+        two_cliques(4),
+        two_cliques(10),
+        *(build_tree_chain(random_tree(n, seed=1)).chain for n in (60, 120)),
+    ]
+
+
+def test_square_descent_matches_the_dense_scan(small_corpus):
+    # every level of every chain, at any min pi, lands on the first time the
+    # dense scan of d(t) reaches it; the squares are built once per chain
+    for chain in [*_descent_chains(), *small_corpus]:
+        want = [mixing_profile(chain, eps_floor=min(_LEVELS)).hit_level(e) for e in _LEVELS]
+        assert mixing_times(chain, _LEVELS) == want
+        kept = len(chain.squares)
+        assert kept <= max(math.ceil(_ceiling(chain, e)) for e in _LEVELS).bit_length()
+        ctx = _Ctx(chain, {})
+        assert [ctx.tmix(e) for e in _LEVELS] == want
+        assert len(chain.squares) == kept
+
+
+def test_descent_raises_past_each_level_ceiling(monkeypatch, small_corpus):
+    # the descent never reads past the certified ceiling, on either side of
+    # min pi = 1e-12, and a ceiling at t_mix itself still finds it
+    for chain in (biased_path(34), small_corpus[0]):
+        t = mixing_time(chain, 0.25)
+        monkeypatch.setattr(mixing, "_ceiling", lambda chain, eps, continuous=False: t - 1)
+        with pytest.raises(RuntimeError, match="stayed above 0.25 through t"):
+            mixing_times(chain, (0.25,))
+        monkeypatch.setattr(mixing, "_ceiling", lambda chain, eps, continuous=False: t)
+        assert mixing_times(chain, (0.25,)) == [t]
+        monkeypatch.undo()
+    assert biased_path(34).pi.min() < 1e-12 < small_corpus[0].pi.min()
     with pytest.raises(ValueError):
-        mixing_times(chain, (0.25, 0.0), scan)
+        mixing_times(small_corpus[0], (0.25, 0.0))
+
+
+def test_worst_tv_holds_at_huge_times(k2):
+    # P^t from the renormalized squares: repeated squarings of P itself
+    # compound row-sum rounding and read d(2^62) near 1/2
+    chain = biased_path(6)
+    for t in (2**40, 2**62):
+        assert worst_tv(chain, t)[0] < 1e-15
+    # both states of k2 are worst starts; the tie goes to state 0
+    for t in (0, 5, 13):
+        assert worst_tv(k2, t) == (pytest.approx(0.5 ** (t + 1), abs=1e-15), 0)
 
 
 @pytest.mark.parametrize("n", [9, 21, 41])
