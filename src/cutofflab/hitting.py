@@ -136,7 +136,7 @@ def _partition(masks: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarr
     row per target (the arguments of :meth:`KilledSystem.stack`)."""
     survivors = (~masks).sum(axis=1)
     parts = []
-    for m in np.unique(survivors).tolist():
+    for m in np.flatnonzero(np.bincount(survivors)).tolist():
         idx = np.flatnonzero(survivors == m)
         rows = masks[idx]
         parts.append((idx, np.nonzero(rows)[1].reshape(idx.size, -1),

@@ -12,7 +12,7 @@ t_rel* is the absolute relaxation time; continuized times are bisected
 from the same ceiling with the relaxation time of ``I - P``.
 The running-maximum operator along even times,
 ``f*(x) = sup_k |P^{2k} f(x)|``, is evaluated to a certified truncation
-horizon using the spectral tail envelope.
+horizon fixed from the spectral tail envelope before stepping.
 """
 
 from __future__ import annotations
@@ -245,68 +245,64 @@ class MaximalFunctionResult:
     tail_bound: float | np.ndarray
 
 
-def maximal_function(chain: Chain, f: np.ndarray,
-                     use_absolute_spectrum: bool = False) -> MaximalFunctionResult:
+def _horizon(rate: float, norm: float, scale: float) -> int:
+    """First k with ``rate^(2k) * norm * scale <= 1e-12``, guessed from logs
+    and settled on that float expression; 1,000,001 past 1,000,000."""
+    def above(k):
+        return rate ** (2 * k) * norm * scale > 1e-12
+
+    if not above(0):
+        return 0
+    k = 1 if rate == 0.0 else min(
+        math.ceil(math.log(1e-12 / (norm * scale)) / (2.0 * math.log(rate))), 1_000_001)
+    while k > 1 and not above(k - 1):
+        k -= 1
+    while k <= 1_000_000 and above(k):
+        k += 1
+    return k
+
+
+def maximal_function(chain: Chain, f: np.ndarray) -> MaximalFunctionResult:
     """Evaluate f*(x) = sup_k |P^{2k} f(x)| with a certified truncation.
 
-    For lazy chains the spectrum is nonnegative and the tail of the
-    supremum beyond horizon K is pinned inside
-    ``|E_pi f| +/- lambda_2^{2K} ||f - E_pi f||_2 / sqrt(min pi)``;
-    iteration stops once that envelope is below 1e-12.  Non-lazy
-    chains are accepted only with ``use_absolute_spectrum=True``, which
-    replaces lambda_2 by max(lambda_2, |lambda_min|) in the envelope.
+    With ``rate = max(lambda_2, |lambda_min|)`` the tail of the supremum
+    beyond horizon K is pinned inside
+    ``|E_pi f| +/- rate^{2K} ||f - E_pi f||_2 / sqrt(min pi)``.  Each
+    horizon, the first K where that envelope is at most 1e-12, is fixed
+    before any step; one past 1,000,000 raises ``RuntimeError``, and a
+    non-finite f or envelope raises ``ValueError``.
 
-    ``f`` may also be a k x n block of functions.  They are iterated as the
-    columns of one n x k matrix, and each leaves it at its own certified
-    horizon, so row i of the result has the ``truncation_k`` and
-    ``tail_bound`` of the call on ``f[i]`` and its values up to rounding.
+    ``f`` may also be a k x n block of functions: the columns of one n x k
+    matrix, stepped by the kept square ``P^2`` of ``chain.squares`` up to
+    the largest horizon, each column's running maximum stopping at its
+    own.  Row i of the result has the ``truncation_k`` and ``tail_bound``
+    of the call on ``f[i]`` and its values up to rounding.
     """
     f = np.asarray(f, dtype=float)
     if f.ndim not in (1, 2) or f.shape[-1] != chain.n:
         raise ValueError("f must be a state function or a k x n block of them")
     spectrum = chain.spectrum
-    if not chain.is_lazy and not use_absolute_spectrum:
-        raise ValueError("chain is not lazy; pass use_absolute_spectrum=True to proceed")
-    rate = spectrum.lambda_2 if chain.is_lazy and not use_absolute_spectrum else max(
-        spectrum.lambda_2, abs(spectrum.lambda_min))
-    rate = min(max(rate, 0.0), 1.0 - 1e-15)
-
-    P, pi = chain.P, chain.pi
+    rate = min(max(spectrum.lambda_2, abs(spectrum.lambda_min), 0.0), 1.0 - 1e-15)
+    pi = chain.pi
     rows = f.reshape(-1, chain.n)
-    norms = np.empty(rows.shape[0])
-    for i, row in enumerate(rows):
-        mean = float(pi @ row)
-        norms[i] = math.sqrt(float(pi @ (row - mean) ** 2))
     scale = 1.0 / math.sqrt(float(pi.min()))
+    norms = [math.sqrt(float(pi @ (row - float(pi @ row)) ** 2)) for row in rows]
+    if not (np.isfinite(rows).all() and all(math.isfinite(v * scale) for v in norms)):
+        raise ValueError("f must be finite, with a finite deviation envelope")
+    truncation_k = np.array([_horizon(rate, v, scale) for v in norms], dtype=int)
+    K = int(truncation_k.max(initial=0))
+    if K > 1_000_000:
+        raise RuntimeError("maximal function not certified within 2,000,000 steps")
+    tail_bound = np.array([rate ** (2 * k) * v * scale
+                           for k, v in zip(truncation_k.tolist(), norms)])
 
-    values = np.empty_like(rows)
-    truncation_k = np.zeros(rows.shape[0], dtype=int)
-    tail_bound = np.empty(rows.shape[0])
-    # column j of G iterates row live[j]; an n x 1 block multiplies as a
-    # vector, with the single-function arithmetic
-    live = np.arange(rows.shape[0])
     G = rows.T.copy()
     run = np.abs(G)
-    k = 0
-    while True:
-        tail = (rate ** (2 * k)) * norms[live] * scale
-        done = tail <= 1e-12
-        if done.any():
-            ended = live[done]
-            truncation_k[ended] = k
-            tail_bound[ended] = tail[done]
-            values[ended] = run[:, done].T
-            keep = ~done
-            live, G, run = live[keep], G[:, keep], run[:, keep]
-        if not live.size:
-            break
-        if 2 * k >= 2_000_000:
-            raise RuntimeError("maximal function not certified within 2,000,000 steps")
-        G = P @ (P @ G)
-        k += 1
-        np.maximum(run, np.abs(G), out=run)
+    for k in range(1, K + 1):
+        G = _square(chain, 1) @ G
+        np.maximum(run, np.abs(G), out=run, where=truncation_k >= k)
     if f.ndim == 1:
-        return MaximalFunctionResult(values=values[0], truncation_k=int(truncation_k[0]),
+        return MaximalFunctionResult(values=run[:, 0], truncation_k=int(truncation_k[0]),
                                      tail_bound=float(tail_bound[0]))
-    return MaximalFunctionResult(values=values, truncation_k=truncation_k,
+    return MaximalFunctionResult(values=run.T.copy(), truncation_k=truncation_k,
                                  tail_bound=tail_bound)

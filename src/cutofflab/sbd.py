@@ -176,7 +176,7 @@ def comparable_start_bound(chain: Chain, interval, target, r: int,
         raise ValueError("interval must be inclusive (lo, hi) with length <= r")
     ks = KilledSystem.of(chain, target)
     I = np.arange(lo, hi + 1)
-    if np.intersect1d(I, ks.A).size:
+    if ((ks.A >= lo) & (ks.A <= hi)).any():
         raise ValueError("interval must be disjoint from the target")
     h = ks.mean
     factor = delta ** (-r)

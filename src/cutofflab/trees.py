@@ -275,7 +275,7 @@ def crossing_time(tc: RootedTreeChain, u: int) -> CrossingTime:
     pi = tc.pi
     t_u = tc.subtree_mass[u] / (pi[u] * tc.mu[u])
     members = tc.subtree(u)
-    ks = KilledSystem.of(tc.chain, np.setdiff1d(np.arange(tc.n), members))
+    ks = KilledSystem.of(tc.chain, np.delete(np.arange(tc.n), members))
     t_u_solve = float(ks.mean[u])
     if abs(t_u - t_u_solve) > 1e-9 * max(1.0, abs(t_u)):
         raise IdentityCheckError(f"crossing mean mismatch: formula {t_u}, solve {t_u_solve}")

@@ -712,7 +712,7 @@ def _suite_maximal(ctx: _Ctx) -> list[Record]:
     records = []
     pi = ctx.chain.pi
     funcs = ctx.functions
-    res = maximal_function(ctx.chain, funcs, use_absolute_spectrum=True)
+    res = maximal_function(ctx.chain, funcs)
     upper = res.values + 2.0 * res.tail_bound[:, None]
     for i, f in enumerate(funcs):
         for p in P_GRID:

@@ -226,24 +226,108 @@ def test_maximal_function_dominates_every_even_power(small_corpus):
 def test_block_maximal_function_rows_match_single_calls(small_corpus):
     # a random walk on K5 is not lazy: lambda_min = -1/4
     non_lazy = load_chain((np.ones((5, 5)) - np.eye(5)) / 4.0)
-    cases = [(chain, False) for chain in small_corpus] + [(non_lazy, True)]
     rng = np.random.default_rng(5)
-    for chain, absolute in cases:
+    for chain in [*small_corpus, non_lazy]:
         # rows of very different size and a constant row leave the block at
         # different horizons, the constant one at k = 0
         F = rng.standard_normal((6, chain.n)) * np.array([[1.0], [1e-6], [1e3], [1.0], [1.0], [0.0]])
         F[5] += 2.0
-        block = maximal_function(chain, F, use_absolute_spectrum=absolute)
+        block = maximal_function(chain, F)
         assert block.values.shape == F.shape
         assert len(set(block.truncation_k.tolist())) > 1
         for i, f in enumerate(F):
-            one = maximal_function(chain, f, use_absolute_spectrum=absolute)
+            one = maximal_function(chain, f)
             assert isinstance(one.truncation_k, int) and isinstance(one.tail_bound, float)
             assert block.truncation_k[i] == one.truncation_k
             assert block.tail_bound[i] == one.tail_bound
             np.testing.assert_allclose(block.values[i], one.values, rtol=1e-13, atol=1e-13)
     with pytest.raises(ValueError, match="state function"):
         maximal_function(small_corpus[0], np.ones((2, small_corpus[0].n + 1)))
+
+
+def _maximal_by_steps(chain, f):
+    """The even-time maximal function as a per-step loop: before each even
+    step the envelope of every live column is checked, finished columns
+    leave the block, and the step is two products with P."""
+    f = np.asarray(f, dtype=float)
+    spectrum = chain.spectrum
+    rate = max(spectrum.lambda_2, abs(spectrum.lambda_min))
+    rate = min(max(rate, 0.0), 1.0 - 1e-15)
+    P, pi = chain.P, chain.pi
+    rows = f.reshape(-1, chain.n)
+    norms = np.empty(rows.shape[0])
+    for i, row in enumerate(rows):
+        mean = float(pi @ row)
+        norms[i] = math.sqrt(float(pi @ (row - mean) ** 2))
+    scale = 1.0 / math.sqrt(float(pi.min()))
+    values = np.empty_like(rows)
+    truncation_k = np.zeros(rows.shape[0], dtype=int)
+    tail_bound = np.empty(rows.shape[0])
+    live = np.arange(rows.shape[0])
+    G = rows.T.copy()
+    run = np.abs(G)
+    k = 0
+    while True:
+        tail = (rate ** (2 * k)) * norms[live] * scale
+        done = tail <= 1e-12
+        if done.any():
+            ended = live[done]
+            truncation_k[ended] = k
+            tail_bound[ended] = tail[done]
+            values[ended] = run[:, done].T
+            keep = ~done
+            live, G, run = live[keep], G[:, keep], run[:, keep]
+        if not live.size:
+            break
+        G = P @ (P @ G)
+        k += 1
+        np.maximum(run, np.abs(G), out=run)
+    return values, truncation_k, tail_bound, rate, norms, scale
+
+
+def test_maximal_function_matches_the_step_loop(small_corpus):
+    # horizons fixed before stepping are the loop's, bit for bit, and each
+    # is the first k whose envelope is at most 1e-12; the values differ by
+    # the rounding of P^2 against two products with P
+    non_lazy = load_chain((np.ones((5, 5)) - np.eye(5)) / 4.0)
+    flat = load_chain(np.full((2, 2), 0.5))
+    assert flat.spectrum.lambda_2 == 0.0 == flat.spectrum.lambda_min
+    rng = np.random.default_rng(8)
+    for chain in [*small_corpus, non_lazy, flat, biased_path(34), two_cliques(10)]:
+        F = rng.standard_normal((5, chain.n)) * np.array([[1.0], [1e-6], [1e3], [1e-12], [0.0]])
+        F[4] += 2.0
+        for f in (F, F[2], F[4], F[:0]):
+            res = maximal_function(chain, f)
+            values, truncation_k, tail_bound, rate, norms, scale = _maximal_by_steps(chain, f)
+            np.testing.assert_array_equal(np.ravel(res.truncation_k), truncation_k)
+            np.testing.assert_array_equal(np.ravel(res.tail_bound), tail_bound)
+            np.testing.assert_allclose(np.reshape(res.values, values.shape), values,
+                                       rtol=1e-12, atol=0.0)
+            for k, norm in zip(truncation_k.tolist(), norms.tolist()):
+                assert k == 0 or rate ** (2 * (k - 1)) * norm * scale > 1e-12
+        assert res.values.shape == (0, chain.n) and res.truncation_k.shape == (0,)
+        assert maximal_function(chain, F[4]).truncation_k == 0
+
+
+def test_maximal_function_rejects_non_finite_functions():
+    # NaN, inf, or a deviation whose square overflows leaves no envelope
+    # to fix a horizon from
+    chain = biased_path(6)
+    for bad in (np.nan, np.inf, 1e308):
+        f = np.zeros(chain.n)
+        f[2] = bad
+        for block in (f, np.stack([np.ones(chain.n), f])):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="finite"):
+                maximal_function(chain, block)
+
+
+def test_uncertified_horizon_raises_before_any_step():
+    # lambda_2 = 1 - 2e-9 puts the horizon near 7e9 even steps
+    chain = load_chain(np.array([[1.0 - 1e-9, 1e-9], [1e-9, 1.0 - 1e-9]]))
+    with pytest.raises(RuntimeError, match="2,000,000"):
+        maximal_function(chain, np.array([0.0, 1.0]))
+    assert not chain.squares
 
 
 @settings(max_examples=20, deadline=None)

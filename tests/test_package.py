@@ -2,8 +2,8 @@
 solves live and how killed systems are built, where the worst-set candidate
 targets are enumerated and whether hitting is exact, where a run's
 parameters are parsed, where first passages are searched, where many
-targets' killed tails are stepped and Monte Carlo uniforms drawn, and where
-the command-line output is written."""
+targets' killed tails are stepped, where even powers are taken and Monte
+Carlo uniforms drawn, and where the command-line output is written."""
 
 import ast
 import inspect
@@ -35,8 +35,10 @@ def test_importing_the_cli_loads_no_numpy():
 
 def test_no_library_or_command_path_loads_scipy(tmp_path):
     # irreducibility is decided in numpy, so a run loads neither scipy nor
-    # the second BLAS it brings; scipy is a test dependency only
-    path = str(tmp_path / "c.json")
+    # the second BLAS it brings; scipy is a test dependency only.  Nor does
+    # it load numpy.ma, which np.unique and the other set routines import
+    # on first use at about 8 ms
+    path, tree = str(tmp_path / "c.json"), str(tmp_path / "t.json")
     code = textwrap.dedent(f"""
         import contextlib, io, sys
         import numpy as np
@@ -49,10 +51,13 @@ def test_no_library_or_command_path_loads_scipy(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             codes = [cli.main(["gen", "--family", "biased-path", "--n", "5", "-o", {path!r}]),
                      cli.main(["analyze", {path!r}]),
-                     cli.main(["verify", "--chain", {path!r}, "--suite", "all"])]
-        print(codes, "scipy" in sys.modules)
+                     cli.main(["verify", "--chain", {path!r}, "--suite", "all"]),
+                     cli.main(["gen", "--family", "random-tree", "--n", "8", "--seed", "3",
+                               "-o", {tree!r}]),
+                     cli.main(["tree", "tails", {tree!r}, "--x", "7"])]
+        print(codes, "scipy" in sys.modules, "numpy.ma" in sys.modules)
     """)
-    assert _fresh(code) == "[0, 0, 0] False"
+    assert _fresh(code) == "[0, 0, 0, 0, 0] False False"
 
 
 def test_every_export_resolves():
@@ -252,6 +257,28 @@ def test_killed_tails_of_many_targets_step_in_one_engine():
     nodes = list(ast.walk(survival))
     assert not any(isinstance(n, (ast.If, ast.IfExp)) for n in nodes)
     assert not {"_mv", "partial"} & {getattr(n, "id", None) for n in nodes}
+
+
+class _SquareSites(_Sites):
+    """Every product of a matrix with itself, ``X @ X``, and every two steps
+    by one matrix in one expression, ``X @ (X @ Y)``."""
+
+    def visit_BinOp(self, node):
+        if isinstance(node.op, ast.MatMult):
+            right = node.right
+            if isinstance(right, ast.BinOp) and isinstance(right.op, ast.MatMult):
+                right = right.left
+            if ast.dump(node.left) == ast.dump(right):
+                self._site(node)
+        self.generic_visit(node)
+
+
+def test_even_powers_read_the_kept_squares():
+    # P^2 and every higher square are built once per chain by
+    # mixing._square and kept in chain.squares, so an even step is one
+    # product with the kept square, never two products with P
+    sites = _sites(_SquareSites)
+    assert [(module, scope) for module, scope, _ in sites] == [("mixing", "_square")]
 
 
 class _UniformBlockSites(_Sites):
