@@ -5,7 +5,8 @@ For every member of the corpus the script generates the chain with
 `cutofflab gen`, runs `cutofflab verify --suite all -o` on it in process,
 and stores in OUT_DIR:
 
-- `<name>.chain.json`: the chain `gen` wrote;
+- `<name>.chain.json`: the chain `gen` wrote, or for a random-tree member
+  the walk built from the tree spec `gen` wrote to `<name>.tree.json`;
 - `<name>.report.json`: the `verify -o` report, when the run got that far;
 - `<name>.stdout.txt`: everything `verify` printed on standard output;
 - `<name>.exit.txt`: the exit code, or `raises:<exception>` when an
@@ -13,11 +14,12 @@ and stores in OUT_DIR:
 
 The corpus covers every deterministic `gen` family, including the members
 known to fail (biased-path n = 20, 34, 50 and aldous n = 3, 5), a seeded
-birth-death chain and random chains with 6 to 40 states.  Chains with at
-most 10 states are verified over every target set (`--sets all`).  To
-show that a change keeps the records, gate on `scripts/report_diff.py`: the
-same pass/fail sequence and exit files, every lhs and rhs equal to 1e-12
-(last-bit moves are not differences):
+birth-death chain, random chains with 6 to 40 states and random branching
+trees with 8 and 40 vertices.  Chains with at most 10 states are verified
+over every target set (`--sets all`).  To show that a change keeps the
+records, gate on `scripts/report_diff.py`: the same pass/fail sequence and
+exit files, every lhs and rhs equal to 1e-12 (last-bit moves are not
+differences):
 
     PYTHONPATH=src python3 scripts/verify_corpus.py before/
     ... apply the change ...
@@ -41,6 +43,8 @@ import sys
 from pathlib import Path
 
 from cutofflab import cli
+from cutofflab.chain import chain_to_json
+from cutofflab.trees import build_tree_chain, tree_from_json
 
 ALL_SETS_MAX = 10
 
@@ -54,6 +58,8 @@ CORPUS = (
     + [(f"random-{n}", ["--family", "random", "--n", str(n), "--seed", str(2000 + n),
                         "--density", "0.6"])
        for n in (6, 7, 8, 9, 10, 13, 20, 30, 40)]
+    + [(f"random-tree-{n}", ["--family", "random-tree", "--n", str(n), "--seed", str(3000 + n)])
+       for n in (8, 40)]
 )
 
 
@@ -76,9 +82,12 @@ def run(out_dir: Path, corpus=CORPUS) -> None:
     try:
         for name, gen_args in corpus:
             chain_file = f"{name}.chain.json"
-            code, _ = _call(["gen", *gen_args, "-o", chain_file])
+            gen_file = f"{name}.tree.json" if "random-tree" in gen_args else chain_file
+            code, _ = _call(["gen", *gen_args, "-o", gen_file])
             if code != "0":
                 raise RuntimeError(f"{name}: gen ended with {code}")
+            if gen_file != chain_file:  # gen writes tree specs, verify reads chains
+                chain_to_json(build_tree_chain(tree_from_json(gen_file)).chain, chain_file)
             with open(chain_file) as fh:
                 n_states = len(json.load(fh)["P"])
             sets = "all" if n_states <= ALL_SETS_MAX else "sampled"

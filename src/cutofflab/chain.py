@@ -491,12 +491,18 @@ def chain_to_json(chain: Chain | ChainSpec, path: str) -> None:
 
 
 def chain_from_json(path: str) -> Chain:
+    """Read a chain file; a payload of the wrong shape raises
+    :class:`ChainValidationError`."""
     with open(path) as fh:
         payload = json.load(fh)
-    P = np.array(payload["P"], dtype=float)
-    if int(payload.get("n", P.shape[0])) != P.shape[0]:
+    try:
+        P = np.array(payload["P"], dtype=float)
+        n = int(payload.get("n", P.shape[0]))
+        pi, labels = payload.get("pi"), payload.get("labels")
+        pi = None if pi is None else np.array(pi, dtype=float)
+        labels = None if labels is None else list(labels)
+    except (TypeError, KeyError, IndexError, ValueError, OverflowError) as exc:
+        raise ChainValidationError(f"malformed chain file ({exc!r})") from exc
+    if n != P.shape[0]:
         raise ChainValidationError("declared n does not match matrix shape")
-    pi = payload.get("pi")
-    spec = ChainSpec(P=P, pi=None if pi is None else np.array(pi, dtype=float),
-                     labels=payload.get("labels"))
-    return load_chain(spec)
+    return load_chain(ChainSpec(P=P, pi=pi, labels=labels))

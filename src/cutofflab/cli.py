@@ -94,7 +94,7 @@ def _load_chain(path: str):
         return chain_from_json(path)
     except ChainValidationError as exc:
         raise click.ClickException(f"{path}: {exc}") from exc
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise click.ClickException(f"{path}: malformed chain file ({exc})") from exc
 
 
@@ -103,7 +103,7 @@ def _load_tree(path: str):
 
     try:
         return build_tree_chain(tree_from_json(path))
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise click.ClickException(f"{path}: malformed tree file ({exc})") from exc
 
 

@@ -600,7 +600,8 @@ class WorstTailProfile:
 
 def worst_tail_profile(chain: Chain, alpha: float,
                        exact_threshold: int = DEFAULT_EXACT_THRESHOLD) -> WorstTailProfile:
-    """The one :class:`WorstTailProfile` of ``chain`` at ``alpha``."""
+    """A new :class:`WorstTailProfile` of ``chain`` at ``alpha``; every call
+    builds one (``verify`` keeps one per (chain, alpha) in ``_Ctx.profile``)."""
     return WorstTailProfile(chain, alpha, exact_threshold)
 
 

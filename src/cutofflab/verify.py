@@ -368,7 +368,7 @@ class _Ctx:
     def tree(self):
         try:
             return tree_from_chain(self.chain), ""
-        except (ValueError, RuntimeError) as exc:
+        except ValueError as exc:
             return None, str(exc)
 
     @cached_property

@@ -129,6 +129,34 @@ def test_malformed_chain_file_is_validation_error(tmp_path):
     assert run("analyze", str(bad)) == 1
 
 
+_CHAIN_COMMANDS = {
+    "analyze": ["analyze", "{path}"],
+    "verify": ["verify", "--chain", "{path}", "--suite", "relaxation"],
+    "simulate": ["simulate", "--chain", "{path}", "--start", "0", "--set", "1",
+                 "--t", "2", "--seed", "1"],
+}
+_HOLDING = [0.5, 0.5, 0.5]
+
+
+@pytest.mark.parametrize("kind,command,payload", [
+    *[("chain", cmd, payload) for cmd in _CHAIN_COMMANDS for payload in ([], {"P": 3})],
+    ("chain", "analyze", {"P": None}),
+    ("chain", "analyze", {"P": [[0.5, 0.5], [0.5, 0.5]], "labels": 3}),
+    ("tree", "central", []),
+    ("tree", "central", {"vertices": 3, "edges": 5, "holding": _HOLDING}),
+    ("tree", "central", {"vertices": 3, "edges": [[0, 1, 1.0], [1, 2, 1.0]],
+                         "holding": _HOLDING}),
+    ("tree", "central", {"vertices": None, "edges": [], "holding": _HOLDING}),
+])
+def test_malformed_payload_is_an_error_not_a_traceback(tmp_path, capsys, kind, command,
+                                                       payload):
+    path = tmp_path / f"{kind}.json"
+    path.write_text(json.dumps(payload))
+    argv = (_CHAIN_COMMANDS[command] if kind == "chain" else ["tree", command, "{path}"])
+    assert run(*[a.format(path=path) for a in argv]) == 1
+    assert f"{path}: malformed {kind} file (" in capsys.readouterr().err
+
+
 def test_hit_csv_output(tmp_path, capsys):
     chain = tmp_path / "chain.json"
     run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))

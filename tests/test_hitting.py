@@ -402,7 +402,7 @@ def test_run_suites_builds_each_single_target_once(monkeypatch):
 
     monkeypatch.setattr(KilledSystem, "_setup", counted)
     run_suites(biased_path(20), ["all"])
-    assert len(builds) == len(set(builds)) == 46
+    assert len(builds) == len(set(builds)) == 41
 
 
 def test_continuized_killed_tails_match_the_matrix_exponential():

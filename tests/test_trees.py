@@ -16,6 +16,10 @@ from cutofflab import (
     tree_from_json,
     tree_to_json,
 )
+from cutofflab import trees
+from cutofflab.chain import ChainSpec, chain_to_json, load_chain
+from cutofflab.cli import main
+from cutofflab.families import biased_path
 from cutofflab.hitting import KilledSystem, hit_time, hitting_tail
 from cutofflab.mixing import mixing_time
 from cutofflab.trees import window_rows
@@ -30,7 +34,7 @@ def test_p3_reconstruction(p3):
     tc = _p3_tree(p3)
     assert tc.n == 3
     assert tc.root == 1  # central vertex of the 3-path
-    assert np.allclose(tc.chain.P, p3.P, atol=1e-12)
+    assert tc.chain is p3
 
 
 def test_p3_crossing_is_geometric(p3):
@@ -71,8 +75,49 @@ def test_crossing_rejects_root(p3):
 
 def test_tree_from_chain_rejects_non_tree(small_corpus):
     dense = next(c for c in small_corpus if c.n >= 5)
-    with pytest.raises((ValueError, RuntimeError)):
+    with pytest.raises(ValueError):
         tree_from_chain(dense)
+
+
+@pytest.mark.parametrize("n, seed", [(2, 0), (9, 1), (40, 2), (120, 3)])
+def test_tree_from_chain_roots_the_chain_it_is_given(n, seed):
+    tc = build_tree_chain(random_tree(n, seed=seed))
+    assert tree_from_chain(tc.chain).chain is tc.chain
+    # state x relabelled perm[x]: the rooting follows the labels
+    perm = np.random.default_rng(seed).permutation(n)
+    inv = np.argsort(perm)
+    chain = load_chain(ChainSpec(P=tc.chain.P[np.ix_(inv, inv)], pi=tc.pi[inv]))
+    rc = tree_from_chain(chain)
+    assert rc.chain is chain
+    assert rc.root == perm[tc.root]
+    assert np.array_equal(rc.parent[perm], np.where(tc.parent < 0, -1, perm[tc.parent]))
+    assert np.array_equal(rc.depth[perm], tc.depth)
+    assert np.allclose(rc.subtree_mass[perm], tc.subtree_mass, rtol=1e-13, atol=0.0)
+    assert np.array_equal(rc.mu[perm], tc.mu)
+    assert [sorted(inv[rc.children[perm[v]]]) for v in range(n)] == [
+        sorted(tc.children[v]) for v in range(n)]
+
+
+@pytest.mark.parametrize("make", [lambda: biased_path(20),
+                                  lambda: build_tree_chain(random_tree(30, seed=5)).chain],
+                         ids=["biased-path-20", "random-tree-30"])
+def test_tree_suites_share_the_chain_spectrum_and_killed_systems(monkeypatch, make):
+    # the suites root the run's chain: no second eigh of P, and the
+    # single-target systems they build stay on the caller's chain
+    chain, shapes = make(), []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    reports = run_suites(chain, ["tree-window", "crossing-tails"])
+    assert all(r.passed for r in reports)
+    assert shapes == [(chain.n, chain.n)]
+    targets = {tuple(np.flatnonzero(np.frombuffer(key, dtype=bool))) for key in chain.killed}
+    ancestors = {(r.params["y"],) for rep in reports for r in rep.records if "y" in r.params}
+    assert ancestors and ancestors <= targets
 
 
 def test_path_variance_bound():
@@ -85,6 +130,19 @@ def test_path_variance_bound():
         assert pv.variance <= 4.0 * pv.mean * tc.t_rel + 1e-9
         for rec in pv.tail_records:
             assert rec.passed, rec
+
+
+def test_a_failing_chebyshev_tail_is_a_fail_row(monkeypatch, tmp_path):
+    # an upper tail that reads 1.0 breaks the one-sided Chebyshev rows: the
+    # suite records them as failures and verify exits 2 with no traceback
+    tails = trees._two_sided_tails
+    monkeypatch.setattr(trees, "_two_sided_tails", lambda *args: (1.0, tails(*args)[1]))
+    chain = biased_path(8)
+    (report,) = run_suites(chain, ["tree-window"])
+    assert {r.inequality for r in report.failures} == {"one-sided-upper-tail"}
+    path = tmp_path / "chain.json"
+    chain_to_json(chain, str(path))
+    assert main(["verify", "--chain", str(path), "--suite", "tree-window"]) == 2
 
 
 def test_tau_root_matches_worst_tail():
