@@ -1,15 +1,17 @@
 """Monte Carlo cross-checks for the exact solvers.
 
 All sampling is driven by a counter-based bit generator (Philox), with one
-64-bit word consumed per uniform, and every walk reads it in one layout:
-rounds of R = min(64, t) steps for a horizon t (R = 64 for walks without
-one), path ``p`` of a run of ``paths`` reading round ``r`` as the doubles
-``[(r*paths + p)*R, (r*paths + p + 1)*R)`` of the stream keyed by ``seed``.
-Results are therefore reproducible bit for bit from ``(seed, paths)``
-alone, and chunked evaluation matches a single monolithic draw.  Paths are
-simulated ``_CHUNK_PATHS`` at a time, so no block holds more than 2^20
-doubles whatever the horizon, and a chunk draws no further round once all
-its paths are absorbed.
+64-bit word consumed per uniform, and one walker, ``_walk``, steps every
+path (of :func:`simulate_hitting` and of ``sbd``'s staged walks) and reads
+it in one layout: rounds of R = min(64, t) steps for a horizon t (R = 64
+for walks without one), path ``p`` of a run of ``paths`` reading round
+``r`` as the doubles ``[(r*paths + p)*R, (r*paths + p + 1)*R)`` of the
+stream keyed by ``seed``.  Results are therefore reproducible bit for bit
+from ``(seed, paths)`` alone, and chunked evaluation matches a single
+monolithic draw.  Paths are simulated ``_CHUNK_PATHS`` at a time, so no
+block holds more than 2^20 doubles whatever the horizon, finished paths
+are dropped from the step, and a chunk draws no further round once all its
+paths have stopped.
 """
 
 from __future__ import annotations
@@ -121,14 +123,51 @@ def _step_states(states: np.ndarray, u: np.ndarray, table: _StepTable) -> np.nda
     return k - states * n
 
 
+def _walk(chain: Chain, start: int, paths: int, seed: int, keep,
+          horizon: int | None = None, t_cap: int | None = None) -> int:
+    """Walk ``paths`` copies of ``chain`` from ``start``; return how many
+    still walk at ``horizon``.  At t = 0 and after each step,
+    ``keep(lo, t, rows, states)`` answers which live paths ``lo + rows`` of
+    the chunk at ``lo`` walk on.  Raises ``ValueError`` for a seed outside
+    the Philox key range, before any draw, and ``RuntimeError`` when a path
+    would step past ``t_cap``.
+    """
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 1 << 128):
+        raise ValueError("seed must be an integer in [0, 2**128)")
+    table = _step_table(chain)
+    steps = _ROUND_STEPS if horizon is None else min(_ROUND_STEPS, horizon)
+    walking = 0
+    for lo in range(0, paths, _CHUNK_PATHS):
+        hi = min(lo + _CHUNK_PATHS, paths)
+        # the live paths, kept compacted: their rows of the round's block
+        # and their states
+        rows = np.arange(hi - lo)
+        states = np.full(hi - lo, start, dtype=np.int64)
+        t = 0
+        while True:
+            live = keep(lo, t, rows, states)
+            rows, states = rows[live], states[live]
+            if not rows.size or t == horizon:
+                break
+            if t_cap is not None and t >= t_cap:
+                raise RuntimeError(f"simulation cap of {t_cap} steps reached")
+            rnd, h = divmod(t, steps)
+            if not h:
+                u = _round_block(seed, paths, lo, hi, rnd, steps)
+            states = _step_states(states, u[rows, h], table)
+            t += 1
+        walking += rows.size
+    return walking
+
+
 def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
                      seed: int) -> MCEstimate:
     """Estimate ``Pr_start[T_A > t]`` by direct path simulation.
 
     The estimator is the plain survival frequency, hence unbiased with
     standard error ``sqrt(p(1-p)/paths)``.  A start inside the target set
-    gives exactly zero (the hitting time is zero surely), with no random
-    numbers consumed.
+    gives exactly zero (the hitting time is zero surely), and t = 0 from
+    outside it exactly one, with no random numbers consumed.
     """
     members = _target_mask(chain, A)
     if paths < MIN_PATHS:
@@ -139,34 +178,11 @@ def simulate_hitting(chain: Chain, start: int, A, t: int, paths: int,
     start = int(start)
     if not 0 <= start < chain.n:
         raise ValueError("start state out of range")
-    if members[start]:
-        return MCEstimate(value=0.0, standard_error=0.0, paths=paths, seed=seed,
-                          note="start lies in the target set, so T_A = 0 surely")
-    if t == 0:
-        return MCEstimate(value=1.0, standard_error=0.0, paths=paths, seed=seed,
-                          note="T_A >= 1 from any start outside the target set")
-
-    table = _step_table(chain)
-    steps = min(_ROUND_STEPS, t)
-    survived = 0
-    for lo in range(0, paths, _CHUNK_PATHS):
-        hi = min(lo + _CHUNK_PATHS, paths)
-        # the live paths, kept compacted: their rows of the round's block
-        # and their states
-        rows = np.arange(hi - lo)
-        states = np.full(hi - lo, start, dtype=np.int64)
-        for step in range(t):
-            rnd, h = divmod(step, steps)
-            if not h:
-                u = _round_block(seed, paths, lo, hi, rnd, steps)
-            states = _step_states(states, u[rows, h], table)
-            live = ~members[states]
-            rows, states = rows[live], states[live]
-            if rows.size == 0:
-                break
-        survived += rows.size
+    survived = _walk(chain, start, paths, seed,
+                     lambda lo, step, rows, states: ~members[states], horizon=t)
+    note = ("start lies in the target set, so T_A = 0 surely" if members[start] else
+            "T_A >= 1 from any start outside the target set" if t == 0 else
+            "unbiased survival frequency")
     p_hat = survived / paths
     se = math.sqrt(p_hat * (1.0 - p_hat) / paths)
-    return MCEstimate(value=p_hat, standard_error=se, paths=paths, seed=seed,
-                      note="unbiased survival frequency")
-
+    return MCEstimate(value=p_hat, standard_error=se, paths=paths, seed=seed, note=note)

@@ -5,7 +5,9 @@ A chain on states 0..n-1 is (delta, r)-banded when every jump is at most
 r positions and every nearest-neighbor transition has probability at
 least delta.  Such chains cross consecutive size-r blocks in a skip-free
 order, which makes the block-crossing times amenable to exact solves and
-to the correlation bound checked by :func:`block_correlation_mc`.
+to the correlation bound checked by :func:`block_correlation_mc`, whose
+paths are stepped by the Monte Carlo walker of :mod:`cutofflab.oracle`:
+this module keeps only each path's stage and passage times.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .chain import Chain
 from .hitting import DEFAULT_EXACT_THRESHOLD, IdentityCheckError, KilledSystem, _candidate_sets
-from .oracle import _CHUNK_PATHS, _ROUND_STEPS, MCEstimate, _round_block, _step_states, _step_table
+from .oracle import MCEstimate, _walk
 from .reporting import Record, check_le, report_value, skip
 
 __all__ = [
@@ -320,49 +322,29 @@ def _staged_times(chain: Chain, x: int, stage_masks: list[np.ndarray],
     Returns an array (paths, len(stage_masks)); stage s is timed from the
     walk's start, advancing to stage s+1 the moment stage s's set is hit
     (several stages can fire on the same step if their sets coincide).
-    Uniform draws are indexed by (round, path), in the layout of
-    ``oracle._round_block``, so chunking never changes the sample.  Raises
+    The paths are walked by ``oracle._walk``, so chunking never changes
+    the sample and a path stops once its last stage fires.  Raises
     ``RuntimeError`` when a walk would take a step past ``t_cap``.
     """
     n_stages = len(stage_masks)
-    table = _step_table(chain)
-    out = np.empty((paths, n_stages), dtype=np.int64)
+    # row n_stages, no state, stands for a finished walk
+    sets = np.vstack([*stage_masks, np.zeros(chain.n, dtype=bool)])
+    stage = np.zeros(paths, dtype=np.int64)
+    times = np.empty((paths, n_stages), dtype=np.int64)
 
-    def settle(states, ptr, times, t, sel_pool):
-        moved = True
-        while moved:
-            moved = False
-            for s in range(n_stages):
-                sel = sel_pool & (ptr == s) & stage_masks[s][states]
-                if sel.any():
-                    times[sel, s] = t
-                    ptr[sel] += 1
-                    moved = True
+    def keep(lo, t, rows, states):
+        at = lo + rows
+        now = stage[at]
+        fired = np.flatnonzero(sets[now, states])
+        while fired.size:
+            times[at[fired], now[fired]] = t
+            now[fired] += 1
+            fired = fired[sets[now[fired], states[fired]]]
+        stage[at] = now
+        return now < n_stages
 
-    for lo in range(0, paths, _CHUNK_PATHS):
-        hi = min(lo + _CHUNK_PATHS, paths)
-        m = hi - lo
-        states = np.full(m, x, dtype=int)
-        ptr = np.zeros(m, dtype=np.int64)
-        times = np.zeros((m, n_stages), dtype=np.int64)
-        settle(states, ptr, times, 0, np.ones(m, dtype=bool))
-        t = 0
-        rnd = 0
-        while (ptr < n_stages).any():
-            u = _round_block(seed, paths, lo, hi, rnd, _ROUND_STEPS)
-            for h in range(_ROUND_STEPS):
-                active = ptr < n_stages
-                if not active.any():
-                    break
-                if t >= t_cap:
-                    raise RuntimeError(f"simulation cap of {t_cap} steps reached")
-                idx = np.nonzero(active)[0]
-                states[idx] = _step_states(states[idx], u[idx, h], table)
-                t += 1
-                settle(states, ptr, times, t, active)
-            rnd += 1
-        out[lo:hi] = times
-    return out
+    _walk(chain, x, paths, seed, keep, t_cap=t_cap)
+    return times
 
 
 @dataclass(eq=False)

@@ -338,9 +338,9 @@ def path_variance(tc: RootedTreeChain, x: int, y: int | None = None) -> PathVari
         bound = 1.0 / (1.0 + c * c)
         p_hi, p_lo = _two_sided_tails(tc, x, y, mean, c, sigma)
         records.append(check_le("one-sided-upper-tail", p_hi, bound,
-                                params={"x": x, "y": y, "c": c, "threshold": mean + c * sigma}))
+                                params={"x": x, "y": y, "c": c, "threshold": float(mean + c * sigma)}))
         records.append(check_le("one-sided-lower-tail", p_lo, bound,
-                                params={"x": x, "y": y, "c": c, "threshold": mean - c * sigma}))
+                                params={"x": x, "y": y, "c": c, "threshold": float(mean - c * sigma)}))
     return PathVariance(x=x, y=y, mean=mean, variance=var, sigma_sq=sigma_sq,
                         tail_records=records)
 

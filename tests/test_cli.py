@@ -510,6 +510,36 @@ def test_simulate_requires_seed(tmp_path):
                "--set", "5", "--t", "10") != 0
 
 
+@pytest.mark.parametrize("seed", [str(-1), str(2 ** 128)])
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--chain", "CHAIN", "--start", "0", "--set", "5", "--t", "10"],
+    # a start inside the target draws nothing, but the seed is still checked
+    ["simulate", "--chain", "CHAIN", "--start", "5", "--set", "5", "--t", "10"],
+    ["sbd", "corr", "CHAIN", "--x", "0", "--block-i", "0", "--block-j", "1"],
+], ids=["simulate", "simulate-start-in-target", "sbd-corr"])
+def test_monte_carlo_commands_reject_a_seed_outside_the_key_range(tmp_path, capsys,
+                                                                 argv, seed):
+    # numpy's own message ("key must be positive and less than 2**128")
+    # wrongly excludes seed 0
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))
+    capsys.readouterr()
+    argv = [str(chain) if a == "CHAIN" else a for a in argv]
+    assert run(*argv, "--seed", seed) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "Error: seed must be an integer in [0, 2**128)\n"
+
+
+def test_monte_carlo_commands_take_seed_zero(tmp_path, capsys):
+    chain = tmp_path / "chain.json"
+    run("gen", "--family", "biased-path", "--n", "6", "-o", str(chain))
+    assert run("simulate", "--chain", str(chain), "--start", "0", "--set", "5",
+               "--t", "10", "--paths", "1000", "--seed", "0") == 0
+    assert run("sbd", "corr", str(chain), "--x", "0", "--block-i", "0", "--block-j", "1",
+               "--paths", "1000", "--seed", "0") == 0
+
+
 @pytest.mark.parametrize("states, message", [
     ("99", "target state out of range"),
     ("", "target set must be nonempty"),

@@ -127,8 +127,9 @@ def test_step_sends_the_leftover_mass_to_a_reachable_state():
 
 
 def test_walks_never_step_past_a_short_row(monkeypatch):
-    # both path simulators step from state 0 to state 1 on the largest
-    # uniform, never to state 2 (probability zero) or to state 3
+    # the walker steps from state 0 to state 1 on the largest uniform,
+    # never to state 2 (probability zero) or to state 3, in simulate_hitting
+    # and in sbd's staged walks alike
     import cutofflab.oracle as oracle
     import cutofflab.sbd as sbd
 

@@ -281,21 +281,27 @@ def test_even_powers_read_the_kept_squares():
     assert [(module, scope) for module, scope, _ in sites] == [("mixing", "_square")]
 
 
-class _UniformBlockSites(_Sites):
-    """Every call of ``uniform_block``, by name or as an attribute."""
+def _call_scopes(name: str) -> list[tuple[str, str]]:
+    """(module, enclosing scope) of every call of ``name``, by name or as
+    an attribute."""
 
-    def visit_Call(self, node):
-        f = node.func
-        if "uniform_block" in (getattr(f, "id", None), getattr(f, "attr", None)):
-            self._site(node)
-        self.generic_visit(node)
+    class Calls(_Sites):
+        def visit_Call(self, node):
+            f = node.func
+            if name in (getattr(f, "id", None), getattr(f, "attr", None)):
+                self._site(node)
+            self.generic_visit(node)
+
+    return [(module, scope) for module, scope, _ in _sites(Calls)]
 
 
 def test_monte_carlo_uniforms_are_drawn_in_one_layout():
-    # every walk reads the stream in rounds through one helper, so the two
-    # path simulators cannot drift to different layouts
-    sites = _sites(_UniformBlockSites)
-    assert [(module, scope) for module, scope, _ in sites] == [("oracle", "_round_block")]
+    # one walker, oracle._walk, draws every round of uniforms and takes
+    # every step, for simulate_hitting and sbd's staged walks alike, so no
+    # second walker can read the stream in a layout of its own
+    assert _call_scopes("uniform_block") == [("oracle", "_round_block")]
+    assert _call_scopes("_round_block") == [("oracle", "_walk")]
+    assert _call_scopes("_step_states") == [("oracle", "_walk")]
 
 
 class _IndentedJsonSites(_Sites):

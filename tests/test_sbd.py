@@ -9,7 +9,10 @@ from cutofflab import (
     comparable_start_bound,
     plateau_chain,
 )
+from cutofflab import oracle
+from cutofflab.families import random_reversible, two_cliques
 from cutofflab.hitting import hitting_tail
+from cutofflab.oracle import _round_block, _step_states, _step_table
 from cutofflab.sbd import _staged_times, block_correlation_mc
 
 
@@ -166,3 +169,86 @@ def test_staged_times_stop_at_the_step_cap():
         _staged_times(biased_path(6), 0, stages, paths=300, seed=4, t_cap=last), times)
     with pytest.raises(RuntimeError, match=f"simulation cap of {last - 1} steps reached"):
         _staged_times(biased_path(6), 0, stages, paths=300, seed=4, t_cap=last - 1)
+
+
+def _staged_times_reference(chain, x, stage_masks, paths, seed, t_cap):
+    # the staged walk as it stood before it went through oracle._walk: each
+    # chunk of 16,384 paths steps its unfinished paths in place, masked,
+    # round after round of 64 uniforms, until every path has passed its
+    # last stage
+    n_stages = len(stage_masks)
+    table = _step_table(chain)
+    out = np.empty((paths, n_stages), dtype=np.int64)
+
+    def settle(states, ptr, times, t, sel_pool):
+        moved = True
+        while moved:
+            moved = False
+            for s in range(n_stages):
+                sel = sel_pool & (ptr == s) & stage_masks[s][states]
+                if sel.any():
+                    times[sel, s] = t
+                    ptr[sel] += 1
+                    moved = True
+
+    for lo in range(0, paths, 16_384):
+        hi = min(lo + 16_384, paths)
+        m = hi - lo
+        states = np.full(m, x, dtype=int)
+        ptr = np.zeros(m, dtype=np.int64)
+        times = np.zeros((m, n_stages), dtype=np.int64)
+        settle(states, ptr, times, 0, np.ones(m, dtype=bool))
+        t = 0
+        rnd = 0
+        while (ptr < n_stages).any():
+            u = _round_block(seed, paths, lo, hi, rnd, 64)
+            for h in range(64):
+                active = ptr < n_stages
+                if not active.any():
+                    break
+                if t >= t_cap:
+                    raise RuntimeError(f"simulation cap of {t_cap} steps reached")
+                idx = np.nonzero(active)[0]
+                states[idx] = _step_states(states[idx], u[idx, h], table)
+                t += 1
+                settle(states, ptr, times, t, active)
+            rnd += 1
+        out[lo:hi] = times
+    return out
+
+
+def _masks(n, *sets):
+    return [np.isin(np.arange(n), s) for s in sets]
+
+
+@pytest.mark.parametrize("chain, x, stages, paths, seed", [
+    # the pinned walk of test_oracle.py::test_monte_carlo_outputs_are_pinned
+    (biased_path(12), 0, _masks(12, [6], [11]), 20_000, 5),
+    # two equal stages, and a first stage holding the start (fires at t = 0)
+    (biased_path(12), 0, _masks(12, [6], [6], [11]), 3_000, 2),
+    (biased_path(8), 3, _masks(8, [3], [4, 5], [7]), 2_000, 0),
+    # multi-state stages on chains without a band, and two chunks
+    (two_cliques(6), 0, _masks(14, [5, 6], [13], [0, 1]), 17_000, 9),
+    (random_reversible(10, density=0.4, seed=3), 0, _masks(10, [4, 7], [9], [2]), 1_500, 11),
+], ids=["pinned", "equal-stages", "start-stage", "two-cliques", "random"])
+def test_staged_times_match_the_masked_reference(chain, x, stages, paths, seed):
+    expected = _staged_times_reference(chain, x, stages, paths, seed, 10 ** 6)
+    assert np.array_equal(_staged_times(chain, x, stages, paths, seed, 10 ** 6), expected)
+
+
+def test_staged_times_do_not_depend_on_the_chunk_size(monkeypatch):
+    # as test_oracle.py::test_long_horizon_sample_is_pinned checks for
+    # simulate: 3,000-path chunks put a chunk boundary inside every round
+    path, stages = biased_path(12), _masks(12, [6], [11])
+    whole = _staged_times(path, 0, stages, paths=20_000, seed=5, t_cap=10 ** 6)
+    monkeypatch.setattr(oracle, "_CHUNK_PATHS", 3_000)
+    assert np.array_equal(_staged_times(path, 0, stages, paths=20_000, seed=5, t_cap=10 ** 6),
+                          whole)
+
+
+def test_equal_stages_fire_on_the_same_step():
+    path = biased_path(12)
+    once = _staged_times(path, 0, _masks(12, [6], [11]), paths=5_000, seed=3, t_cap=10 ** 6)
+    twice = _staged_times(path, 0, _masks(12, [6], [6], [11], [11]), paths=5_000, seed=3,
+                          t_cap=10 ** 6)
+    assert np.array_equal(twice, once[:, [0, 0, 1, 1]])

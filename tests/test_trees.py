@@ -132,6 +132,31 @@ def test_path_variance_bound():
             assert rec.passed, rec
 
 
+def _numpy_scalars(value):
+    if isinstance(value, np.generic):
+        yield value
+    elif isinstance(value, (list, tuple)):
+        for v in value:
+            yield from _numpy_scalars(v)
+    elif isinstance(value, dict):
+        for v in value.values():
+            yield from _numpy_scalars(v)
+
+
+@pytest.mark.parametrize("make", [lambda: biased_path(20),
+                                  lambda: build_tree_chain(random_tree(30, seed=2)).chain],
+                         ids=["biased-path-20", "random-tree-30"])
+def test_record_params_hold_no_numpy_scalars(make):
+    # path_variance's Chebyshev thresholds came out as np.float64, which
+    # verify printed as "'threshold': np.float64(43.08...)"
+    found = {(report.suite, rec.inequality, key)
+             for report in run_suites(make(), ["all"])
+             for rec in report.records
+             for key, value in rec.params.items()
+             if any(True for _ in _numpy_scalars(value))}
+    assert found == set()
+
+
 def test_a_failing_chebyshev_tail_is_a_fail_row(monkeypatch, tmp_path):
     # an upper tail that reads 1.0 breaks the one-sided Chebyshev rows: the
     # suite records them as failures and verify exits 2 with no traceback
