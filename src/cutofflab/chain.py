@@ -143,7 +143,8 @@ class Chain:
     Treat instances as immutable; spectral results are cached on first use,
     and so is the :class:`~cutofflab.hitting.KilledSystem` of each target,
     which ``KilledSystem.of`` keeps in ``killed`` by its membership mask,
-    and so is each square ``P^(2^j)`` that :mod:`cutofflab.mixing` builds.
+    and so is each square ``P^(2^j)`` and ``H(2^j h)`` of the continuized
+    kernel that :mod:`cutofflab.mixing` builds.
     """
 
     spec: ChainSpec
@@ -153,6 +154,7 @@ class Chain:
     is_irreducible: bool
     killed: dict = field(default_factory=dict, init=False, repr=False)
     squares: list = field(default_factory=list, init=False, repr=False)
+    heat_squares: list = field(default_factory=list, init=False, repr=False)
 
     @property
     def P(self) -> np.ndarray:
@@ -256,12 +258,6 @@ class Spectrum:
     @property
     def lambda_min(self) -> float:
         return float(self.eigenvalues[-1])
-
-    def heat_matrix(self, t: float) -> np.ndarray:
-        """Dense continuized kernel exp(-t (I - P)) from the spectral sum."""
-        w = np.exp(-(1.0 - self.eigenvalues) * t)
-        F = self.eigenfunctions
-        return (F * w) @ (F.T * self.pi)
 
 
 def spectral_decomposition(chain: Chain) -> Spectrum:

@@ -322,8 +322,7 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
     import numpy as np
 
     from .chain import write_csv_atomic
-    from .hitting import KilledSystem, worst_tail_profile
-    from .mixing import _bisect_monotone
+    from .hitting import KilledSystem, _set_crossings, worst_tail_profile
 
     chain = _load_chain(chain_file)
     chain.require(irreducible=True)
@@ -342,22 +341,12 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
             _echo("start lies inside the target; hit time is 0")
             return
         pos = None if start is None else ks.position(start)
-
-        def tails(ts):
-            if pos is None:
-                return ks.tail_stationary(ts, continuous)
-            return ks.tail_state(pos, ts, continuous)
-
-        # both tails are closed-form at any t, so each level's crossing is
-        # one monotone search on the tail at ceil(t), whose bracket of width
-        # 1 ends at the first integer time below the level
-        first = max(int(np.ceil(chain.spectrum.t_rel)), 1)
+        chain.require(reversible=True)  # the CSV tails are spectral
+        # each level's first integer time below it comes from one descent
+        # over the squares of P_B (or of H_B(1)), from pi on B or the start
+        weights = chain.pi[ks.B] / ks.pi_B if pos is None else np.eye(ks.B.size)[pos]
         try:
-            when = [int(np.ceil(_bisect_monotone(lambda t: tails([int(np.ceil(t))])[0],
-                                                 e + 1e-12, 0.0, first, 1.0)[1]))
-                    for e in eps_values]
-        except ValueError as exc:
-            raise click.ClickException(str(exc)) from exc
+            when = _set_crossings(ks, weights, eps_values, continuous)
         except RuntimeError as exc:  # a killed eigenvalue rounds to 1
             raise click.ClickException(
                 "the tail does not fall to every --eps level by t = 1e12") from exc
@@ -365,9 +354,10 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
             _echo(f"tail <= {e:g} first at t = {t} "
                   f"(set={states}, start={'stationary' if start is None else start})")
         if output:
-            grid = range(max(when) + 1)
-            write_csv_atomic(output, ["t", "tail"],
-                             [(t, float(v)) for t, v in zip(grid, tails(list(grid)))])
+            grid = list(range(max(when) + 1))
+            tails = (ks.tail_stationary(grid, continuous) if pos is None
+                     else ks.tail_state(pos, grid, continuous))
+            write_csv_atomic(output, ["t", "tail"], [(t, float(v)) for t, v in zip(grid, tails)])
             _echo(f"wrote tail profile -> {output}")
         return
     try:

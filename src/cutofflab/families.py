@@ -27,15 +27,24 @@ __all__ = [
 ]
 
 
+# the largest n whose pi(0) > 3^-(n-1) / 1.5 is a positive double
+BIASED_PATH_MAX_N = 1 + int((np.log(2 / 3) - np.log(np.finfo(float).smallest_subnormal))
+                            / np.log(3))
+
+
 def biased_path(n: int) -> Chain:
     """Lazy nearest-neighbor walk on 0..n-1 with a 3:1 rightward drift.
 
     Interior rows are (1/8, 1/2, 3/8); the missing move at each end is
     folded into the holding probability (5/8 at the left end, 7/8 at the
-    right).  The stationary law is the exact geometric pi(i) ~ 3^i.
+    right).  The stationary law is the exact geometric pi(i) ~ 3^i, whose
+    pi(0) leaves the double range past ``BIASED_PATH_MAX_N`` states.
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    if n > BIASED_PATH_MAX_N:
+        raise ValueError(f"biased-path needs n <= {BIASED_PATH_MAX_N}: beyond it pi(0) "
+                         "is below the smallest positive double")
     P = np.zeros((n, n))
     for i in range(n):
         P[i, i] = 0.5

@@ -23,6 +23,7 @@ results are flagged as certified lower bounds only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, islice
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import DEFAULT_EXACT_THRESHOLD
 from .chain import Chain
-from .mixing import _bisect_monotone, _TailScan
+from .mixing import _ceiling, _descend, _heat, _heat_step, _square, _TailScan
 
 __all__ = [
     "HittingProfile",
@@ -551,9 +552,10 @@ class WorstTailProfile:
     family above (lower bounds).  ``scan(x)`` is p_x(alpha, t), or its max
     over the starts when x is None, all candidates stepped on demand by
     :func:`_survival`; ``tails[t, x]`` are the rows stepped so far.
-    ``ct_terms`` holds the continuized tails, one pair (rates, W) per |B|
-    with ``Pr_{B[i]}[T_A > t] = (W @ exp(-rates t))[i]``; the full state
-    space, dead past t = 0, is dropped.
+    ``heat_squares`` holds, per |B|, the kept batched squares
+    ``H_B(2^j h)`` of the continuized killed kernels, with
+    ``Pr_{B[i]}[T_A > t] = (H_B(t) 1)[i]``; the full state space, dead
+    past t = 0, is dropped.
     """
 
     def __init__(self, chain: Chain, alpha: float, exact_threshold: int = DEFAULT_EXACT_THRESHOLD):
@@ -593,9 +595,10 @@ class WorstTailProfile:
         return HitResult(value=float(self.hit(eps, x=x)), exact=self.exact)
 
     @cached_property
-    def ct_terms(self) -> list[tuple[np.ndarray, np.ndarray]]:
+    def heat_squares(self) -> list[list[np.ndarray]]:
+        h = _heat_step(self.chain)
         stacks = KilledSystem.stacks(self.chain, [s for s in self.sets if not s.all()])
-        return [(1.0 - ks.gammas, ks.state_weights) for _, ks in stacks]
+        return [[_heat(ks.PB, h, stochastic=False)] for _, ks in stacks]
 
 
 def worst_tail_profile(chain: Chain, alpha: float,
@@ -612,25 +615,48 @@ class HitResult:
     bracket: tuple[float, float] | None = None
 
 
+def _set_crossings(ks: KilledSystem, weights: np.ndarray, levels,
+                   continuous: bool = False) -> list[int]:
+    """Per level, the first integer t <= 1e12 where the tail
+    ``weights @ K^t 1`` from a start law over B is at most the level, K the
+    killed kernel ``P_B`` of one target or ``H_B(1)`` with ``continuous``:
+    one descent over the squares of K each (past 1e12: ``RuntimeError``)."""
+    squares = [_heat(ks.PB, 1.0, stochastic=False) if continuous else ks.PB]
+    ones = np.ones(ks.B.size)
+
+    def advance(v, j):
+        return _square(squares, j, stochastic=False) @ v
+
+    def tail(v):
+        return float(weights @ v)
+
+    return [_descend(advance, tail, e, 10 ** 12, start=ones) + 1 if tail(ones) > e + 1e-12
+            else 0 for e in levels]
+
+
 def _hit_ct_interval(chain: Chain, alpha: float, eps: float,
                      profile: WorstTailProfile | None = None) -> tuple[float, float, bool]:
-    """(lo, hi, exact): a bracket of the continuized worst-set hitting time,
-    bisected on ``p_ct(t) = max_A max_x Pr_x[T_A > t]``.
-
+    """(lo, hi, exact): the bracket of width h where the continuized
+    ``p_ct(t) = max_A max_x Pr_x[T_A > t]`` crosses eps, from one descent
+    ``v <- H_B(2^j h) v`` over the profile's ``heat_squares``, every stack
+    at once, below ``t_rel (-log eps - log min pi) / alpha``: for
+    ``pi(A) >= alpha``, ``Pr_x[T_A > t] <= exp(-alpha t / t_rel) / sqrt(min pi)``.
     ``profile`` is the chain's :class:`WorstTailProfile` at this alpha,
     which every eps shares (built at the default threshold when omitted).
     """
     profile = profile or worst_tail_profile(chain, alpha)
+    stacks = profile.heat_squares
+    if not stacks:
+        return 0.0, 0.0, profile.exact
+    h = _heat_step(chain)
 
-    def p_ct(t: float) -> float:
-        worst = 0.0
-        for rates, W in profile.ct_terms:
-            worst = max(worst, float(_mv(W, np.exp(-rates * t)).max()))
-        return worst
+    def advance(vs, j):
+        return [_mv(_square(squares, j, stochastic=False), v) for squares, v in zip(stacks, vs)]
 
-    t_rel = chain.spectrum.t_rel
-    lo, hi = _bisect_monotone(p_ct, eps, 0.0, max(1.0, t_rel), 1e-3 * max(t_rel, 1e-9))
-    return lo, hi, profile.exact
+    t = _descend(advance, lambda vs: max(float(v.max()) for v in vs), eps,
+                 math.ceil(_ceiling(chain, eps, continuous=True) / (alpha * h)),
+                 start=[np.ones(squares[0].shape[:-1]) for squares in stacks])
+    return t * h, (t + 1) * h, profile.exact
 
 
 def hit_time(chain: Chain, alpha: float, eps: float, x: int | None = None,
@@ -639,10 +665,11 @@ def hit_time(chain: Chain, alpha: float, eps: float, x: int | None = None,
     """Smallest t with p(alpha, t) <= eps (worst start unless ``x`` given).
 
     Discrete chains return an integer-valued time from a forward scan.
-    The continuized variant bisects the spectral tail evaluation to a
-    1e-3 * t_rel bracket and reports its upper end, with the bracket
-    attached.  Results carry ``exact=False`` when the greedy candidate
-    family was used (the value is then a certified lower bound).
+    The continuized variant descends the squares of the candidates'
+    continuized killed kernels to a bracket of width h <= 1e-3 * t_rel
+    and reports its upper end, with the bracket attached.  Results carry
+    ``exact=False`` when the greedy candidate family was used (the value
+    is then a certified lower bound).
     """
     return worst_tail_profile(chain, alpha, exact_threshold).result(eps, x, continuous)
 

@@ -1,15 +1,17 @@
 """Total-variation mixing profiles, mixing times, and maximal functions.
 
 The worst-case distance ``d(t) = max_x ||P^t(x,.) - pi||_TV`` is computed
-from dense powers of the kernel; the continuized analogue replaces ``P^t``
-with ``exp(-t (I - P))``.  A discrete power is a product of the squares
-``P^(2^j)`` kept in ``chain.squares``, each built once with its rows
-renormalized to sum to 1; only nonnegative matrices are multiplied, so d
-holds at any min pi.  Every discrete mixing time comes from one rule,
-``mixing_times``: a descent over the squares below the certified ceiling
-``t_rel* (-log eps - log min pi)`` (Levin-Peres-Wilmer, Thm 12.4), where
-t_rel* is the absolute relaxation time; continuized times are bisected
-from the same ceiling with the relaxation time of ``I - P``.
+from dense powers of the kernel, products of the squares ``P^(2^j)`` kept
+in ``chain.squares``; the continuized kernel
+``H(t) = e^{-t} sum_k t^k P^k / k!`` is a product of the squares
+``H(2^j h)`` kept in ``chain.heat_squares``, from its Taylor sum at the
+step ``h = 2^-K <= 1e-3 t_rel``.  Each square is built once with its rows
+renormalized to sum to 1; only nonnegative matrices are added and
+multiplied, so d holds at any min pi.  Every crossing time is one descent
+over kept squares, ``_descend``, below a certified ceiling: for mixing
+times ``t_rel* (-log eps - log min pi)`` (Levin-Peres-Wilmer, Thm 12.4),
+t_rel* the absolute relaxation time, or that of ``I - P`` in continuized
+time, where the crossing is located to a bracket of width h.
 The running-maximum operator along even times,
 ``f*(x) = sup_k |P^{2k} f(x)|``, is evaluated to a certified truncation
 horizon fixed from the spectral tail envelope before stepping.
@@ -36,23 +38,67 @@ __all__ = [
 
 
 def _tv_rows(M: np.ndarray, pi: np.ndarray) -> np.ndarray:
-    return 0.5 * np.abs(M - pi[None, :]).sum(axis=1)
+    """``||M(x,.) - pi||_TV`` for each row x of a stochastic M.  The sums of
+    the positive and the negative parts of ``M(x,.) - pi`` agree in exact
+    arithmetic; each row keeps the side whose sum of ``M + pi``, a bound on
+    its rounding, is at most 1 of their total 2, so a tiny d is read from
+    small entries."""
+    D = M - pi
+    plus = np.maximum(D, 0.0)
+    up = plus.sum(axis=-1)
+    small_up = up + 2.0 * ((D > 0.0) @ pi) <= 1.0
+    return np.where(small_up, up, (plus - D).sum(axis=-1))
 
 
-def _square(chain: Chain, j: int) -> np.ndarray:
-    """``P^(2^j)``, kept in ``chain.squares`` with every square below it."""
-    squares = chain.squares
-    if not squares:
-        squares.append(np.asarray(chain.P, dtype=float))
+def _heat(M: np.ndarray, h: float, stochastic: bool = True) -> np.ndarray:
+    """``e^{-h} sum_k (h M)^k / k!`` for a (stack of) nonnegative M with row
+    sums at most 1, summed to the first k with ``h^k / k! < 1e-17``, with
+    rows renormalized to sum to 1 when ``stochastic``."""
+    term = h * M
+    total = np.eye(M.shape[-1]) + term
+    k, bound = 1, h
+    while bound >= 1e-17:
+        k += 1
+        bound *= h / k
+        term = (term @ M) * (h / k)
+        total += term
+    if stochastic:
+        return total / total.sum(axis=-1, keepdims=True)
+    return total * math.exp(-h)
+
+
+def _heat_step(chain: Chain) -> float:
+    """h, the largest power of two at most ``min(1, 1e-3 t_rel)``."""
+    return min(1.0, 2.0 ** (math.frexp(1e-3 * chain.spectrum.t_rel)[1] - 1))
+
+
+def _square(squares: list, j: int, stochastic: bool = True) -> np.ndarray:
+    """``squares[j]``, each kept square the square of the one before, its
+    rows renormalized to sum to 1 when ``stochastic``."""
     while len(squares) <= j:
         S = squares[-1] @ squares[-1]
-        squares.append(S / S.sum(axis=1, keepdims=True))
+        squares.append(S / S.sum(axis=-1, keepdims=True) if stochastic else S)
     return squares[j]
 
 
-def _power(chain: Chain, t: int) -> np.ndarray:
-    """Dense ``P^t``, the product of the squares of t's bits, low to high."""
-    bits = [_square(chain, j) for j in range(t.bit_length()) if t >> j & 1]
+def _squares(chain: Chain, continuous: bool = False) -> list:
+    """``chain.squares``, or ``chain.heat_squares``, seeded on first use."""
+    squares = chain.heat_squares if continuous else chain.squares
+    if not squares:
+        P = np.asarray(chain.P, dtype=float)
+        squares.append(_heat(P, _heat_step(chain)) if continuous else P)
+    return squares
+
+
+def _power(chain: Chain, t, continuous: bool = False) -> np.ndarray:
+    """Dense ``P^t``, or ``H(t)`` at a real t: ``H(t - q h)`` from the Taylor
+    sum, then the kept squares of the bits of ``q = floor(t / h)``."""
+    bits = []
+    if continuous:
+        q, rest = divmod(t, _heat_step(chain))
+        t, bits = int(q), [_heat(chain.P, rest)] if rest else []
+    squares = _squares(chain, continuous)
+    bits += [_square(squares, j) for j in range(t.bit_length()) if t >> j & 1]
     return reduce(np.matmul, bits) if bits else np.eye(chain.n)
 
 
@@ -60,12 +106,12 @@ def worst_tv(chain: Chain, t, continuous: bool = False) -> tuple[float, int]:
     """Worst-start TV distance at time ``t`` and the maximizing state.
 
     Ties go to the lowest state index.  With ``continuous=True``, ``t`` may
-    be any nonnegative real and the continuized kernel is used.
+    be any nonnegative real and the continuized kernel is used.  A
+    negative or non-finite t raises ``ValueError``.
     """
-    t = float(t) if continuous else int(t)
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    M = chain.spectrum.heat_matrix(t) if continuous else _power(chain, t)
+    if not 0 <= t < math.inf:
+        raise ValueError(f"t must be >= 0 and finite; got {t!r}")
+    M = _power(chain, float(t) if continuous else int(t), continuous)
     tv = _tv_rows(M, chain.pi)
     x = int(np.argmax(tv))
     return float(tv[x]), x
@@ -144,11 +190,6 @@ def mixing_profile(chain: Chain, t_max: int | None = None,
     return MixingProfile(times=np.arange(len(d)), d=np.array(d), argmax_state=np.array(argmax))
 
 
-def _d_continuous(chain: Chain, t: float) -> float:
-    M = chain.spectrum.heat_matrix(t)
-    return float(_tv_rows(M, chain.pi).max())
-
-
 def _ceiling(chain: Chain, eps: float, continuous: bool = False) -> float:
     """Certified bound ``t_rel* (-log eps - log min pi)`` on t_mix(eps).
 
@@ -161,73 +202,63 @@ def _ceiling(chain: Chain, eps: float, continuous: bool = False) -> float:
     return t_rel * (-math.log(eps) - math.log(chain.pi.min()))
 
 
-def _bisect_monotone(f, level: float, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Bracket the crossing of a non-increasing f below ``level``.
-
-    Returns (lo, hi) with f(hi) <= level < f(lo) (unless lo == 0 already
-    crosses) and hi - lo <= tol.
-    """
-    if f(lo) <= level:
-        return lo, lo
-    while f(hi) > level:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e12:
-            raise RuntimeError("failed to bracket monotone crossing")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= level:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
+def _descend(advance, value, level: float, t_max: int, start=None) -> int:
+    """The last step t < t_max where a non-increasing ``value`` is above
+    ``level`` + 1e-12: from t = 0 and ``start``, j walks down from the top
+    bit of ``t_max``, taking ``state <- advance(state, j)`` (2^j steps on)
+    while t + 2^j <= t_max and the value there stays above the level.  A
+    value above it at ``t_max`` raises ``RuntimeError``."""
+    t, state = 0, start
+    for j in reversed(range(t_max.bit_length())):
+        if t + (1 << j) <= t_max:
+            step = advance(state, j)
+            if value(step) > level + 1e-12:
+                t, state = t + (1 << j), step
+    if t == t_max:
+        raise RuntimeError(f"scan stayed above {level} through t = {t_max}")
+    return t
 
 
-def _mixing_time_ct_interval(chain: Chain, eps: float) -> tuple[float, float]:
-    tol = 1e-3 * max(chain.spectrum.t_rel, 1e-9)
-    hi0 = max(1.0, _ceiling(chain, eps, continuous=True))
-    return _bisect_monotone(lambda t: _d_continuous(chain, t), eps, 0.0, hi0, tol)
-
-
-def mixing_times(chain: Chain, levels) -> list[int]:
+def mixing_times(chain: Chain, levels, continuous: bool = False) -> list:
     """Smallest t with d(t) <= eps + 1e-12 for each eps in ``levels``.
 
-    Levels must lie in (0, 1).  From ``M = P^t``, t = 0, each level walks j
-    down from its highest square and takes ``M <- M P^(2^j)`` while
-    ``t + 2^j`` stays within its certified ceiling and d there stays above
-    the level; a d still above it at the ceiling raises ``RuntimeError``.
-    The squares are kept on the chain, at most ``ceil(log2 ceiling) + 1``.
+    Levels must lie in (0, 1).  Each level descends (:func:`_descend`)
+    from ``M = P^0`` over the kept squares below its certified ceiling,
+    taking ``M <- M P^(2^j)`` while d stays above the level.  With
+    ``continuous`` it descends the squares ``H(2^j h)`` in steps of h and
+    gives the bracket ``(lo, hi)`` with ``d(lo) > eps >= d(hi)`` and
+    ``hi - lo = h``; ``(0, 0)`` when ``d(0) <= eps``.
     """
     if not all(0 < e < 1 for e in levels):
         raise ValueError("eps must be in (0, 1)")
+    squares = _squares(chain, continuous)
+    h = _heat_step(chain) if continuous else 1
     d0 = 1.0 - float(chain.pi.min())
+
+    def advance(M, j):  # M = P^t or H(t h), the identity as None
+        return _square(squares, j) if M is None else M @ _square(squares, j)
+
     times = []
     for eps in levels:
-        t_max, t, M = math.ceil(_ceiling(chain, eps)), 0, None  # M = P^t, I as None
-        for j in reversed(range(t_max.bit_length())):
-            if t + (1 << j) <= t_max:
-                step = _square(chain, j) if M is None else M @ _square(chain, j)
-                if _tv_rows(step, chain.pi).max() > eps + 1e-12:
-                    t, M = t + (1 << j), step
-        if t == t_max:
-            raise RuntimeError(f"scan stayed above {eps} through t = {t_max}")
-        times.append(t + 1 if d0 > eps + 1e-12 else 0)
+        t = _descend(advance, lambda M: _tv_rows(M, chain.pi).max(), eps,
+                     math.ceil(_ceiling(chain, eps, continuous) / h))
+        if continuous:
+            times.append((t * h, (t + 1) * h) if d0 > eps + 1e-12 else (0.0, 0.0))
+        else:
+            times.append(t + 1 if d0 > eps + 1e-12 else 0)
     return times
 
 
 def mixing_time(chain: Chain, eps: float, continuous: bool = False) -> int | float:
     """Smallest t with d(t) <= eps; real-valued in the continuized case.
 
-    Discrete times come from ``mixing_times``, a descent over the squares
-    ``P^(2^j)`` kept on the chain below the certified ceiling
-    ``t_rel_absolute * (-log eps - log min pi)``.  The continuized time is
-    bisected from the ceiling with ``t_rel`` to a 1e-3 * t_rel resolution;
-    the value returned is the certified upper end of the final bracket.
+    Both come from ``mixing_times``; the continuized value is the certified
+    upper end of its bracket of width ``h <= 1e-3 * t_rel``.
     """
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    if continuous:
-        return _mixing_time_ct_interval(chain, eps)[1]
-    return mixing_times(chain, (eps,))[0]
+    time = mixing_times(chain, (eps,), continuous)[0]
+    return time[1] if continuous else time
 
 
 @dataclass(eq=False)
@@ -299,7 +330,7 @@ def maximal_function(chain: Chain, f: np.ndarray) -> MaximalFunctionResult:
     G = rows.T.copy()
     run = np.abs(G)
     for k in range(1, K + 1):
-        G = _square(chain, 1) @ G
+        G = _square(_squares(chain), 1) @ G
         np.maximum(run, np.abs(G), out=run, where=truncation_k >= k)
     if f.ndim == 1:
         return MaximalFunctionResult(values=run[:, 0], truncation_k=int(truncation_k[0]),

@@ -75,7 +75,6 @@ from .hitting import (
 )
 from .mixing import (
     _ceiling,
-    _mixing_time_ct_interval,
     maximal_function,
     mixing_times,
     worst_tv,
@@ -151,7 +150,8 @@ class _Clock:
     continuized time.
 
     ``mix(eps)`` and ``hit(alpha, eps)`` are (lo, hi) brackets: the integer
-    twice in discrete time, the bisection brackets in continuized time.
+    twice in discrete time, brackets of width h <= 1e-3 t_rel from the
+    square descents in continuized time.
     A comparison reads ``lo`` for the times on its left and ``hi`` for the
     times on its right, the conservative ends.  ``shift`` rounds an offset
     up to whole steps in discrete time and keeps it in continuized time;
@@ -164,10 +164,8 @@ class _Clock:
         self.suffix = "-ct" if continuous else ""
 
     def mix(self, eps: float) -> tuple:
-        if self.continuous:
-            return self.ctx.tmix_ct(eps)
-        t = self.ctx.tmix(eps)
-        return t, t
+        t = self.ctx.tmix(eps, self.continuous)
+        return t if self.continuous else (t, t)
 
     def hit(self, alpha: float, eps: float) -> tuple:
         if self.continuous:
@@ -266,8 +264,7 @@ class _Ctx:
         self.min_pi = float(chain.pi.min())
         self.lazy = bool(chain.is_lazy)
         self.exact = _exact_hitting(chain, self.exact_threshold)
-        self._tmix: dict[float, int] = {}
-        self._tmix_ct: dict[float, tuple[float, float]] = {}
+        self._tmix: dict[tuple, int | tuple[float, float]] = {}
         self._profiles: dict[float, WorstTailProfile] = {}
         self._hits: dict[tuple, int] = {}
         self._hit_ct: dict[tuple, tuple[float, float, bool]] = {}
@@ -275,19 +272,14 @@ class _Ctx:
 
     # -- mixing ------------------------------------------------------------
 
-    def tmix(self, eps: float) -> int:
+    def tmix(self, eps: float, continuous: bool = False):
+        """t_mix(eps), or its continuized bracket (lo, hi)."""
         if eps >= 1.0:
-            return 0
-        key = float(eps)
+            return (0.0, 0.0) if continuous else 0
+        key = (float(eps), continuous)
         if key not in self._tmix:
-            self._tmix[key] = mixing_times(self.chain, (key,))[0]
+            self._tmix[key] = mixing_times(self.chain, (float(eps),), continuous)[0]
         return self._tmix[key]
-
-    def tmix_ct(self, eps: float) -> tuple[float, float]:
-        key = float(eps)
-        if key not in self._tmix_ct:
-            self._tmix_ct[key] = _mixing_time_ct_interval(self.chain, key)
-        return self._tmix_ct[key]
 
     def dist(self, t: int) -> float:
         return worst_tv(self.chain, int(t))[0]

@@ -4,7 +4,7 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from cutofflab import load_chain, random_corpus
+from cutofflab import ChainSpec, load_chain, random_corpus
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +26,17 @@ def p3():
         [0.0, 0.5, 0.5],
     ])
     return load_chain(P)
+
+
+@pytest.fixture(scope="session")
+def two_state():
+    """(chain, a) for P = [[1 - a, a], [1/2, 1/2]] with a = 1e-35 and
+    pi = (1, 2a) / (1 + 2a): from state 1 the distance is pi(0) (1/2 - a)^t,
+    and pi(0) e^{-(a + 1/2) t} in continuized time, far below the rounding
+    of the row's large entry."""
+    a = 1e-35
+    P = np.array([[1.0 - a, a], [0.5, 0.5]])
+    return load_chain(ChainSpec(P=P, pi=np.array([1.0, 2.0 * a]) / (1.0 + 2.0 * a))), a
 
 
 @pytest.fixture(scope="session")
@@ -69,3 +80,43 @@ def good_set():
     membership spectrally: ``good_set(chain, A, s, m)`` is the deviation-
     controlled set of the lazy chain at scale m, with its measure."""
     return _good_set
+
+
+def _spectral_heat(chain, t: float) -> np.ndarray:
+    """``exp(-t (I - P))`` from the spectral sum over the chain's
+    eigensystem.  Its rounding grows like 1 / sqrt(min pi), so it is an
+    oracle for small chains (n <= 14) only."""
+    assert chain.n <= 14, "the spectral heat kernel is an oracle for n <= 14"
+    spectrum = chain.spectrum
+    F = spectrum.eigenfunctions
+    return (F * np.exp(-(1.0 - spectrum.eigenvalues) * t)) @ (F.T * chain.pi)
+
+
+def _poisson_heat(chain, ts, sd: float = 9.0) -> list[np.ndarray]:
+    """``sum_k Pois(t; k) P^k`` for each t in ``ts``, over the k within
+    ``sd`` standard deviations of every t: an explicit Poisson mixture of
+    the discrete kernel (Levin-Peres-Wilmer, Sec. 20.1), for any n and
+    t > 0."""
+    lo, hi = min(ts), max(ts)
+    k0 = max(0, int(lo - sd * math.sqrt(lo) - 10))
+    k1 = int(hi + sd * math.sqrt(hi) + 10)
+    M = np.linalg.matrix_power(chain.P, k0)
+    out = [np.zeros((chain.n, chain.n)) for _ in ts]
+    for k in range(k0, k1 + 1):
+        for H, t in zip(out, ts):
+            H += math.exp(-t + k * math.log(t) - math.lgamma(k + 1)) * M
+        M = M @ chain.P
+    return out
+
+
+@pytest.fixture(scope="session")
+def d_ct():
+    """The continuized worst-start distance from an independent kernel:
+    ``d_ct(chain, ts)`` lists ``max_x ||H(t)(x, .) - pi||_TV`` for each t,
+    from the spectral sum for n <= 14 and the Poisson mixture above."""
+    def d(chain, ts):
+        kernels = ([_spectral_heat(chain, t) for t in ts] if chain.n <= 14
+                   else _poisson_heat(chain, ts))
+        return [float(0.5 * np.abs(H - chain.pi).sum(axis=1).max()) for H in kernels]
+
+    return d

@@ -141,17 +141,22 @@ def test_named_support_graphs(case, irreducible, reversible):
             chain.require(irreducible=True)
 
 
-def test_heat_kernel_row_matches_expm(k2):
+def test_heat_kernel_row_matches_expm(k2, small_corpus):
+    # the continuized kernel from the Taylor sum and the kept squares
+    # against scipy's expm, at multiples of the step h and between them
     from scipy.linalg import expm
 
-    t = np.log(2.0)
-    Q = k2.P - np.eye(2)
-    expected = expm(Q * t)
-    M = k2.spectrum.heat_matrix(t)
-    assert np.allclose(M, expected, atol=1e-12)
+    from cutofflab.mixing import _power
+
+    for chain in [k2, *small_corpus[:3]]:
+        Q = chain.P - np.eye(chain.n)
+        for t in (0.0, np.log(2.0), 1.0, 3.0 * chain.spectrum.t_rel):
+            np.testing.assert_allclose(_power(chain, t, continuous=True), expm(Q * t),
+                                       rtol=0.0, atol=1e-12)
     # closed form: 1/2 (1 +- e^{-t/t_rel}) with t_rel = 2
-    assert M[0, 0] == pytest.approx(0.5 * (1 + np.exp(-t / 2)), abs=1e-12)
-    assert M[0, 1] == pytest.approx(0.5 * (1 - np.exp(-t / 2)), abs=1e-12)
+    M = _power(k2, np.log(2.0), continuous=True)
+    assert M[0, 0] == pytest.approx(0.5 * (1 + np.sqrt(0.5)), abs=1e-12)
+    assert M[0, 1] == pytest.approx(0.5 * (1 - np.sqrt(0.5)), abs=1e-12)
 
 
 def test_json_round_trip_is_bit_for_bit(tmp_path, small_corpus):

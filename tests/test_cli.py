@@ -70,6 +70,16 @@ def test_gen_rejects_small_sizes(tmp_path, capsys, family, n):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n", ["679", "700"])
+def test_gen_names_the_biased_path_size_limit(tmp_path, capsys, n):
+    # past n = 678, pi(0) ~ 3^-(n-1) is below the smallest positive double;
+    # the error used to be "pi must be strictly positive and sum to 1"
+    out = tmp_path / "g.json"
+    assert run("gen", "--family", "biased-path", "--n", n, "-o", str(out)) == 1
+    assert "Error: biased-path needs n <= 678" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_gen_round_trip_bit_for_bit(tmp_path):
     p1 = tmp_path / "one.json"
     p2 = tmp_path / "two.json"

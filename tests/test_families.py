@@ -15,7 +15,7 @@ from cutofflab import (
     random_tree,
     two_cliques,
 )
-from cutofflab.families import FAMILIES, _plateau_fraction_rows
+from cutofflab.families import BIASED_PATH_MAX_N, FAMILIES, _plateau_fraction_rows
 
 
 def test_biased_path_shape():
@@ -29,6 +29,15 @@ def test_biased_path_shape():
     assert chain.pi[-1] > 0.5
     ratios = chain.pi[1:] / chain.pi[:-1]
     assert np.allclose(ratios, ratios[0], rtol=1e-9)
+
+
+def test_biased_path_names_its_size_limit():
+    # pi(0) ~ 3^-(n-1) leaves the double range past the named limit, where
+    # validation used to report "pi must be strictly positive"
+    assert BIASED_PATH_MAX_N == 678
+    assert biased_path(BIASED_PATH_MAX_N).pi[0] > 0.0
+    with pytest.raises(ValueError, match=f"biased-path needs n <= {BIASED_PATH_MAX_N}"):
+        biased_path(BIASED_PATH_MAX_N + 1)
 
 
 def test_plateau_rows_are_exact_fractions():

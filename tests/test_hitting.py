@@ -19,7 +19,6 @@ from cutofflab import (
     load_chain,
     random_reversible,
     random_tree,
-    run_suite,
     run_suites,
     two_cliques,
     worst_tail_profile,
@@ -32,8 +31,8 @@ from cutofflab.hitting import (
     _hit_ct_interval,
     _survival,
 )
-from cutofflab.mixing import _bisect_monotone
-from cutofflab.verify import ALPHA_GRID, EPS_GRID, _Ctx
+from cutofflab.reporting import Report
+from cutofflab.verify import ALPHA_GRID, EPS_GRID, SUITES, _Ctx
 
 # ---------------------------------------------------------------------------
 # two-state chain: everything below is hand-derived.
@@ -287,8 +286,23 @@ def test_masked_survival_matches_each_gathered_target(chain):
             assert not V[mask, j].any()
 
 
-def _hit_ct_per_set(chain, alpha, eps):
-    # reference: one KilledSystem and one eigensystem per candidate target
+def _bisect(f, level, lo, hi, tol):
+    """(lo, hi) with f(hi) <= level < f(lo) and hi - lo <= tol for a
+    non-increasing f, from a doubling bracket and bisection."""
+    if f(lo) <= level:
+        return lo, lo
+    while f(hi) > level:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if f(mid) <= level else (mid, hi)
+    return lo, hi
+
+
+def _p_ct_per_set(chain, alpha):
+    """Reference p_ct(t) = max_A max_x Pr_x[T_A > t] from one KilledSystem
+    and one eigensystem per candidate target: the spectral sum over the
+    killed eigenvalues, an oracle for n <= 14."""
     sets, exact = _candidate_sets(chain, alpha, DEFAULT_EXACT_THRESHOLD)
     systems = [KilledSystem(chain, np.flatnonzero(sel)) for sel in sets if not sel.all()]
 
@@ -296,9 +310,22 @@ def _hit_ct_per_set(chain, alpha, eps):
         return max((float((ks.state_weights @ np.exp(-(1.0 - ks.gammas) * t)).max())
                     for ks in systems), default=0.0)
 
+    return p_ct, exact
+
+
+def _assert_hit_ct_bracket(chain, alpha, eps, got):
+    # the bracket contract against the per-set spectral oracle:
+    # p(lo) > eps >= p(hi) to 1e-12 and hi - lo <= 1e-3 t_rel, and the
+    # oracle's own bisected bracket overlaps it
+    p_ct, exact = _p_ct_per_set(chain, alpha)
+    lo, hi, got_exact = got
     t_rel = chain.spectrum.t_rel
-    lo, hi = _bisect_monotone(p_ct, eps, 0.0, max(1.0, t_rel), 1e-3 * max(t_rel, 1e-9))
-    return lo, hi, exact
+    assert got_exact is exact
+    assert p_ct(hi) <= eps + 1e-12, (alpha, eps, lo, hi)
+    assert p_ct(lo) > eps - 1e-12 or (lo, hi) == (0.0, 0.0), (alpha, eps, lo, hi)
+    assert hi - lo <= 1e-3 * t_rel
+    ref_lo, ref_hi = _bisect(p_ct, eps, 0.0, max(1.0, t_rel), 1e-3 * t_rel)
+    assert lo <= ref_hi + 1e-12 and ref_lo <= hi + 1e-12
 
 
 def test_stacked_ct_brackets_match_per_set_reference(k2, small_corpus):
@@ -308,21 +335,20 @@ def test_stacked_ct_brackets_match_per_set_reference(k2, small_corpus):
         ctx = _Ctx(chain, {})
         for alpha in alphas:
             for eps in (1.0 / 32, 0.25, 0.5, 31.0 / 32):
-                want = _hit_ct_per_set(chain, alpha, eps)
-                assert _hit_ct_interval(chain, alpha, eps) == want
-                assert ctx.hit_ct(alpha, eps) == want
+                got = _hit_ct_interval(chain, alpha, eps)
+                _assert_hit_ct_bracket(chain, alpha, eps, got)
+                assert ctx.hit_ct(alpha, eps) == got
                 if alpha == 0.5:
                     res = hit_time(chain, alpha, eps, continuous=True)
-                    assert (res.bracket, res.value) == (want[:2], want[1])
+                    assert (res.bracket, res.value) == (got[:2], got[1])
 
 
-def test_continuous_suite_makes_one_eigh_per_alpha_and_size(monkeypatch):
+def test_continuous_suite_hitting_brackets_keep_the_contract(monkeypatch):
+    # every (alpha, eps) the continuous-time suite reads keeps the contract;
+    # the killed squares of each |B| stack serve every level, with no
+    # killed eigh
     chain = two_cliques(4)
-    chain.spectrum  # the chain's own eigensystem is not a killed one
-    alphas = {0.5, *(1.0 - eps / 4 for eps in EPS_GRID), *ALPHA_GRID}
-    pairs = {(alpha, int((~sel).sum())) for alpha in alphas
-             for sel in _candidate_sets(chain, alpha, DEFAULT_EXACT_THRESHOLD)[0]
-             if not sel.all()}
+    ctx = _Ctx(chain, {})  # reads the chain's own eigensystem
     calls = []
     eigh = np.linalg.eigh
 
@@ -331,9 +357,13 @@ def test_continuous_suite_makes_one_eigh_per_alpha_and_size(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counting)
-    rep = run_suite(chain, "continuous-time")
-    assert rep.passed
-    assert len(alphas) == 6 and 0 < len(calls) <= len(pairs)
+    assert Report("continuous-time", "", SUITES["continuous-time"](ctx), {}).passed
+    assert calls == []
+    monkeypatch.undo()
+    alphas = {0.5, *(1.0 - eps / 4 for eps in EPS_GRID), *ALPHA_GRID}
+    assert {alpha for alpha, _ in ctx._hit_ct} == {round(a, 12) for a in alphas}
+    for (alpha, eps), got in ctx._hit_ct.items():
+        _assert_hit_ct_bracket(chain, alpha, eps, got)
 
 
 @pytest.mark.parametrize("states, message", [

@@ -18,11 +18,7 @@ from cutofflab import (
 )
 from cutofflab import mixing
 from cutofflab.families import plateau_chain, random_tree
-from cutofflab.mixing import (
-    _ceiling,
-    _mixing_time_ct_interval,
-    mixing_times,
-)
+from cutofflab.mixing import _ceiling, mixing_times
 from cutofflab.trees import build_tree_chain
 from cutofflab.verify import _Ctx
 
@@ -45,6 +41,25 @@ def test_continuized_distance_rejects_negative_times():
     # exp(3 (I - P)) is no kernel: its rows gave "distances" above 1
     with pytest.raises(ValueError, match="t must be >= 0"):
         worst_tv(biased_path(6), -3, continuous=True)
+
+
+@pytest.mark.parametrize("continuous", [False, True], ids=["discrete", "continuized"])
+@pytest.mark.parametrize("t", [-3, -0.5, math.nan, math.inf, -math.inf])
+def test_worst_tv_rejects_negative_and_non_finite_times(t, continuous):
+    # nan and inf read (nan, 0) in continuized time and raised a bare
+    # OverflowError in discrete time
+    with pytest.raises(ValueError, match="t must be >= 0 and finite"):
+        worst_tv(biased_path(6), t, continuous=continuous)
+
+
+def test_distances_far_below_the_rounding_of_large_entries(two_state):
+    # each row keeps the one-sided sum of |M - pi| with the smaller mass:
+    # the sum over both sides read half of these values
+    chain, a = two_state
+    pi0 = float(chain.pi[0])
+    assert worst_tv(chain, 60) == (pytest.approx(pi0 * (0.5 - a) ** 60, rel=1e-9, abs=0.0), 1)
+    assert worst_tv(chain, 100, continuous=True) == (
+        pytest.approx(pi0 * math.exp(-100.0 * (a + 0.5)), rel=1e-9, abs=0.0), 1)
 
 
 def test_profile_rejects_a_negative_horizon(k2):
@@ -167,10 +182,12 @@ def test_ceiling_is_finite_for_subnormal_min_pi():
     assert 0.0 < chain.pi.min() < 1e-300
     assert np.isfinite(_ceiling(chain, 0.25))
     assert np.isfinite(_ceiling(chain, 0.25, continuous=True))
-    # the heat kernel cannot resolve d below the level, so the bracket
-    # fails loudly instead of returning inf
-    with pytest.raises(RuntimeError, match="bracket"):
-        mixing_time(chain, 0.25, continuous=True)
+    # the heat kernel is built from nonnegative terms, so d resolves below
+    # the level: a bracket of width h <= 1e-3 t_rel inside the ceiling
+    [(lo, hi)] = mixing_times(chain, (0.25,), continuous=True)
+    assert 0.0 < lo < hi <= _ceiling(chain, 0.25, continuous=True)
+    assert hi - lo <= 1e-3 * chain.spectrum.t_rel
+    assert worst_tv(chain, lo, continuous=True)[0] > 0.25 >= worst_tv(chain, hi, continuous=True)[0]
 
 
 def test_mixing_time_rejects_bad_eps(k2):
@@ -180,12 +197,29 @@ def test_mixing_time_rejects_bad_eps(k2):
         mixing_time(k2, 1.5)
 
 
-def test_ct_interval_brackets_k2(k2):
+def _assert_ct_bracket(chain, eps, bracket, d_ct):
+    # the bracket contract against the oracle: d(lo) > eps >= d(hi) to
+    # 1e-12, and hi - lo <= 1e-3 t_rel; (0, 0) when d(0) <= eps already
+    lo, hi = bracket
+    d_lo, d_hi = d_ct(chain, [lo, hi])
+    assert d_hi <= eps + 1e-12, (lo, hi, d_hi)
+    assert d_lo > eps - 1e-12 or (lo, hi) == (0.0, 0.0), (lo, hi, d_lo)
+    assert 0.0 <= hi - lo <= 1e-3 * chain.spectrum.t_rel
+
+
+def test_ct_interval_brackets_k2(k2, d_ct):
     # d_ct(t) = (1/2) e^{-t/2} crosses 1/4 at t = 2 ln 2.
-    lo, hi = _mixing_time_ct_interval(k2, 0.25)
-    target = 2.0 * np.log(2.0)
-    assert lo <= target <= hi
-    assert hi - lo <= 1e-3 * k2.spectrum.t_rel + 1e-12
+    [(lo, hi)] = mixing_times(k2, (0.25,), continuous=True)
+    assert lo <= 2.0 * np.log(2.0) <= hi
+    _assert_ct_bracket(k2, 0.25, (lo, hi), d_ct)
+
+
+def test_ct_brackets_match_the_spectral_oracle(small_corpus, d_ct):
+    levels = (1.0 / 32, 0.25, 0.5, 31.0 / 32)
+    for chain in [two_cliques(4), biased_path(8), *small_corpus]:
+        for eps, bracket in zip(levels, mixing_times(chain, levels, continuous=True)):
+            _assert_ct_bracket(chain, eps, bracket, d_ct)
+            assert mixing_time(chain, eps, continuous=True) == bracket[1]
 
 
 def _brute_even_maximum(chain, f, k_max):

@@ -1,7 +1,8 @@
 """Package layout: lazy exports, what a run imports, where the killed-kernel
 solves live and how killed systems are built, where the worst-set candidate
 targets are enumerated and whether hitting is exact, where a run's
-parameters are parsed, where first passages are searched, where many
+parameters are parsed, where first passages are searched and crossings
+descended, where many
 targets' killed tails are stepped, where even powers are taken and Monte
 Carlo uniforms drawn, and where the command-line output is written."""
 
@@ -302,6 +303,59 @@ def test_monte_carlo_uniforms_are_drawn_in_one_layout():
     assert _call_scopes("uniform_block") == [("oracle", "_round_block")]
     assert _call_scopes("_round_block") == [("oracle", "_walk")]
     assert _call_scopes("_step_states") == [("oracle", "_walk")]
+
+
+class _NameSites(_Sites):
+    """Every definition, name, attribute or import of a name retired with
+    the spectral heat kernel and the bisection."""
+
+    GONE = {"heat_matrix", "_bisect_monotone", "ct_terms"}
+
+    def visit_FunctionDef(self, node):
+        if node.name in self.GONE:
+            self._site(node)
+        self._scoped(node)
+
+    def visit_Name(self, node):
+        if node.id in self.GONE:
+            self._site(node)
+
+    def visit_Attribute(self, node):
+        if node.attr in self.GONE:
+            self._site(node)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        if node.name in self.GONE:
+            self.sites.append((self.module, ".".join(self.scope), 0))
+
+
+class _DescentSites(_Sites):
+    """Every loop over the bits of a horizon from the top down,
+    ``for j in reversed(range(t.bit_length()))``: a descent over squares."""
+
+    def visit_For(self, node):
+        it = node.iter
+        if (isinstance(it, ast.Call) and getattr(it.func, "id", None) == "reversed"
+                and any(isinstance(n, ast.Attribute) and n.attr == "bit_length"
+                        for n in ast.walk(it))):
+            self._site(node)
+        self.generic_visit(node)
+
+
+def test_every_crossing_descends_the_kept_squares_in_one_loop():
+    # discrete and continuized mixing times, continuized worst-set hitting
+    # and `hit --set` all take their crossing from mixing._descend, so no
+    # second search (a bisection over a spectral sum) can come back
+    assert _sites(_NameSites) == []
+    assert [(module, scope) for module, scope, _ in _sites(_DescentSites)] == [
+        ("mixing", "_descend")]
+    assert _call_scopes("_descend") == [
+        ("hitting", "_set_crossings"), ("hitting", "_hit_ct_interval"),
+        ("mixing", "mixing_times")]
+    assert _call_scopes("_set_crossings") == [("cli", "hit")]
+    assert _call_scopes("mixing_times") == [
+        ("mixing", "mixing_time"), ("verify", "_Ctx.tmix"), ("verify", "cutoff_scan")]
 
 
 class _IndentedJsonSites(_Sites):

@@ -18,7 +18,7 @@ from cutofflab import (
     two_cliques,
 )
 from cutofflab.hitting import _hit_ct_interval
-from cutofflab.mixing import _ceiling, _mixing_time_ct_interval
+from cutofflab.mixing import _ceiling, mixing_times
 from cutofflab.verify import (
     ALPHA_GRID,
     EPS_GRID,
@@ -319,7 +319,7 @@ def test_continuous_suite_passes_on_corpus(small_corpus):
 
 
 def _ct_bracket_records(chain) -> dict:
-    """The continuized comparisons written out from the bracket searches:
+    """The continuized comparisons written out from the bracket descents:
     times on the left of a comparison read the lower bracket end, times on
     the right the upper one, and no ceiling is taken."""
     t_rel = float(chain.spectrum.t_rel)
@@ -327,7 +327,7 @@ def _ct_bracket_records(chain) -> dict:
 
     def mix(eps):
         if eps not in mixes:
-            mixes[eps] = _mixing_time_ct_interval(chain, eps)
+            mixes[eps] = mixing_times(chain, (eps,), continuous=True)[0]
         return mixes[eps]
 
     def hit(alpha, eps):
