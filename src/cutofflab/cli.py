@@ -322,7 +322,8 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
     import numpy as np
 
     from .chain import write_csv_atomic
-    from .hitting import KilledSystem, _set_crossings, worst_tail_profile
+    from .hitting import (KilledSystem, _set_crossings, _set_kernel, _survival,
+                          worst_tail_profile)
 
     chain = _load_chain(chain_file)
     chain.require(irreducible=True)
@@ -341,12 +342,13 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
             _echo("start lies inside the target; hit time is 0")
             return
         pos = None if start is None else ks.position(start)
-        chain.require(reversible=True)  # the CSV tails are spectral
         # each level's first integer time below it comes from one descent
-        # over the squares of P_B (or of H_B(1)), from pi on B or the start
+        # over the squares of K = P_B (or H_B(1)), from pi on B or the start;
+        # the CSV steps K^t 1 forward
         weights = chain.pi[ks.B] / ks.pi_B if pos is None else np.eye(ks.B.size)[pos]
+        K = _set_kernel(ks, continuous)
         try:
-            when = _set_crossings(ks, weights, eps_values, continuous)
+            when = _set_crossings(K, weights, eps_values)
         except RuntimeError as exc:  # a killed eigenvalue rounds to 1
             raise click.ClickException(
                 "the tail does not fall to every --eps level by t = 1e12") from exc
@@ -354,10 +356,8 @@ def hit(chain_file: str, alpha: float, eps_values, start, set_states,
             _echo(f"tail <= {e:g} first at t = {t} "
                   f"(set={states}, start={'stationary' if start is None else start})")
         if output:
-            grid = list(range(max(when) + 1))
-            tails = (ks.tail_stationary(grid, continuous) if pos is None
-                     else ks.tail_state(pos, grid, continuous))
-            write_csv_atomic(output, ["t", "tail"], [(t, float(v)) for t, v in zip(grid, tails)])
+            steps = zip(range(max(when) + 1), _survival(K, np.ones(len(K), dtype=bool)))
+            write_csv_atomic(output, ["t", "tail"], [(t, float(weights @ v)) for t, v in steps])
             _echo(f"wrote tail profile -> {output}")
         return
     try:
@@ -732,13 +732,7 @@ def simulate(chain_file: str, start: int, set_states: str, t: int,
         raise click.ClickException(str(exc)) from exc
     if ks.B.size == 0:
         raise click.ClickException("target set covers every state")
-    if start in ks.A:
-        exact = 0.0
-    elif chain.is_reversible:
-        exact = float(ks.tail_state(ks.position(start), [t])[0])
-    else:
-        # the killed eigensystem needs reversibility; P_B^t 1 does not
-        exact = ks.scan(start).at(t)
+    exact = 0.0 if start in ks.A else ks.scan(start).at(t)
     _echo(f"estimate = {est.value:.6g} +/- {est.standard_error:.3g} "
           f"({paths} paths, seed {seed})")
     _echo(f"exact    = {exact:.10g}")

@@ -121,8 +121,10 @@ def _scalar(x):
 
 def _survival(P: np.ndarray, keep: np.ndarray):
     """Yield for t = 0, 1, ... the n x k matrix of ``Pr_x[T_{A_j} > t]`` (column
-    j, zero on A_j) for the complements B_j marked by the columns of ``keep``:
-    each step multiplies by P and re-kills the targets, in one product."""
+    j, zero on A_j) for the complements B_j marked by the columns of ``keep``,
+    or the one column of a single complement when ``keep`` is a vector: each
+    step multiplies by P and re-kills the targets, in one product of
+    nonnegative terms.  The only stepping loop of killed tails."""
     V = keep.astype(float)
     while True:
         yield V
@@ -162,18 +164,19 @@ class KilledSystem:
     - ``exit_law``, whose row i is the law of X_{T_A} over ``A`` from
       ``B[i]``, from ``(I - P_B) Y = P[B, A]``;
     - ``mgf(start, z)``, the generating function E[z^{T_A}] (one target);
-    - ``survival()``, the sequence ``P_B^t 1`` for t = 0, 1, ... in
-      survivor coordinates (entry i belongs to state ``B[i]``), and
-      ``scan(x)``, the one scalar tail sequence read from it per start
-      (one target; many targets step together in :func:`_survival`);
+    - ``scan(x)``, the tail ``Pr_x[T_A > t]`` for t = 0, 1, ..., or its
+      maximum over the survivors, read from one column of the forward
+      product :func:`_survival` (one target; many targets step together
+      in one matrix).  It needs no reversibility and adds only
+      nonnegative terms;
     - the eigensystem of the symmetrized killed kernel
       ``diag(sqrt pi_B) P_B diag(1/sqrt pi_B)``: a real spectrum
       ``gammas`` in descending order, and ``weights`` such that the tail
-      from pi conditioned on B is ``sum_i weights_i gamma_i^t``
-      (continuized: ``exp(-(1 - gamma_i) t)``), nonnegative and adding to
-      one.  Powers are taken in closed form, so a tail at very large t
-      costs one vector operation.  Only this part requires a reversible
-      chain;
+      from pi conditioned on B is ``sum_i weights_i gamma_i^t``,
+      nonnegative and adding to one.  Powers are taken in closed form, so
+      a tail at very large t costs one vector operation; the escape,
+      return-time and killed-spectrum tables read it.  Only this part
+      requires a reversible chain;
     - ``kac()``, the return-time quantities of :class:`KacQuantities`.
 
     :meth:`stack` builds one system for k targets whose complements have
@@ -181,7 +184,7 @@ class KilledSystem:
     axis of length k (``B`` is k x m, ``PB`` k x m x m, ``pi_B`` has
     length k, ``A`` is k x |A|, ``mean`` is k x n), and each eigensystem,
     moment solve and tail evaluation is one batched call over the stack,
-    which has no ``survival``.  A system built from one target is the
+    which has no ``scan``.  A system built from one target is the
     one-element case without that axis, with Python floats for its scalars.
     """
 
@@ -205,7 +208,7 @@ class KilledSystem:
     def stack(cls, chain: Chain, A: np.ndarray, B: np.ndarray) -> "KilledSystem":
         """One system for k targets given by their member and survivor index
         arrays, k x |A| and k x m, one ascending row per target, as
-        :func:`_partition` makes them; no ``survival``."""
+        :func:`_partition` makes them; no ``scan``."""
         ks = cls.__new__(cls)
         ks._setup(chain, A, B)
         return ks
@@ -305,21 +308,15 @@ class KilledSystem:
 
     # -- iterated tails ------------------------------------------------------
 
-    def survival(self):
-        """Yield ``Pr_x[T_A > t]`` for the survivors x, t = 0, 1, ... (one target)."""
-        # the bare gathered product: tree scans run 1e5 steps
-        u = np.ones(self.B.shape)
-        while True:
-            yield u
-            u = self.PB @ u
-
     def scan(self, x: int | None = None) -> _TailScan:
         """The tail ``Pr_x[T_A > t]``, or its maximum over the survivors when
-        x is None, as one :class:`_TailScan` per start (one target)."""
+        x is None, as one :class:`_TailScan` per start (one target), each
+        read from one column of :func:`_survival`."""
         if x not in self._scans:
-            pos = None if x is None else self.position(x)
-            self._scans[x] = _TailScan(float(u.max() if pos is None else u[pos])
-                                       for u in self.survival())
+            if x is not None:
+                self.position(x)
+            steps = _survival(self.chain.P, ~_target_mask(self.chain, self.A))
+            self._scans[x] = _TailScan(float(V.max() if x is None else V[x]) for V in steps)
         return self._scans[x]
 
     # -- eigensystem ---------------------------------------------------------
@@ -344,20 +341,12 @@ class KilledSystem:
     def weights(self) -> np.ndarray:
         return self._eigen[3] ** 2 / np.asarray(self.pi_B)[..., None]
 
-    @cached_property
-    def state_weights(self) -> np.ndarray:
-        """Row i: ``Pr_{B[i]}[T_A > t] = sum_j state_weights[i, j] gamma_j^t``."""
-        _, U, sq, right = self._eigen
-        return U / sq[..., :, None] * right[..., None, :]
-
-    def _factors(self, ts, continuous: bool) -> np.ndarray:
-        """One row per t: gamma_i^t (integer t) or exp(-(1 - gamma_i) t).
+    def _factors(self, ts) -> np.ndarray:
+        """One row per integer t: gamma_i^t.
 
         ``ts`` is one grid for every target, or one row per target."""
         g = self.gammas
         ts = np.asarray(ts, dtype=float).reshape(np.shape(ts) or (1,))
-        if continuous:
-            return np.exp(-(ts[..., :, None] * (1.0 - g)[..., None, :]))
         mag = np.abs(g)[..., None, :] ** ts[..., :, None]
         neg = g < 0.0
         if neg.any():
@@ -365,30 +354,25 @@ class KilledSystem:
             mag = mag * np.where(neg[..., None, :] & odd[..., :, None], -1.0, 1.0)
         return mag
 
-    def tail_stationary(self, ts, continuous: bool = False) -> np.ndarray:
+    def tail_stationary(self, ts) -> np.ndarray:
         """Pr[T_A > t] from pi conditioned on B, for each t in ts."""
-        return np.clip(_mv(self._factors(ts, continuous), self.weights), 0.0, None)
+        return np.clip(_mv(self._factors(ts), self.weights), 0.0, None)
 
     def tail_rows(self, t) -> np.ndarray:
         """Pr_x[T_A > t] for every survivor x (the last axis) at one t (possibly
         huge), one per target of a stack, or a block of times on a new axis."""
         _, U, sq, right = self._eigen
         one = np.ndim(t) < self.B.ndim
-        coef = self._factors(np.expand_dims(t, -1) if one else t, False) * right[..., None, :]
+        coef = self._factors(np.expand_dims(t, -1) if one else t) * right[..., None, :]
         # one matrix-vector product per time, so a block gives each t's bits
         rows = np.clip(_mv(U[..., None, :, :], coef) / sq[..., None, :], 0.0, 1.0)
         return rows[..., 0, :] if one else rows
-
-    def tail_state(self, pos: int, ts, continuous: bool = False) -> np.ndarray:
-        """Pr_x[T_A > t] for the survivor at position ``pos``, for each t
-        (one target)."""
-        return np.clip(self._factors(ts, continuous) @ self.state_weights[pos], 0.0, 1.0)
 
     def tail_dist(self, dist_B: np.ndarray, ts) -> np.ndarray:
         """Pr[T_A > t] from a start law given in survivor coordinates."""
         _, U, sq, right = self._eigen
         lead = _vm(dist_B / sq, U)
-        return np.clip(_mv(self._factors(ts, False), lead * right), 0.0, None)
+        return np.clip(_mv(self._factors(ts), lead * right), 0.0, None)
 
     def mean_stationary(self):
         """E[T_A] from pi conditioned on B, from the spectral weights; inf
@@ -461,8 +445,8 @@ def hitting_tail(chain: Chain, start, A, t_max: int = 64) -> HittingProfile:
     """
     mu = _start_vector(chain, start)
     ks = KilledSystem(chain, A)
-    muB = mu[ks.B]
-    tail = np.array([muB @ u for u in islice(ks.survival(), t_max + 1)])
+    steps = islice(_survival(chain.P, ~_target_mask(chain, ks.A)), t_max + 1)
+    tail = np.array([mu @ V for V in steps])
     return HittingProfile(tail=tail, mean=float(mu @ ks.mean),
                           second_moment=float(mu @ ks.second_moment))
 
@@ -615,14 +599,19 @@ class HitResult:
     bracket: tuple[float, float] | None = None
 
 
-def _set_crossings(ks: KilledSystem, weights: np.ndarray, levels,
-                   continuous: bool = False) -> list[int]:
+def _set_kernel(ks: KilledSystem, continuous: bool = False) -> np.ndarray:
+    """The killed kernel of one target whose powers K^t 1 are its tails at
+    integer t: ``P_B``, or ``H_B(1)`` of the continuized walk."""
+    return _heat(ks.PB, 1.0, stochastic=False) if continuous else ks.PB
+
+
+def _set_crossings(K: np.ndarray, weights: np.ndarray, levels) -> list[int]:
     """Per level, the first integer t <= 1e12 where the tail
-    ``weights @ K^t 1`` from a start law over B is at most the level, K the
-    killed kernel ``P_B`` of one target or ``H_B(1)`` with ``continuous``:
-    one descent over the squares of K each (past 1e12: ``RuntimeError``)."""
-    squares = [_heat(ks.PB, 1.0, stochastic=False) if continuous else ks.PB]
-    ones = np.ones(ks.B.size)
+    ``weights @ K^t 1`` from a start law over B is at most the level, K a
+    :func:`_set_kernel`: one descent over the squares of K each (past
+    1e12: ``RuntimeError``)."""
+    squares = [K]
+    ones = np.ones(len(K))
 
     def advance(v, j):
         return _square(squares, j, stochastic=False) @ v

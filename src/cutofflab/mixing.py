@@ -25,7 +25,7 @@ from functools import reduce
 
 import numpy as np
 
-from .chain import Chain, write_csv_atomic
+from .chain import Chain, ChainValidationError, write_csv_atomic
 
 __all__ = [
     "worst_tv",
@@ -90,14 +90,28 @@ def _squares(chain: Chain, continuous: bool = False) -> list:
     return squares
 
 
+def _kept(chain: Chain, continuous: bool) -> int | float:
+    """How many squares a chain keeps: the bit length of its ceiling at
+    eps = 1e-16 (in steps of h), past which d is rounding; inf without one."""
+    try:
+        h = _heat_step(chain) if continuous else 1
+        return math.ceil(_ceiling(chain, 1e-16, continuous) / h).bit_length()
+    except ChainValidationError:  # no spectrum, or a periodic chain
+        return math.inf
+
+
 def _power(chain: Chain, t, continuous: bool = False) -> np.ndarray:
     """Dense ``P^t``, or ``H(t)`` at a real t: ``H(t - q h)`` from the Taylor
-    sum, then the kept squares of the bits of ``q = floor(t / h)``."""
+    sum, then the squares of the bits of ``q = floor(t / h)``, those above
+    :func:`_kept` built for this call only."""
     bits = []
     if continuous:
         q, rest = divmod(t, _heat_step(chain))
         t, bits = int(q), [_heat(chain.P, rest)] if rest else []
     squares = _squares(chain, continuous)
+    if t.bit_length() > len(squares) and t.bit_length() > (kept := _kept(chain, continuous)):
+        _square(squares, kept - 1)
+        squares = squares[:kept]  # the squares above live for this call only
     bits += [_square(squares, j) for j in range(t.bit_length()) if t >> j & 1]
     return reduce(np.matmul, bits) if bits else np.eye(chain.n)
 

@@ -791,11 +791,10 @@ def _suite_martingale(ctx: _Ctx) -> list[Record]:
     if mask[x]:
         return [skip("martingale-tail", "eigenfunction has no positive part")]
     records = [check_le("negative-part-mass", 0.5, pa)]
-    ks = KilledSystem.of(ctx.chain, np.flatnonzero(mask))
-    pos = ks.position(x)
+    scan = KilledSystem.of(ctx.chain, np.flatnonzero(mask)).scan(x)
     K = _ceil(5.0 * ctx.t_rel)
     ts = np.arange(K + 1)
-    tails = ks.tail_state(pos, ts)
+    tails = np.array([scan.at(k) for k in ts])
     floors = lam2 ** ts.astype(float)
     worst = float(np.max(floors - tails))
     records.append(check_le(
@@ -812,7 +811,7 @@ def _suite_martingale(ctx: _Ctx) -> list[Record]:
             {"k": k, "x": x}))
     for a in (1, 2):
         k = a * ctx.tmix(0.25)
-        tail = float(ks.tail_state(pos, [k])[0])
+        tail = scan.at(k)
         records.append(check_le(
             "martingale-tail-at-mix", lam2 ** k, tail, {"multiple": a, "k": k}))
     return records

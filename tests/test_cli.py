@@ -263,16 +263,30 @@ SPLIT = {"P": [[0.5, 0.5, 0.0], [0.5, 0.5, 0.0], [0.0, 0.0, 1.0]]}  # reducible
 @pytest.mark.parametrize("argv, message", [
     (["analyze", CYCLE], "requires a reversible chain"),
     (["analyze", SPLIT], "requires an irreducible chain"),
-    (["hit", CYCLE, "--set", "1", "--start", "0"], "requires a reversible chain"),
     (["hit", SPLIT, "--set", "1", "--start", "0"], "requires an irreducible chain"),
     (["hit", SPLIT], "requires an irreducible chain"),
-], ids=["analyze-cycle", "analyze-split", "hit-set-cycle", "hit-set-split", "hit-split"])
+], ids=["analyze-cycle", "analyze-split", "hit-set-split", "hit-split"])
 def test_chain_requirements_are_validation_errors(tmp_path, capsys, argv, message):
     # each used to end in a traceback; plain hit on SPLIT scanned to t_max
     path = tmp_path / "chain.json"
     path.write_text(json.dumps(argv[1]))
     assert run(argv[0], str(path), *argv[2:]) == 1
     assert f"Error: operation {message}" in capsys.readouterr().err
+
+
+def test_hit_set_on_a_non_reversible_chain(tmp_path, capsys):
+    # on the lazy one-way 3-cycle Pr_0[T_{1} > t] = 2^-t: the crossings and
+    # the CSV are forward products of P_B, with no reversibility needed
+    path, csv = tmp_path / "cycle.json", tmp_path / "tail.csv"
+    path.write_text(json.dumps(CYCLE))
+    assert run("hit", str(path), "--set", "1", "--start", "0",
+               "--eps", "0.25", "--eps", "0.01", "-o", str(csv)) == 0
+    out = capsys.readouterr().out
+    assert "tail <= 0.25 first at t = 2 (set=[1], start=0)" in out
+    assert "tail <= 0.01 first at t = 7 (set=[1], start=0)" in out
+    rows = [line.split(",") for line in csv.read_text().splitlines()]
+    assert rows[0] == ["t", "tail"]
+    assert [(int(t), float(v)) for t, v in rows[1:]] == [(t, 2.0 ** -t) for t in range(8)]
 
 
 @pytest.mark.parametrize("value", ["99", "-1"])

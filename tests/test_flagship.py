@@ -3,9 +3,11 @@
 Each xfail test states a property of the cutoff characterization that the
 library still gets wrong, with the open roadmap item that fixes it in its
 reason; strict mode turns a fix into an XPASS that fails the run until the
-marker is removed.  The plain tests pin continuized crossings that once
-were wrong: the spectral heat kernel misread d from n = 120 on the biased
-path and could not resolve a distance of 1e-22.  Each test takes under 2 s.
+marker is removed.  The plain tests pin values that once were wrong: the
+spectral heat kernel misread continuized crossings from n = 120 on the
+biased path and could not resolve a distance of 1e-22, and the per-start
+spectral tail read Pr_0[T_{119} > 64] = 1 on biased_path(120) as 0.  Each
+test takes under 2 s.
 """
 
 import math
@@ -15,7 +17,9 @@ import pytest
 
 from cutofflab import (
     ChainSpec,
+    KilledSystem,
     biased_path,
+    chain_to_json,
     load_chain,
     mixing_time,
     plateau_chain,
@@ -23,6 +27,7 @@ from cutofflab import (
     run_suites,
     worst_tv,
 )
+from cutofflab.cli import main
 from cutofflab.mixing import mixing_times
 
 N1 = "N1: one subtraction-free elimination kernel for pi and every killed solve"
@@ -111,3 +116,23 @@ def test_two_state_chain_at_a_distance_of_1e_22(two_state):
     assert hi - lo <= 1e-3 * chain.spectrum.t_rel
     report = run_suite(chain, "continuous-time")
     assert report.records and report.passed
+
+
+@pytest.mark.parametrize("n", [50, 120])
+def test_martingale_tail_has_no_failing_row_on_the_biased_path(n):
+    # the spectral per-start tail read Pr_x[T_A > k] below lambda_2^k at
+    # small k: 2 false rows at n = 50 and 6 at n = 120
+    assert _failures([run_suite(biased_path(n), "martingale-tail")]) == []
+
+
+def test_killed_tail_before_the_target_is_reachable():
+    # 0 cannot reach 119 in 64 steps, so the tail is exactly 1
+    assert KilledSystem.of(biased_path(120), [119]).scan(0).at(64) == 1.0
+
+
+def test_simulate_prints_the_forward_tail(tmp_path, capsys):
+    path = tmp_path / "chain.json"
+    chain_to_json(biased_path(120), str(path))
+    assert main(["simulate", "--chain", str(path), "--start", "0", "--set", "119",
+                 "--t", "64", "--paths", "1000", "--seed", "1"]) == 0
+    assert "exact    = 1\n" in capsys.readouterr().out

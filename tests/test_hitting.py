@@ -166,7 +166,8 @@ def test_killed_system_routes_agree(case, k2):
         assert ks.B.tolist() == [0, 1, 3, 4]
     start = ks.chain.pi[ks.B] / ks.pi_B
     T = 4000
-    iterated = np.array([start @ u for u in islice(ks.survival(), T)])
+    keep = ~np.isin(np.arange(ks.chain.n), ks.A)
+    iterated = np.array([start @ V[ks.B] for V in islice(_survival(ks.chain.P, keep), T)])
     eigen = ks.tail_stationary(np.arange(T))
     assert np.max(np.abs(eigen - iterated)) <= 1e-11
     # E[T_A] = sum_{t >= 0} Pr[T_A > t]
@@ -273,17 +274,21 @@ def test_stacked_killed_systems_match_single_targets(case, mode, k2, p3):
 @pytest.mark.parametrize("chain", [random_reversible(7, seed=3), biased_path(8),
                                    two_cliques(4)], ids=["random7", "biased8", "cliques4"])
 def test_masked_survival_matches_each_gathered_target(chain):
-    # the masked n x k stepping against each target's own P_B^t 1 iteration,
-    # the route single-target scans keep, for every target set
+    # the masked n x k stepping against each target's own column of it,
+    # the route single-target scans take, and a gathered P_B^t 1 iteration,
+    # for every target set
     n = chain.n
     bits = np.arange(1, (1 << n) - 1)
     masks = ((bits[:, None] >> np.arange(n)) & 1).astype(bool)
     steps = list(islice(_survival(chain.P, ~masks.T), 41))
     for j, mask in enumerate(masks):
         ks = KilledSystem(chain, np.flatnonzero(mask))
-        for V, u in zip(steps, islice(ks.survival(), 41)):
+        u = np.ones(ks.B.size)
+        for V, v in zip(steps, islice(_survival(chain.P, ~mask), 41)):
+            np.testing.assert_allclose(V[:, j], v, rtol=1e-12, atol=0.0)
             np.testing.assert_allclose(V[ks.B, j], u, rtol=1e-12, atol=0.0)
             assert not V[mask, j].any()
+            u = ks.PB @ u
 
 
 def _bisect(f, level, lo, hi, tol):
@@ -305,10 +310,15 @@ def _p_ct_per_set(chain, alpha):
     killed eigenvalues, an oracle for n <= 14."""
     sets, exact = _candidate_sets(chain, alpha, DEFAULT_EXACT_THRESHOLD)
     systems = [KilledSystem(chain, np.flatnonzero(sel)) for sel in sets if not sel.all()]
+    # row i: Pr_{B[i]}[T_A > t] = sum_j state_weights[i, j] exp(-(1 - gamma_j) t)
+    weights = []
+    for ks in systems:
+        _, U, sq, right = ks._eigen
+        weights.append(U / sq[:, None] * right[None, :])
 
     def p_ct(t):
-        return max((float((ks.state_weights @ np.exp(-(1.0 - ks.gammas) * t)).max())
-                    for ks in systems), default=0.0)
+        return max((float((w @ np.exp(-(1.0 - ks.gammas) * t)).max())
+                    for ks, w in zip(systems, weights)), default=0.0)
 
     return p_ct, exact
 
@@ -435,21 +445,26 @@ def test_run_suites_builds_each_single_target_once(monkeypatch):
     assert len(builds) == len(set(builds)) == 41
 
 
-def test_continuized_killed_tails_match_the_matrix_exponential():
-    # Pr_x[T_A > t] for the continuized walk is (exp(-t (I - P_B)) 1)(x)
+def test_continuized_killed_tails_match_the_matrix_exponential(tmp_path):
+    # Pr_x[T_A > t] for the continuized walk is (exp(-t (I - P_B)) 1)(x):
+    # the forward tails `hit --set --continuous -o` writes, from a start and
+    # from pi conditioned on B
     from scipy.linalg import expm
 
     chain = random_reversible(7, seed=3)
+    path, csv = tmp_path / "chain.json", tmp_path / "tail.csv"
+    chain_to_json(chain, str(path))
     ks = KilledSystem(chain, [2, 5])
-    ts = [0.0, 0.7, 3.0, 11.5]
     gen = np.eye(ks.B.size) - ks.PB
-    tails = np.array([expm(-t * gen) @ np.ones(ks.B.size) for t in ts])
-    pos = ks.position(1)
-    assert np.allclose(ks.tail_state(pos, ts, continuous=True), tails[:, pos],
-                       rtol=0.0, atol=1e-14)
-    pi_B = chain.pi[ks.B] / ks.pi_B
-    assert np.allclose(ks.tail_stationary(ts, continuous=True), tails @ pi_B,
-                       rtol=0.0, atol=1e-14)
+    for start, law in ((["--start", "1"], np.eye(ks.B.size)[ks.position(1)]),
+                       ([], chain.pi[ks.B] / ks.pi_B)):
+        assert cli_main(["hit", str(path), "--set", "2,5", *start, "--eps", "0.01",
+                         "--continuous", "-o", str(csv)]) == 0
+        rows = [line.split(",") for line in csv.read_text().splitlines()[1:]]
+        ts = [int(t) for t, _ in rows]
+        assert ts == list(range(len(rows))) and len(rows) > 3
+        want = [law @ expm(-t * gen) @ np.ones(ks.B.size) for t in ts]
+        np.testing.assert_allclose([float(v) for _, v in rows], want, rtol=1e-13, atol=0.0)
 
 
 @pytest.mark.parametrize("case", ["biased-path", "birth-death"])

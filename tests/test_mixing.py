@@ -62,6 +62,23 @@ def test_distances_far_below_the_rounding_of_large_entries(two_state):
         pytest.approx(pi0 * math.exp(-100.0 * (a + 0.5)), rel=1e-9, abs=0.0), 1)
 
 
+@pytest.mark.parametrize("t, continuous", [(10 ** 30, False), (1e12, True)],
+                         ids=["discrete", "continuized"])
+def test_kept_squares_stop_at_the_rounding_ceiling(monkeypatch, t, continuous):
+    # d is rounding past the ceiling at eps = 1e-16, so the squares above its
+    # bit length are built for one call and dropped (100 and 47 were kept);
+    # the value equals the one from keeping every square
+    chain = biased_path(6)
+    h = mixing._heat_step(chain) if continuous else 1
+    cap = math.ceil(_ceiling(chain, 1e-16, continuous) / h).bit_length()
+    got = worst_tv(chain, t, continuous)
+    assert len(chain.heat_squares if continuous else chain.squares) <= cap < 20
+    monkeypatch.setattr(mixing, "_kept", lambda chain, continuous: math.inf)
+    unbounded = biased_path(6)
+    assert worst_tv(unbounded, t, continuous) == got
+    assert len(unbounded.heat_squares if continuous else unbounded.squares) > cap
+
+
 def test_profile_rejects_a_negative_horizon(k2):
     with pytest.raises(ValueError, match="t_max must be >= 0"):
         mixing_profile(k2, t_max=-1)

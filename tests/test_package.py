@@ -246,18 +246,18 @@ class _MaskedStepSites(_Sites):
 
 
 def test_killed_tails_of_many_targets_step_in_one_engine():
-    # every family of targets steps P_B^t 1 as one masked n x k product, so
-    # worst-set profiles and the set sweeps share one engine; a single
-    # target's scan keeps its gathered P_B product, with no stack branch
+    # every killed tail read at given times steps P_B^t 1 as one masked
+    # product: worst-set profiles and set sweeps as n x k columns, a single
+    # target's scan as one; no per-start spectral reader or continuized
+    # spectral tail is left on KilledSystem
     sites = _sites(_MaskedStepSites)
     assert [(module, scope) for module, scope, _ in sites] == [("hitting", "_survival")]
     tree = ast.parse((SRC / "cutofflab" / "hitting.py").read_text())
     killed = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "KilledSystem")
-    survival = next(n for n in killed.body
-                    if isinstance(n, ast.FunctionDef) and n.name == "survival")
-    nodes = list(ast.walk(survival))
-    assert not any(isinstance(n, (ast.If, ast.IfExp)) for n in nodes)
-    assert not {"_mv", "partial"} & {getattr(n, "id", None) for n in nodes}
+    methods = [n for n in killed.body if isinstance(n, ast.FunctionDef)]
+    assert not {"survival", "tail_state", "state_weights"} & {m.name for m in methods}
+    assert not [m.name for m in methods
+                if "continuous" in [a.arg for a in m.args.args + m.args.kwonlyargs]]
 
 
 class _SquareSites(_Sites):

@@ -16,7 +16,7 @@ from cutofflab import (
     tree_from_json,
     tree_to_json,
 )
-from cutofflab import trees
+from cutofflab import hitting, trees
 from cutofflab.chain import ChainSpec, chain_to_json, load_chain
 from cutofflab.cli import main
 from cutofflab.families import biased_path
@@ -206,18 +206,19 @@ def test_window_check_passes_on_random_trees():
 def test_tree_suites_build_each_system_and_scan_each_tail_once(monkeypatch):
     tc = build_tree_chain(random_tree(40, seed=7))
     built, scans = [], []
-    setup, survival = KilledSystem._setup, KilledSystem.survival
+    setup, survival = KilledSystem._setup, hitting._survival
 
     def counting_setup(self, chain, A, B):
         built.append((A.shape, A.tobytes()))
         setup(self, chain, A, B)
 
-    def counting_survival(self):
-        scans.append(tuple(self.A))
-        return survival(self)
+    def counting_survival(P, keep):
+        if keep.ndim == 1:  # one target's column
+            scans.append(tuple(np.flatnonzero(~keep).tolist()))
+        return survival(P, keep)
 
     monkeypatch.setattr(KilledSystem, "_setup", counting_setup)
-    monkeypatch.setattr(KilledSystem, "survival", counting_survival)
+    monkeypatch.setattr(hitting, "_survival", counting_survival)
     reports = run_suites(tc.chain, ["tree-window", "crossing-tails"])
     assert all(r.passed for r in reports)
     assert len(built) == len(set(built))
